@@ -8,11 +8,7 @@ coefficient by coefficient.
 
 from .coeff import (
     CycloNumber,
-    cyclo_add,
     cyclo_embed,
-    cyclo_inv,
-    cyclo_mul,
-    cyclo_neg,
     csc_pi,
     lift_order,
     sin_pi,
@@ -28,7 +24,7 @@ from .errors import (
     ParseError,
     QIdentError,
 )
-from .eulerian import EulerianSpec, eulerian_sum, f_c, h_tilde, k_tilde, k_tilde_closed
+from .eulerian import f_c, h_tilde, k_tilde, k_tilde_closed
 from .identity import (
     IdentityCase,
     SuiteReport,
@@ -66,11 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CycloNumber",
-    "cyclo_add",
     "cyclo_embed",
-    "cyclo_inv",
-    "cyclo_mul",
-    "cyclo_neg",
     "csc_pi",
     "lift_order",
     "sin_pi",
@@ -107,8 +99,6 @@ __all__ = [
     "msplit_rhs",
     "pochhammer",
     "theta_j",
-    "EulerianSpec",
-    "eulerian_sum",
     "f_c",
     "h_tilde",
     "k_tilde",

@@ -22,17 +22,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .dsl import eval_expr, parse, parse_binding
-from .errors import (
-    EvalError,
-    InsufficientPrecisionError,
-    NonGenericError,
-    ParseError,
-)
+from .errors import EvalError, QIdentError
 from .eulerian import f_c
 from .identity import DEFAULT_ORDER, parse_corpus, run_suite
-from .series import Monomial, QSeries, series_truncate
-
-_PAD_ATTEMPTS = 4
+from .series import Monomial, series_truncate
 
 
 def _order_arg(text: str) -> Fraction:
@@ -55,24 +48,13 @@ def _parse_binds(pairs: List[str]) -> Dict[str, Monomial]:
     return binding
 
 
-def _expand_series(source: str, order: Fraction, binding: Dict[str, Monomial]) -> QSeries:
-    expr = parse(source)
-    work = order
-    for _ in range(_PAD_ATTEMPTS):
-        try:
-            return series_truncate(eval_expr(expr, work, binding), order)
-        except InsufficientPrecisionError as exc:
-            work += exc.deficit + 1
-    raise EvalError(f"cannot reach precision q^({order}) for {source!r}")
-
-
 def _field_name(order: int) -> str:
     return "Q" if order == 1 else f"Q(zeta_{order})"
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     binding = _parse_binds(args.bind)
-    s = _expand_series(args.expr, args.order, binding)
+    s = series_truncate(eval_expr(parse(args.expr), args.order, binding), args.order)
     print(f"# terms below q^({s.prec_order()}), grid 1/{s.denom}, coefficients in {_field_name(s.field_order)}")
     for k, c in s.sorted_terms():
         print(f"q^({k}/{s.denom}): {c}")
@@ -113,13 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="path to a corpus file")
     p.add_argument("--order", type=_order_arg, default=None,
                    help="override every case's order")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers, at most the CPU count")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("suite", help="check the built-in identity corpus")
     p.add_argument("--order", type=_order_arg, default=None,
                    help="override every case's order")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers, at most the CPU count")
     p.set_defaults(func=_cmd_suite)
 
     return parser
@@ -129,13 +111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, EvalError, NonGenericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (QIdentError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

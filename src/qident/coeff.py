@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from ._rat import Q, to_frac
@@ -397,22 +397,6 @@ def zeta_power(M: int, k: int) -> CycloNumber:
     return CycloNumber(M, tuple(Q(c) for c in row), _checked=True)
 
 
-def cyclo_add(a: CycloNumber, b: CycloNumber) -> CycloNumber:
-    return a + b
-
-
-def cyclo_mul(a: CycloNumber, b: CycloNumber) -> CycloNumber:
-    return a * b
-
-
-def cyclo_neg(a: CycloNumber) -> CycloNumber:
-    return -a
-
-
-def cyclo_inv(a: CycloNumber) -> CycloNumber:
-    return a.inv()
-
-
 def lift_order(a: CycloNumber, new_order: int) -> CycloNumber:
     """Rewrite a in Q(zeta_{M'}) via zeta_M = zeta_{M'}^(M'/M); M must divide M'."""
     M = a.order
@@ -435,14 +419,6 @@ def lift_order(a: CycloNumber, new_order: int) -> CycloNumber:
     return CycloNumber(new_order, tuple(dense), _checked=True)
 
 
-def lift_pair(a: CycloNumber, b: CycloNumber) -> tuple[CycloNumber, CycloNumber]:
-    """Lift both operands to the compositum Q(zeta_lcm)."""
-    if a.order == b.order:
-        return a, b
-    m = a.order * b.order // gcd(a.order, b.order)
-    return lift_order(a, m), lift_order(b, m)
-
-
 def sin_pi(a: int, c: int, M: int) -> CycloNumber:
     """sin(pi*a/c) = (zeta_{2c}^a - zeta_{2c}^{-a}) / (2i), exactly.
 
@@ -450,7 +426,7 @@ def sin_pi(a: int, c: int, M: int) -> CycloNumber:
     """
     if not 0 < a < c:
         raise ValueError("need 0 < a < c")
-    need = 4 * (2 * c) // gcd(4, 2 * c)
+    need = lcm(4, 2 * c)
     if M % need != 0:
         raise ValueError(f"field order {M} not divisible by lcm(4, 2c) = {need}")
     s = zeta_power(M, a * (M // (2 * c)))

@@ -16,20 +16,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .coeff import csc_pi, sin_pi, zeta_power
 from .errors import EvalError, ParseError
 from .eulerian import (
-    EulerianSpec,
-    eulerian_sum,
-    h_tilde,
-    habc_sum,
-    k_tilde,
-    k_tilde_closed,
     bilateral_even,
     bilateral_odd,
+    f0_5,
+    f3,
+    h_tilde,
+    habc_sum,
+    hprime,
+    k_tilde,
+    k_tilde_closed,
+    kprime,
+    kprimeprime,
+    lambert_even_lhs,
+    lambert_odd_lhs,
+    phi6,
+    sigma6,
 )
 from .series import (
     Monomial,
@@ -50,6 +57,7 @@ from .special import (
     JB,
     Jm,
     appell_m,
+    ensure_prec,
     g_universal,
     m_change_z_correction,
     msplit_rhs,
@@ -139,6 +147,7 @@ class _Tok:
 
 
 _PUNCT = set("+-*/^(),;")
+_DIGITS = set("0123456789")  # str.isdigit also admits digits int() rejects, such as '²'
 
 
 def _tokenize(text: str) -> List[_Tok]:
@@ -152,9 +161,9 @@ def _tokenize(text: str) -> List[_Tok]:
         if ch in " \t\r":
             col, i = col + 1, i + 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(_Tok("num", text[i:j], line, col))
             col, i = col + (j - i), j
@@ -491,9 +500,13 @@ def _call(e: Call, order: Fraction, binding: Dict[str, Monomial]) -> Value:
 def eval_expr(
     e: Expr, order: Rat, binding: Optional[Dict[str, Monomial]] = None
 ) -> QSeries:
-    """Evaluate to a truncated series with every exponent below order covered."""
-    o = Fraction(order)
-    return _to_series(_ev(e, o, dict(binding or {})), o)
+    """Evaluate to a truncated series with every exponent below order covered.
+
+    Division and Laurent shifts cost precision, so the evaluation reruns
+    at a deeper working order until the result reaches order.
+    """
+    b = dict(binding or {})
+    return ensure_prec(lambda work: _to_series(_ev(e, work, b), work), order)
 
 
 def fold_monomial(e: Expr) -> Monomial:
@@ -522,15 +535,11 @@ def parse_binding(text: str) -> Tuple[str, Monomial]:
 # ---------------------------------------------------------------------------
 
 
-def _lcm4(c: int) -> int:
-    return 4 * (2 * c) // gcd(4, 2 * c)
-
-
 def _trig(fn: Callable, v: List[object]) -> Monomial:
     a, c = v
     if not 0 < a < c:
         raise EvalError("need 0 < a < c")
-    return Monomial(fn(a, c, _lcm4(c)), Fraction(0))
+    return Monomial(fn(a, c, lcm(4, 2 * c)), Fraction(0))
 
 
 def _zeta(v: List[object], order: Fraction) -> Monomial:
@@ -540,11 +549,10 @@ def _zeta(v: List[object], order: Fraction) -> Monomial:
     return Monomial(zeta_power(M, k), Fraction(0))
 
 
-def _eul(name: str):
+def _eul(fn: Callable[[Fraction], QSeries]):
     def run(v: List[object], order: Fraction) -> QSeries:
         p = v[0] if v else 1
-        s = eulerian_sum(EulerianSpec(name), order / p)
-        return substitute_base(s, p) if p != 1 else s
+        return substitute_base(fn(order / p), p)
 
     return run
 
@@ -586,22 +594,13 @@ FUNCTIONS: Dict[str, Dict[int, Tuple[Tuple[str, ...], Callable]]] = {
     "g": {1: (("x",), _g("lambert")), 2: (("x", "p"), _g("lambert"))},
     "g_sum": {1: (("x",), _g("eulerian")), 2: (("x", "p"), _g("eulerian"))},
     "g_appell": {1: (("x",), _g("appell")), 2: (("x", "p"), _g("appell"))},
-    "phi": {0: ((), _eul("phi6")), 1: (("p",), _eul("phi6"))},
-    "sigma": {0: ((), _eul("sigma6")), 1: (("p",), _eul("sigma6"))},
-    "f3": {0: ((), _eul("f3")), 1: (("p",), _eul("f3"))},
-    "f0": {0: ((), _eul("f0_5")), 1: (("p",), _eul("f0_5"))},
-    "Kp": _both(
-        ("x",), lambda v, o: eulerian_sum(EulerianSpec("Kprime", omega=v[0]), o)
-    ),
-    "Kpp": _both(
-        ("x",), lambda v, o: eulerian_sum(EulerianSpec("Kprimeprime", omega=v[0]), o)
-    ),
-    "Hp": _both(
-        ("i", "i", "x"),
-        lambda v, o: eulerian_sum(
-            EulerianSpec("Hprime", a=v[0], c=v[1], omega=v[2]), o
-        ),
-    ),
+    "phi": {0: ((), _eul(phi6)), 1: (("p",), _eul(phi6))},
+    "sigma": {0: ((), _eul(sigma6)), 1: (("p",), _eul(sigma6))},
+    "f3": {0: ((), _eul(f3)), 1: (("p",), _eul(f3))},
+    "f0": {0: ((), _eul(f0_5)), 1: (("p",), _eul(f0_5))},
+    "Kp": _both(("x",), lambda v, o: kprime(v[0], o)),
+    "Kpp": _both(("x",), lambda v, o: kprimeprime(v[0], o)),
+    "Hp": _both(("i", "i", "x"), lambda v, o: hprime(v[0], v[1], v[2], o)),
     "Ktilde": _both(("i", "i"), lambda v, o: k_tilde(v[0], v[1], o)),
     "Ktilde_closed": _both(("i", "i"), lambda v, o: k_tilde_closed(v[0], v[1], o)),
     "Htilde": _both(("i", "i"), _htilde("eulerian")),
@@ -613,12 +612,8 @@ FUNCTIONS: Dict[str, Dict[int, Tuple[Tuple[str, ...], Callable]]] = {
     "zeta": _both(("i", "i"), _zeta),
     "bilateral_even": _both(("x",), lambda v, o: bilateral_even(v[0], o)),
     "bilateral_odd": _both(("x",), lambda v, o: bilateral_odd(v[0], o)),
-    "lambert_even": _both(
-        ("x",), lambda v, o: eulerian_sum(EulerianSpec("lambert_even_lhs", x=v[0]), o)
-    ),
-    "lambert_odd": _both(
-        ("x",), lambda v, o: eulerian_sum(EulerianSpec("lambert_odd_lhs", x=v[0]), o)
-    ),
+    "lambert_even": _both(("x",), lambda v, o: lambert_even_lhs(v[0], o)),
+    "lambert_odd": _both(("x",), lambda v, o: lambert_odd_lhs(v[0], o)),
     "rjtp": {
         1: (("x",), lambda v, o: rjtp_lhs(v[0], o)),
         2: (("x", "p"), lambda v, o: rjtp_lhs(v[0], o, v[1])),

@@ -1,31 +1,26 @@
 """Eulerian q-hypergeometric sums and their root-of-unity combinations.
 
-Each series is summed term by term with the running term carried as a
-truncated series: the ratio t_n / t_{n-1} is a monomial times geometric
-inverses, so every term costs one multiplication and the quadratic
-exponent growth terminates the loop.  Exact pole prechecks reject the
-parameter values where a denominator factor vanishes identically.
+Each Eulerian series is summed by special._term_sum from two rows: its
+first term and its term ratio t_n / t_{n-1}, each a signed power of q
+times factors (1 - u q^(an+b))^(+-1).  The bilateral Lambert series go
+through special.lambert_sum.  Exact pole prechecks reject the parameter
+values where a denominator factor vanishes identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Optional, Tuple, Union
+from math import gcd, lcm
+from typing import Tuple, Union
 
-from .coeff import CycloNumber, csc_pi, sin_pi, zeta_power
-from .errors import CapExceededError, NonGenericError
+from .coeff import csc_pi, sin_pi, zeta_power
+from .errors import NonGenericError
 from .series import (
     Monomial,
     QSeries,
-    bilateral_sum,
-    const_series,
-    from_monomial,
-    geom_inverse,
-    q_power,
     series_add,
     series_div,
+    series_div_one_minus,
     series_eq_to_order,
     series_invert,
     series_mul,
@@ -33,17 +28,21 @@ from .series import (
     series_scale,
     series_shift,
     series_sub,
-    series_truncate,
-    zero_series,
 )
-from .special import J, JB, Jm, appell_m, ensure_prec, iteration_cap, theta_j
+from .special import J, JB, Jm, _term_sum, appell_m, ensure_prec, lambert_sum, theta_is_zero, theta_j
 from .verdict import Verdict
 
 Rat = Union[int, Fraction]
 
+_ONE = (1, 0, (), ())  # the row of a first term equal to 1
+
 
 def _fr(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _q(e: Rat, c: Rat = 1) -> Monomial:
+    return Monomial.make(c, e)
 
 
 def f_c(c: int) -> int:
@@ -55,44 +54,10 @@ def f_c(c: int) -> int:
     return 2 * c // gcd(c, 4)
 
 
-def _is_exact_q_power(x: Monomial) -> Optional[Fraction]:
-    """The exponent e with x = q^e exactly, or None."""
-    c = x.coeff
-    if c.is_rational() and c.rational_value() == 1:
-        return x.expo
-    return None
-
-
 def _reject_pole(x: Monomial, parity: int, label: str):
     """Reject x = q^e with e an integer of the given parity (0 even, 1 odd)."""
-    e = _is_exact_q_power(x)
-    if e is not None and e.denominator == 1 and e.numerator % 2 == parity:
+    if theta_is_zero(x.times_q(-parity), 2):
         raise NonGenericError(f"{label} has a vanishing denominator at {x}")
-
-
-def _term_sum(
-    first: QSeries,
-    ratio: Callable[[int], QSeries],
-    work: Fraction,
-    start: int = 0,
-) -> QSeries:
-    """Sum t_start + t_{start+1} + ... with t_n = t_{n-1} * ratio(n)."""
-    cap = iteration_cap(work)
-    total = zero_series(work, first.denom, first.field_order)
-    t = series_truncate(first, work)
-    n = start
-    while not t.is_zero():
-        total = series_add(total, t)
-        n += 1
-        if n - start > cap:
-            raise CapExceededError("Eulerian term valuation failed to grow")
-        t = series_truncate(series_mul(t, ratio(n)), work)
-    return total
-
-
-def _one_minus(m: Monomial, work: Fraction) -> QSeries:
-    one = const_series(1, work, denom=m.expo.denominator)
-    return series_sub(one, from_monomial(m, work))
 
 
 # ---------------------------------------------------------------------------
@@ -100,150 +65,106 @@ def _one_minus(m: Monomial, work: Fraction) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def _phi6(work: Fraction) -> QSeries:
-    # sum (-1)^n q^(n^2) (q;q^2)_n / (-q;q)_{2n}
-    def ratio(n):
-        head = from_monomial(Monomial.make(-1, 2 * n - 1), work)
-        r = series_mul(head, _one_minus(Monomial.make(1, 2 * n - 1), work))
-        r = series_mul(r, geom_inverse(Monomial.make(-1, 2 * n - 1), work))
-        return series_mul(r, geom_inverse(Monomial.make(-1, 2 * n), work))
-
-    return _term_sum(const_series(1, work), ratio, work)
-
-
-def _sigma6(work: Fraction) -> QSeries:
-    # sum q^binom(n+2,2) (-q)_n / (q;q^2)_{n+1}
-    first = series_mul(
-        q_power(1, work), geom_inverse(Monomial.make(1, 1), work)
-    )
+def phi6(order: Rat) -> QSeries:
+    """sum (-1)^n q^(n^2) (q;q^2)_n / (-q;q)_{2n}."""
 
     def ratio(n):
-        head = from_monomial(Monomial.make(1, n + 1), work)
-        r = series_mul(
-            head,
-            series_add(
-                const_series(1, work), from_monomial(Monomial.make(1, n), work)
-            ),
-        )
-        return series_mul(r, geom_inverse(Monomial.make(1, 2 * n + 1), work))
+        return (-1, 2 * n - 1, [_q(2 * n - 1)], [_q(2 * n - 1, -1), _q(2 * n, -1)])
 
-    return _term_sum(first, ratio, work)
+    return ensure_prec(lambda work: _term_sum(_ONE, ratio, work), order)
 
 
-def _f3(work: Fraction) -> QSeries:
-    # sum q^(n^2) / (-q)_n^2
+def sigma6(order: Rat) -> QSeries:
+    """sum q^binom(n+2,2) (-q)_n / (q;q^2)_{n+1}."""
+
     def ratio(n):
-        g = geom_inverse(Monomial.make(-1, n), work)
-        return series_mul(
-            series_mul(from_monomial(Monomial.make(1, 2 * n - 1), work), g), g
-        )
+        return (1, n + 1, [_q(n, -1)], [_q(2 * n + 1)])
 
-    return _term_sum(const_series(1, work), ratio, work)
+    return ensure_prec(lambda work: _term_sum((1, 1, (), [_q(1)]), ratio, work), order)
 
 
-def _f0_5(work: Fraction) -> QSeries:
-    # sum q^(n^2) / (-q)_n
+def f3(order: Rat) -> QSeries:
+    """sum q^(n^2) / (-q)_n^2."""
+
     def ratio(n):
-        return series_mul(
-            from_monomial(Monomial.make(1, 2 * n - 1), work),
-            geom_inverse(Monomial.make(-1, n), work),
-        )
+        return (1, 2 * n - 1, (), [_q(n, -1), _q(n, -1)])
 
-    return _term_sum(const_series(1, work), ratio, work)
+    return ensure_prec(lambda work: _term_sum(_ONE, ratio, work), order)
 
 
-def _kprime(omega: Monomial, work: Fraction) -> QSeries:
-    # sum (-1)^n q^(n^2) (q;q^2)_n / ((w q^2;q^2)_n (w^-1 q^2;q^2)_n)
+def f0_5(order: Rat) -> QSeries:
+    """sum q^(n^2) / (-q)_n."""
+
+    def ratio(n):
+        return (1, 2 * n - 1, (), [_q(n, -1)])
+
+    return ensure_prec(lambda work: _term_sum(_ONE, ratio, work), order)
+
+
+def kprime(omega: Monomial, order: Rat) -> QSeries:
+    """sum (-1)^n q^(n^2) (q;q^2)_n / ((w q^2;q^2)_n (w^-1 q^2;q^2)_n)."""
     _reject_pole(omega, 0, "Kprime")
-    w, winv = omega, omega.inv()
+    winv = omega.inv()
 
     def ratio(n):
-        head = from_monomial(Monomial.make(-1, 2 * n - 1), work)
-        r = series_mul(head, _one_minus(Monomial.make(1, 2 * n - 1), work))
-        r = series_mul(r, geom_inverse(w.times_q(2 * n), work))
-        return series_mul(r, geom_inverse(winv.times_q(2 * n), work))
+        return (-1, 2 * n - 1, [_q(2 * n - 1)], [omega.times_q(2 * n), winv.times_q(2 * n)])
 
-    first = const_series(1, work, denom=omega.expo.denominator)
-    return _term_sum(first, ratio, work)
+    return ensure_prec(lambda work: _term_sum(_ONE, ratio, work), order)
 
 
-def _kprimeprime(omega: Monomial, work: Fraction) -> QSeries:
-    # sum_{n>=1} (-1)^n q^(n^2) (q;q^2)_{n-1} / ((w q;q^2)_n (w^-1 q;q^2)_n)
+def kprimeprime(omega: Monomial, order: Rat) -> QSeries:
+    """sum_{n>=1} (-1)^n q^(n^2) (q;q^2)_{n-1} / ((w q;q^2)_n (w^-1 q;q^2)_n)."""
     _reject_pole(omega, 1, "Kprimeprime")
-    w, winv = omega, omega.inv()
-    first = series_mul(
-        from_monomial(Monomial.make(-1, 1), work),
-        series_mul(
-            geom_inverse(w.times_q(1), work), geom_inverse(winv.times_q(1), work)
-        ),
-    )
+    winv = omega.inv()
+    first = (-1, 1, (), [omega.times_q(1), winv.times_q(1)])
 
     def ratio(n):
-        head = from_monomial(Monomial.make(-1, 2 * n - 1), work)
-        r = series_mul(head, _one_minus(Monomial.make(1, 2 * n - 3), work))
-        r = series_mul(r, geom_inverse(w.times_q(2 * n - 1), work))
-        return series_mul(r, geom_inverse(winv.times_q(2 * n - 1), work))
-
-    return _term_sum(first, ratio, work, start=1)
-
-
-def _hprime(a: int, c: int, omega: Monomial, work: Fraction) -> QSeries:
-    # sum q^(n(n+1)/2) (-q)_n / ((w q^(a/c))_{n+1} (w q^(1-a/c))_{n+1})
-    e = _is_exact_q_power(omega)
-    for frac in (Fraction(a, c), 1 - Fraction(a, c)):
-        if e is not None and (e + frac).denominator == 1 and e + frac <= 0:
-            raise NonGenericError(f"Hprime has a vanishing denominator at {omega}")
-    u0, u1 = omega.times_q(Fraction(a, c)), omega.times_q(1 - Fraction(a, c))
-    first = series_mul(geom_inverse(u0, work), geom_inverse(u1, work))
-
-    def ratio(n):
-        head = from_monomial(Monomial.make(1, n), work)
-        r = series_mul(
-            head,
-            series_add(
-                const_series(1, work), from_monomial(Monomial.make(1, n), work)
-            ),
+        return (
+            -1, 2 * n - 1, [_q(2 * n - 3)],
+            [omega.times_q(2 * n - 1), winv.times_q(2 * n - 1)],
         )
-        r = series_mul(r, geom_inverse(u0.times_q(n), work))
-        return series_mul(r, geom_inverse(u1.times_q(n), work))
 
-    return _term_sum(first, ratio, work)
+    return ensure_prec(lambda work: _term_sum(first, ratio, work, start=1), order)
 
 
-def _lambert_even_lhs(x: Monomial, work: Fraction) -> QSeries:
-    # sum (-1)^n q^(n^2) (q;q^2)_n / ((x;q^2)_{n+1} (q^2/x;q^2)_n)
+def hprime(a: int, c: int, omega: Monomial, order: Rat) -> QSeries:
+    """sum q^(n(n+1)/2) (-q)_n / ((w q^(a/c))_{n+1} (w q^(1-a/c))_{n+1})."""
+    if not 0 < a < c:
+        raise ValueError("need 0 < a < c")
+    u0, u1 = omega.times_q(Fraction(a, c)), omega.times_q(1 - Fraction(a, c))
+    for u in (u0, u1):
+        if u.is_q_power() and u.expo.denominator == 1 and u.expo <= 0:
+            raise NonGenericError(f"Hprime has a vanishing denominator at {omega}")
+
+    def ratio(n):
+        return (1, n, [_q(n, -1)], [u0.times_q(n), u1.times_q(n)])
+
+    return ensure_prec(lambda work: _term_sum((1, 0, (), [u0, u1]), ratio, work), order)
+
+
+def lambert_even_lhs(x: Monomial, order: Rat) -> QSeries:
+    """sum (-1)^n q^(n^2) (q;q^2)_n / ((x;q^2)_{n+1} (q^2/x;q^2)_n)."""
     _reject_pole(x, 0, "left side of the even Lambert identity")
     xinv = x.inv()
 
     def ratio(n):
-        head = from_monomial(Monomial.make(-1, 2 * n - 1), work)
-        r = series_mul(head, _one_minus(Monomial.make(1, 2 * n - 1), work))
-        r = series_mul(r, geom_inverse(x.times_q(2 * n), work))
-        return series_mul(r, geom_inverse(xinv.times_q(2 * n), work))
+        return (-1, 2 * n - 1, [_q(2 * n - 1)], [x.times_q(2 * n), xinv.times_q(2 * n)])
 
-    return _term_sum(geom_inverse(x, work), ratio, work)
+    return ensure_prec(lambda work: _term_sum((1, 0, (), [x]), ratio, work), order)
 
 
-def _lambert_odd_lhs(x: Monomial, work: Fraction) -> QSeries:
-    # (1 - 1/x) sum (-1)^n (q;q^2)_n q^((n+1)^2)
-    #                / ((xq;q^2)_{n+1} (q/x;q^2)_{n+1})
+def lambert_odd_lhs(x: Monomial, order: Rat) -> QSeries:
+    """(1 - 1/x) sum (-1)^n (q;q^2)_n q^((n+1)^2)
+    / ((xq;q^2)_{n+1} (q/x;q^2)_{n+1}); the factor (1 - 1/x) rides on the
+    first term."""
     _reject_pole(x, 1, "left side of the odd Lambert identity")
     xinv = x.inv()
-    first = series_mul(
-        q_power(1, work),
-        series_mul(
-            geom_inverse(x.times_q(1), work), geom_inverse(xinv.times_q(1), work)
-        ),
-    )
+    first = (1, 1, [xinv], [x.times_q(1), xinv.times_q(1)])
 
     def ratio(n):
-        head = from_monomial(Monomial.make(-1, 2 * n + 1), work)
-        r = series_mul(head, _one_minus(Monomial.make(1, 2 * n - 1), work))
-        r = series_mul(r, geom_inverse(x.times_q(2 * n + 1), work))
-        return series_mul(r, geom_inverse(xinv.times_q(2 * n + 1), work))
+        return (-1, 2 * n + 1, [_q(2 * n - 1)], [x.times_q(2 * n + 1), xinv.times_q(2 * n + 1)])
 
-    s = _term_sum(first, ratio, work)
-    return series_mul(s, _one_minus(xinv, work))
+    return ensure_prec(lambda work: _term_sum(first, ratio, work), order)
 
 
 # ---------------------------------------------------------------------------
@@ -251,60 +172,33 @@ def _lambert_odd_lhs(x: Monomial, work: Fraction) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def bilateral_even(omega: Monomial, order: Rat) -> QSeries:
-    """(1/JB(1,4)) * sum over all n of q^(2n^2+n) / (1 - w q^(2n))."""
-    _reject_pole(omega, 0, "even bilateral Lambert sum")
-    order = _fr(order)
+def _bilateral(omega: Monomial, k: int, order: Rat, label: str) -> QSeries:
+    """(1/JB(1,4)) * sum over all n of q^(2n^2+(2k+1)n+k) / (1 - w q^(2n+k))."""
+    _reject_pole(omega, k, label)
     e = omega.expo
 
     def build(work):
-        def term_val(n):
-            return 2 * n * n + n + max(Fraction(0), -(e + 2 * n))
-
-        def term(n):
-            lead = Monomial.make(1, 2 * n * n + n)
-            g = geom_inverse(omega.times_q(2 * n), work - lead.expo)
-            return series_shift(g, lead)
-
-        s = bilateral_sum(
-            term_val,
-            term,
+        s = lambert_sum(
+            (Fraction(1), lambda n: 2 * n * n + (2 * k + 1) * n + k),
+            lambda n: omega.times_q(2 * n + k),
             work,
-            [Fraction(-1, 4), -e / 2],
-            denom=e.denominator,
-            field_order=omega.field_order,
+            [Fraction(-(2 * k + 1), 4), -(e + k) / 2],
+            e.denominator,
+            omega.field_order,
         )
         return series_mul(s, series_invert(JB(1, 4, work)))
 
     return ensure_prec(build, order)
+
+
+def bilateral_even(omega: Monomial, order: Rat) -> QSeries:
+    """(1/JB(1,4)) * sum over all n of q^(2n^2+n) / (1 - w q^(2n))."""
+    return _bilateral(omega, 0, order, "even bilateral Lambert sum")
 
 
 def bilateral_odd(omega: Monomial, order: Rat) -> QSeries:
     """(1/JB(1,4)) * sum over all n of q^(2n^2+3n+1) / (1 - w q^(2n+1))."""
-    _reject_pole(omega, 1, "odd bilateral Lambert sum")
-    order = _fr(order)
-    e = omega.expo
-
-    def build(work):
-        def term_val(n):
-            return 2 * n * n + 3 * n + 1 + max(Fraction(0), -(e + 2 * n + 1))
-
-        def term(n):
-            lead = Monomial.make(1, 2 * n * n + 3 * n + 1)
-            g = geom_inverse(omega.times_q(2 * n + 1), work - lead.expo)
-            return series_shift(g, lead)
-
-        s = bilateral_sum(
-            term_val,
-            term,
-            work,
-            [Fraction(-3, 4), -(e + 1) / 2],
-            denom=e.denominator,
-            field_order=omega.field_order,
-        )
-        return series_mul(s, series_invert(JB(1, 4, work)))
-
-    return ensure_prec(build, order)
+    return _bilateral(omega, 1, order, "odd bilateral Lambert sum")
 
 
 def habc_sum(a: int, b: int, c: int, order: Rat) -> QSeries:
@@ -312,22 +206,17 @@ def habc_sum(a: int, b: int, c: int, order: Rat) -> QSeries:
     / (1 - zeta_c^b q^(n+a/c))."""
     if not 0 < a < c:
         raise ValueError("need 0 < a < c")
-    order = _fr(order)
     ac = Fraction(a, c)
     zb = Monomial(zeta_power(c, b % c), ac)
 
     def build(work):
-        def term_val(n):
-            return n * (n + 1) + max(n + ac, Fraction(0))
-
-        def term(n):
-            lead = Monomial.make((-1) ** n, n * (n + 1) + n + ac)
-            g = geom_inverse(zb.times_q(n), work - lead.expo)
-            return series_shift(g, lead)
-
-        s = bilateral_sum(
-            term_val, term, work, [Fraction(-1), Fraction(0)],
-            denom=ac.denominator, field_order=zb.field_order,
+        s = lambert_sum(
+            (Fraction(-1), lambda n: n * (n + 1) + n + ac),
+            zb.times_q,
+            work,
+            [Fraction(-1), Fraction(0)],
+            ac.denominator,
+            zb.field_order,
         )
         return series_mul(s, series_invert(J(1, 2, work)))
 
@@ -335,73 +224,18 @@ def habc_sum(a: int, b: int, c: int, order: Rat) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EulerianSpec:
-    """A named Eulerian sum plus whichever parameters it needs."""
-
-    name: str
-    a: Optional[int] = None
-    c: Optional[int] = None
-    b: Optional[int] = None
-    omega: Optional[Monomial] = None
-    x: Optional[Monomial] = None
-
-    def __post_init__(self):
-        if self.a is not None and not 0 < self.a < (self.c or 0):
-            raise ValueError("need 0 < a < c")
-
-
-def eulerian_sum(spec: EulerianSpec, order: Rat) -> QSeries:
-    order = _fr(order)
-    name = spec.name
-    if name == "phi6":
-        return ensure_prec(_phi6, order)
-    if name == "sigma6":
-        return ensure_prec(_sigma6, order)
-    if name == "f3":
-        return ensure_prec(_f3, order)
-    if name == "f0_5":
-        return ensure_prec(_f0_5, order)
-    if name == "Kprime":
-        return ensure_prec(lambda w: _kprime(spec.omega, w), order)
-    if name == "Kprimeprime":
-        return ensure_prec(lambda w: _kprimeprime(spec.omega, w), order)
-    if name == "Hprime":
-        return ensure_prec(
-            lambda w: _hprime(spec.a, spec.c, spec.omega, w), order
-        )
-    if name == "H_abc":
-        return habc_sum(spec.a, spec.b, spec.c, order)
-    if name == "lambert_even_lhs":
-        return ensure_prec(lambda w: _lambert_even_lhs(spec.x, w), order)
-    if name == "lambert_odd_lhs":
-        return ensure_prec(lambda w: _lambert_odd_lhs(spec.x, w), order)
-    raise ValueError(f"unknown Eulerian series {name!r}")
-
-
-# ---------------------------------------------------------------------------
 # Root-of-unity combinations and closed forms
 # ---------------------------------------------------------------------------
-
-
-def _trig_field(c: int) -> int:
-    return 4 * (2 * c) // gcd(4, 2 * c)
 
 
 def k_tilde(a: int, c: int, order: Rat) -> QSeries:
     """csc(pi a/c)/4 * q^(-1/8) Kprime(zeta_c^a)
     + sin(pi a/c) * q^(-1/8) Kprimeprime(zeta_c^a)."""
     order = _fr(order)
-    M = _trig_field(c)
+    M = lcm(4, 2 * c)
     w = Monomial(zeta_power(c, a), Fraction(0))
-    kp = eulerian_sum(EulerianSpec("Kprime", omega=w), order + Fraction(1, 8))
-    kpp = eulerian_sum(
-        EulerianSpec("Kprimeprime", omega=w), order + Fraction(1, 8)
-    )
+    kp = kprime(w, order + Fraction(1, 8))
+    kpp = kprimeprime(w, order + Fraction(1, 8))
     pre1 = Monomial(csc_pi(a, c, M) * Fraction(1, 4), Fraction(-1, 8))
     pre2 = Monomial(sin_pi(a, c, M), Fraction(-1, 8))
     return series_add(series_shift(kp, pre1), series_shift(kpp, pre2))
@@ -410,7 +244,7 @@ def k_tilde(a: int, c: int, order: Rat) -> QSeries:
 def k_tilde_closed(a: int, c: int, order: Rat) -> QSeries:
     """-(i zeta_{2c}^a / 2) q^(-1/8) J(1,2)^2 / j(zeta_c^a;q)."""
     order = _fr(order)
-    M = _trig_field(c)
+    M = lcm(4, 2 * c)
     i = zeta_power(M, M // 4)
     half_zeta = zeta_power(M, (M // (2 * c)) * a)
     pre = Monomial(-(i * half_zeta) * Fraction(1, 2), Fraction(-1, 8))
@@ -436,12 +270,8 @@ def h_tilde(a: int, c: int, order: Rat, route: str = "eulerian") -> QSeries:
     pre = Monomial.make(1, ac * (1 - ac))
     inner = order - pre.expo
     if route == "eulerian":
-        hp = eulerian_sum(
-            EulerianSpec("Hprime", a=a, c=c, omega=Monomial.make(1, 0)), inner
-        )
-        hm = eulerian_sum(
-            EulerianSpec("Hprime", a=a, c=c, omega=Monomial.make(-1, 0)), inner
-        )
+        hp = hprime(a, c, Monomial.make(1, 0), inner)
+        hm = hprime(a, c, Monomial.make(-1, 0), inner)
         return series_shift(series_add(hp, hm), pre)
     if route == "bilateral":
         if c % 2:
@@ -478,12 +308,12 @@ def lambert_pair_check(x: Monomial, order: Rat) -> Tuple[Verdict, Verdict]:
     m = appell_m(-x, 1, Monomial.make(-1, 0), order)
     half = _half_theta_quotient(x, order)
     v2 = series_eq_to_order(
-        eulerian_sum(EulerianSpec("lambert_even_lhs", x=x), order),
+        lambert_even_lhs(x, order),
         series_add(m, half),
         order,
     )
     v4 = series_eq_to_order(
-        eulerian_sum(EulerianSpec("lambert_odd_lhs", x=x), order),
+        lambert_odd_lhs(x, order),
         series_sub(m, half),
         order,
     )
@@ -493,15 +323,15 @@ def lambert_pair_check(x: Monomial, order: Rat) -> Tuple[Verdict, Verdict]:
 def bilateral_pair_check(omega: Monomial, order: Rat) -> Tuple[Verdict, Verdict]:
     """Check the two bilateral Lambert expansions of Kprime and Kprimeprime."""
     order = _fr(order)
-    kp = eulerian_sum(EulerianSpec("Kprime", omega=omega), order)
+    kp = kprime(omega, order)
     v1 = series_eq_to_order(
-        series_mul(kp, geom_inverse(omega, order)),
+        series_div_one_minus(kp, omega),
         bilateral_even(omega, order),
         order,
     )
-    kpp = eulerian_sum(EulerianSpec("Kprimeprime", omega=omega), order)
+    kpp = kprimeprime(omega, order)
     v2 = series_eq_to_order(
-        series_mul(kpp, _one_minus(omega.inv(), order)),
+        series_sub(kpp, series_shift(kpp, omega.inv())),
         series_neg(bilateral_odd(omega, order)),
         order,
     )
@@ -509,13 +339,20 @@ def bilateral_pair_check(omega: Monomial, order: Rat) -> Tuple[Verdict, Verdict]
 
 
 __all__ = [
-    "EulerianSpec",
-    "eulerian_sum",
+    "f0_5",
+    "f3",
     "f_c",
+    "hprime",
     "h_tilde",
     "habc_sum",
     "k_tilde",
     "k_tilde_closed",
+    "kprime",
+    "kprimeprime",
+    "lambert_even_lhs",
+    "lambert_odd_lhs",
+    "phi6",
+    "sigma6",
     "bilateral_pair_check",
     "bilateral_even",
     "bilateral_odd",

@@ -19,6 +19,7 @@ nongeneric for engineered cases (the canary, forced singularities).
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .dsl import Expr, eval_expr, parse, parse_binding, print_expr
-from .errors import InsufficientPrecisionError, NonGenericError
+from .errors import CapExceededError, NonGenericError
 from .series import Monomial, series_eq_to_order
 from .verdict import INSUFFICIENT, NONGENERIC, Verdict
 
@@ -35,8 +36,6 @@ Rat = Union[int, Fraction]
 
 DEFAULT_ORDER = Fraction(50)
 EXPECTATIONS = ("pass", "fail", "nongeneric")
-
-_PAD_ATTEMPTS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -217,29 +216,20 @@ def check(
 ) -> Verdict:
     """Evaluate both sides under one sample binding and compare.
 
-    Precision shortfalls trigger recomputation at a padded order, up to
-    _PAD_ATTEMPTS times; singularities become nongeneric verdicts. Anything
+    Singularities become nongeneric verdicts and a precision the
+    evaluation cannot reach an insufficient_precision verdict. Anything
     else (unbound symbols, malformed arguments) propagates as an error.
     """
     binding = case.sample_bindings[binding_index]
     order = Fraction(order_override if order_override is not None else case.default_order)
-    work = order
-    shortfall = None
-    for _ in range(_PAD_ATTEMPTS):
-        try:
-            lhs = eval_expr(case.lhs, work, binding)
-            rhs = eval_expr(case.rhs, work, binding)
-            return series_eq_to_order(lhs, rhs, order)
-        except InsufficientPrecisionError as exc:
-            shortfall = exc
-            work += exc.deficit + 1
-        except NonGenericError as exc:
-            return Verdict(NONGENERIC, order, note=f"nongeneric: {exc.factor}")
-    return Verdict(
-        INSUFFICIENT,
-        order,
-        note=f"precision still short of q^({order}) after padding: {shortfall}",
-    )
+    try:
+        lhs = eval_expr(case.lhs, order, binding)
+        rhs = eval_expr(case.rhs, order, binding)
+    except NonGenericError as exc:
+        return Verdict(NONGENERIC, order, note=f"nongeneric: {exc.factor}")
+    except CapExceededError as exc:
+        return Verdict(INSUFFICIENT, order, note=f"precision short of q^({order}): {exc}")
+    return series_eq_to_order(lhs, rhs, order)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +312,7 @@ def run_suite(
     work = [(c, i) for c in cases for i in range(len(c.sample_bindings))]
     if jobs > 1:
         args = [(serialize_case(c), i, None if order is None else str(Fraction(order))) for c, i in work]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
             records = list(pool.map(_run_serialized, args))
     else:
         records = [_record(c, i, order) for c, i in work]

@@ -524,6 +524,32 @@ def geom_inverse(u: Monomial, order: Rat, field_order: Optional[int] = None) -> 
     return QSeries(d, p, terms, m, _checked=True)
 
 
+def series_div_one_minus(a: QSeries, u: Monomial) -> QSeries:
+    """a / (1 - u) for a monomial u = c*q^f.
+
+    For f > 0 by the recurrence s = a + u*s, one coefficient product per
+    grid step and exact to the precision of a; otherwise through
+    geom_inverse(u).
+    """
+    f = u.expo
+    if f <= 0:
+        return series_mul(a, geom_inverse(u, a.prec_order()))
+    d = a.denom * f.denominator // gcd(a.denom, f.denominator)
+    m = a.field_order * u.field_order // gcd(a.field_order, u.field_order)
+    a = a.rebase(d).lift_field(m)
+    c = lift_order(u.coeff, m)
+    step = int(f * d)
+    out: dict[int, CycloNumber] = {}
+    for k in range(a.val_grid, a.prec):
+        s = a.terms.get(k)
+        prev = out.get(k - step)
+        if prev is not None:
+            s = prev * c if s is None else s + prev * c
+        if s is not None and not s.is_zero():
+            out[k] = s
+    return QSeries(d, a.prec, out, m, _checked=True)
+
+
 # ---------------------------------------------------------------------------
 # Comparison
 # ---------------------------------------------------------------------------
@@ -612,6 +638,7 @@ __all__ = [
     "q_power",
     "series_add",
     "series_div",
+    "series_div_one_minus",
     "series_eq_to_order",
     "series_invert",
     "series_mul",

@@ -1,6 +1,8 @@
 """Classical building blocks: Pochhammer products, the theta function j,
 its J specializations, the Appell-Lerch sum m(x,q,z), the universal mock
-theta function g, and the n-way Appell-Lerch splitting identity.
+theta function g, and the n-way Appell-Lerch splitting identity, with the
+two summation engines behind every series built from sums: the
+q-hypergeometric term-ratio sum and the bilateral Lambert sum.
 
 All arguments x, z, z' are Monomials c*q^e; the base is a positive
 rational p standing for q^p.  Every function takes a target order and
@@ -11,12 +13,11 @@ or shifting costs precision).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .coeff import cyclo_embed, lift_order
+from .coeff import CycloNumber
 from .errors import CapExceededError, NonGenericError
 from .series import (
     Monomial,
@@ -25,13 +26,11 @@ from .series import (
     const_series,
     from_monomial,
     geom_inverse,
-    grid_prec,
-    q_power,
     series_add,
+    series_div_one_minus,
     series_invert,
     series_mul,
     series_neg,
-    series_scale,
     series_shift,
     series_sub,
     series_truncate,
@@ -49,28 +48,88 @@ def _binom2(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def ensure_prec(build: Callable[[Fraction], QSeries], order: Rat, attempts: int = 4) -> QSeries:
+def ensure_prec(build: Callable[[Fraction], QSeries], order: Rat) -> QSeries:
     """Run a construction, deepening the working order until the result's
     guaranteed precision covers the request.
 
     Precision deficits come from fixed negative valuations (division,
     Laurent shifts), so they are independent of the working order and one
-    retry normally suffices.
+    retry normally suffices; four builds that all fall short raise
+    CapExceededError.
     """
     order = _fr(order)
     work = order
-    for _ in range(attempts):
+    for _ in range(4):
         s = build(work)
         if s.prec_order() >= order:
             return s
         work = work + (order - s.prec_order())
     raise CapExceededError(
-        f"could not reach precision {order} in {attempts} attempts (got {s.prec_order()})"
+        f"could not reach precision {order} in four builds (got {s.prec_order()})"
     )
 
 
-def iteration_cap(order: Rat) -> int:
-    return 10 * (int(_fr(order)) + 10)
+# A row (sign, e, ups, downs) stands for sign * q^e * prod(1 - u) / prod(1 - v)
+# over the monomials u in ups and v in downs.
+Row = Tuple[Rat, Rat, Sequence[Monomial], Sequence[Monomial]]
+
+
+def _times_row(t: QSeries, row: Row, work: Fraction) -> QSeries:
+    sign, e, ups, downs = row
+    t = series_shift(t, Monomial.make(sign, e))
+    for u in ups:
+        t = series_sub(t, series_shift(t, u))
+    for v in downs:
+        t = series_div_one_minus(t, v)
+    return series_truncate(t, work)
+
+
+def _term_sum(
+    first: Row, ratio: Callable[[int], Row], work: Fraction, start: int = 0
+) -> QSeries:
+    """The q-hypergeometric sum t_start + t_{start+1} + ... below q^work,
+    where t_start is the row first and t_n / t_{n-1} is the row ratio(n).
+
+    Every term is carried as a truncated series, so each costs one pass per
+    factor, and the quadratic exponent growth ends the loop.
+    """
+    cap = 10 * (int(work) + 10)
+    t = _times_row(const_series(1, work), first, work)
+    total = zero_series(work, t.denom, t.field_order)
+    n = start
+    while not t.is_zero():
+        total = series_add(total, t)
+        n += 1
+        if n - start > cap:
+            raise CapExceededError("q-hypergeometric term valuation failed to grow")
+        t = _times_row(t, ratio(n), work)
+    return total
+
+
+def lambert_sum(
+    lead: Tuple[Union[Rat, CycloNumber], Callable[[int], Fraction]],
+    u: Callable[[int], Monomial],
+    work: Fraction,
+    hints: list[Fraction],
+    denom: int,
+    field_order: int,
+) -> QSeries:
+    """The bilateral Lambert sum over all integers n of c^n q^e(n) / (1 - u(n))
+    below q^work, where lead = (c, e).
+
+    e is quadratic and the exponent of u(n) linear in n; hints are the
+    vertex and kink positions that bilateral_sum scans from.
+    """
+    c, e = lead
+
+    def val(n: int) -> Fraction:
+        return e(n) + max(Fraction(0), -u(n).expo)
+
+    def term(n: int) -> QSeries:
+        geom = geom_inverse(u(n), work - e(n))
+        return series_shift(geom, Monomial.make(c**n, e(n)))
+
+    return bilateral_sum(val, term, work, hints, denom, field_order)
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +163,7 @@ def pochhammer(x: Monomial, p: Rat, n: Optional[int], order: Rat) -> QSeries:
     d = x.expo.denominator * p.denominator // gcd(x.expo.denominator, p.denominator)
     acc = const_series(1, work, d).lift_field(x.field_order)
     for k in range(count):
-        factor = series_sub(
-            const_series(1, work, d), from_monomial(x.times_q(k * p), work)
-        )
-        acc = series_mul(acc, factor)
+        acc = series_sub(acc, series_shift(acc, x.times_q(k * p)))
         if acc.is_zero() and acc.prec_order() >= order:
             break
     return acc
@@ -116,19 +172,6 @@ def pochhammer(x: Monomial, p: Rat, n: Optional[int], order: Rat) -> QSeries:
 # ---------------------------------------------------------------------------
 # Theta functions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ThetaSpec:
-    """J_{a,m} (barred False) or JB_{a,m} (barred True); J_m is (m, 3m)."""
-
-    a: int
-    m: int
-    barred: bool = False
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("theta modulus must be positive")
 
 
 _theta_cache: dict[tuple, QSeries] = {}
@@ -169,22 +212,21 @@ def theta_is_zero(x: Monomial, p: Rat) -> bool:
     return x.is_q_power() and (x.expo / p).denominator == 1
 
 
-def theta_J(spec: ThetaSpec, order: Rat, p: Rat = 1) -> QSeries:
-    sign = -1 if spec.barred else 1
-    base = _fr(p) * spec.m
-    return theta_j(Monomial.make(sign, _fr(p) * spec.a), base, order)
-
-
 def J(a: int, m: int, order: Rat, p: Rat = 1) -> QSeries:
-    return theta_J(ThetaSpec(a, m, False), order, p)
+    """J_{a,m} = j(q^a; q^m) at base q^p."""
+    p = _fr(p)
+    return theta_j(Monomial.make(1, p * a), p * m, order)
 
 
 def JB(a: int, m: int, order: Rat, p: Rat = 1) -> QSeries:
-    return theta_J(ThetaSpec(a, m, True), order, p)
+    """JB_{a,m} = j(-q^a; q^m) at base q^p."""
+    p = _fr(p)
+    return theta_j(Monomial.make(-1, p * a), p * m, order)
 
 
 def Jm(m: int, order: Rat, p: Rat = 1) -> QSeries:
-    return theta_J(ThetaSpec(m, 3 * m, False), order, p)
+    """J_m = J_{m,3m}."""
+    return J(m, 3 * m, order, p)
 
 
 # ---------------------------------------------------------------------------
@@ -224,27 +266,18 @@ def appell_m(x: Monomial, p: Rat, z: Monomial, order: Rat) -> QSeries:
         return hit
     _check_theta_denominator(z, p, "j(z; q^p)")
     _appell_pole_check(x, p, z)
-    cz, ez = z.coeff, z.expo
-    cx, ex = x.coeff, x.expo
+    ez, ex, xz = z.expo, x.expo, x * z
 
     def build(work: Fraction) -> QSeries:
-        def val(r: int) -> Fraction:
-            f = p * (r - 1) + ex + ez
-            return p * _binom2(r) + r * ez + max(Fraction(0), -f)
-
-        def term(r: int) -> QSeries:
-            lead = Monomial(
-                (cz**r) if r % 2 == 0 else -(cz**r), p * _binom2(r) + r * ez
-            )
-            u = (x * z).times_q(p * (r - 1))
-            geom = geom_inverse(u, work - lead.expo)
-            return series_shift(geom, lead)
-
-        hints = [Fraction(1, 2) - ez / p, 1 - (ex + ez) / p]
-        denom = ez.denominator * ex.denominator * p.denominator
-        s = bilateral_sum(val, term, work, hints, denom, cz.order)
-        jz = theta_j(z, p, work)
-        return series_mul(s, series_invert(jz))
+        s = lambert_sum(
+            (-z.coeff, lambda r: p * _binom2(r) + r * ez),
+            lambda r: xz.times_q(p * (r - 1)),
+            work,
+            [Fraction(1, 2) - ez / p, 1 - (ex + ez) / p],
+            ez.denominator * ex.denominator * p.denominator,
+            z.field_order,
+        )
+        return series_mul(s, series_invert(theta_j(z, p, work)))
 
     result = ensure_prec(build, order)
     _theta_cache[key] = result
@@ -291,13 +324,6 @@ def m_change_z_correction(
 # ---------------------------------------------------------------------------
 
 
-def _g_pole_check(x: Monomial, p: Fraction):
-    if x.is_q_power() and (x.expo / p).denominator == 1:
-        raise NonGenericError(
-            f"g pole: Pochhammer factor vanishes for x = {x} a power of q^({p})"
-        )
-
-
 def g_universal(x: Monomial, p: Rat, order: Rat, route: str = "lambert") -> QSeries:
     """g(x, q^p) by one of its three equivalent constructions.
 
@@ -317,7 +343,10 @@ def g_universal(x: Monomial, p: Rat, order: Rat, route: str = "lambert") -> QSer
     if hit is not None:
         return hit
     if route in ("lambert", "eulerian"):
-        _g_pole_check(x, p)
+        if theta_is_zero(x, p):
+            raise NonGenericError(
+                f"g pole: Pochhammer factor vanishes for x = {x} a power of q^({p})"
+            )
         result = ensure_prec(lambda w: _g_sum(x, p, w, route), order)
     elif route == "appell":
         result = ensure_prec(lambda w: _g_appell(x, p, w), order)
@@ -340,39 +369,20 @@ def _g_appell(x: Monomial, p: Fraction, work: Fraction) -> QSeries:
 
 
 def _g_sum(x: Monomial, p: Fraction, work: Fraction, route: str) -> QSeries:
-    cap = iteration_cap(work)
-    denom = x.expo.denominator * p.denominator
-    total = zero_series(work, denom, x.field_order)
+    xinv = x.inv()
     if route == "lambert":
-        t = series_mul(
-            geom_inverse(x, work), geom_inverse(x.inv().times_q(p), work)
+        return _term_sum(
+            (1, 0, (), (x, xinv.times_q(p))),
+            lambda n: (1, 2 * p * n, (), (x.times_q(p * n), xinv.times_q(p * (n + 1)))),
+            work,
         )
-        t = series_truncate(t, work)
-        n = 0
-        while not t.is_zero():
-            total = series_add(total, t)
-            n += 1
-            if n > cap:
-                raise CapExceededError("g summation failed to gain valuation")
-            t = series_mul(t, q_power(2 * p * n, work + 2 * p * n))
-            t = series_mul(t, geom_inverse(x.times_q(p * n), work))
-            t = series_mul(t, geom_inverse(x.inv().times_q(p * (n + 1)), work))
-            t = series_truncate(t, work)
-        return total
     # the -1 + sum form, then the x^(-1) prefactor
-    t = series_truncate(geom_inverse(x, work), work)
-    n = 0
-    while not t.is_zero():
-        total = series_add(total, t)
-        n += 1
-        if n > cap:
-            raise CapExceededError("g summation failed to gain valuation")
-        t = series_mul(t, q_power(p * (2 * n - 1), work + p * (2 * n - 1)))
-        t = series_mul(t, geom_inverse(x.times_q(p * n), work))
-        t = series_mul(t, geom_inverse(x.inv().times_q(p * n), work))
-        t = series_truncate(t, work)
-    total = series_sub(total, const_series(1, work, denom))
-    return series_shift(total, x.inv())
+    s = _term_sum(
+        (1, 0, (), (x,)),
+        lambda n: (1, p * (2 * n - 1), (), (x.times_q(p * n), xinv.times_q(p * n))),
+        work,
+    )
+    return series_shift(series_sub(s, const_series(1, work)), xinv)
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +472,12 @@ def rjtp_lhs(z: Monomial, order: Rat, p: Rat = 1) -> QSeries:
         raise NonGenericError(
             f"Lambert denominator 1 - q^(pn) z has a pole: z = {z} is a power of q^({p})"
         )
-    cz, ez = z.coeff, z.expo
-
-    def val(n: int) -> Fraction:
-        return p * _binom2(n + 1) + max(Fraction(0), -(ez + p * n))
-
-    def term(n: int) -> QSeries:
-        lead = Monomial.make((-1) ** n, p * _binom2(n + 1))
-        geom = geom_inverse(z.times_q(p * n), order - lead.expo)
-        return series_shift(geom, lead)
-
-    hints = [Fraction(-1, 2), -ez / p]
-    return bilateral_sum(val, term, order, hints, ez.denominator * p.denominator, cz.order)
+    ez = z.expo
+    return lambert_sum(
+        (Fraction(-1), lambda n: p * _binom2(n + 1)),
+        lambda n: z.times_q(p * n),
+        order,
+        [Fraction(-1, 2), -ez / p],
+        ez.denominator * p.denominator,
+        z.field_order,
+    )

@@ -2,7 +2,9 @@
 
 import pytest
 
+from qident import cli
 from qident.cli import main
+from qident.errors import CapExceededError
 
 F0_LINES = [
     "q^(0/1): 1",
@@ -41,6 +43,22 @@ class TestExpand:
         assert main(["expand", "q^(-2)*J(1,2)", "--order", "3"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[1] == "q^(-2/1): 1"
+
+    def test_negative_shift_reaches_order(self, capsys):
+        # the shift by q^(-3) costs three powers of precision, which the
+        # evaluation must win back: q^(-3)/Jm(1) = sum of p(n) q^(n-3)
+        assert main(["expand", "q^(-3)/Jm(1)", "--order", "10"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("# terms below q^(10), grid 1/1")
+        assert "q^(6/1): 30" in out
+
+    def test_unreachable_precision_is_usage_error(self, monkeypatch, capsys):
+        def short(*args):
+            raise CapExceededError("could not reach precision 4")
+
+        monkeypatch.setattr(cli, "eval_expr", short)
+        assert main(["expand", "q", "--order", "4"]) == 2
+        assert "could not reach precision" in capsys.readouterr().err
 
     def test_parse_error_is_usage_error(self, capsys):
         assert main(["expand", "foo(1)", "--order", "4"]) == 2

@@ -73,6 +73,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("2q")
 
+    def test_non_ascii_digit_is_a_parse_error(self):
+        # '²' passes str.isdigit but not int()
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse("2²")
+
     def test_position_reporting(self):
         with pytest.raises(ParseError) as ei:
             parse("1 +\n  @")

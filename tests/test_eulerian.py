@@ -7,17 +7,24 @@ import pytest
 from qident.coeff import cyclo_embed, zeta_power
 from qident.errors import NonGenericError
 from qident.eulerian import (
-    EulerianSpec,
-    eulerian_sum,
+    f0_5,
+    f3,
     f_c,
     h_tilde,
     habc_sum,
+    hprime,
     k_tilde,
     k_tilde_closed,
+    kprime,
+    kprimeprime,
     bilateral_pair_check,
     bilateral_even,
     bilateral_odd,
+    lambert_even_lhs,
+    lambert_odd_lhs,
     lambert_pair_check,
+    phi6,
+    sigma6,
 )
 from qident.series import (
     Monomial,
@@ -71,14 +78,14 @@ def one_minus_root(w):
 class TestPartialSumOracles:
     def test_third_order_partial_sums(self):
         # sum q^(n^2)/(-q)_n^2 begins 1 + q - 2q^2 + 3q^3 - 3q^4
-        s = eulerian_sum(EulerianSpec("f3"), 10)
+        s = f3(10)
         assert_series_matches(
             s, {0: 1, 1: 1, 2: -2, 3: 3, 4: -3, 5: 3, 6: -5, 7: 7, 8: -6, 9: 6}, F(10)
         )
 
     def test_fifth_order_partial_sums(self):
         # sum q^(n^2)/(-q)_n begins 1 + q - q^2 + q^3 - q^6 + q^7
-        s = eulerian_sum(EulerianSpec("f0_5"), 14)
+        s = f0_5(14)
         assert_series_matches(
             s,
             {0: 1, 1: 1, 2: -1, 3: 1, 6: -1, 7: 1, 9: 1, 10: -2, 11: 1, 12: -1, 13: 2},
@@ -86,10 +93,10 @@ class TestPartialSumOracles:
         )
 
     def test_constant_terms(self):
-        assert eulerian_sum(EulerianSpec("phi6"), 1).coeff_at(F(0)) is not None
-        assert_series_matches(eulerian_sum(EulerianSpec("phi6"), 1), {0: 1}, F(1))
+        assert phi6(1).coeff_at(F(0)) is not None
+        assert_series_matches(phi6(1), {0: 1}, F(1))
         # sigma starts at q
-        assert eulerian_sum(EulerianSpec("sigma6"), 2).valuation() == 1
+        assert sigma6(2).valuation() == 1
 
     def test_direct_sums_match_running_terms(self):
         # recompute phi by explicit finite products
@@ -108,20 +115,20 @@ class TestPartialSumOracles:
                 t = series_neg(t)
             acc = t if acc is None else series_add(acc, t)
             n += 1
-        check_eq(eulerian_sum(EulerianSpec("phi6"), order), acc, order)
+        check_eq(phi6(order), acc, order)
 
 
 class TestAppellForms:
     def test_phi_as_appell(self):
         check_eq(
-            eulerian_sum(EulerianSpec("phi6"), ORDER),
+            phi6(ORDER),
             series_scale(appell_m(mono(1, 1), 3, mono(-1), ORDER), 2),
             ORDER,
         )
 
     def test_sigma_as_appell(self):
         check_eq(
-            eulerian_sum(EulerianSpec("sigma6"), ORDER),
+            sigma6(ORDER),
             series_neg(appell_m(mono(1, 2), 6, mono(1, 1), ORDER)),
             ORDER,
         )
@@ -129,8 +136,8 @@ class TestAppellForms:
     def test_sixth_order_product_identity(self):
         # phi(q^2) + 2 sigma(q) = prod (1+q^(2n-1))^2 (1-q^(6n)) (1+q^(6n-3))^2
         lhs = series_add(
-            substitute_base(eulerian_sum(EulerianSpec("phi6"), 21), F(2)),
-            series_scale(eulerian_sum(EulerianSpec("sigma6"), ORDER), 2),
+            substitute_base(phi6(21), F(2)),
+            series_scale(sigma6(ORDER), 2),
         )
         p1 = pochhammer(mono(-1, 1), 2, None, ORDER)
         p2 = pochhammer(mono(1, 6), 6, None, ORDER)
@@ -148,7 +155,7 @@ class TestAppellForms:
             )
             rhs = series_shift(inner, one_minus_root(w))
             check_eq(
-                eulerian_sum(EulerianSpec("Kprime", omega=w), ORDER), rhs, ORDER
+                kprime(w, ORDER), rhs, ORDER
             )
 
     def test_kprimeprime_closed_combination(self):
@@ -160,7 +167,7 @@ class TestAppellForms:
             c = w.coeff * one_minus_root(w).coeff.inv()
             rhs = series_shift(inner, Monomial(c, F(0)))
             check_eq(
-                eulerian_sum(EulerianSpec("Kprimeprime", omega=w), ORDER),
+                kprimeprime(w, ORDER),
                 rhs,
                 ORDER,
             )
@@ -179,13 +186,13 @@ class TestLambertPairs:
 
     def test_eulerian_pole_guards(self):
         with pytest.raises(NonGenericError):
-            eulerian_sum(EulerianSpec("lambert_even_lhs", x=mono(1, 2)), 10)
+            lambert_even_lhs(mono(1, 2), 10)
         with pytest.raises(NonGenericError):
-            eulerian_sum(EulerianSpec("lambert_even_lhs", x=mono(1, 0)), 10)
+            lambert_even_lhs(mono(1, 0), 10)
         with pytest.raises(NonGenericError):
-            eulerian_sum(EulerianSpec("lambert_odd_lhs", x=mono(1, -3)), 10)
+            lambert_odd_lhs(mono(1, -3), 10)
         # fractional or non-unit arguments are generic
-        assert not eulerian_sum(EulerianSpec("lambert_odd_lhs", x=mono(1, F(1, 2))), 10).is_zero()
+        assert not lambert_odd_lhs(mono(1, F(1, 2)), 10).is_zero()
 
     def test_bilateral_expansions(self):
         for w in OMEGAS:
@@ -297,25 +304,19 @@ class TestTildeCombinations:
 
 
 class TestDispatch:
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            eulerian_sum(EulerianSpec("nope"), 10)
-
     def test_spec_validates_fraction(self):
         with pytest.raises(ValueError):
-            EulerianSpec("Hprime", a=3, c=2)
+            hprime(3, 2, mono(1), 10)
 
     def test_hprime_pole_guard(self):
         with pytest.raises(NonGenericError):
-            eulerian_sum(
-                EulerianSpec("Hprime", a=1, c=2, omega=mono(1, F(-1, 2))), 10
-            )
+            hprime(1, 2, mono(1, F(-1, 2)), 10)
 
     def test_kprime_pole_guard(self):
         with pytest.raises(NonGenericError):
-            eulerian_sum(EulerianSpec("Kprime", omega=mono(1, -2)), 10)
+            kprime(mono(1, -2), 10)
         with pytest.raises(NonGenericError):
-            eulerian_sum(EulerianSpec("Kprimeprime", omega=mono(1, 1)), 10)
+            kprimeprime(mono(1, 1), 10)
         # omega = q^2 breaks the w^-1 Pochhammer row exactly
         with pytest.raises(NonGenericError):
-            eulerian_sum(EulerianSpec("Kprime", omega=mono(1, 2)), 10)
+            kprime(mono(1, 2), 10)

@@ -1,10 +1,13 @@
 """Corpus file format, the checking engine, and suite reports."""
 
+import os
 from fractions import Fraction as F
 
 import pytest
 
-from qident.errors import EvalError
+from qident import identity
+from qident.dsl import eval_expr
+from qident.errors import CapExceededError, EvalError, NonGenericError
 from qident.identity import (
     DEFAULT_ORDER,
     IdentityCase,
@@ -140,6 +143,18 @@ class TestCheck:
         v = check(case)
         assert v.ok and v.order_checked == F(25)
 
+    def test_unreachable_precision_becomes_verdict(self, monkeypatch):
+        def short(*args):
+            raise CapExceededError("could not reach precision 10")
+
+        monkeypatch.setattr(identity, "eval_expr", short)
+        case = make_case("t", "q", "q", order=10)
+        v = check(case)
+        assert v.status == "insufficient_precision" and "could not reach" in v.note
+        report = run_suite(cases=[case])
+        assert not report.ok()
+        assert report.render().splitlines()[-1].endswith("/ insufficient_precision 1")
+
     def test_unbound_symbol_propagates(self):
         case = make_case("t", "x", "q", order=10)
         with pytest.raises(EvalError, match="unbound"):
@@ -180,6 +195,29 @@ class TestSuite:
         parallel = run_suite(cases=cases, jobs=2)
         strip = lambda rs: [(r.case_id, r.binding, r.status, r.expect) for r in rs]
         assert strip(serial.records) == strip(parallel.records)
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        # a stand-in pool: no worker process starts, whatever --jobs says
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(identity, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        report = run_suite(jobs=64, cases=self.make_cases())
+        assert workers == [2]
+        assert len(report.records) == 4
 
     def test_order_override_applies_everywhere(self):
         case = make_case("late", "J(1,2)", "J(1,2) + q^30", order=40, expect="fail")
@@ -259,3 +297,23 @@ class TestBuiltinCorpus:
 
     def test_text_is_commented(self):
         assert builtin_corpus_text().lstrip().startswith("#")
+
+
+def _builtin_sides():
+    for case in builtin_cases():
+        order = min(case.default_order, F(12))
+        for i, binding in enumerate(case.sample_bindings):
+            for side in ("lhs", "rhs"):
+                yield pytest.param(
+                    getattr(case, side), order, binding, id=f"{case.id}-{side}-{i}"
+                )
+
+
+@pytest.mark.parametrize("expr, order, binding", list(_builtin_sides()))
+def test_builtin_side_reaches_order(expr, order, binding):
+    """eval_expr covers every exponent below the order it is asked for."""
+    try:
+        s = eval_expr(expr, order, binding)
+    except NonGenericError:
+        pytest.skip("nongeneric side")
+    assert s.prec_order() >= order

@@ -18,6 +18,7 @@ from qident.series import (
     geom_inverse,
     q_power,
     series_add,
+    series_div_one_minus,
     series_eq_to_order,
     series_invert,
     series_mul,
@@ -300,6 +301,26 @@ def test_geom_inverse_three_case_law(c_rat, f, field, k):
         assert g.valuation() == 0
     elif f < 0:
         assert g.valuation() == -f
+
+
+@given(
+    qseries(),
+    small_rationals.filter(lambda r: r != 0),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.sampled_from([1, 3, 5]),
+    st.integers(min_value=0, max_value=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_div_one_minus_matches_geom_inverse(a, c_rat, f, field, k):
+    u = Monomial(cyclo_embed(c_rat, field) * zeta_power(field, k), f)
+    if f == 0 and u.coeff == 1:
+        with pytest.raises(NonGenericError):
+            series_div_one_minus(a, u)
+        return
+    got = series_div_one_minus(a, u)
+    want = series_mul(a, geom_inverse(u, a.prec_order()))
+    assert got.prec_order() >= want.prec_order()
+    assert series_eq_to_order(got, want, want.prec_order()).ok
 
 
 @given(qseries(), st.sampled_from([2, 3, 8]), st.sampled_from([12, 24]))

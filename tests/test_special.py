@@ -32,14 +32,12 @@ from qident.special import (
     J,
     JB,
     Jm,
-    ThetaSpec,
     appell_m,
     g_universal,
     m_change_z_correction,
     msplit_rhs,
     pochhammer,
     rjtp_lhs,
-    theta_J,
     theta_is_zero,
     theta_j,
     msplit_rhs,
@@ -144,7 +142,7 @@ class TestThetaFunction:
 
     def test_square_gap_expansion(self):
         # j(q;q^2) = sum (-1)^n q^(n^2)
-        s = theta_J(ThetaSpec(1, 2), ORDER)
+        s = J(1, 2, ORDER)
         want = {F(n * n): 2 * (-1) ** n for n in range(1, 7) if n * n < 40}
         want[F(0)] = 1
         assert_series_matches(s, want, ORDER)

@@ -44,6 +44,7 @@ from .series import (
     geom_inverse,
     series_add,
     series_div,
+    series_div_one_minus,
     series_eq_to_order,
     series_invert,
     series_mul,
@@ -81,6 +82,7 @@ __all__ = [
     "geom_inverse",
     "series_add",
     "series_div",
+    "series_div_one_minus",
     "series_eq_to_order",
     "series_invert",
     "series_mul",

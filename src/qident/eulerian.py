@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Tuple, Union
+from typing import Union
 
 from .coeff import csc_pi, sin_pi, zeta_power
 from .errors import NonGenericError
@@ -20,17 +20,12 @@ from .series import (
     QSeries,
     series_add,
     series_div,
-    series_div_one_minus,
-    series_eq_to_order,
-    series_invert,
     series_mul,
-    series_neg,
     series_scale,
     series_shift,
     series_sub,
 )
-from .special import J, JB, Jm, _term_sum, appell_m, ensure_prec, lambert_sum, theta_is_zero, theta_j
-from .verdict import Verdict
+from .special import J, JB, Jm, _term_sum, ensure_prec, lambert_sum, theta_is_zero, theta_j
 
 Rat = Union[int, Fraction]
 
@@ -186,7 +181,7 @@ def _bilateral(omega: Monomial, k: int, order: Rat, label: str) -> QSeries:
             e.denominator,
             omega.field_order,
         )
-        return series_mul(s, series_invert(JB(1, 4, work)))
+        return series_div(s, JB(1, 4, work))
 
     return ensure_prec(build, order)
 
@@ -218,7 +213,7 @@ def habc_sum(a: int, b: int, c: int, order: Rat) -> QSeries:
             ac.denominator,
             zb.field_order,
         )
-        return series_mul(s, series_invert(J(1, 2, work)))
+        return series_div(s, J(1, 2, work))
 
     return ensure_prec(build, order)
 
@@ -290,54 +285,6 @@ def h_tilde(a: int, c: int, order: Rat, route: str = "eulerian") -> QSeries:
     raise ValueError(f"unknown route {route!r}")
 
 
-# ---------------------------------------------------------------------------
-# Paired verifications
-# ---------------------------------------------------------------------------
-
-
-def _half_theta_quotient(x: Monomial, order: Fraction) -> QSeries:
-    j12 = J(1, 2, order)
-    return series_scale(
-        series_div(series_mul(j12, j12), theta_j(x, 1, order)), Fraction(1, 2)
-    )
-
-
-def lambert_pair_check(x: Monomial, order: Rat) -> Tuple[Verdict, Verdict]:
-    """Check both Lambert-series identities m(-x,q,-1) +- J(1,2)^2/(2 j(x;q))."""
-    order = _fr(order)
-    m = appell_m(-x, 1, Monomial.make(-1, 0), order)
-    half = _half_theta_quotient(x, order)
-    v2 = series_eq_to_order(
-        lambert_even_lhs(x, order),
-        series_add(m, half),
-        order,
-    )
-    v4 = series_eq_to_order(
-        lambert_odd_lhs(x, order),
-        series_sub(m, half),
-        order,
-    )
-    return v2, v4
-
-
-def bilateral_pair_check(omega: Monomial, order: Rat) -> Tuple[Verdict, Verdict]:
-    """Check the two bilateral Lambert expansions of Kprime and Kprimeprime."""
-    order = _fr(order)
-    kp = kprime(omega, order)
-    v1 = series_eq_to_order(
-        series_div_one_minus(kp, omega),
-        bilateral_even(omega, order),
-        order,
-    )
-    kpp = kprimeprime(omega, order)
-    v2 = series_eq_to_order(
-        series_sub(kpp, series_shift(kpp, omega.inv())),
-        series_neg(bilateral_odd(omega, order)),
-        order,
-    )
-    return v1, v2
-
-
 __all__ = [
     "f0_5",
     "f3",
@@ -353,8 +300,6 @@ __all__ = [
     "lambert_odd_lhs",
     "phi6",
     "sigma6",
-    "bilateral_pair_check",
     "bilateral_even",
     "bilateral_odd",
-    "lambert_pair_check",
 ]

@@ -8,17 +8,18 @@ beyond P is unknown.  Negative k is allowed (Laurent behavior).
 
 Precision propagates through arithmetic by the min/valuation rules below,
 so a comparison can never silently read coefficients outside the
-guaranteed window.
+guaranteed window.  Every quotient is one long division, series_div;
+series_invert, geom_inverse and series_div_one_minus are wrappers over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, gcd, lcm
 from typing import Callable, Optional, Union
 
-from .coeff import CycloNumber, cyclo_embed, euler_phi, lift_order, one as cyclo_one, zero as cyclo_zero
+from .coeff import CycloNumber, cyclo_embed, lift_order, one as cyclo_one, zero as cyclo_zero
 from .errors import InsufficientPrecisionError, NonGenericError
 from .verdict import FAIL, PASS, Verdict
 
@@ -411,60 +412,50 @@ def substitute_base(a: QSeries, p: Rat) -> QSeries:
     )
 
 
-def series_invert(a: QSeries, order: Optional[Rat] = None) -> QSeries:
-    """Multiplicative inverse to the best precision the input supports.
-
-    With valuation v (grid units) and precision P, the inverse is
-    guaranteed for grid indices below P - 2v; an explicit order argument
-    can only lower that bound.
-    """
-    if not a.terms:
-        raise NonGenericError(
-            f"cannot invert a series that is zero to its precision O(q^({a.prec_order()}))"
-        )
-    v = a.val_grid
-    p_res = a.prec - 2 * v
-    if order is not None:
-        p_res = min(p_res, grid_prec(order, a.denom))
-    lead = a.terms[v]
-    lead_inv = lead.inv()
-    rel = {k - v: c for k, c in a.terms.items()}
-    # content lattice of the tail: inverse coefficients live on it too
-    g = 0
-    for j in rel:
-        g = gcd(g, j)
-    length = p_res + v  # relative indices 0 .. length-1 are wanted
-    if g == 0 or length <= 1:
-        terms = {-v: lead_inv} if -v < p_res else {}
-        return QSeries(a.denom, p_res, terms, a.field_order, _checked=True)
-    u_sparse = sorted(
-        (j // g, c * lead_inv) for j, c in rel.items() if j != 0
-    )
-    n_out = (length + g - 1) // g
-    zero = cyclo_zero(a.field_order)
-    b = [zero] * n_out
-    b[0] = cyclo_one(a.field_order)
-    for n in range(1, n_out):
-        acc = zero
-        for j, u in u_sparse:
-            if j > n:
-                break
-            t = b[n - j]
-            if not t.is_zero():
-                acc = acc + u * t
-        b[n] = -acc
-    terms = {}
-    for n, c in enumerate(b):
-        k = -v + n * g
-        if k >= p_res:
-            break
-        if not c.is_zero():
-            terms[k] = c * lead_inv
-    return QSeries(a.denom, p_res, terms, a.field_order, _checked=True)
-
-
 def series_div(a: QSeries, b: QSeries) -> QSeries:
-    return series_mul(a, series_invert(b))
+    """a / b by long division: in grid steps from the valuations,
+    c_n = (a_n - sum over j >= 1 of b_j c_{n-j}) / b_0, with the b_j
+    negated, and divided by b_0 unless b_0 is 1, once up front.
+
+    With v the valuation of b, c_n needs a at n + v and b as far past its
+    lead as n is past the quotient's valuation val(a) - v, so the quotient
+    is guaranteed below min(a.prec - v, b.prec - 2v + val(a)).  A divisor
+    that is zero to its precision is a non-generic specialization and
+    raises.
+    """
+    if not b.terms:
+        raise NonGenericError(
+            f"cannot divide by a series that is zero to its precision O(q^({b.prec_order()}))"
+        )
+    a, b = align(a, b)
+    v, va = b.val_grid, a.val_grid
+    lo = va - v
+    p = min(a.prec - v, b.prec - 2 * v + va)
+    lead = b.terms[v]
+    scale = None if lead.is_one() else lead.inv()
+    tail = sorted(
+        (k - v, -c if scale is None else -(c * scale)) for k, c in b.terms.items() if k != v
+    )
+    out: dict[int, CycloNumber] = {}
+    for n in range(lo, p):
+        s = a.terms.get(n + v)
+        if s is not None and scale is not None:
+            s = s * scale
+        for j, c in tail:
+            if j > n - lo:
+                break
+            t = out.get(n - j)
+            if t is not None:
+                s = c * t if s is None else s + c * t
+        if s is not None and not s.is_zero():
+            out[n] = s
+    return QSeries(a.denom, p, out, a.field_order, _checked=True)
+
+
+def series_invert(a: QSeries) -> QSeries:
+    """1/a, guaranteed below a.prec - 2v for a of valuation v (grid units)."""
+    one = const_series(1, Fraction(a.prec - a.val_grid, a.denom), a.denom)
+    return series_div(one, a)
 
 
 def series_truncate(a: QSeries, order: Rat) -> QSeries:
@@ -485,69 +476,32 @@ def series_truncate(a: QSeries, order: Rat) -> QSeries:
     )
 
 
-def geom_inverse(u: Monomial, order: Rat, field_order: Optional[int] = None) -> QSeries:
-    """Expansion of 1/(1 - u) for a monomial u = c*q^f.
+def geom_inverse(u: Monomial, order: Rat) -> QSeries:
+    """Expansion of 1/(1 - u) for a monomial u = c*q^f, below q^order.
 
     f > 0: sum of c^k q^(kf); f = 0, c != 1: the constant 1/(1-c);
     f < 0: -sum over k >= 1 of c^(-k) q^(-kf).  A pole (f = 0, c = 1)
     is a non-generic specialization and raises.
     """
-    c, f = u.coeff, u.expo
-    m = c.order if field_order is None else field_order
-    if c.order != m:
-        c = lift_order(c, m)
-    order = _as_frac(order)
-    if f == 0:
-        if c == 1:
-            raise NonGenericError("pole 1/(1 - u) with u exactly 1")
-        return const_series((1 - c).inv(), order)
-    d = f.denominator
-    p = grid_prec(order, d)
-    terms: dict[int, CycloNumber] = {}
-    if f > 0:
-        step = int(f * d)
-        acc = cyclo_one(m)
-        k = 0
-        while k < p:
-            terms[k] = acc
-            acc = acc * c
-            k += step
-    else:
-        step = int(-f * d)
-        cinv = c.inv()
-        acc = -cinv
-        k = step
-        while k < p:
-            terms[k] = acc
-            acc = acc * cinv
-            k += step
-    return QSeries(d, p, terms, m, _checked=True)
+    one = const_series(1, order, u.expo.denominator)
+    return series_truncate(series_div_one_minus(one, u), order)
 
 
 def series_div_one_minus(a: QSeries, u: Monomial) -> QSeries:
-    """a / (1 - u) for a monomial u = c*q^f.
+    """a / (1 - u) for a monomial u = c*q^f: series_div by 1 - u, exact.
 
-    For f > 0 by the recurrence s = a + u*s, one coefficient product per
-    grid step and exact to the precision of a; otherwise through
-    geom_inverse(u).
+    With lead 1 (f > 0) that is one coefficient product per grid step.
     """
-    f = u.expo
-    if f <= 0:
-        return series_mul(a, geom_inverse(u, a.prec_order()))
-    d = a.denom * f.denominator // gcd(a.denom, f.denominator)
-    m = a.field_order * u.field_order // gcd(a.field_order, u.field_order)
-    a = a.rebase(d).lift_field(m)
-    c = lift_order(u.coeff, m)
-    step = int(f * d)
-    out: dict[int, CycloNumber] = {}
-    for k in range(a.val_grid, a.prec):
-        s = a.terms.get(k)
-        prev = out.get(k - step)
-        if prev is not None:
-            s = prev * c if s is None else s + prev * c
-        if s is not None and not s.is_zero():
-            out[k] = s
-    return QSeries(d, a.prec, out, m, _checked=True)
+    c, f = u.coeff, u.expo
+    if f == 0 and c == 1:
+        raise NonGenericError("pole 1/(1 - u) with u exactly 1")
+    d = lcm(a.denom, f.denominator)
+    a = a.rebase(d)
+    k = int(f * d)
+    terms = {0: 1 - c} if k == 0 else {0: cyclo_one(c.order), k: -c}
+    # deep enough that only the precision of a bounds the quotient
+    exact = QSeries(d, a.prec - a.val_grid + abs(k) + 1, terms, c.order, _checked=True)
+    return series_div(a, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ All arguments x, z, z' are Monomials c*q^e; the base is a positive
 rational p standing for q^p.  Every function takes a target order and
 returns a QSeries whose guaranteed precision reaches that order
 (composite constructions re-run themselves deeper when internal division
-or shifting costs precision).
+or shifting costs precision).  Each theta quotient, m(x,q,z) among them,
+is a single series_div of its numerator by its denominator.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .series import (
     from_monomial,
     geom_inverse,
     series_add,
+    series_div,
     series_div_one_minus,
-    series_invert,
     series_mul,
     series_neg,
     series_shift,
@@ -277,7 +278,7 @@ def appell_m(x: Monomial, p: Rat, z: Monomial, order: Rat) -> QSeries:
             ez.denominator * ex.denominator * p.denominator,
             z.field_order,
         )
-        return series_mul(s, series_invert(theta_j(z, p, work)))
+        return series_div(s, theta_j(z, p, work))
 
     result = ensure_prec(build, order)
     _theta_cache[key] = result
@@ -314,7 +315,7 @@ def m_change_z_correction(
             series_mul(theta_j(z0, p, work), theta_j(z1, p, work)),
             series_mul(theta_j(x * z0, p, work), theta_j(x * z1, p, work)),
         )
-        return series_mul(num, series_invert(den))
+        return series_div(num, den)
 
     return ensure_prec(build, order)
 
@@ -449,11 +450,9 @@ def msplit_rhs(
                 theta_j((-(xn * zp)).times_q(p * bn2), p * n, work),
                 theta_j(z.times_q(p * r), p * n, work),
             )
-            piece = series_mul(series_shift(num, lead), series_invert(den))
+            piece = series_div(series_shift(num, lead), den)
             corr = series_add(corr, piece)
-        correction = series_mul(
-            series_mul(pref_num, series_invert(pref_den)), corr
-        )
+        correction = series_mul(series_div(pref_num, pref_den), corr)
         return series_add(total, correction)
 
     return ensure_prec(build, order)

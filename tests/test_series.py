@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident.coeff import CycloNumber, cyclo_embed, euler_phi, zeta_power
+from qident.coeff import CycloNumber, cyclo_embed, euler_phi, lift_order, zeta_power
 from qident.errors import InsufficientPrecisionError, NonGenericError
 from qident.series import (
     Monomial,
@@ -18,6 +18,7 @@ from qident.series import (
     geom_inverse,
     q_power,
     series_add,
+    series_div,
     series_div_one_minus,
     series_eq_to_order,
     series_invert,
@@ -31,7 +32,7 @@ from qident.series import (
     zero_series,
 )
 
-from oracles import assert_series_matches, dict_mul, pochhammer_bruteforce
+from oracles import assert_series_matches, dict_mul, dict_truncate, pochhammer_bruteforce, series_dict
 
 
 def geometric(order):
@@ -303,6 +304,66 @@ def test_geom_inverse_three_case_law(c_rat, f, field, k):
         assert g.valuation() == -f
 
 
+def _naive(s, field):
+    """Terms of s lifted to the field, keyed by exponent."""
+    return series_dict(s.lift_field(field))
+
+
+def _val_or_prec(s):
+    v = s.valuation()
+    return s.prec_order() if v is None else v
+
+
+@st.composite
+def divisors(draw):
+    """A divisor with a cyclotomic lead of valuation -3 .. 3 on a grid 1 .. 4,
+    now and then zero to its precision."""
+    denom = draw(st.sampled_from([1, 2, 3, 4]))
+    field = draw(st.sampled_from([1, 3, 4]))
+    v = draw(st.integers(min_value=-3, max_value=3))
+    prec = v + draw(st.integers(min_value=1, max_value=14))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return QSeries(denom, prec, {}, field)
+    phi = euler_phi(field)
+    lead = draw(
+        st.one_of(
+            st.just(cyclo_embed(F(1), field)),
+            st.builds(
+                lambda r, k: cyclo_embed(r, field) * zeta_power(field, k),
+                small_rationals.filter(lambda r: r != 0),
+                st.integers(min_value=0, max_value=field - 1),
+            ),
+            st.lists(small_rationals, min_size=phi, max_size=phi)
+            .map(lambda vec: CycloNumber(field, vec))
+            .filter(lambda c: not c.is_zero()),
+        )
+    )
+    terms = {v: lead}
+    n_tail = draw(st.integers(min_value=0, max_value=5)) if prec > v + 1 else 0
+    for _ in range(n_tail):
+        k = draw(st.integers(min_value=v + 1, max_value=prec - 1))
+        terms[k] = CycloNumber(field, draw(st.lists(small_rationals, min_size=phi, max_size=phi)))
+    return QSeries(denom, prec, terms, field)
+
+
+@given(qseries(), divisors())
+@settings(max_examples=200, deadline=None)
+def test_div_matches_naive_product(a, b):
+    if b.is_zero():
+        with pytest.raises(NonGenericError):
+            series_div(a, b)
+        return
+    got = series_div(a, b)
+    v, va = b.valuation(), _val_or_prec(a)
+    assert got.prec_order() == min(a.prec_order() - v, b.prec_order() - 2 * v + va)
+    assert all(e >= va - v for e in series_dict(got))
+    # got * b must give back a wherever the product is known
+    window = min(got.prec_order() + v, b.prec_order() + _val_or_prec(got))
+    m = got.field_order
+    back = dict_truncate(dict_mul(series_dict(got), _naive(b, m)), window)
+    assert back == dict_truncate(_naive(a, m), window)
+
+
 @given(
     qseries(),
     small_rationals.filter(lambda r: r != 0),
@@ -311,16 +372,20 @@ def test_geom_inverse_three_case_law(c_rat, f, field, k):
     st.integers(min_value=0, max_value=4),
 )
 @settings(max_examples=150, deadline=None)
-def test_div_one_minus_matches_geom_inverse(a, c_rat, f, field, k):
+def test_div_one_minus_is_exact_division(a, c_rat, f, field, k):
     u = Monomial(cyclo_embed(c_rat, field) * zeta_power(field, k), f)
     if f == 0 and u.coeff == 1:
         with pytest.raises(NonGenericError):
             series_div_one_minus(a, u)
         return
     got = series_div_one_minus(a, u)
-    want = series_mul(a, geom_inverse(u, a.prec_order()))
-    assert got.prec_order() >= want.prec_order()
-    assert series_eq_to_order(got, want, want.prec_order()).ok
+    # 1 - u is exact, so only a bounds the quotient: a q^f shift when f < 0
+    assert got.prec_order() == a.prec_order() - min(f, 0)
+    m = got.field_order
+    one_minus_u = {F(0): cyclo_embed(F(1), m)}
+    one_minus_u[f] = one_minus_u.get(f, cyclo_embed(F(0), m)) - lift_order(u.coeff, m)
+    back = dict_truncate(dict_mul(series_dict(got), one_minus_u), a.prec_order())
+    assert back == dict_truncate(_naive(a, m), a.prec_order())
 
 
 @given(qseries(), st.sampled_from([2, 3, 8]), st.sampled_from([12, 24]))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident import special
 from qident.coeff import CycloNumber, cyclo_embed, lift_order, zeta_power
 from qident.errors import CapExceededError, NonGenericError
 from qident.series import (
@@ -386,6 +387,22 @@ class TestAppellLerch:
             n += 1
         rhs = series_neg(appell_m(mono(1, 2), 6, mono(1, 1), ORDER))
         check_eq(acc, rhs, ORDER)
+
+    def test_theta_quotient_product_budget(self, monkeypatch):
+        # m is a Lambert sum divided by j(z;q) in one long division, about
+        # 1,900 products; inverting j(z;q) and then multiplying takes 9,313
+        calls = 0
+        mul = CycloNumber.__mul__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(special, "_theta_cache", {})
+        monkeypatch.setattr(CycloNumber, "__mul__", counted)
+        appell_m(mono(2, 1), 1, mono(-1, F(1, 2)), 60)
+        assert calls < 4000, calls
 
 
 class TestSplitting:

@@ -1,9 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_M).
 
 A CycloNumber is a polynomial in zeta_M = exp(2*pi*i/M), reduced modulo the
-M-th cyclotomic polynomial Phi_M, with arbitrary-precision rational
-coefficients.  The representation is canonical: equality of field elements
-is equality of coefficient vectors (after lifting to a common order).
+M-th cyclotomic polynomial Phi_M, stored as phi(M) integer numerators `num`
+over one positive denominator `den`, always in lowest terms, with zero
+stored as (0, ..., 0)/1.  The representation is canonical: equality of
+field elements is equality of (num, den) (after lifting to a common order),
+and every sum and product is Python-int arithmetic followed by at most one
+gcd.
+
+`dot` is the fused multiply-accumulate under series multiplication and
+division: it sums many products as unreduced integer convolutions over one
+common denominator, then reduces mod Phi_M and normalises once.
 
 All roots of unity, i = zeta_4, rational constants, and the exact values
 sin(pi*a/c), csc(pi*a/c) live here.
@@ -14,9 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from ._rat import Q, to_frac
 from .errors import OrderMismatchError
 
 RatLike = Union[int, Fraction]
@@ -82,20 +88,19 @@ def _power_table(M: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_poly(M: int, dense: Sequence) -> tuple:
-    """Reduce an arbitrary-degree coefficient list modulo Phi_M."""
+def _reduce(M: int, dense: list[int]) -> list[int]:
+    """Reduce integer coefficients of any degree modulo Phi_M to phi(M) of them."""
     phi = euler_phi(M)
-    out = list(dense[:phi]) + [0] * max(0, phi - len(dense))
+    out = dense[:phi] + [0] * (phi - len(dense))
     if len(dense) > phi:
         table = _power_table(M)
         for k in range(phi, len(dense)):
             c = dense[k]
             if c:
-                row = table[k]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] = out[i] + c * row[i]
-    return tuple(Q(c) for c in out)
+                for i, r in enumerate(table[k]):
+                    if r:
+                        out[i] += c * r
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -104,53 +109,58 @@ def _reduce_poly(M: int, dense: Sequence) -> tuple:
 
 
 class CycloNumber:
-    """Element of Q(zeta_M), canonical mod-Phi_M coefficient vector.
+    """Element of Q(zeta_M): integer numerators num over den > 0, lowest terms.
 
     Immutable; arithmetic requires both operands to share the order M
     (use `lift_order` to rebase).  Mixed arithmetic with int / Fraction
-    embeds the rational on the fly.
+    embeds the rational on the fly.  `coeffs` is the read-only Fraction
+    view of the coefficient vector.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs: Sequence, _checked: bool = False):
-        if not _checked:
-            if order < 1:
-                raise ValueError("order must be positive")
-            coeffs = tuple(Q(c) for c in coeffs)
-            if len(coeffs) != euler_phi(order):
-                raise ValueError(
-                    f"expected {euler_phi(order)} coefficients for order {order}"
-                )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+    def __init__(self, order: int, coeffs: Sequence[RatLike]):
+        if order < 1:
+            raise ValueError("order must be positive")
+        fr = [Fraction(c) for c in coeffs]
+        if len(fr) != euler_phi(order):
+            raise ValueError(f"expected {euler_phi(order)} coefficients for order {order}")
+        den = lcm(*(f.denominator for f in fr))
+        z = _make(order, [f.numerator * (den // f.denominator) for f in fr], den)
+        _set_order(self, order)
+        _set_num(self, z.num)
+        _set_den(self, z.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNumber is immutable")
 
     # -- basic queries ------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.num)
+
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         """The value as a Fraction; raises if not rational."""
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return to_frac(self.coeffs[0])
+        return Fraction(self.num[0], self.den)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def key(self) -> tuple:
         """Hashable identity for use as a cache key."""
-        return (self.order, self.coeffs)
+        return (self.order, self.num, self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -161,7 +171,7 @@ class CycloNumber:
                     f"field orders differ: {self.order} vs {other.order}"
                 )
             return other
-        if isinstance(other, (int, Fraction)) or type(other) is type(Q(0)):
+        if isinstance(other, (int, Fraction)):
             return cyclo_embed(other, self.order)
         return NotImplemented
 
@@ -169,26 +179,23 @@ class CycloNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloNumber(
-            self.order,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            _checked=True,
+        da, db = self.den, other.den
+        if da == db:
+            return _make(self.order, [x + y for x, y in zip(self.num, other.num)], da)
+        return _make(
+            self.order, [x * db + y * da for x, y in zip(self.num, other.num)], da * db
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.order, tuple(-a for a in self.coeffs), _checked=True)
+        return _raw(self.order, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloNumber(
-            self.order,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            _checked=True,
-        )
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -197,41 +204,22 @@ class CycloNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        # rational scaling fast path (covers the vast majority of products)
-        if not any(b[1:]):
-            s = b[0]
-            if not s:
-                return zero(self.order)
-            return CycloNumber(self.order, tuple(c * s for c in a), _checked=True)
-        if not any(a[1:]):
-            s = a[0]
-            if not s:
-                return zero(self.order)
-            return CycloNumber(self.order, tuple(c * s for c in b), _checked=True)
-        n = len(a)
-        dense = [Q(0)] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        dense[i + j] += ai * bj
-        return CycloNumber(self.order, _reduce_poly(self.order, dense), _checked=True)
+        return dot(self.order, ((self, other),))
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycloNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_M."""
-        if self.is_zero():
+        """Multiplicative inverse: the product c of the other Galois
+        conjugates makes self * c the norm, a nonzero rational."""
+        M, c = self.order, one(self.order)
+        if not any(self.num):
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.is_rational():
-            return cyclo_embed(Fraction(1) / to_frac(self.coeffs[0]), self.order)
-        g, s = _xgcd_mod_phi(list(self.coeffs), self.order)
-        # g is a nonzero constant; divide it out
-        ginv = Q(1) / g
-        dense = [c * ginv for c in s]
-        return CycloNumber(self.order, _reduce_poly(self.order, dense), _checked=True)
+        if any(self.num[1:]):
+            for t in range(2, M):
+                if gcd(t, M) == 1:
+                    c = c * self.galois(t)
+        norm = self * c
+        return c * cyclo_embed(Fraction(norm.den, norm.num[0]), M)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -258,14 +246,14 @@ class CycloNumber:
     # -- equality (lifts to a common field), no hashing ----------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) or type(other) is type(Q(0)):
-            return self.is_rational() and self.coeffs[0] == other
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and self.num[0] == other * self.den
         if not isinstance(other, CycloNumber):
             return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
-        m = self.order * other.order // gcd(self.order, other.order)
-        return lift_order(self, m).coeffs == lift_order(other, m).coeffs
+        if self.order != other.order:
+            m = lcm(self.order, other.order)
+            self, other = lift_order(self, m), lift_order(other, m)
+        return self.num == other.num and self.den == other.den
 
     __hash__ = None  # cross-order equality makes a consistent hash impractical
 
@@ -280,26 +268,18 @@ class CycloNumber:
         t %= M
         if gcd(t, M) != 1:
             raise ValueError(f"zeta -> zeta^{t} is not an automorphism of Q(zeta_{M})")
-        table = _power_table(M)
-        phi = euler_phi(M)
-        dense = [Q(0)] * phi
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = table[(j * t) % M]
-                for i in range(phi):
-                    if row[i]:
-                        dense[i] += c * row[i]
-        return CycloNumber(M, tuple(dense), _checked=True)
+        return _substitute(self, M, t)
 
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
+        coeffs = self.coeffs
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(coeffs[0])
         var = f"z{self.order}"
         parts: list[str] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if not c:
                 continue
             if k == 0:
@@ -317,48 +297,108 @@ class CycloNumber:
         return f"CycloNumber({self.order}, {tuple(str(c) for c in self.coeffs)})"
 
 
-def _xgcd_mod_phi(a: list, M: int):
-    """Extended Euclid over Q[x]: returns (g, s) with s*a = g mod Phi_M,
-    g a nonzero rational constant (Phi_M is irreducible over Q)."""
+_new = object.__new__
+_set_order = CycloNumber.order.__set__
+_set_num = CycloNumber.num.__set__
+_set_den = CycloNumber.den.__set__
 
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
 
-    def divmod_poly(num, den):
-        num = list(num)
-        q = [Q(0)] * max(1, len(num) - len(den) + 1)
-        inv_lead = Q(1) / den[-1]
-        for k in range(len(num) - len(den), -1, -1):
-            c = num[k + len(den) - 1] * inv_lead
-            q[k] = c
-            if c:
-                for i, d in enumerate(den):
-                    num[k + i] -= c * d
-        return q, trim(num)
+def _raw(M: int, num: tuple[int, ...], den: int) -> CycloNumber:
+    """A CycloNumber from numerators and a denominator already in lowest terms."""
+    z = _new(CycloNumber)
+    _set_order(z, M)
+    _set_num(z, num)
+    _set_den(z, den)
+    return z
 
-    r0 = [Q(c) for c in cyclotomic_poly(M)]
-    r1 = trim([Q(c) for c in a])
-    s0, s1 = [Q(0)], [Q(1)]
-    while len(r1) > 1:
-        quot, rem = divmod_poly(r0, r1)
-        r0, r1 = r1, rem
-        prod = [Q(0)] * (len(quot) + len(s1) - 1)
-        for i, qi in enumerate(quot):
-            if qi:
-                for j, sj in enumerate(s1):
-                    if sj:
-                        prod[i + j] += qi * sj
-        new_s = [Q(0)] * max(len(s0), len(prod))
-        for i, c in enumerate(s0):
-            new_s[i] += c
-        for i, c in enumerate(prod):
-            new_s[i] -= c
-        s0, s1 = s1, trim(new_s)
-    if not r1:
-        raise ZeroDivisionError("element shares a factor with Phi_M (impossible)")
-    return r1[0], s1
+
+def _make(M: int, num: list[int], den: int) -> CycloNumber:
+    """num / den (den > 0) brought to lowest terms, with one gcd."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return _raw(M, tuple(num), den)
+
+
+def _scale(a: CycloNumber, r: CycloNumber) -> CycloNumber:
+    """a * r for a rational r, cancelling across before it multiplies, as
+    Fraction multiplication does."""
+    n, d = r.num[0], r.den
+    if not n:
+        return zero(a.order)
+    num, den = a.num, a.den
+    g1 = gcd(d, *num) if d != 1 else 1
+    g2 = gcd(n, den) if den != 1 else 1
+    n, d, den = n // g2, d // g1, den // g2
+    return _raw(a.order, tuple(x // g1 * n for x in num), den * d)
+
+
+def dot(
+    M: int,
+    pairs: Sequence[tuple[CycloNumber, CycloNumber]],
+    extra: Optional[CycloNumber] = None,
+) -> CycloNumber:
+    """extra + the sum of x * y over pairs, all in Q(zeta_M).
+
+    The products are accumulated as unreduced integer convolutions over one
+    common denominator, the lcm of the pairs' denominators, and the sum is
+    reduced mod Phi_M and brought to lowest terms once.  A lone product
+    with a rational factor is a scaling that cancels across instead.
+    """
+    if extra is None:
+        if len(pairs) == 1:
+            x, y = pairs[0]
+            if not any(y.num[1:]):
+                return _scale(x, y)
+            if not any(x.num[1:]):
+                return _scale(y, x)
+        phi = euler_phi(M)
+        acc, den = [0] * (2 * phi - 1), 1
+    else:
+        phi = len(extra.num)
+        acc, den = list(extra.num) + [0] * (phi - 1), extra.den
+    if phi == 1:  # Q itself: scalar numerators, no convolution
+        s = acc[0]
+        for x, y in pairs:
+            d = x.den * y.den
+            if d == den:
+                s += x.num[0] * y.num[0]
+            else:
+                common = lcm(den, d)
+                s = s * (common // den) + x.num[0] * y.num[0] * (common // d)
+                den = common
+        return _make(M, [s], den)
+    for x, y in pairs:
+        d = x.den * y.den
+        f = 1
+        if d != den:
+            common = lcm(den, d)
+            if common != den:
+                s = common // den
+                acc = [c * s for c in acc]
+                den = common
+            f = common // d
+        for i, a in enumerate(x.num):
+            if a:
+                a *= f
+                for j, b in enumerate(y.num):
+                    if b:
+                        acc[i + j] += a * b
+    return _make(M, _reduce(M, acc), den)
+
+
+def _substitute(a: CycloNumber, M: int, step: int) -> CycloNumber:
+    """a with zeta_{a.order} replaced by zeta_M^step, as an element of Q(zeta_M)."""
+    table = _power_table(M)
+    dense = [0] * euler_phi(M)
+    for j, c in enumerate(a.num):
+        if c:
+            for i, r in enumerate(table[j * step % M]):
+                if r:
+                    dense[i] += c * r
+    return _make(M, dense, a.den)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +412,7 @@ _ONE_CACHE: dict[int, CycloNumber] = {}
 def zero(M: int) -> CycloNumber:
     z = _ZERO_CACHE.get(M)
     if z is None:
-        z = CycloNumber(M, (Q(0),) * euler_phi(M), _checked=True)
+        z = _raw(M, (0,) * euler_phi(M), 1)
         _ZERO_CACHE[M] = z
     return z
 
@@ -387,14 +427,13 @@ def one(M: int) -> CycloNumber:
 
 def cyclo_embed(r: RatLike, M: int) -> CycloNumber:
     """The rational constant r as an element of Q(zeta_M)."""
-    phi = euler_phi(M)
-    return CycloNumber(M, (Q(r),) + (Q(0),) * (phi - 1), _checked=True)
+    r = Fraction(r)
+    return _raw(M, (r.numerator,) + (0,) * (euler_phi(M) - 1), r.denominator)
 
 
 def zeta_power(M: int, k: int) -> CycloNumber:
     """zeta_M^k in canonical form; depends only on k mod M."""
-    row = _power_table(M)[k % M]
-    return CycloNumber(M, tuple(Q(c) for c in row), _checked=True)
+    return _raw(M, _power_table(M)[k % M], 1)
 
 
 def lift_order(a: CycloNumber, new_order: int) -> CycloNumber:
@@ -404,19 +443,7 @@ def lift_order(a: CycloNumber, new_order: int) -> CycloNumber:
         return a
     if new_order % M != 0:
         raise OrderMismatchError(f"{M} does not divide {new_order}")
-    if a.is_rational():
-        return cyclo_embed(to_frac(a.coeffs[0]), new_order)
-    step = new_order // M
-    table = _power_table(new_order)
-    phi = euler_phi(new_order)
-    dense = [Q(0)] * phi
-    for j, c in enumerate(a.coeffs):
-        if c:
-            row = table[j * step]
-            for i in range(phi):
-                if row[i]:
-                    dense[i] += c * row[i]
-    return CycloNumber(new_order, tuple(dense), _checked=True)
+    return _substitute(a, new_order, new_order // M)
 
 
 def sin_pi(a: int, c: int, M: int) -> CycloNumber:

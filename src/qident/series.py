@@ -10,6 +10,8 @@ Precision propagates through arithmetic by the min/valuation rules below,
 so a comparison can never silently read coefficients outside the
 guaranteed window.  Every quotient is one long division, series_div;
 series_invert, geom_inverse and series_div_one_minus are wrappers over it.
+Each coefficient of a product or a quotient is summed by one fused
+coeff.dot.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, lcm
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
-from .coeff import CycloNumber, cyclo_embed, lift_order, one as cyclo_one, zero as cyclo_zero
+from .coeff import CycloNumber, cyclo_embed, dot, lift_order, one as cyclo_one, zero as cyclo_zero
 from .errors import InsufficientPrecisionError, NonGenericError
 from .verdict import FAIL, PASS, Verdict
 
@@ -291,22 +293,38 @@ def q_power(e: Rat, order: Rat) -> QSeries:
 
 
 def series_add(a: QSeries, b: QSeries) -> QSeries:
-    a, b = align(a, b)
-    p = min(a.prec, b.prec)
-    out = dict(a.terms)
-    for k, c in b.terms.items():
-        s = out.get(k)
-        if s is None:
-            out[k] = c
-        else:
-            s = s + c
-            if s.is_zero():
-                del out[k]
+    return series_sum(a, (b,))
+
+
+def series_sum(total: QSeries, terms: Iterable[QSeries]) -> QSeries:
+    """total plus every series in terms, accumulated in one dict owned by
+    the loop rather than a copy of the running total per term.
+
+    Each term is rebased to the total's grid and field as align does (the
+    total first, when a term needs a finer grid or a larger field), and the
+    precision is the minimum over all of them.
+    """
+    d, m, p = total.denom, total.field_order, total.prec
+    out = dict(total.terms)
+    for t in terms:
+        if t.denom != d or t.field_order != m:
+            d2, m2 = lcm(d, t.denom), lcm(m, t.field_order)
+            if (d2, m2) != (d, m):
+                acc = QSeries(d, p, out, m, _checked=True).rebase(d2).lift_field(m2)
+                d, m, p, out = d2, m2, acc.prec, acc.terms
+            t = t.rebase(d).lift_field(m)
+        p = min(p, t.prec)
+        for k, c in t.terms.items():
+            s = out.get(k)
+            if s is None:
+                out[k] = c
             else:
-                out[k] = s
-    if p < max(a.prec, b.prec):
-        out = {k: c for k, c in out.items() if k < p}
-    return QSeries(a.denom, p, out, a.field_order, _checked=True)
+                s = s + c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return QSeries(d, p, {k: c for k, c in out.items() if k < p}, m, _checked=True)
 
 
 def series_neg(a: QSeries) -> QSeries:
@@ -343,26 +361,19 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
     a, b = align(a, b)
     # unknown tail of one factor meets the leading term of the other
     p = min(a.prec + b.val_grid, b.prec + a.val_grid)
-    out: dict[int, CycloNumber] = {}
     if len(a.terms) > len(b.terms):
         a, b = b, a
+    bs = sorted(b.terms.items())
+    pairs: dict[int, list] = {}
     for ka, ca in a.terms.items():
         top = p - ka
-        for kb, cb in b.terms.items():
+        for kb, cb in bs:
             if kb >= top:
-                continue
-            k = ka + kb
-            prod = ca * cb
-            s = out.get(k)
-            if s is None:
-                out[k] = prod
-            else:
-                s = s + prod
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-    return QSeries(a.denom, p, out, a.field_order, _checked=True)
+                break
+            pairs.setdefault(ka + kb, []).append((ca, cb))
+    m = a.field_order
+    out = {k: c for k, ps in pairs.items() if (c := dot(m, ps))}
+    return QSeries(a.denom, p, out, m, _checked=True)
 
 
 def series_pow(a: QSeries, n: int) -> QSeries:
@@ -437,19 +448,23 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
         (k - v, -c if scale is None else -(c * scale)) for k, c in b.terms.items() if k != v
     )
     out: dict[int, CycloNumber] = {}
+    m = a.field_order
     for n in range(lo, p):
         s = a.terms.get(n + v)
         if s is not None and scale is not None:
             s = s * scale
+        pairs = []
         for j, c in tail:
             if j > n - lo:
                 break
             t = out.get(n - j)
             if t is not None:
-                s = c * t if s is None else s + c * t
-        if s is not None and not s.is_zero():
+                pairs.append((c, t))
+        if pairs:
+            s = dot(m, pairs, s)
+        if s:
             out[n] = s
-    return QSeries(a.denom, p, out, a.field_order, _checked=True)
+    return QSeries(a.denom, p, out, m, _checked=True)
 
 
 def series_invert(a: QSeries) -> QSeries:
@@ -568,16 +583,18 @@ def bilateral_sum(
     hi = max(hints) if hints else Fraction(0)
     window = range(int(lo) - 2, int(hi) + 3)
     n0 = min(window, key=lambda n: (term_val(n), abs(n)))
-    total = zero_series(order, denom, field_order)
-    n = n0
-    while term_val(n) < order:
-        total = series_add(total, term_series(n))
-        n += 1
-    n = n0 - 1
-    while term_val(n) < order:
-        total = series_add(total, term_series(n))
-        n -= 1
-    return total
+
+    def terms():
+        n = n0
+        while term_val(n) < order:
+            yield term_series(n)
+            n += 1
+        n = n0 - 1
+        while term_val(n) < order:
+            yield term_series(n)
+            n -= 1
+
+    return series_sum(zero_series(order, denom, field_order), terms())
 
 
 __all__ = [
@@ -601,6 +618,7 @@ __all__ = [
     "series_scale",
     "series_shift",
     "series_sub",
+    "series_sum",
     "substitute_base",
     "zero_series",
 ]

@@ -27,6 +27,7 @@ from .series import (
     const_series,
     from_monomial,
     geom_inverse,
+    grid_prec,
     series_add,
     series_div,
     series_div_one_minus,
@@ -34,6 +35,7 @@ from .series import (
     series_neg,
     series_shift,
     series_sub,
+    series_sum,
     series_truncate,
     zero_series,
 )
@@ -96,15 +98,17 @@ def _term_sum(
     """
     cap = 10 * (int(work) + 10)
     t = _times_row(const_series(1, work), first, work)
-    total = zero_series(work, t.denom, t.field_order)
-    n = start
-    while not t.is_zero():
-        total = series_add(total, t)
-        n += 1
-        if n - start > cap:
-            raise CapExceededError("q-hypergeometric term valuation failed to grow")
-        t = _times_row(t, ratio(n), work)
-    return total
+
+    def terms(t: QSeries):
+        n = start
+        while not t.is_zero():
+            yield t
+            n += 1
+            if n - start > cap:
+                raise CapExceededError("q-hypergeometric term valuation failed to grow")
+            t = _times_row(t, ratio(n), work)
+
+    return series_sum(zero_series(work, t.denom, t.field_order), terms(t))
 
 
 def lambert_sum(
@@ -188,11 +192,14 @@ def theta_j(x: Monomial, p: Rat, order: Rat) -> QSeries:
     if p <= 0:
         raise ValueError("theta base exponent must be positive")
     order = _fr(order)
-    key = (x.coeff.key(), x.expo, p, order)
-    hit = _theta_cache.get(key)
-    if hit is not None:
-        return hit
     c, e = x.coeff, x.expo
+    denom = e.denominator * p.denominator
+    # keyed without the order: the sum lies on the grid denom with precision
+    # grid_prec(order, denom), so a deeper entry cut at the order is exact
+    key = (c.key(), e, p)
+    hit = _theta_cache.get(key)
+    if hit is not None and hit.prec >= grid_prec(order, denom):
+        return series_truncate(hit, order)
 
     def val(n: int) -> Fraction:
         return p * _binom2(n) + n * e
@@ -201,7 +208,6 @@ def theta_j(x: Monomial, p: Rat, order: Rat) -> QSeries:
         coeff = c**n if n % 2 == 0 else -(c**n)
         return from_monomial(Monomial(coeff, val(n)), order)
 
-    denom = e.denominator * p.denominator
     s = bilateral_sum(val, term, order, [Fraction(1, 2) - e / p], denom, c.order)
     _theta_cache[key] = s
     return s
@@ -430,9 +436,7 @@ def msplit_rhs(
                 (-(xn)).times_q(p * (bn2 - n * r)), p * n * n, zp, work - lead.expo
             )
             parts.append(series_shift(inner, lead))
-        total = parts[0]
-        for extra in parts[1:]:
-            total = series_add(total, extra)
+        total = series_sum(parts[0], parts[1:])
 
         jn = theta_j(Monomial.make(1, p * n), 3 * p * n, work)
         pref_num = series_shift(series_mul(series_mul(jn, jn), jn), zp)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import sympy
+
 from qident.coeff import CycloNumber, cyclo_embed, lift_order
 from qident.series import QSeries
 
@@ -56,6 +58,27 @@ def theta_bruteforce(c: Fraction, e: Fraction, p: Fraction, order: Fraction) -> 
         coeff = Fraction((-1) ** n) * c**n
         out[expo] = out.get(expo, Fraction(0)) + coeff
     return {e_: v for e_, v in out.items() if v}
+
+
+def fraction_dot(M: int, pairs, extra=None) -> tuple[Fraction, ...]:
+    """extra + sum of x*y for Fraction coefficient vectors in Q(zeta_M): every
+    product expanded in full, then one long division by sympy's Phi_M."""
+    x = sympy.Symbol("x")
+    phi = [Fraction(int(c)) for c in sympy.Poly(sympy.cyclotomic_poly(M, x), x).all_coeffs()]
+    deg = len(phi) - 1
+    acc = [Fraction(0)] * (2 * deg - 1)
+    for i, c in enumerate(extra or ()):
+        acc[i] += c
+    for a, b in pairs:
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                acc[i + j] += ai * bj
+    # phi is monic and descending: cancel the top coefficient each step
+    for top in range(len(acc) - 1, deg - 1, -1):
+        c = acc[top]
+        for i, p in enumerate(phi):
+            acc[top - i] -= c * p
+    return tuple(acc[:deg])
 
 
 def assert_series_matches(s: QSeries, expected: dict, order: Fraction):

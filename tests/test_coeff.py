@@ -13,6 +13,7 @@ from qident.coeff import (
     csc_pi,
     cyclo_embed,
     cyclotomic_poly,
+    dot,
     euler_phi,
     lift_order,
     one,
@@ -21,6 +22,8 @@ from qident.coeff import (
     zeta_power,
 )
 from qident.errors import OrderMismatchError
+
+from oracles import fraction_dot
 
 
 def sympy_zeta_power(M, k):
@@ -203,6 +206,75 @@ class TestFieldAxioms:
         assert lift_order(a * b, m2) == lift_order(a, m2) * lift_order(b, m2)
         assert lift_order(a + b, m2) == lift_order(a, m2) + lift_order(b, m2)
         assert lift_order(a, m2) == zeta_power(m2, (k % m) * (m2 // m))
+
+
+def lowest_terms(x: CycloNumber) -> bool:
+    return len(x.num) == euler_phi(x.order) and x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+class TestCanonicalForm:
+    @given(order_and_triples(), st.sampled_from([1, 5, 7, 11, 13]))
+    @settings(max_examples=80, deadline=None)
+    def test_results_in_lowest_terms(self, abc, t):
+        a, b, _ = abc
+        M = a.order
+        results = [a + b, a - b, a * b, -a, lift_order(a, 2 * M), lift_order(b, 3 * M)]
+        if a:
+            results.append(a.inv())
+        if gcd(t, M) == 1:
+            results.append(a.galois(t))
+        for r in results:
+            assert lowest_terms(r), (r.num, r.den)
+        assert (a - a).key() == (M, (0,) * euler_phi(M), 1)
+
+    @given(order_and_triples())
+    @settings(max_examples=80, deadline=None)
+    def test_key_equal_exactly_when_elements_equal(self, abc):
+        a, b, c = abc
+        assert (a.key() == b.key()) == (a == b)
+        assert ((a + b) - b).key() == a.key()
+        assert ((a * c) + (b * c)).key() == ((a + b) * c).key()
+        if b:
+            assert ((a * b) * b.inv()).key() == a.key()
+
+
+@st.composite
+def dot_inputs(draw):
+    """M, Fraction vectors of 0-6 pairs and an optional extra; some factors
+    rational, denominators mixed."""
+    M = draw(st.sampled_from([1, 3, 4, 5, 12]))
+    phi = euler_phi(M)
+    vec = st.one_of(
+        st.lists(rationals, min_size=phi, max_size=phi),
+        rationals.map(lambda r: [r] + [Fraction(0)] * (phi - 1)),
+    )
+    pairs = draw(st.lists(st.tuples(vec, vec), max_size=6))
+    extra = draw(st.one_of(st.none(), vec))
+    return M, pairs, extra
+
+
+class TestDot:
+    @given(dot_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_oracle(self, inp):
+        M, pairs, extra = inp
+        got = dot(
+            M,
+            [(CycloNumber(M, x), CycloNumber(M, y)) for x, y in pairs],
+            None if extra is None else CycloNumber(M, extra),
+        )
+        assert got.coeffs == fraction_dot(M, pairs, extra)
+        assert lowest_terms(got)
+
+    @pytest.mark.parametrize("M", [1, 5])
+    def test_denominator_changes_mid_sum(self, M):
+        # common denominator 1, 2, 18, then a pair over 1 again
+        half, third = cyclo_embed(Fraction(1, 2), M), cyclo_embed(Fraction(1, 3), M)
+        z = zeta_power(M, 1) + 1
+        pairs = [(z, z), (half, z), (third, third), (z, z * z)]
+        got = dot(M, pairs, half)
+        assert got.coeffs == fraction_dot(M, [(x.coeffs, y.coeffs) for x, y in pairs], half.coeffs)
+        assert lowest_terms(got)
 
 
 class TestTrig:

@@ -28,6 +28,7 @@ from qident.series import (
     series_scale,
     series_shift,
     series_sub,
+    series_sum,
     substitute_base,
     zero_series,
 )
@@ -264,6 +265,17 @@ def test_ring_axioms(a, b, c):
         series_mul(a, b).prec_order(), series_mul(b, a).prec_order()
     )
     assert series_eq_to_order(series_mul(a, b), series_mul(b, a), wc).ok
+
+
+@given(st.lists(qseries(min_prec=1), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_sum_in_place_is_the_add_fold(parts):
+    fold = parts[0]
+    for t in parts[1:]:
+        fold = series_add(fold, t)
+    got = series_sum(parts[0], parts[1:])
+    assert (got.denom, got.prec, got.field_order) == (fold.denom, fold.prec, fold.field_order)
+    assert {k: c.key() for k, c in got.terms.items()} == {k: c.key() for k, c in fold.terms.items()}
 
 
 @given(qseries(min_prec=6))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import special
+from qident import eval_expr, parse, special
 from qident.coeff import CycloNumber, cyclo_embed, lift_order, zeta_power
 from qident.errors import CapExceededError, NonGenericError
 from qident.series import (
@@ -178,6 +178,20 @@ class TestThetaFunction:
     def test_product_shorthand_consistency(self):
         check_eq(Jm(2, ORDER), J(2, 6, ORDER), ORDER)
         check_eq(Jm(1, ORDER), pochhammer(mono(1, 1), 1, None, ORDER), ORDER)
+
+    @pytest.mark.parametrize(
+        "x,p",
+        [(mono(-1, F(1, 2)), 1), (zmono(5, 2, F(1, 3)), F(1, 2)), (mono(F(2, 3), -1), 2)],
+    )
+    def test_cache_serves_shallower_order(self, monkeypatch, x, p):
+        monkeypatch.setattr(special, "_theta_cache", {})
+        theta_j(x, p, 60)
+        warm = theta_j(x, p, 41)
+        assert len(special._theta_cache) == 1
+        special._theta_cache.clear()
+        cold = theta_j(x, p, 41)
+        assert (warm.denom, warm.prec, warm.field_order) == (cold.denom, cold.prec, cold.field_order)
+        assert warm.terms == cold.terms
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -403,6 +417,24 @@ class TestAppellLerch:
         monkeypatch.setattr(CycloNumber, "__mul__", counted)
         appell_m(mono(2, 1), 1, mono(-1, F(1, 2)), 60)
         assert calls < 4000, calls
+
+
+    def test_partition_inverse_product_budget(self, monkeypatch):
+        # dividing by Jm(1) at 200 sums every c_n in the fused kernel; only the
+        # powers of the theta terms' coefficients are CycloNumber products
+        calls = 0
+        mul = CycloNumber.__mul__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(special, "_theta_cache", {})
+        monkeypatch.setattr(CycloNumber, "__mul__", counted)
+        s = eval_expr(parse("1/Jm(1)"), 200)
+        assert s.coeff_at(199) == 3646072432125  # p(199)
+        assert calls < 300, calls
 
 
 class TestSplitting:

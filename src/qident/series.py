@@ -9,9 +9,9 @@ beyond P is unknown.  Negative k is allowed (Laurent behavior).
 Precision propagates through arithmetic by the min/valuation rules below,
 so a comparison can never silently read coefficients outside the
 guaranteed window.  Every quotient is one long division, series_div;
-series_invert, geom_inverse and series_div_one_minus are wrappers over it.
-Each coefficient of a product or a quotient is summed by one fused
-coeff.dot.
+series_invert, geom_inverse and series_div_one_minus are wrappers over it,
+and the builders divide by 1 - u only through series_div_one_minus.  Each
+coefficient of a product or a quotient is summed by one fused coeff.dot.
 """
 
 from __future__ import annotations

@@ -8,14 +8,16 @@ All arguments x, z, z' are Monomials c*q^e; the base is a positive
 rational p standing for q^p.  Every function takes a target order and
 returns a QSeries whose guaranteed precision reaches that order
 (composite constructions re-run themselves deeper when internal division
-or shifting costs precision).  Each theta quotient, m(x,q,z) among them,
-is a single series_div of its numerator by its denominator.
+or shifting costs precision, up to PAD_LIMIT).  Each theta quotient,
+m(x,q,z) among them, is a single series_div of its numerator by its
+denominator; each Lambert term and each 1 - v of a term-ratio row is one
+series_div_one_minus, so no builder expands a geometric series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .coeff import CycloNumber
@@ -26,7 +28,6 @@ from .series import (
     bilateral_sum,
     const_series,
     from_monomial,
-    geom_inverse,
     grid_prec,
     series_add,
     series_div,
@@ -51,14 +52,22 @@ def _binom2(n: int) -> int:
     return n * (n - 1) // 2
 
 
+# The most a construction may pad its working order by, in powers of q.
+PAD_LIMIT = 1000
+
+
+def _too_deep(deficit: Fraction) -> CapExceededError:
+    return CapExceededError(f"a precision deficit of {deficit} exceeds the padding limit {PAD_LIMIT}")
+
+
 def ensure_prec(build: Callable[[Fraction], QSeries], order: Rat) -> QSeries:
     """Run a construction, deepening the working order until the result's
     guaranteed precision covers the request.
 
     Precision deficits come from fixed negative valuations (division,
     Laurent shifts), so they are independent of the working order and one
-    retry normally suffices; four builds that all fall short raise
-    CapExceededError.
+    retry normally suffices; four builds that all fall short, or a total
+    padding beyond PAD_LIMIT, raise CapExceededError.
     """
     order = _fr(order)
     work = order
@@ -66,7 +75,10 @@ def ensure_prec(build: Callable[[Fraction], QSeries], order: Rat) -> QSeries:
         s = build(work)
         if s.prec_order() >= order:
             return s
-        work = work + (order - s.prec_order())
+        # a later retry pads at least q^1, which no inner grid rounds away
+        work = work + max(order - s.prec_order(), 0 if work == order else 1)
+        if work - order > PAD_LIMIT:
+            raise _too_deep(work - order)
     raise CapExceededError(
         f"could not reach precision {order} in four builds (got {s.prec_order()})"
     )
@@ -74,14 +86,17 @@ def ensure_prec(build: Callable[[Fraction], QSeries], order: Rat) -> QSeries:
 
 # A row (sign, e, ups, downs) stands for sign * q^e * prod(1 - u) / prod(1 - v)
 # over the monomials u in ups and v in downs.
-Row = Tuple[Rat, Rat, Sequence[Monomial], Sequence[Monomial]]
+Row = Tuple[Union[Rat, CycloNumber], Rat, Sequence[Monomial], Sequence[Monomial]]
 
 
 def _times_row(t: QSeries, row: Row, work: Fraction) -> QSeries:
     sign, e, ups, downs = row
-    t = series_shift(t, Monomial.make(sign, e))
+    # sign q^e prod(1 - u) exactly, so only t bounds the one product
+    window = Fraction(t.prec - t.val_grid, t.denom) + sum(abs(u.expo) for u in ups)
+    num = from_monomial(Monomial.make(sign, e), e + window + 1)
     for u in ups:
-        t = series_sub(t, series_shift(t, u))
+        num = series_sub(num, series_shift(num, u))
+    t = series_mul(t, num)
     for v in downs:
         t = series_div_one_minus(t, v)
     return series_truncate(t, work)
@@ -94,18 +109,24 @@ def _term_sum(
     where t_start is the row first and t_n / t_{n-1} is the row ratio(n).
 
     Every term is carried as a truncated series, so each costs one pass per
-    factor, and the quadratic exponent growth ends the loop.
+    factor, and the quadratic exponent growth ends the loop.  The term cap
+    counts from the lowest valuation, as a Pochhammer sum may dip first.
     """
     cap = 10 * (int(work) + 10)
     t = _times_row(const_series(1, work), first, work)
 
     def terms(t: QSeries):
-        n = start
+        n = deepest = start
+        low = t.valuation()
         while not t.is_zero():
             yield t
-            n += 1
-            if n - start > cap:
+            if t.valuation() < low:
+                low, deepest = t.valuation(), n
+            if n - deepest > cap:
                 raise CapExceededError("q-hypergeometric term valuation failed to grow")
+            if work - t.prec_order() > PAD_LIMIT:
+                raise _too_deep(work - t.prec_order())
+            n += 1
             t = _times_row(t, ratio(n), work)
 
     return series_sum(zero_series(work, t.denom, t.field_order), terms(t))
@@ -131,8 +152,7 @@ def lambert_sum(
         return e(n) + max(Fraction(0), -u(n).expo)
 
     def term(n: int) -> QSeries:
-        geom = geom_inverse(u(n), work - e(n))
-        return series_shift(geom, Monomial.make(c**n, e(n)))
+        return series_div_one_minus(from_monomial(Monomial.make(c**n, e(n)), work), u(n))
 
     return bilateral_sum(val, term, work, hints, denom, field_order)
 
@@ -143,7 +163,10 @@ def lambert_sum(
 
 
 def pochhammer(x: Monomial, p: Rat, n: Optional[int], order: Rat) -> QSeries:
-    """(x; q^p)_n, with n = None meaning the infinite product.
+    """(x; q^p)_n, with n = None meaning the infinite product, as the sum
+    of (-x)^k q^(p binom(k,2)) / (q^p; q^p)_k (Euler) or, for finite n, of
+    the same terms times (q^(p(n-k+1)); q^p)_k, the q-binomial sum that
+    ends by itself at k = n + 1 (Gasper and Rahman, section 1.3).
 
     A vanishing factor (x*q^(kp) exactly 1) makes the whole product the
     zero series rather than an error.
@@ -151,27 +174,20 @@ def pochhammer(x: Monomial, p: Rat, n: Optional[int], order: Rat) -> QSeries:
     p = _fr(p)
     if p <= 0:
         raise ValueError("Pochhammer base exponent must be positive")
-    order = _fr(order)
-    if n is None:
-        count = 0
-        while x.expo + count * p < order:
-            count += 1
-    else:
-        if n < 0:
-            raise ValueError("Pochhammer length must be nonnegative")
-        count = n
-    # negative-exponent factors cost precision in products; pad up front
-    deficit = sum(
-        (max(Fraction(0), -(x.expo + k * p)) for k in range(count)), Fraction(0)
-    )
-    work = order + deficit
-    d = x.expo.denominator * p.denominator // gcd(x.expo.denominator, p.denominator)
-    acc = const_series(1, work, d).lift_field(x.field_order)
-    for k in range(count):
-        acc = series_sub(acc, series_shift(acc, x.times_q(k * p)))
-        if acc.is_zero() and acc.prec_order() >= order:
-            break
-    return acc
+    if n is not None and n < 0:
+        raise ValueError("Pochhammer length must be nonnegative")
+    c, e = -x.coeff, x.expo
+    d = lcm(e.denominator, p.denominator)
+
+    def ratio(k: int) -> Row:
+        ups = () if n is None else (Monomial.make(1, p * (n - k + 1)),)
+        return (c, e + p * (k - 1), ups, (Monomial.make(1, p * k),))
+
+    def build(work: Fraction) -> QSeries:
+        return _term_sum((1, 0, (), ()), ratio, work).rebase(d).lift_field(x.field_order)
+
+    # the first term, 1, must lie inside the window for the sum to start
+    return ensure_prec(build, max(_fr(order), Fraction(1)))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,26 @@ class TestExpand:
         assert out[0].startswith("# terms below q^(10), grid 1/1")
         assert "q^(6/1): 30" in out
 
+    @pytest.mark.parametrize("expr, order, line", [
+        # (1 - 2q^-1)(1 - 2) prod_{k>=1} (1 - 2q^k), multiplied out by hand
+        ("poch(2*q^(-1), q, inf)", "8", "q^(7/1): -14"),
+        # an integer product over every factor that reaches below q^10
+        ("poch(2*q^(-10), q, inf)", "10", "q^(9/1): -630110"),
+    ])
+    def test_negative_exponent_pochhammer(self, capsys, expr, order, line):
+        assert main(["expand", expr, "--order", order]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith(f"# terms below q^({order}), grid 1/1")
+        assert line in out
+
+    @pytest.mark.parametrize("e", [-150, -300])
+    def test_padding_beyond_limit_is_usage_error(self, capsys, e):
+        # the sum dips below q^(-11000) (e = -150) before it grows; the
+        # first term past the padding limit ends it after a few terms
+        assert main(["expand", f"poch(2*q^({e}), q, inf)", "--order", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "precision deficit of" in err and "padding limit 1000" in err
+
     def test_unreachable_precision_is_usage_error(self, monkeypatch, capsys):
         def short(*args):
             raise CapExceededError("could not reach precision 4")
@@ -108,6 +128,22 @@ class TestVerify:
         # an override below the engineered exponent makes the canary pass,
         # which the expectation machinery reports as a surprise
         assert main(["verify", path, "--order", "20"]) == 1
+
+    NEG_POCH = (
+        "id: neg-poch\nlhs: poch(2*q^(-1), q, inf)\n"
+        "rhs: -(1 - 2*q^(-1))*poch(2*q, q, inf){extra}\norder: 8\n"
+    )
+
+    def test_negative_exponent_pochhammer_true_identity_passes(self, tmp_path, capsys):
+        assert main(["verify", self.write(tmp_path, self.NEG_POCH.format(extra=""))]) == 0
+        assert "total 1 / pass 1 / fail 0" in capsys.readouterr().out
+
+    def test_negative_exponent_pochhammer_false_identity_fails(self, tmp_path, capsys):
+        # a product that left out the factors carried below q^8 by its
+        # negative valuation verified this false identity
+        path = self.write(tmp_path, self.NEG_POCH.format(extra=" + 4*q^7"))
+        assert main(["verify", path]) == 1
+        assert "first mismatch at q^(7/1)" in capsys.readouterr().out
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.id")]) == 2

@@ -20,6 +20,7 @@ from qident.identity import (
     serialize_case,
     serialize_corpus,
 )
+from qident.series import series_eq_to_order
 
 SMALL = """\
 # two easy stanzas
@@ -311,9 +312,13 @@ def _builtin_sides():
 
 @pytest.mark.parametrize("expr, order, binding", list(_builtin_sides()))
 def test_builtin_side_reaches_order(expr, order, binding):
-    """eval_expr covers every exponent below the order it is asked for."""
+    """eval_expr covers every exponent below the order it is asked for, and
+    what it claims there agrees with an evaluation three powers deeper."""
     try:
         s = eval_expr(expr, order, binding)
+        deeper = eval_expr(expr, order + 3, binding)
     except NonGenericError:
         pytest.skip("nongeneric side")
     assert s.prec_order() >= order
+    v = series_eq_to_order(s, deeper, order)
+    assert v.status == "pass", v.detail()

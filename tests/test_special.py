@@ -6,12 +6,13 @@ sum-versus-product equivalence on small windows.
 """
 
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import eval_expr, parse, special
+from qident import coeff, eval_expr, parse, series, special
 from qident.coeff import CycloNumber, cyclo_embed, lift_order, zeta_power
 from qident.errors import CapExceededError, NonGenericError
 from qident.series import (
@@ -28,6 +29,7 @@ from qident.series import (
     series_scale,
     series_shift,
     series_sub,
+    zero_series,
 )
 from qident.special import (
     J,
@@ -107,6 +109,91 @@ class TestPochhammer:
         left = pochhammer(x, 1, m, 12)
         right = pochhammer(x.times_q(m), 1, n, 12)
         check_eq(whole, series_mul(left, right), 12)
+
+
+    def test_negative_exponent_matches_bruteforce(self):
+        # factors with exponents up to the order plus the depth of the dip
+        # still reach below q^order
+        for c, e, p, n in [(2, F(-1), 1, None), (-1, F(-3, 2), 1, None), (2, F(-3), 2, None),
+                           (3, F(-2), 1, 6), (2, F(-1, 2), F(1, 2), 5)]:
+            want_n = n if n is not None else 40
+            s = pochhammer(mono(c, e), p, n, 12)
+            want = pochhammer_bruteforce(F(c), e, F(p), want_n)
+            assert_series_matches(s, {k: v for k, v in want.items() if k < 12}, F(12))
+
+    def test_order_below_first_term(self):
+        # at order 0 the sum's first term, 1, lies outside the window, yet
+        # the product reaches down to 2 q^(-1)
+        s = pochhammer(mono(2, -1), 1, None, 0)
+        assert s.prec_order() >= 0 and s.coeff_at(-1) == 2
+
+    def test_euler_sum_dot_budget(self, monkeypatch):
+        # Euler's sum takes about 1,800 fused products at order 100; the
+        # product of binomials it replaced took 17,920
+        calls = 0
+        dot = coeff.dot
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return dot(*args)
+
+        monkeypatch.setattr(special, "_theta_cache", {})
+        monkeypatch.setattr(coeff, "dot", counted)
+        monkeypatch.setattr(series, "dot", counted)
+        eval_expr(parse("poch(-q^(1/2), q, inf)"), 100)
+        assert calls < 3000, calls
+
+
+class TestPaddingLimit:
+    def test_deficit_beyond_limit_raises_at_once(self):
+        works = []
+
+        def build(work):
+            works.append(work)
+            return zero_series(work - special.PAD_LIMIT - 7)
+
+        with pytest.raises(CapExceededError, match=f"deficit of {special.PAD_LIMIT + 7} "):
+            special.ensure_prec(build, 5)
+        assert works == [5]
+
+    def test_deficit_within_limit_is_padded(self):
+        works = []
+
+        def build(work):
+            works.append(work)
+            return zero_series(work - 30)
+
+        assert special.ensure_prec(build, 5).prec_order() == 5
+        assert works == [5, 35]
+
+    def test_retry_pads_at_least_one_power(self):
+        # a builder whose precision only moves in whole powers of q
+        works = []
+
+        def build(work):
+            works.append(work)
+            return zero_series(ceil(work + F(1, 8)) - F(9, 8), 8)
+
+        assert special.ensure_prec(build, 3).prec_order() >= 3
+        assert works == [3, F(25, 8), F(33, 8)]
+
+    def test_term_cap_counts_from_the_lowest_valuation(self):
+        # q^(binom(k,2)/2 - 30k) dips about 900 powers and takes some 120
+        # terms to climb back past q^1, more than the cap of 110 at work 1
+        s = special._term_sum((1, 0, (), ()), lambda k: (1, F(k - 1, 2) - 30, (), ()), F(1))
+        assert -1000 < s.prec_order() < -800
+
+    def test_term_cap_stops_a_flat_sum(self):
+        with pytest.raises(CapExceededError, match="failed to grow"):
+            special._term_sum((1, 0, (), ()), lambda k: (1, 0, (), ()), F(1))
+
+    def test_term_sum_stops_at_the_limit(self, monkeypatch):
+        # (2q^(-10); q)_inf dips 55 powers below q^0; a limit of 20 ends its
+        # sum at the first term past it
+        monkeypatch.setattr(special, "PAD_LIMIT", 20)
+        with pytest.raises(CapExceededError, match="padding limit 20"):
+            pochhammer(mono(2, -10), 1, None, 10)
 
 
 class TestThetaFunction:

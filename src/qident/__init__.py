@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     QIdentError,
 )
-from .eulerian import f_c, h_tilde, k_tilde, k_tilde_closed
+from .eulerian import f_c
 from .identity import (
     IdentityCase,
     SuiteReport,
@@ -56,7 +56,7 @@ from .series import (
     series_truncate,
     substitute_base,
 )
-from .special import J, JB, Jm, appell_m, g_universal, msplit_rhs, pochhammer, theta_j
+from .special import J, JB, Jm, appell_m, g_universal, pochhammer, theta_j
 from .verdict import Verdict
 
 __version__ = "0.1.0"
@@ -98,13 +98,9 @@ __all__ = [
     "Jm",
     "appell_m",
     "g_universal",
-    "msplit_rhs",
     "pochhammer",
     "theta_j",
     "f_c",
-    "h_tilde",
-    "k_tilde",
-    "k_tilde_closed",
     "parse",
     "print_expr",
     "eval_expr",

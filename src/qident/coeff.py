@@ -49,6 +49,11 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return quot
 
 
+# The largest M whose Phi_M is built: Phi_20000 alone takes seconds, and the
+# built-in corpus needs M up to 20.
+MAX_FIELD_ORDER = 1000
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_poly(M: int) -> tuple[int, ...]:
     """Coefficients of Phi_M, ascending degree, monic.
@@ -57,6 +62,8 @@ def cyclotomic_poly(M: int) -> tuple[int, ...]:
     """
     if M < 1:
         raise ValueError("order must be positive")
+    if M > MAX_FIELD_ORDER:
+        raise ValueError(f"field order {M} exceeds MAX_FIELD_ORDER = {MAX_FIELD_ORDER}")
     if M == 1:
         return (-1, 1)
     poly = [0] * (M + 1)

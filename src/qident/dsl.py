@@ -10,12 +10,18 @@ power of q.
 parse/print round-trip structurally; eval is bottom-up and keeps monomial
 subexpressions exact for as long as possible so that function arguments
 (which must be monomials) never pass through a truncated series.
+
+The paper's fixed combinations (Ktilde, Htilde and their other forms,
+mcorr, msplit, g_appell) are definitions: exact argument checks, then an
+expression over the core functions with the integer arguments spliced into
+its text and the monomial ones bound as its symbols.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -26,11 +32,8 @@ from .eulerian import (
     bilateral_odd,
     f0_5,
     f3,
-    h_tilde,
     habc_sum,
     hprime,
-    k_tilde,
-    k_tilde_closed,
     kprime,
     kprimeprime,
     lambert_even_lhs,
@@ -56,11 +59,10 @@ from .special import (
     J,
     JB,
     Jm,
+    _check_theta_denominator,
     appell_m,
     ensure_prec,
     g_universal,
-    m_change_z_correction,
-    msplit_rhs,
     pochhammer,
     rjtp_lhs,
     theta_j,
@@ -436,7 +438,9 @@ def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial]) -> Value:
         )
     if isinstance(e, Mul):
         va = _ev(e.a, order, binding)
-        vb = _ev(e.b, order, binding)
+        # a shift by q^v with v < 0 costs -v of precision: evaluate the factor
+        # that deep up front (a positive shift keeps its order as slack)
+        vb = _ev(e.b, order - min(va.expo, 0) if isinstance(va, Monomial) else order, binding)
         if isinstance(va, Monomial) and isinstance(vb, Monomial):
             return va * vb
         if isinstance(va, Monomial):
@@ -502,8 +506,9 @@ def eval_expr(
 ) -> QSeries:
     """Evaluate to a truncated series with every exponent below order covered.
 
-    Division and Laurent shifts cost precision, so the evaluation reruns
-    at a deeper working order until the result reaches order.
+    A factor shifted by q^v with v < 0 is evaluated at order - v up front;
+    what other shifts and divisions cost, the evaluation wins back by
+    rerunning at a deeper working order.
     """
     b = dict(binding or {})
     return ensure_prec(lambda work: _to_series(_ev(e, work, b), work), order)
@@ -565,11 +570,115 @@ def _g(route: str):
     return run
 
 
-def _htilde(route: str):
-    def run(v: List[object], order: Fraction) -> QSeries:
-        return h_tilde(v[0], v[1], order, route)
+# ---------------------------------------------------------------------------
+# Definitions: the paper's combinations as expressions over the core
+# ---------------------------------------------------------------------------
+
+_parse_body = lru_cache(maxsize=256)(parse)
+
+Source = Tuple[str, Dict[str, Monomial]]
+
+
+def _definition(source: Callable[..., Source]):
+    """The function whose value is the expression source(*args) returns."""
+
+    def run(v: List[object], order: Fraction) -> Value:
+        text, binding = source(*v)
+        return _ev(_parse_body(text), order, binding)
 
     return run
+
+
+def _q(e: Rat) -> str:
+    return f"q^({e})"
+
+
+def _need_a_below_c(a: int, c: int):
+    if not 0 < a < c:
+        raise ValueError("need 0 < a < c")
+
+
+def _ktilde(a: int, c: int) -> Source:
+    """csc(pi a/c)/4 q^(-1/8) K'(zeta_c^a) + sin(pi a/c) q^(-1/8) K''(zeta_c^a)."""
+    _need_a_below_c(a, c)
+    w = f"zeta({c},{a})"
+    return f"cscpi({a},{c})/4*q^(-1/8)*Kp({w}) + sinpi({a},{c})*q^(-1/8)*Kpp({w})", {}
+
+
+def _ktilde_closed(a: int, c: int) -> Source:
+    """-(i zeta_2c^a / 2) q^(-1/8) J_{1,2}^2 / j(zeta_c^a; q)."""
+    return f"-zeta(4,1)*zeta({2 * c},{a})/2*q^(-1/8)*(J(1,2)^2/j(zeta({c},{a}), q))", {}
+
+
+def _htilde_shift(a: int, c: int) -> str:
+    if c == 0:
+        raise ValueError("need c != 0")
+    ac = Fraction(a, c)
+    return _q(ac * (1 - ac))
+
+
+def _htilde(a: int, c: int) -> Source:
+    """q^((a/c)(1-a/c)) (H'(a,c,1) + H'(a,c,-1)), the relative sign forced
+    by agreement with the closed form."""
+    _need_a_below_c(a, c)
+    return f"{_htilde_shift(a, c)}*(Hp({a},{c},1) + Hp({a},{c},-1))", {}
+
+
+def _htilde_closed(a: int, c: int) -> Source:
+    """2 q^((a/c)(1-a/c)) J_2^3 / (J_{1,2} j(q^(2a/c); q^2))."""
+    return f"2*{_htilde_shift(a, c)}*(Jm(2)^3/(J(1,2)*j({_q(Fraction(2 * a, c))}, q^2)))", {}
+
+
+def _htilde_bilateral(a: int, c: int) -> Source:
+    """q^((a/c)(1-a/c)) (H(a,0,c) - H(a,c/2,c)), for even c."""
+    if c % 2:
+        raise ValueError("the split-difference route needs even c")
+    _need_a_below_c(a, c)
+    return f"{_htilde_shift(a, c)}*(Habc({a},0,{c}) - Habc({a},{c // 2},{c}))", {}
+
+
+def _mcorr(x: Monomial, p: int, z0: Monomial, z1: Monomial) -> Source:
+    """m(x,q^p,z1) - m(x,q^p,z0) as one theta quotient, every theta at base q^p."""
+    for mono, name in ((z0, "z0"), (z1, "z1"), (x * z0, "x z0"), (x * z1, "x z1")):
+        _check_theta_denominator(mono, p, f"j({name}; q^p)")
+    b = f"q^{p}"
+    text = (f"z0*(j({b}, q^{3 * p})^3*j(z1/z0, {b})*j(x*z0*z1, {b})"
+            f"/(j(z0, {b})*j(z1, {b})*j(x*z0, {b})*j(x*z1, {b})))")
+    return text, {"x": x, "z0": z0, "z1": z1}
+
+
+def _msplit(x: Monomial, p: int, z: Monomial, zp: Monomial, n: int) -> Source:
+    """Right side of the n-way splitting of m(x, q^p, z): n Appell-Lerch
+    sums at base q^(p n^2) plus a theta-quotient correction.  The comma in
+    the source identity's theta denominator is read as a product."""
+    if n < 1:
+        raise ValueError("splitting depth must be at least 1")
+    b, xn = n * (n - 1) // 2, (-x) ** n
+    _check_theta_denominator(x * z, p, "j(xz; q^p)")
+    _check_theta_denominator(zp, p * n * n, "j(z'; q^(p n^2))")
+    _check_theta_denominator(
+        (-(xn * zp)).times_q(p * b), p * n, "j(-q^(binom(n,2)) (-x)^n z'; q^(p n))"
+    )
+    for r in range(n):
+        _check_theta_denominator(z.times_q(p * r), p * n, f"j(q^{r} z; q^(p n))")
+    qn, qn2, pw = f"q^{p * n}", f"q^{p * n * n}", f"(-x)^{n}"
+    split = " + ".join(
+        f"{_q(-p * r * (r + 1) // 2)}*(-x)^{r}*m(-{_q(p * (b - n * r))}*{pw}, {qn2}, zp)"
+        for r in range(n)
+    )
+    pieces = " + ".join(
+        f"{_q(p * r * (r - 1) // 2)}*(-x*z)^{r}*(j(-{_q(p * (b + r))}*{pw}*z*zp, {qn})"
+        f"*j({_q(p * n * r)}*z^{n}/zp, {qn2})/(j(-{_q(p * b)}*{pw}*zp, {qn})*j({_q(p * r)}*z, {qn})))"
+        for r in range(n)
+    )
+    text = f"{split} + zp*j({qn}, q^{3 * p * n})^3/(j(x*z, q^{p})*j(zp, {qn2}))*({pieces})"
+    return text, {"x": x, "z": z, "zp": zp}
+
+
+def _g_appell(x: Monomial, p: int = 1) -> Source:
+    """g(x, q^p) = -x^(-1) m(q^(2p) x^(-3), q^(3p), x^2) - x^(-2) m(q^p x^(-3), q^(3p), x^2)."""
+    text = f"-x^(-1)*m(q^{2 * p}*x^(-3), q^{3 * p}, x^2) - x^(-2)*m(q^{p}*x^(-3), q^{3 * p}, x^2)"
+    return text, {"x": x}
 
 
 def _both(kinds: Tuple[str, ...], fn) -> Dict[int, Tuple[Tuple[str, ...], Callable]]:
@@ -583,17 +692,11 @@ FUNCTIONS: Dict[str, Dict[int, Tuple[Tuple[str, ...], Callable]]] = {
     "Jm": _both(("i",), lambda v, o: Jm(v[0], o)),
     "poch": _both(("x", "p", "n"), lambda v, o: pochhammer(v[0], v[1], v[2], o)),
     "m": _both(("x", "p", "x"), lambda v, o: appell_m(v[0], v[1], v[2], o)),
-    "mcorr": _both(
-        ("x", "p", "x", "x"),
-        lambda v, o: m_change_z_correction(v[0], v[2], v[3], v[1], o),
-    ),
-    "msplit": _both(
-        ("x", "p", "x", "x", "i"),
-        lambda v, o: msplit_rhs(v[0], v[1], v[2], v[3], v[4], o),
-    ),
+    "mcorr": _both(("x", "p", "x", "x"), _definition(_mcorr)),
+    "msplit": _both(("x", "p", "x", "x", "i"), _definition(_msplit)),
     "g": {1: (("x",), _g("lambert")), 2: (("x", "p"), _g("lambert"))},
     "g_sum": {1: (("x",), _g("eulerian")), 2: (("x", "p"), _g("eulerian"))},
-    "g_appell": {1: (("x",), _g("appell")), 2: (("x", "p"), _g("appell"))},
+    "g_appell": {1: (("x",), _definition(_g_appell)), 2: (("x", "p"), _definition(_g_appell))},
     "phi": {0: ((), _eul(phi6)), 1: (("p",), _eul(phi6))},
     "sigma": {0: ((), _eul(sigma6)), 1: (("p",), _eul(sigma6))},
     "f3": {0: ((), _eul(f3)), 1: (("p",), _eul(f3))},
@@ -601,11 +704,11 @@ FUNCTIONS: Dict[str, Dict[int, Tuple[Tuple[str, ...], Callable]]] = {
     "Kp": _both(("x",), lambda v, o: kprime(v[0], o)),
     "Kpp": _both(("x",), lambda v, o: kprimeprime(v[0], o)),
     "Hp": _both(("i", "i", "x"), lambda v, o: hprime(v[0], v[1], v[2], o)),
-    "Ktilde": _both(("i", "i"), lambda v, o: k_tilde(v[0], v[1], o)),
-    "Ktilde_closed": _both(("i", "i"), lambda v, o: k_tilde_closed(v[0], v[1], o)),
-    "Htilde": _both(("i", "i"), _htilde("eulerian")),
-    "Htilde_closed": _both(("i", "i"), _htilde("closed")),
-    "Htilde_bilateral": _both(("i", "i"), _htilde("bilateral")),
+    "Ktilde": _both(("i", "i"), _definition(_ktilde)),
+    "Ktilde_closed": _both(("i", "i"), _definition(_ktilde_closed)),
+    "Htilde": _both(("i", "i"), _definition(_htilde)),
+    "Htilde_closed": _both(("i", "i"), _definition(_htilde_closed)),
+    "Htilde_bilateral": _both(("i", "i"), _definition(_htilde_bilateral)),
     "Habc": _both(("i", "i", "i"), lambda v, o: habc_sum(v[0], v[1], v[2], o)),
     "sinpi": _both(("i", "i"), lambda v, o: _trig(sin_pi, v)),
     "cscpi": _both(("i", "i"), lambda v, o: _trig(csc_pi, v)),

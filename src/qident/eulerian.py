@@ -1,39 +1,28 @@
-"""Eulerian q-hypergeometric sums and their root-of-unity combinations.
+"""Eulerian q-hypergeometric sums and bilateral Lambert series.
 
 Each Eulerian series is summed by special._term_sum from two rows: its
 first term and its term ratio t_n / t_{n-1}, each a signed power of q
 times factors (1 - u q^(an+b))^(+-1).  The bilateral Lambert series go
 through special.lambert_sum.  Exact pole prechecks reject the parameter
-values where a denominator factor vanishes identically.
+values where a denominator factor vanishes identically.  The paper's
+root-of-unity combinations of these series, K-tilde and H-tilde, are
+expression-language definitions in dsl.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Union
 
-from .coeff import csc_pi, sin_pi, zeta_power
+from .coeff import zeta_power
 from .errors import NonGenericError
-from .series import (
-    Monomial,
-    QSeries,
-    series_add,
-    series_div,
-    series_mul,
-    series_scale,
-    series_shift,
-    series_sub,
-)
-from .special import J, JB, Jm, _term_sum, ensure_prec, lambert_sum, theta_is_zero, theta_j
+from .series import Monomial, QSeries, series_div
+from .special import J, JB, _term_sum, ensure_prec, lambert_sum, theta_is_zero
 
 Rat = Union[int, Fraction]
 
 _ONE = (1, 0, (), ())  # the row of a first term equal to 1
-
-
-def _fr(x: Rat) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _q(e: Rat, c: Rat = 1) -> Monomial:
@@ -218,82 +207,12 @@ def habc_sum(a: int, b: int, c: int, order: Rat) -> QSeries:
     return ensure_prec(build, order)
 
 
-# ---------------------------------------------------------------------------
-# Root-of-unity combinations and closed forms
-# ---------------------------------------------------------------------------
-
-
-def k_tilde(a: int, c: int, order: Rat) -> QSeries:
-    """csc(pi a/c)/4 * q^(-1/8) Kprime(zeta_c^a)
-    + sin(pi a/c) * q^(-1/8) Kprimeprime(zeta_c^a)."""
-    order = _fr(order)
-    M = lcm(4, 2 * c)
-    w = Monomial(zeta_power(c, a), Fraction(0))
-    kp = kprime(w, order + Fraction(1, 8))
-    kpp = kprimeprime(w, order + Fraction(1, 8))
-    pre1 = Monomial(csc_pi(a, c, M) * Fraction(1, 4), Fraction(-1, 8))
-    pre2 = Monomial(sin_pi(a, c, M), Fraction(-1, 8))
-    return series_add(series_shift(kp, pre1), series_shift(kpp, pre2))
-
-
-def k_tilde_closed(a: int, c: int, order: Rat) -> QSeries:
-    """-(i zeta_{2c}^a / 2) q^(-1/8) J(1,2)^2 / j(zeta_c^a;q)."""
-    order = _fr(order)
-    M = lcm(4, 2 * c)
-    i = zeta_power(M, M // 4)
-    half_zeta = zeta_power(M, (M // (2 * c)) * a)
-    pre = Monomial(-(i * half_zeta) * Fraction(1, 2), Fraction(-1, 8))
-    j12 = J(1, 2, order + Fraction(1, 8))
-    quot = series_div(
-        series_mul(j12, j12),
-        theta_j(Monomial(zeta_power(c, a), Fraction(0)), 1, order + Fraction(1, 8)),
-    )
-    return series_shift(quot, pre)
-
-
-def h_tilde(a: int, c: int, order: Rat, route: str = "eulerian") -> QSeries:
-    """The normalized combination H-tilde, by any of three routes.
-
-    eulerian: q^((a/c)(1-a/c)) (Hprime(a,c,1) + Hprime(a,c,-1)), the
-    relative sign forced by agreement with the closed form; bilateral
-    (even c only): same prefactor times (H_abc(a,0,c) - H_abc(a,c/2,c));
-    closed: the theta quotient
-    2 q^((a/c)(1-a/c)) Jm(2)^3 / (J(1,2) j(q^(2a/c);q^2)).
-    """
-    order = _fr(order)
-    ac = Fraction(a, c)
-    pre = Monomial.make(1, ac * (1 - ac))
-    inner = order - pre.expo
-    if route == "eulerian":
-        hp = hprime(a, c, Monomial.make(1, 0), inner)
-        hm = hprime(a, c, Monomial.make(-1, 0), inner)
-        return series_shift(series_add(hp, hm), pre)
-    if route == "bilateral":
-        if c % 2:
-            raise ValueError("the split-difference route needs even c")
-        diff = series_sub(
-            habc_sum(a, 0, c, inner), habc_sum(a, c // 2, c, inner)
-        )
-        return series_shift(diff, pre)
-    if route == "closed":
-        j2 = Jm(2, inner)
-        num = series_scale(series_mul(series_mul(j2, j2), j2), 2)
-        den = series_mul(
-            J(1, 2, inner), theta_j(Monomial.make(1, 2 * ac), 2, inner)
-        )
-        return series_shift(series_div(num, den), pre)
-    raise ValueError(f"unknown route {route!r}")
-
-
 __all__ = [
     "f0_5",
     "f3",
     "f_c",
     "hprime",
-    "h_tilde",
     "habc_sum",
-    "k_tilde",
-    "k_tilde_closed",
     "kprime",
     "kprimeprime",
     "lambert_even_lhs",

@@ -1,17 +1,18 @@
 """Classical building blocks: Pochhammer products, the theta function j,
-its J specializations, the Appell-Lerch sum m(x,q,z), the universal mock
-theta function g, and the n-way Appell-Lerch splitting identity, with the
-two summation engines behind every series built from sums: the
-q-hypergeometric term-ratio sum and the bilateral Lambert sum.
+its J specializations, the Appell-Lerch sum m(x,q,z) and the universal
+mock theta function g, with the two summation engines behind every series
+built from sums: the q-hypergeometric term-ratio sum and the bilateral
+Lambert sum.
 
-All arguments x, z, z' are Monomials c*q^e; the base is a positive
-rational p standing for q^p.  Every function takes a target order and
-returns a QSeries whose guaranteed precision reaches that order
-(composite constructions re-run themselves deeper when internal division
-or shifting costs precision, up to PAD_LIMIT).  Each theta quotient,
-m(x,q,z) among them, is a single series_div of its numerator by its
-denominator; each Lambert term and each 1 - v of a term-ratio row is one
-series_div_one_minus, so no builder expands a geometric series.
+All arguments x, z are Monomials c*q^e; the base is a positive rational p
+standing for q^p.  Every function takes a target order and returns a
+QSeries whose guaranteed precision reaches that order; a construction
+whose own division costs precision runs through ensure_prec, which
+deepens its working order up to PAD_LIMIT.  Each theta quotient, m(x,q,z)
+among them, is a single series_div of its numerator by its denominator;
+each Lambert term and each 1 - v of a term-ratio row is one
+series_div_one_minus, so no builder expands a geometric series.  j, m and
+g keep one memo entry per (function, arguments) in _theta_cache.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from .series import (
     const_series,
     from_monomial,
     grid_prec,
-    series_add,
     series_div,
     series_div_one_minus,
     series_mul,
-    series_neg,
     series_shift,
     series_sub,
     series_sum,
@@ -198,6 +197,20 @@ def pochhammer(x: Monomial, p: Rat, n: Optional[int], order: Rat) -> QSeries:
 _theta_cache: dict[tuple, QSeries] = {}
 
 
+def _memo(key: tuple, order: Rat, build: Callable[[], QSeries]) -> QSeries:
+    """The series that build() makes for order, through _theta_cache.
+
+    Each entry is stored cut at the order it was built for, so a shallower
+    request, served by cutting the entry, gets what a cold call returns.
+    """
+    hit = _theta_cache.get(key)
+    if hit is not None and hit.prec >= grid_prec(order, hit.denom):
+        return series_truncate(hit, order)
+    s = series_truncate(build(), order)
+    _theta_cache[key] = s
+    return s
+
+
 def theta_j(x: Monomial, p: Rat, order: Rat) -> QSeries:
     """j(x; q^p) by the bilateral sum over (-1)^n q^(p*binom(n,2)) x^n.
 
@@ -209,13 +222,6 @@ def theta_j(x: Monomial, p: Rat, order: Rat) -> QSeries:
         raise ValueError("theta base exponent must be positive")
     order = _fr(order)
     c, e = x.coeff, x.expo
-    denom = e.denominator * p.denominator
-    # keyed without the order: the sum lies on the grid denom with precision
-    # grid_prec(order, denom), so a deeper entry cut at the order is exact
-    key = (c.key(), e, p)
-    hit = _theta_cache.get(key)
-    if hit is not None and hit.prec >= grid_prec(order, denom):
-        return series_truncate(hit, order)
 
     def val(n: int) -> Fraction:
         return p * _binom2(n) + n * e
@@ -224,9 +230,11 @@ def theta_j(x: Monomial, p: Rat, order: Rat) -> QSeries:
         coeff = c**n if n % 2 == 0 else -(c**n)
         return from_monomial(Monomial(coeff, val(n)), order)
 
-    s = bilateral_sum(val, term, order, [Fraction(1, 2) - e / p], denom, c.order)
-    _theta_cache[key] = s
-    return s
+    def build() -> QSeries:
+        denom = e.denominator * p.denominator
+        return bilateral_sum(val, term, order, [Fraction(1, 2) - e / p], denom, c.order)
+
+    return _memo(("j", c.key(), e, p), order, build)
 
 
 def theta_is_zero(x: Monomial, p: Rat) -> bool:
@@ -257,7 +265,7 @@ def Jm(m: int, order: Rat, p: Rat = 1) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def _check_theta_denominator(x: Monomial, p: Fraction, label: str):
+def _check_theta_denominator(x: Monomial, p: Rat, label: str):
     if theta_is_zero(x, p):
         raise NonGenericError(f"{label} = j({x}; q^({p})) vanishes identically")
 
@@ -282,11 +290,6 @@ def appell_m(x: Monomial, p: Rat, z: Monomial, order: Rat) -> QSeries:
     p = _fr(p)
     if p <= 0:
         raise ValueError("Appell-Lerch base exponent must be positive")
-    order = _fr(order)
-    key = ("m", x.coeff.key(), x.expo, p, z.coeff.key(), z.expo, order)
-    hit = _theta_cache.get(key)
-    if hit is not None:
-        return hit
     _check_theta_denominator(z, p, "j(z; q^p)")
     _appell_pole_check(x, p, z)
     ez, ex, xz = z.expo, x.expo, x * z
@@ -302,44 +305,8 @@ def appell_m(x: Monomial, p: Rat, z: Monomial, order: Rat) -> QSeries:
         )
         return series_div(s, theta_j(z, p, work))
 
-    result = ensure_prec(build, order)
-    _theta_cache[key] = result
-    return result
-
-
-def m_change_z_correction(
-    x: Monomial, z0: Monomial, z1: Monomial, p: Rat, order: Rat
-) -> QSeries:
-    """The theta quotient equal to m(x,q^p,z1) - m(x,q^p,z0):
-
-        z0 J1^3 j(z1/z0) j(x z0 z1) / (j(z0) j(z1) j(x z0) j(x z1)),
-
-    all thetas at base q^p and J1 = (q^p; q^p)_inf.
-    """
-    p = _fr(p)
-    order = _fr(order)
-    for mono, label in (
-        (z0, "j(z0; q^p)"),
-        (z1, "j(z1; q^p)"),
-        (x * z0, "j(x z0; q^p)"),
-        (x * z1, "j(x z1; q^p)"),
-    ):
-        _check_theta_denominator(mono, p, label)
-
-    def build(work: Fraction) -> QSeries:
-        j1 = theta_j(Monomial.make(1, p), 3 * p, work)
-        num = series_mul(
-            series_mul(series_mul(j1, j1), j1),
-            series_mul(theta_j(z1 * z0.inv(), p, work), theta_j(x * z0 * z1, p, work)),
-        )
-        num = series_shift(num, z0)
-        den = series_mul(
-            series_mul(theta_j(z0, p, work), theta_j(z1, p, work)),
-            series_mul(theta_j(x * z0, p, work), theta_j(x * z1, p, work)),
-        )
-        return series_div(num, den)
-
-    return ensure_prec(build, order)
+    key = ("m", x.coeff.key(), ex, p, z.coeff.key(), ez)
+    return _memo(key, order, lambda: ensure_prec(build, order))
 
 
 # ---------------------------------------------------------------------------
@@ -348,47 +315,24 @@ def m_change_z_correction(
 
 
 def g_universal(x: Monomial, p: Rat, order: Rat, route: str = "lambert") -> QSeries:
-    """g(x, q^p) by one of its three equivalent constructions.
+    """g(x, q^p) by one of two equivalent sums, Pochhammers at base q^p:
 
     lambert:  sum of q^(p n(n+1)) / ((x)_{n+1} (q^p/x)_{n+1});
-    eulerian: x^(-1) (-1 + sum of q^(p n^2) / ((x)_{n+1} (q^p/x)_n));
-    appell:   -x^(-1) m(q^(2p) x^(-3), q^(3p), x^2)
-              - x^(-2) m(q^p x^(-3), q^(3p), x^2).
+    eulerian: x^(-1) (-1 + sum of q^(p n^2) / ((x)_{n+1} (q^p/x)_n)).
 
-    Pochhammers are at base q^p.
+    Its Appell-Lerch form is the expression-language definition g_appell.
     """
     p = _fr(p)
     if p <= 0:
         raise ValueError("base exponent must be positive")
-    order = _fr(order)
-    key = ("g", route, x.coeff.key(), x.expo, p, order)
-    hit = _theta_cache.get(key)
-    if hit is not None:
-        return hit
-    if route in ("lambert", "eulerian"):
-        if theta_is_zero(x, p):
-            raise NonGenericError(
-                f"g pole: Pochhammer factor vanishes for x = {x} a power of q^({p})"
-            )
-        result = ensure_prec(lambda w: _g_sum(x, p, w, route), order)
-    elif route == "appell":
-        result = ensure_prec(lambda w: _g_appell(x, p, w), order)
-    else:
+    if route not in ("lambert", "eulerian"):
         raise ValueError(f"unknown g construction {route!r}")
-    _theta_cache[key] = result
-    return result
-
-
-def _g_appell(x: Monomial, p: Fraction, work: Fraction) -> QSeries:
-    xinv = x.inv()
-    x3 = xinv**3
-    z = x * x
-    a = appell_m(x3.times_q(2 * p), 3 * p, z, work + x.expo)
-    b = appell_m(x3.times_q(p), 3 * p, z, work + 2 * x.expo)
-    return series_add(
-        series_shift(series_neg(a), xinv),
-        series_shift(series_neg(b), xinv * xinv),
-    )
+    if theta_is_zero(x, p):
+        raise NonGenericError(
+            f"g pole: Pochhammer factor vanishes for x = {x} a power of q^({p})"
+        )
+    key = ("g", route, x.coeff.key(), x.expo, p)
+    return _memo(key, order, lambda: ensure_prec(lambda w: _g_sum(x, p, w, route), order))
 
 
 def _g_sum(x: Monomial, p: Fraction, work: Fraction, route: str) -> QSeries:
@@ -406,76 +350,6 @@ def _g_sum(x: Monomial, p: Fraction, work: Fraction, route: str) -> QSeries:
         work,
     )
     return series_shift(series_sub(s, const_series(1, work)), xinv)
-
-
-# ---------------------------------------------------------------------------
-# The n-way splitting of m(x, q, z)
-# ---------------------------------------------------------------------------
-
-
-def msplit_rhs(
-    x: Monomial, p: Rat, z: Monomial, zp: Monomial, n: int, order: Rat
-) -> QSeries:
-    """Right-hand side of the n-way Appell-Lerch splitting identity:
-
-        sum_{r=0}^{n-1} q^(-binom(r+1,2)) (-x)^r
-                        m(-q^(binom(n,2)-nr) (-x)^n, q^(n^2), z')
-        + (z' J_n^3 / (j(xz;q) j(z';q^(n^2)))) *
-          sum_{r=0}^{n-1} q^(binom(r,2)) (-xz)^r
-            j(-q^(binom(n,2)+r) (-x)^n z z'; q^n) j(q^(nr) z^n / z'; q^(n^2))
-            / ( j(-q^(binom(n,2)) (-x)^n z'; q^n) j(q^r z; q^n) ),
-
-    with every exponent scaled by the base p.  The comma-separated theta
-    denominator in the source identity is read as a product of the two
-    theta functions.
-    """
-    p = _fr(p)
-    order = _fr(order)
-    if n < 1:
-        raise ValueError("splitting depth must be at least 1")
-    neg_x = -x
-    xn = neg_x**n
-    bn2 = _binom2(n)
-    _check_theta_denominator(x * z, p, "j(xz; q^p)")
-    _check_theta_denominator(zp, p * n * n, "j(z'; q^(p n^2))")
-    _check_theta_denominator(
-        (-(xn * zp)).times_q(p * bn2), p * n, "j(-q^(binom(n,2)) (-x)^n z'; q^(p n))"
-    )
-    for r in range(n):
-        _check_theta_denominator(z.times_q(p * r), p * n, f"j(q^{r} z; q^(p n))")
-
-    def build(work: Fraction) -> QSeries:
-        parts = []
-        for r in range(n):
-            lead = (neg_x**r).times_q(-p * _binom2(r + 1))
-            inner = appell_m(
-                (-(xn)).times_q(p * (bn2 - n * r)), p * n * n, zp, work - lead.expo
-            )
-            parts.append(series_shift(inner, lead))
-        total = series_sum(parts[0], parts[1:])
-
-        jn = theta_j(Monomial.make(1, p * n), 3 * p * n, work)
-        pref_num = series_shift(series_mul(series_mul(jn, jn), jn), zp)
-        pref_den = series_mul(
-            theta_j(x * z, p, work), theta_j(zp, p * n * n, work)
-        )
-        corr = zero_series(work, 1, 1)
-        for r in range(n):
-            lead = ((-(x * z)) ** r).times_q(p * _binom2(r))
-            num = series_mul(
-                theta_j((-(xn * z * zp)).times_q(p * (bn2 + r)), p * n, work),
-                theta_j((z**n * zp.inv()).times_q(p * n * r), p * n * n, work),
-            )
-            den = series_mul(
-                theta_j((-(xn * zp)).times_q(p * bn2), p * n, work),
-                theta_j(z.times_q(p * r), p * n, work),
-            )
-            piece = series_div(series_shift(num, lead), den)
-            corr = series_add(corr, piece)
-        correction = series_mul(series_div(pref_num, pref_den), corr)
-        return series_add(total, correction)
-
-    return ensure_prec(build, order)
 
 
 # ---------------------------------------------------------------------------

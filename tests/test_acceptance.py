@@ -16,9 +16,8 @@ from typing import List
 import pytest
 
 from qident.coeff import CycloNumber, cyclo_embed, one as cyclo_one, zeta_power
-from qident.dsl import Add, Call, Div, Inf, Lit, Mul, Neg, Pow, Sub, Sym, parse, print_expr
+from qident.dsl import Add, Call, Div, Inf, Lit, Mul, Neg, Pow, Sub, Sym, eval_expr, parse, print_expr
 from qident.errors import NonGenericError
-from qident.eulerian import h_tilde, k_tilde, k_tilde_closed
 from qident.identity import builtin_cases, check, make_case, run_suite
 from qident.series import (
     Monomial,
@@ -32,6 +31,8 @@ from qident.series import (
     series_mul,
     series_sub,
 )
+
+from test_golden import GOLDEN, TIMING
 
 CRITERION_LINES: List[str] = []
 
@@ -125,9 +126,9 @@ def test_criterion_3_tilde_theorem(report, by_id):
         # every expansion lives on the advertised exponent grid
         for a, c in pairs:
             bound = lcm(8, c * c, 2 * c)
-            for s in (k_tilde(a, c, 5), k_tilde_closed(a, c, 5),
-                      h_tilde(a, c, 5), h_tilde(a, c, 5, route="closed")):
-                assert bound % s.denom == 0, (a, c, s.denom)
+            for name in ("Ktilde", "Ktilde_closed", "Htilde", "Htilde_closed"):
+                s = eval_expr(parse(f"{name}({a},{c})"), 5)
+                assert bound % s.denom == 0, (name, a, c, s.denom)
 
 
 def test_criterion_4_bilateral_scaffolding(report, by_id):
@@ -188,6 +189,12 @@ def test_criterion_8_negative_controls(report, by_id):
                     "chain-regroup-pole", "m-split-regroup-pole"):
             for r in records(report, cid):
                 assert r.status == "nongeneric", f"{cid}: {r.status}"
+
+
+def test_report_matches_golden(report):
+    # the behaviour contract: every report line but the timing field
+    got = TIMING.sub("", report.render())
+    assert got.splitlines() == (GOLDEN / "suite.txt").read_text().splitlines()
 
 
 # --- criterion 9: randomized engine properties -------------------------------

@@ -1,9 +1,12 @@
 """Command line behavior: output shapes and exit codes."""
 
+import time
+
 import pytest
 
 from qident import cli
 from qident.cli import main
+from qident.coeff import MAX_FIELD_ORDER
 from qident.errors import CapExceededError
 
 F0_LINES = [
@@ -88,6 +91,25 @@ class TestExpand:
     def test_nongeneric_input_is_usage_error(self, capsys):
         assert main(["expand", "rjtp(q)", "--order", "6"]) == 2
         assert "pole" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr, name", [
+        ("Ktilde(0,2)", "Ktilde"),
+        ("Htilde(0,3)", "Htilde"),
+        ("Htilde_bilateral(3,2)", "Htilde_bilateral"),
+        ("Htilde_bilateral(1,3)", "Htilde_bilateral"),
+        ("msplit(2*q, q, -1, -q, 0)", "msplit"),
+    ])
+    def test_bad_definition_argument_is_usage_error(self, capsys, expr, name):
+        assert main(["expand", expr, "--order", "10"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name}: ")
+
+    @pytest.mark.parametrize("expr", ["zeta(100000,1)", "zeta(997,1)*zeta(991,1)"])
+    def test_field_order_past_cap_is_usage_error(self, capsys, expr):
+        # checked before Phi_M is built: Phi_988027 alone would take minutes
+        t0 = time.perf_counter()
+        assert main(["expand", expr, "--order", "3"]) == 2
+        assert time.perf_counter() - t0 < 1
+        assert f"exceeds MAX_FIELD_ORDER = {MAX_FIELD_ORDER}" in capsys.readouterr().err
 
     def test_duplicate_binding_rejected(self, capsys):
         code = main(["expand", "x", "--order", "4", "--bind", "x=q", "--bind", "x=q^2"])

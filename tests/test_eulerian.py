@@ -5,16 +5,14 @@ from fractions import Fraction as F
 import pytest
 
 from qident.coeff import cyclo_embed, zeta_power
-from qident.errors import NonGenericError
+from qident.dsl import eval_expr, parse
+from qident.errors import EvalError, NonGenericError
 from qident.eulerian import (
     f0_5,
     f3,
     f_c,
-    h_tilde,
     habc_sum,
     hprime,
-    k_tilde,
-    k_tilde_closed,
     kprime,
     kprimeprime,
     bilateral_even,
@@ -250,36 +248,36 @@ class TestHabcLambertForm:
             habc_sum(3, 1, 2, 10)
 
 
+def tilde(name, a, c, order):
+    return eval_expr(parse(f"{name}({a},{c})"), order)
+
+
 class TestTildeCombinations:
     PAIRS = [(1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 5)]
 
     def test_k_combination_equals_closed_form(self):
         for a, c in self.PAIRS:
-            check_eq(k_tilde(a, c, ORDER), k_tilde_closed(a, c, ORDER), ORDER)
+            check_eq(tilde("Ktilde", a, c, ORDER), tilde("Ktilde_closed", a, c, ORDER), ORDER)
 
     def test_h_routes_agree(self):
         for a, c in self.PAIRS:
-            closed = h_tilde(a, c, ORDER, "closed")
-            check_eq(h_tilde(a, c, ORDER, "eulerian"), closed, ORDER)
+            closed = tilde("Htilde_closed", a, c, ORDER)
+            check_eq(tilde("Htilde", a, c, ORDER), closed, ORDER)
             if c % 2 == 0:
-                check_eq(h_tilde(a, c, ORDER, "bilateral"), closed, ORDER)
+                check_eq(tilde("Htilde_bilateral", a, c, ORDER), closed, ORDER)
 
     def test_bilateral_route_needs_even_denominator(self):
-        with pytest.raises(ValueError):
-            h_tilde(1, 3, 10, "bilateral")
-        with pytest.raises(ValueError):
-            h_tilde(1, 2, 10, "no-such-route")
+        with pytest.raises(EvalError, match="needs even c"):
+            tilde("Htilde_bilateral", 1, 3, 10)
 
     def test_reflection_symmetry(self):
-        check_eq(k_tilde(1, 5, 30), k_tilde(4, 5, 30), 30)
-        check_eq(k_tilde(1, 3, 30), k_tilde(2, 3, 30), 30)
-        check_eq(
-            h_tilde(1, 3, 30, "closed"), h_tilde(2, 3, 30, "closed"), 30
-        )
+        check_eq(tilde("Ktilde", 1, 5, 30), tilde("Ktilde", 4, 5, 30), 30)
+        check_eq(tilde("Ktilde", 1, 3, 30), tilde("Ktilde", 2, 3, 30), 30)
+        check_eq(tilde("Htilde_closed", 1, 3, 30), tilde("Htilde_closed", 2, 3, 30), 30)
 
     def test_conjugation_carries_a_to_c_minus_a(self):
-        a13 = k_tilde(1, 3, 20)
-        a23 = k_tilde(2, 3, 20)
+        a13 = tilde("Ktilde", 1, 3, 20)
+        a23 = tilde("Ktilde", 2, 3, 20)
         assert a13.field_order == a23.field_order
         assert a13.denom == a23.denom
         for k in set(a13.terms) | set(a23.terms):
@@ -287,9 +285,9 @@ class TestTildeCombinations:
             assert a13.coeff_at(e).galois(-1) == a23.coeff_at(e)
 
     def test_leading_exponents(self):
-        assert k_tilde(1, 2, 10).valuation() == F(-1, 8)
-        assert k_tilde(1, 3, 10).valuation() == F(-1, 8)
-        assert h_tilde(1, 2, 10, "closed").valuation() == F(1, 4)
+        assert tilde("Ktilde", 1, 2, 10).valuation() == F(-1, 8)
+        assert tilde("Ktilde", 1, 3, 10).valuation() == F(-1, 8)
+        assert tilde("Htilde_closed", 1, 2, 10).valuation() == F(1, 4)
 
     def test_level_constant(self):
         assert [f_c(c) for c in (1, 2, 3, 4, 5, 8)] == [2, 2, 6, 2, 10, 4]

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from qident import identity
-from qident.dsl import eval_expr
+from qident import dsl, identity
+from qident.dsl import eval_expr, parse
 from qident.errors import CapExceededError, EvalError, NonGenericError
 from qident.identity import (
     DEFAULT_ORDER,
@@ -322,3 +322,43 @@ def test_builtin_side_reaches_order(expr, order, binding):
     assert s.prec_order() >= order
     v = series_eq_to_order(s, deeper, order)
     assert v.status == "pass", v.detail()
+
+
+def _count_builds(monkeypatch):
+    """The builds of every eval_expr from here on, one count per call."""
+    counts = []
+    ensure_prec = dsl.ensure_prec
+
+    def counted(build, order):
+        counts.append(0)
+
+        def run(work):
+            counts[-1] += 1
+            return build(work)
+
+        return ensure_prec(run, order)
+
+    monkeypatch.setattr(dsl, "ensure_prec", counted)
+    return counts
+
+
+def test_builtin_corpus_evaluates_with_one_rebuild_at_most(monkeypatch):
+    # negative shifts are padded up front, so only a product or quotient
+    # of series with negative valuations (m-split-3 at x = q^(1/2)) can
+    # still fall short of the order on the first build
+    counts = _count_builds(monkeypatch)
+    for case in builtin_cases():
+        for binding in case.sample_bindings:
+            for side in (case.lhs, case.rhs):
+                try:
+                    eval_expr(side, case.default_order, binding)
+                except NonGenericError:
+                    pass
+    assert len(counts) > 300
+    assert sum(n - 1 for n in counts) <= 1, counts
+
+
+def test_negative_shift_of_m_builds_once(monkeypatch):
+    counts = _count_builds(monkeypatch)
+    eval_expr(parse("-q^(-4/7)*m(zeta(7,4)*q^(-1/7), q^2, q)"), 40)
+    assert counts == [1]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qident import coeff, eval_expr, parse, series, special
 from qident.coeff import CycloNumber, cyclo_embed, lift_order, zeta_power
-from qident.errors import CapExceededError, NonGenericError
+from qident.errors import CapExceededError, EvalError, NonGenericError
 from qident.series import (
     Monomial,
     const_series,
@@ -37,13 +37,10 @@ from qident.special import (
     Jm,
     appell_m,
     g_universal,
-    m_change_z_correction,
-    msplit_rhs,
     pochhammer,
     rjtp_lhs,
     theta_is_zero,
     theta_j,
-    msplit_rhs,
 )
 
 from oracles import assert_series_matches, pochhammer_bruteforce, theta_bruteforce
@@ -437,7 +434,7 @@ class TestAppellLerch:
         ]
         for x, z0, z1 in samples:
             lhs = series_sub(appell_m(x, 1, z1, ORDER), appell_m(x, 1, z0, ORDER))
-            rhs = m_change_z_correction(x, z0, z1, 1, ORDER)
+            rhs = eval_expr(parse("mcorr(x, q, z0, z1)"), ORDER, {"x": x, "z0": z0, "z1": z1})
             check_eq(lhs, rhs, ORDER)
 
     def test_pole_location_is_exact(self):
@@ -524,6 +521,11 @@ class TestAppellLerch:
         assert calls < 300, calls
 
 
+def msplit(x, z, zp, n, order):
+    binding = {"x": x, "z": z, "zp": zp}
+    return eval_expr(parse(f"msplit(x, q, z, zp, {n})"), order, binding)
+
+
 class TestSplitting:
     def lhs(self, x, z, order):
         return appell_m(x, 1, z, order)
@@ -537,7 +539,7 @@ class TestSplitting:
             (mono(1, F(1, 3)), mono(-1, 0), mono(-1, 1)),
         ]
         for x, z, zp in samples:
-            check_eq(self.lhs(x, z, ORDER), msplit_rhs(x, 1, z, zp, 1, ORDER), ORDER)
+            check_eq(self.lhs(x, z, ORDER), msplit(x, z, zp, 1, ORDER), ORDER)
 
     def test_depth_two(self):
         samples = [
@@ -548,7 +550,7 @@ class TestSplitting:
             (mono(1, F(1, 2)), mono(2, 0), mono(-1, 1)),
         ]
         for x, z, zp in samples:
-            check_eq(self.lhs(x, z, ORDER), msplit_rhs(x, 1, z, zp, 2, ORDER), ORDER)
+            check_eq(self.lhs(x, z, ORDER), msplit(x, z, zp, 2, ORDER), ORDER)
 
     def test_depth_three(self):
         samples = [
@@ -559,7 +561,7 @@ class TestSplitting:
             (zmono(5, 1, 1), mono(-1, 0), mono(-1, 2)),
         ]
         for x, z, zp in samples:
-            check_eq(self.lhs(x, z, ORDER), msplit_rhs(x, 1, z, zp, 3, ORDER), ORDER)
+            check_eq(self.lhs(x, z, ORDER), msplit(x, z, zp, 3, ORDER), ORDER)
 
     def test_proof_step_specialization(self):
         # n=2, x=-w, z=-1, z'=-q reproduces the even/odd regrouping step
@@ -567,13 +569,13 @@ class TestSplitting:
             w = zmono(M, 1)
             check_eq(
                 self.lhs(-w, mono(-1, 0), ORDER),
-                msplit_rhs(-w, 1, mono(-1, 0), mono(-1, 1), 2, ORDER),
+                msplit(-w, mono(-1, 0), mono(-1, 1), 2, ORDER),
                 ORDER,
             )
 
     def test_invalid_depth_rejected(self):
-        with pytest.raises(ValueError):
-            msplit_rhs(mono(2, 1), 1, mono(-1, 0), mono(-1, 1), 0, 10)
+        with pytest.raises(EvalError, match="msplit: splitting depth"):
+            msplit(mono(2, 1), mono(-1, 0), mono(-1, 1), 0, 10)
 
 
 class TestUniversalMockSum:
@@ -582,10 +584,10 @@ class TestUniversalMockSum:
             a = g_universal(x, 1, 25, route="lambert")
             b = g_universal(x, 1, 25, route="eulerian")
             check_eq(a, b, 25)
-        # the Appell-Lerch route needs x^2 away from integral powers of q
+        # the Appell-Lerch form g_appell needs x^2 away from integral powers of q
         for x in [zmono(3, 1), mono(2, 1), mono(1, F(1, 3))]:
             a = g_universal(x, 1, 25, route="lambert")
-            c = g_universal(x, 1, 25, route="appell")
+            c = eval_expr(parse("g_appell(x)"), 25, {"x": x})
             check_eq(a, c, 25)
 
     def test_third_order_mock_theta(self):
@@ -658,3 +660,21 @@ class TestUniversalMockSum:
             g_universal(mono(1, 0), 1, 10)
         with pytest.raises(NonGenericError):
             g_universal(mono(1, 10), 5, 10)
+
+
+@pytest.mark.parametrize("key, build", [
+    ("m", lambda order: appell_m(mono(2, 1), 1, mono(-1, F(1, 2)), order)),
+    ("m", lambda order: appell_m(zmono(3, 1, F(-1, 2)), 2, mono(-1, 1), order)),
+    ("g", lambda order: g_universal(zmono(3, 1), 1, order, "eulerian")),
+])
+def test_memo_keeps_one_entry_cut_at_its_order(monkeypatch, key, build):
+    # keyed by the arguments alone: the shallower call is the deeper entry
+    # cut, and equals what a cold call returns
+    monkeypatch.setattr(special, "_theta_cache", {})
+    build(30)
+    warm = build(20)
+    assert [k[0] for k in special._theta_cache].count(key) == 1
+    special._theta_cache.clear()
+    cold = build(20)
+    assert (warm.denom, warm.prec, warm.field_order) == (cold.denom, cold.prec, cold.field_order)
+    assert warm.terms == cold.terms

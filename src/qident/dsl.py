@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -58,6 +57,7 @@ from .series import (
 from .special import (
     J,
     JB,
+    PAD_LIMIT,
     Jm,
     _check_theta_denominator,
     appell_m,
@@ -410,7 +410,15 @@ def _as_base(name: str, idx: int, arg: Expr) -> int:
     raise EvalError(f"argument {idx} of {name} must be q or q^p with p a positive integer")
 
 
-def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial]) -> Value:
+def _pad(order: Fraction, asked: Fraction, loss: Rat) -> Fraction:
+    """order + loss, so a shift by q^(-loss) still covers order, while that
+    stays within PAD_LIMIT of asked; order otherwise, which ensure_prec refuses."""
+    if loss > 0 and order + loss - asked <= PAD_LIMIT:
+        return order + loss
+    return order
+
+
+def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction) -> Value:
     if isinstance(e, Lit):
         if e.value == 0:
             return zero_series(order)
@@ -424,23 +432,23 @@ def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial]) -> Value:
     if isinstance(e, Inf):
         raise EvalError("'inf' is only valid as the last argument of poch")
     if isinstance(e, Neg):
-        v = _ev(e.a, order, binding)
+        v = _ev(e.a, order, binding, asked)
         return -v if isinstance(v, Monomial) else series_neg(v)
     if isinstance(e, Add):
         return series_add(
-            _to_series(_ev(e.a, order, binding), order),
-            _to_series(_ev(e.b, order, binding), order),
+            _to_series(_ev(e.a, order, binding, asked), order),
+            _to_series(_ev(e.b, order, binding, asked), order),
         )
     if isinstance(e, Sub):
         return series_sub(
-            _to_series(_ev(e.a, order, binding), order),
-            _to_series(_ev(e.b, order, binding), order),
+            _to_series(_ev(e.a, order, binding, asked), order),
+            _to_series(_ev(e.b, order, binding, asked), order),
         )
     if isinstance(e, Mul):
-        va = _ev(e.a, order, binding)
-        # a shift by q^v with v < 0 costs -v of precision: evaluate the factor
-        # that deep up front (a positive shift keeps its order as slack)
-        vb = _ev(e.b, order - min(va.expo, 0) if isinstance(va, Monomial) else order, binding)
+        va = _ev(e.a, order, binding, asked)
+        # only a monomial on the left pads the series on its right
+        vb = _ev(e.b, _pad(order, asked, -va.expo) if isinstance(va, Monomial) else order,
+                 binding, asked)
         if isinstance(va, Monomial) and isinstance(vb, Monomial):
             return va * vb
         if isinstance(va, Monomial):
@@ -449,8 +457,9 @@ def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial]) -> Value:
             return series_shift(va, vb)
         return series_mul(va, vb)
     if isinstance(e, Div):
-        va = _ev(e.a, order, binding)
-        vb = _ev(e.b, order, binding)
+        vb = _ev(e.b, order, binding, asked)
+        va = _ev(e.a, _pad(order, asked, vb.expo) if isinstance(vb, Monomial) else order,
+                 binding, asked)
         if isinstance(vb, Monomial):
             inv = vb.inv()
             if isinstance(va, Monomial):
@@ -458,7 +467,7 @@ def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial]) -> Value:
             return series_shift(va, inv)
         return series_div(_to_series(va, order), vb)
     if isinstance(e, Pow):
-        v = _ev(e.base, order, binding)
+        v = _ev(e.base, order, binding, asked)
         if e.expo.denominator == 1:
             k = int(e.expo)
             if isinstance(v, Monomial):
@@ -468,16 +477,16 @@ def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial]) -> Value:
             return Monomial.make(1, v.expo * e.expo)
         raise EvalError("a fractional exponent requires a pure power of q as base")
     if isinstance(e, Call):
-        return _call(e, order, binding)
+        return _call(e, order, binding, asked)
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _call(e: Call, order: Fraction, binding: Dict[str, Monomial]) -> Value:
+def _call(e: Call, order: Fraction, binding: Dict[str, Monomial], asked: Fraction) -> Value:
     kinds, fn = FUNCTIONS[e.name][len(e.args)]
     vals: List[object] = []
     for idx, (kind, arg) in enumerate(zip(kinds, e.args), 1):
         if kind == "x":
-            v = _ev(arg, order, binding)
+            v = _ev(arg, order, binding, asked)
             if not isinstance(v, Monomial):
                 raise EvalError(f"argument {idx} of {e.name} must reduce to a monomial")
             vals.append(v)
@@ -506,17 +515,18 @@ def eval_expr(
 ) -> QSeries:
     """Evaluate to a truncated series with every exponent below order covered.
 
-    A factor shifted by q^v with v < 0 is evaluated at order - v up front;
-    what other shifts and divisions cost, the evaluation wins back by
-    rerunning at a deeper working order.
+    The right factor of c*q^v * B and the dividend of A / (c*q^-v), with
+    v < 0, are evaluated at order - v up front, within PAD_LIMIT (a monomial
+    on the right of * is not: write it first); the evaluation wins back what
+    other shifts and divisions cost by rerunning at a deeper working order.
     """
-    b = dict(binding or {})
-    return ensure_prec(lambda work: _to_series(_ev(e, work, b), work), order)
+    b, asked = dict(binding or {}), Fraction(order)
+    return ensure_prec(lambda work: _to_series(_ev(e, work, b, asked), work), order)
 
 
 def fold_monomial(e: Expr) -> Monomial:
     """Reduce a closed expression to an exact monomial, or raise EvalError."""
-    v = _ev(e, Fraction(1), {})
+    v = _ev(e, Fraction(1), {}, Fraction(1))
     if isinstance(v, Monomial):
         return v
     raise EvalError("expression does not reduce to a monomial")
@@ -574,17 +584,19 @@ def _g(route: str):
 # Definitions: the paper's combinations as expressions over the core
 # ---------------------------------------------------------------------------
 
-_parse_body = lru_cache(maxsize=256)(parse)
-
 Source = Tuple[str, Dict[str, Monomial]]
 
 
-def _definition(source: Callable[..., Source]):
-    """The function whose value is the expression source(*args) returns."""
+def _definition(name: str, source: Callable[..., Source]):
+    """The function whose value is the expression source(*args) returns;
+    a usage error from its checks or its body names the definition."""
 
     def run(v: List[object], order: Fraction) -> Value:
-        text, binding = source(*v)
-        return _ev(_parse_body(text), order, binding)
+        try:
+            text, binding = source(*v)
+            return _ev(parse(text), order, binding, order)
+        except (EvalError, ValueError) as exc:
+            raise EvalError(f"{name}: {exc}") from exc
 
     return run
 
@@ -681,6 +693,9 @@ def _g_appell(x: Monomial, p: int = 1) -> Source:
     return text, {"x": x}
 
 
+_g_appell_def = _definition("g_appell", _g_appell)
+
+
 def _both(kinds: Tuple[str, ...], fn) -> Dict[int, Tuple[Tuple[str, ...], Callable]]:
     return {len(kinds): (kinds, fn)}
 
@@ -692,11 +707,11 @@ FUNCTIONS: Dict[str, Dict[int, Tuple[Tuple[str, ...], Callable]]] = {
     "Jm": _both(("i",), lambda v, o: Jm(v[0], o)),
     "poch": _both(("x", "p", "n"), lambda v, o: pochhammer(v[0], v[1], v[2], o)),
     "m": _both(("x", "p", "x"), lambda v, o: appell_m(v[0], v[1], v[2], o)),
-    "mcorr": _both(("x", "p", "x", "x"), _definition(_mcorr)),
-    "msplit": _both(("x", "p", "x", "x", "i"), _definition(_msplit)),
+    "mcorr": _both(("x", "p", "x", "x"), _definition("mcorr", _mcorr)),
+    "msplit": _both(("x", "p", "x", "x", "i"), _definition("msplit", _msplit)),
     "g": {1: (("x",), _g("lambert")), 2: (("x", "p"), _g("lambert"))},
     "g_sum": {1: (("x",), _g("eulerian")), 2: (("x", "p"), _g("eulerian"))},
-    "g_appell": {1: (("x",), _definition(_g_appell)), 2: (("x", "p"), _definition(_g_appell))},
+    "g_appell": {1: (("x",), _g_appell_def), 2: (("x", "p"), _g_appell_def)},
     "phi": {0: ((), _eul(phi6)), 1: (("p",), _eul(phi6))},
     "sigma": {0: ((), _eul(sigma6)), 1: (("p",), _eul(sigma6))},
     "f3": {0: ((), _eul(f3)), 1: (("p",), _eul(f3))},
@@ -704,11 +719,11 @@ FUNCTIONS: Dict[str, Dict[int, Tuple[Tuple[str, ...], Callable]]] = {
     "Kp": _both(("x",), lambda v, o: kprime(v[0], o)),
     "Kpp": _both(("x",), lambda v, o: kprimeprime(v[0], o)),
     "Hp": _both(("i", "i", "x"), lambda v, o: hprime(v[0], v[1], v[2], o)),
-    "Ktilde": _both(("i", "i"), _definition(_ktilde)),
-    "Ktilde_closed": _both(("i", "i"), _definition(_ktilde_closed)),
-    "Htilde": _both(("i", "i"), _definition(_htilde)),
-    "Htilde_closed": _both(("i", "i"), _definition(_htilde_closed)),
-    "Htilde_bilateral": _both(("i", "i"), _definition(_htilde_bilateral)),
+    "Ktilde": _both(("i", "i"), _definition("Ktilde", _ktilde)),
+    "Ktilde_closed": _both(("i", "i"), _definition("Ktilde_closed", _ktilde_closed)),
+    "Htilde": _both(("i", "i"), _definition("Htilde", _htilde)),
+    "Htilde_closed": _both(("i", "i"), _definition("Htilde_closed", _htilde_closed)),
+    "Htilde_bilateral": _both(("i", "i"), _definition("Htilde_bilateral", _htilde_bilateral)),
     "Habc": _both(("i", "i", "i"), lambda v, o: habc_sum(v[0], v[1], v[2], o)),
     "sinpi": _both(("i", "i"), lambda v, o: _trig(sin_pi, v)),
     "cscpi": _both(("i", "i"), lambda v, o: _trig(csc_pi, v)),

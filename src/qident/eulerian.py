@@ -18,7 +18,7 @@ from typing import Union
 from .coeff import zeta_power
 from .errors import NonGenericError
 from .series import Monomial, QSeries, series_div
-from .special import J, JB, _term_sum, ensure_prec, lambert_sum, theta_is_zero
+from .special import J, JB, Row, _term_sum, ensure_prec, lambert_sum, theta_is_zero
 
 Rat = Union[int, Fraction]
 
@@ -85,30 +85,28 @@ def f0_5(order: Rat) -> QSeries:
     return ensure_prec(lambda work: _term_sum(_ONE, ratio, work), order)
 
 
-def kprime(omega: Monomial, order: Rat) -> QSeries:
-    """sum (-1)^n q^(n^2) (q;q^2)_n / ((w q^2;q^2)_n (w^-1 q^2;q^2)_n)."""
-    _reject_pole(omega, 0, "Kprime")
-    winv = omega.inv()
+def _k_sum(x: Monomial, k: int, first: Row, label: str, order: Rat) -> QSeries:
+    """The sum from the row first (term k) on, term ratio -q^(2n-1) (1 - q^(2n-1-2k))
+    / ((1 - x q^(2n-k)) (1 - q^(2n-k)/x)): K' and even Lambert k = 0, K'' and odd k = 1."""
+    _reject_pole(x, k, label)
+    xinv = x.inv()
 
     def ratio(n):
-        return (-1, 2 * n - 1, [_q(2 * n - 1)], [omega.times_q(2 * n), winv.times_q(2 * n)])
+        d = 2 * n - k
+        return (-1, 2 * n - 1, [_q(2 * n - 1 - 2 * k)], [x.times_q(d), xinv.times_q(d)])
 
-    return ensure_prec(lambda work: _term_sum(_ONE, ratio, work), order)
+    return ensure_prec(lambda work: _term_sum(first, ratio, work, start=k), order)
+
+
+def kprime(omega: Monomial, order: Rat) -> QSeries:
+    """sum (-1)^n q^(n^2) (q;q^2)_n / ((w q^2;q^2)_n (w^-1 q^2;q^2)_n)."""
+    return _k_sum(omega, 0, _ONE, "Kprime", order)
 
 
 def kprimeprime(omega: Monomial, order: Rat) -> QSeries:
     """sum_{n>=1} (-1)^n q^(n^2) (q;q^2)_{n-1} / ((w q;q^2)_n (w^-1 q;q^2)_n)."""
-    _reject_pole(omega, 1, "Kprimeprime")
-    winv = omega.inv()
-    first = (-1, 1, (), [omega.times_q(1), winv.times_q(1)])
-
-    def ratio(n):
-        return (
-            -1, 2 * n - 1, [_q(2 * n - 3)],
-            [omega.times_q(2 * n - 1), winv.times_q(2 * n - 1)],
-        )
-
-    return ensure_prec(lambda work: _term_sum(first, ratio, work, start=1), order)
+    first = (-1, 1, (), [omega.times_q(1), omega.inv().times_q(1)])
+    return _k_sum(omega, 1, first, "Kprimeprime", order)
 
 
 def hprime(a: int, c: int, omega: Monomial, order: Rat) -> QSeries:
@@ -128,27 +126,15 @@ def hprime(a: int, c: int, omega: Monomial, order: Rat) -> QSeries:
 
 def lambert_even_lhs(x: Monomial, order: Rat) -> QSeries:
     """sum (-1)^n q^(n^2) (q;q^2)_n / ((x;q^2)_{n+1} (q^2/x;q^2)_n)."""
-    _reject_pole(x, 0, "left side of the even Lambert identity")
-    xinv = x.inv()
-
-    def ratio(n):
-        return (-1, 2 * n - 1, [_q(2 * n - 1)], [x.times_q(2 * n), xinv.times_q(2 * n)])
-
-    return ensure_prec(lambda work: _term_sum((1, 0, (), [x]), ratio, work), order)
+    return _k_sum(x, 0, (1, 0, (), [x]), "left side of the even Lambert identity", order)
 
 
 def lambert_odd_lhs(x: Monomial, order: Rat) -> QSeries:
     """(1 - 1/x) sum (-1)^n (q;q^2)_n q^((n+1)^2)
     / ((xq;q^2)_{n+1} (q/x;q^2)_{n+1}); the factor (1 - 1/x) rides on the
     first term."""
-    _reject_pole(x, 1, "left side of the odd Lambert identity")
-    xinv = x.inv()
-    first = (1, 1, [xinv], [x.times_q(1), xinv.times_q(1)])
-
-    def ratio(n):
-        return (-1, 2 * n + 1, [_q(2 * n - 1)], [x.times_q(2 * n + 1), xinv.times_q(2 * n + 1)])
-
-    return ensure_prec(lambda work: _term_sum(first, ratio, work), order)
+    first = (1, 1, [x.inv()], [x.times_q(1), x.inv().times_q(1)])
+    return _k_sum(x, 1, first, "left side of the odd Lambert identity", order)
 
 
 # ---------------------------------------------------------------------------

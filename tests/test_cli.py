@@ -75,6 +75,25 @@ class TestExpand:
         err = capsys.readouterr().err
         assert "precision deficit of" in err and "padding limit 1000" in err
 
+    @pytest.mark.parametrize("expr", [
+        # a shift past the limit is not padded up front: one build at the
+        # asked order shows the deficit
+        "q^(-5000)*poch(2*q, q, inf)",
+        "poch(2*q, q, inf)/q^5000",
+        # nor are shifts that pass it together
+        "q^(-600)*(q^(-600)*poch(2*q, q, inf))",
+    ])
+    def test_shift_beyond_limit_is_usage_error(self, capsys, expr):
+        t0 = time.perf_counter()
+        assert main(["expand", expr, "--order", "10"]) == 2
+        assert time.perf_counter() - t0 < 2
+        err = capsys.readouterr().err
+        assert "precision deficit of" in err and "padding limit 1000" in err
+
+    def test_monomial_shift_past_limit_is_exact(self, capsys):
+        assert main(["expand", "q^(-5000)*q^5001", "--order", "3"]) == 0
+        assert "q^(1/1): 1" in capsys.readouterr().out
+
     def test_unreachable_precision_is_usage_error(self, monkeypatch, capsys):
         def short(*args):
             raise CapExceededError("could not reach precision 4")
@@ -98,6 +117,9 @@ class TestExpand:
         ("Htilde_bilateral(3,2)", "Htilde_bilateral"),
         ("Htilde_bilateral(1,3)", "Htilde_bilateral"),
         ("msplit(2*q, q, -1, -q, 0)", "msplit"),
+        # raised inside the definition's expression, still under its name
+        ("Ktilde_closed(1,0)", "Ktilde_closed"),
+        ("Ktilde(1,600)", "Ktilde"),
     ])
     def test_bad_definition_argument_is_usage_error(self, capsys, expr, name):
         assert main(["expand", expr, "--order", "10"]) == 2

@@ -358,7 +358,18 @@ def test_builtin_corpus_evaluates_with_one_rebuild_at_most(monkeypatch):
     assert sum(n - 1 for n in counts) <= 1, counts
 
 
-def test_negative_shift_of_m_builds_once(monkeypatch):
+@pytest.mark.parametrize("text", [
+    "-q^(-4/7)*m(zeta(7,4)*q^(-1/7), q^2, q)",
+    # the same shift written as a division by a monomial
+    "-m(zeta(7,4)*q^(-1/7), q^2, q)/q^(4/7)",
+])
+def test_negative_shift_of_m_builds_once(monkeypatch, text):
     counts = _count_builds(monkeypatch)
-    eval_expr(parse("-q^(-4/7)*m(zeta(7,4)*q^(-1/7), q^2, q)"), 40)
+    eval_expr(parse(text), 40)
     assert counts == [1]
+
+
+def test_division_by_monomial_matches_negative_shift():
+    a = eval_expr(parse("q^(-3)*Jm(1)"), 20)
+    b = eval_expr(parse("Jm(1)/q^3"), 20)
+    assert series_eq_to_order(a, b, 20).status == "pass"

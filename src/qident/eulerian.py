@@ -2,8 +2,8 @@
 
 Each Eulerian series is summed by special._term_sum from two rows: its
 first term and its term ratio t_n / t_{n-1}, each a signed power of q
-times factors (1 - u q^(an+b))^(+-1).  The bilateral Lambert series go
-through special.lambert_sum.  Exact pole prechecks reject the parameter
+times factors (1 - u q^(an+b))^(+-1).  Each bilateral Lambert series is
+one series.bilateral_sum scan.  Exact pole prechecks reject the parameter
 values where a denominator factor vanishes identically.  The paper's
 root-of-unity combinations of these series, K-tilde and H-tilde, are
 expression-language definitions in dsl.
@@ -17,8 +17,8 @@ from typing import Union
 
 from .coeff import zeta_power
 from .errors import NonGenericError
-from .series import Monomial, QSeries, series_div
-from .special import J, JB, Row, _term_sum, ensure_prec, lambert_sum, theta_is_zero
+from .series import Monomial, QSeries, bilateral_sum, series_div
+from .special import J, JB, Row, _term_sum, ensure_prec, theta_is_zero
 
 Rat = Union[int, Fraction]
 
@@ -148,14 +148,8 @@ def _bilateral(omega: Monomial, k: int, order: Rat, label: str) -> QSeries:
     e = omega.expo
 
     def build(work):
-        s = lambert_sum(
-            (Fraction(1), lambda n: 2 * n * n + (2 * k + 1) * n + k),
-            lambda n: omega.times_q(2 * n + k),
-            work,
-            [Fraction(-(2 * k + 1), 4), -(e + k) / 2],
-            e.denominator,
-            omega.field_order,
-        )
+        s = bilateral_sum(1, (2, 2 * k + 1, k), work, e.denominator, omega.field_order, omega.coeff,
+                          (2, k + e))
         return series_div(s, JB(1, 4, work))
 
     return ensure_prec(build, order)
@@ -180,14 +174,7 @@ def habc_sum(a: int, b: int, c: int, order: Rat) -> QSeries:
     zb = Monomial(zeta_power(c, b % c), ac)
 
     def build(work):
-        s = lambert_sum(
-            (Fraction(-1), lambda n: n * (n + 1) + n + ac),
-            zb.times_q,
-            work,
-            [Fraction(-1), Fraction(0)],
-            ac.denominator,
-            zb.field_order,
-        )
+        s = bilateral_sum(-1, (1, 2, ac), work, ac.denominator, zb.field_order, zb.coeff, (1, ac))
         return series_div(s, J(1, 2, work))
 
     return ensure_prec(build, order)

@@ -8,18 +8,20 @@ beyond P is unknown.  Negative k is allowed (Laurent behavior).
 
 Precision propagates through arithmetic by the min/valuation rules below,
 so a comparison can never silently read coefficients outside the
-guaranteed window.  Every quotient is one long division, series_div;
-series_invert, geom_inverse and series_div_one_minus are wrappers over it,
-and the builders divide by 1 - u only through series_div_one_minus.  Each
-coefficient of a product or a quotient is summed by one fused coeff.dot.
+guaranteed window.  A general quotient is one long division, series_div,
+which series_invert wraps; a quotient by 1 - u for a monomial u is the
+two-term recurrence series_div_one_minus, which geom_inverse wraps.  Every
+theta function and bilateral Lambert sum is one integer-grid scan,
+bilateral_sum.  Each coefficient of a product, a quotient or a bilateral
+sum is summed by one fused coeff.dot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, lcm
-from typing import Callable, Iterable, Optional, Union
+from math import ceil, floor, gcd, lcm
+from typing import Iterable, Optional, Union
 
 from .coeff import CycloNumber, cyclo_embed, dot, lift_order, one as cyclo_one, zero as cyclo_zero
 from .errors import InsufficientPrecisionError, NonGenericError
@@ -377,18 +379,14 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
 
 
 def series_pow(a: QSeries, n: int) -> QSeries:
+    """a^n by repeated squaring from a itself, so a^n has the precision of
+    the chain a * a * ... * a; a^0 is 1 to a's precision."""
     if n < 0:
         return series_pow(series_invert(a), -n)
-    result = const_series(1, Fraction(a.prec, a.denom), a.denom).lift_field(
-        a.field_order
-    )
-    base = a
-    while n:
-        if n & 1:
-            result = series_mul(result, base)
-        base = series_mul(base, base) if n > 1 else base
-        n >>= 1
-    return result
+    if n < 2:
+        return a if n else const_series(1, a.prec_order(), a.denom).lift_field(a.field_order)
+    half = series_pow(series_mul(a, a), n // 2)
+    return series_mul(half, a) if n & 1 else half
 
 
 def series_shift(a: QSeries, m: Monomial) -> QSeries:
@@ -503,20 +501,37 @@ def geom_inverse(u: Monomial, order: Rat) -> QSeries:
 
 
 def series_div_one_minus(a: QSeries, u: Monomial) -> QSeries:
-    """a / (1 - u) for a monomial u = c*q^f: series_div by 1 - u, exact.
+    """a / (1 - u) for a monomial u = c*q^f, exact below a.prec - min(f, 0).
 
-    With lead 1 (f > 0) that is one coefficient product per grid step.
+    f > 0: the recurrence out[n] = a[n] + c out[n - f] along each residue
+    class of a's exponents, a plain geometric run for a monomial a; f < 0:
+    the same for -c^(-1) q^(-f) a / (1 - c^(-1) q^(-f)); f = 0: a / (1 - c).
+    A pole (f = 0, c = 1) is a non-generic specialization and raises.
     """
     c, f = u.coeff, u.expo
     if f == 0 and c == 1:
         raise NonGenericError("pole 1/(1 - u) with u exactly 1")
     d = lcm(a.denom, f.denominator)
-    a = a.rebase(d)
+    m = lcm(a.field_order, c.order)
+    a = a.rebase(d).lift_field(m)
+    c = lift_order(c, m)
     k = int(f * d)
-    terms = {0: 1 - c} if k == 0 else {0: cyclo_one(c.order), k: -c}
-    # deep enough that only the precision of a bounds the quotient
-    exact = QSeries(d, a.prec - a.val_grid + abs(k) + 1, terms, c.order, _checked=True)
-    return series_div(a, exact)
+    if k == 0:
+        return series_scale(a, (1 - c).inv())
+    terms, p = a.terms, a.prec
+    if k < 0:
+        c = c.inv()
+        terms, p, k = {n - k: -(t * c) for n, t in terms.items()}, p - k, -k
+    out: dict[int, CycloNumber] = {}
+    # from the lowest exponent of each residue class mod k
+    for start in {n % k: n for n in sorted(terms, reverse=True)}.values():
+        prev = None
+        for n in range(start, p, k):
+            s = terms.get(n) if prev is None else dot(m, ((c, prev),), terms.get(n))
+            if s:
+                out[n] = s
+            prev = s or None
+    return QSeries(d, p, out, m, _checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -558,43 +573,85 @@ def series_eq_to_order(a: QSeries, b: QSeries, order: Rat) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive bilateral summation
+# Bilateral sums: theta functions and Lambert series
 # ---------------------------------------------------------------------------
 
 
 def bilateral_sum(
-    term_val: Callable[[int], Fraction],
-    term_series: Callable[[int], QSeries],
+    c: Union[CycloNumber, Rat],
+    e: tuple[Rat, Rat, Rat],
     order: Rat,
-    hints: list[Fraction],
     denom: int = 1,
     field_order: int = 1,
+    u: Optional[CycloNumber] = None,
+    f: tuple[Rat, Rat] = (0, 0),
 ) -> QSeries:
-    """Sum term_series(n) over all integers n with term_val(n) < order.
+    """The sum over all integers n of c^n q^E(n) / (1 - u q^F(n)) below
+    q^order, E(n) = e2 n^2 + e1 n + e0 (e2 > 0) and F(n) = f1 n + f0 taking
+    integer values on the grid 1/denom; without u (and F), the sum of c^n q^E(n).
 
-    term_val must be convex in n (quadratic exponent growth plus at most a
-    piecewise-linear kink from a geometric factor), which makes the scan
-    outward from the minimizer exact: once a term's valuation reaches the
-    order on each side, all further terms are beyond it.  hints lists the
-    rational positions of the quadratic vertex and any kink.
+    A term's valuation E(n) + max(0, -F(n)) is convex, so the scan walks
+    out from its integer minimizer until it reaches the order on each side,
+    with c^n a running power.  Term n is a geometric run of (c^n, weight)
+    pairs into one map: u^j at E + jF when F > 0, -u^(-1-j) at E - (j+1)F
+    when F < 0, 1/(1 - u) at E when F = 0.  Each coefficient is one
+    coeff.dot.  The field is field_order, lifted to those of c and u once
+    a term falls below the order.
     """
-    order = _as_frac(order)
-    lo = min(hints) if hints else Fraction(0)
-    hi = max(hints) if hints else Fraction(0)
-    window = range(int(lo) - 2, int(hi) + 3)
-    n0 = min(window, key=lambda n: (term_val(n), abs(n)))
+    if not isinstance(c, CycloNumber):
+        c = cyclo_embed(_as_frac(c), 1)
 
-    def terms():
-        n = n0
-        while term_val(n) < order:
-            yield term_series(n)
-            n += 1
-        n = n0 - 1
-        while term_val(n) < order:
-            yield term_series(n)
-            n -= 1
+    def grid(x: Rat) -> int:
+        if (_as_frac(x) * denom).denominator != 1:
+            raise ValueError(f"exponent {x} is off the grid 1/{denom}")
+        return int(x * denom)
 
-    return series_sum(zero_series(order, denom, field_order), terms())
+    # integer values at -1, 0, 1 fix the grid exponents of E at every n
+    em, ez, ep = (grid(e[0] * n * n + e[1] * n + e[2]) for n in (-1, 0, 1))
+    s1, s2 = ep - em, ep - 2 * ez + em
+    if s2 <= 0:
+        raise ValueError("a bilateral sum needs a positive quadratic exponent")
+    fz, fs = grid(f[1]), grid(f[0] + f[1]) - grid(f[1])
+
+    def E(n: int) -> int:
+        return ez + n * (s1 + n * s2) // 2
+
+    def F(n: int) -> int:
+        return fz + n * fs
+
+    P = grid_prec(order, denom)
+    # the real minimizer is a vertex of E or of E - F, or the kink F = 0
+    kinks = [Fraction(-s1, 2 * s2), Fraction(2 * fs - s1, 2 * s2), Fraction(-fz, fs or 1)]
+    n0 = min({m for x in kinks for m in (floor(x), ceil(x))}, key=lambda n: E(n) + max(0, -F(n)))
+
+    M = lcm(field_order, c.order, 1 if u is None else u.order)
+    c = lift_order(c, M)
+    # each weight table with the ratio that extends it; F = 0 without u weighs 1
+    flat = ([cyclo_one(M)], None)
+    if u is not None:
+        u = lift_order(u, M)
+        uinv = u.inv()
+        up, down = ([cyclo_one(M)], u), ([-uinv], uinv)
+        flat = None if u == 1 else ([(1 - u).inv()], None)
+    pairs: dict[int, list] = {}
+    cinv, start = c.inv(), c**n0
+    for n, step, r, cn in ((n0, 1, c, start), (n0 - 1, -1, cinv, start * cinv)):
+        while (a := E(n)) + max(0, -(b := F(n))) < P:
+            if b > 0:
+                keys, (ws, g) = range(a, P, b), up
+            elif b < 0:
+                keys, (ws, g) = range(a - b, P, -b), down
+            elif flat is None:
+                raise NonGenericError("pole 1/(1 - u) with u exactly 1")
+            else:
+                keys, (ws, g) = (a,), flat
+            while len(ws) < len(keys):
+                ws.append(ws[-1] * g)
+            for k, w in zip(keys, ws):
+                pairs.setdefault(k, []).append((cn, w))
+            n, cn = n + step, cn * r
+    out = {k: s for k, ps in pairs.items() if (s := dot(M, ps))}
+    return QSeries(denom, P, out, M if pairs else field_order, _checked=True)
 
 
 __all__ = [

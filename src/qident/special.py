@@ -1,18 +1,18 @@
 """Classical building blocks: Pochhammer products, the theta function j,
 its J specializations, the Appell-Lerch sum m(x,q,z) and the universal
-mock theta function g, with the two summation engines behind every series
-built from sums: the q-hypergeometric term-ratio sum and the bilateral
-Lambert sum.
+mock theta function g, with the q-hypergeometric term-ratio sum behind
+every Eulerian series.
 
 All arguments x, z are Monomials c*q^e; the base is a positive rational p
 standing for q^p.  Every function takes a target order and returns a
 QSeries whose guaranteed precision reaches that order; a construction
 whose own division costs precision runs through ensure_prec, which
 deepens its working order up to PAD_LIMIT.  Each theta quotient, m(x,q,z)
-among them, is a single series_div of its numerator by its denominator;
-each Lambert term and each 1 - v of a term-ratio row is one
-series_div_one_minus, so no builder expands a geometric series.  j, m and
-g keep one memo entry per (function, arguments) in _theta_cache.
+among them, is a single series_div of its numerator by its denominator.
+j and the Lambert sum of m are series.bilateral_sum scans, and each 1 - v
+of a term-ratio row is one series_div_one_minus.  j, m and g keep one
+memo entry per (function, arguments) in _theta_cache, a least recently
+used cache of at most MEMO_LIMIT entries.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ Rat = Union[int, Fraction]
 
 def _fr(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _binom2(n: int) -> int:
-    return n * (n - 1) // 2
 
 
 # The most a construction may pad its working order by, in powers of q.
@@ -131,31 +127,6 @@ def _term_sum(
     return series_sum(zero_series(work, t.denom, t.field_order), terms(t))
 
 
-def lambert_sum(
-    lead: Tuple[Union[Rat, CycloNumber], Callable[[int], Fraction]],
-    u: Callable[[int], Monomial],
-    work: Fraction,
-    hints: list[Fraction],
-    denom: int,
-    field_order: int,
-) -> QSeries:
-    """The bilateral Lambert sum over all integers n of c^n q^e(n) / (1 - u(n))
-    below q^work, where lead = (c, e).
-
-    e is quadratic and the exponent of u(n) linear in n; hints are the
-    vertex and kink positions that bilateral_sum scans from.
-    """
-    c, e = lead
-
-    def val(n: int) -> Fraction:
-        return e(n) + max(Fraction(0), -u(n).expo)
-
-    def term(n: int) -> QSeries:
-        return series_div_one_minus(from_monomial(Monomial.make(c**n, e(n)), work), u(n))
-
-    return bilateral_sum(val, term, work, hints, denom, field_order)
-
-
 # ---------------------------------------------------------------------------
 # Pochhammer products
 # ---------------------------------------------------------------------------
@@ -196,19 +167,28 @@ def pochhammer(x: Monomial, p: Rat, n: Optional[int], order: Rat) -> QSeries:
 
 _theta_cache: dict[tuple, QSeries] = {}
 
+# The most entries _theta_cache keeps; one run_suite() of the built-in
+# corpus leaves about 300, so the corpus never evicts.
+MEMO_LIMIT = 1024
+
+memo_counts = {"hits": 0, "misses": 0}
+
 
 def _memo(key: tuple, order: Rat, build: Callable[[], QSeries]) -> QSeries:
     """The series that build() makes for order, through _theta_cache.
 
     Each entry is stored cut at the order it was built for, so a shallower
     request, served by cutting the entry, gets what a cold call returns.
+    The dict is kept in order of last use: a hit moves its entry to the
+    end, and past MEMO_LIMIT entries the least recently used one goes.
     """
-    hit = _theta_cache.get(key)
-    if hit is not None and hit.prec >= grid_prec(order, hit.denom):
-        return series_truncate(hit, order)
-    s = series_truncate(build(), order)
-    _theta_cache[key] = s
-    return s
+    hit = _theta_cache.pop(key, None)
+    fresh = hit is None or hit.prec < grid_prec(order, hit.denom)
+    memo_counts["misses" if fresh else "hits"] += 1
+    _theta_cache[key] = s = series_truncate(build(), order) if fresh else hit
+    while len(_theta_cache) > MEMO_LIMIT:
+        del _theta_cache[next(iter(_theta_cache))]
+    return series_truncate(s, order)
 
 
 def theta_j(x: Monomial, p: Rat, order: Rat) -> QSeries:
@@ -220,21 +200,10 @@ def theta_j(x: Monomial, p: Rat, order: Rat) -> QSeries:
     p = _fr(p)
     if p <= 0:
         raise ValueError("theta base exponent must be positive")
-    order = _fr(order)
     c, e = x.coeff, x.expo
-
-    def val(n: int) -> Fraction:
-        return p * _binom2(n) + n * e
-
-    def term(n: int) -> QSeries:
-        coeff = c**n if n % 2 == 0 else -(c**n)
-        return from_monomial(Monomial(coeff, val(n)), order)
-
-    def build() -> QSeries:
-        denom = e.denominator * p.denominator
-        return bilateral_sum(val, term, order, [Fraction(1, 2) - e / p], denom, c.order)
-
-    return _memo(("j", c.key(), e, p), order, build)
+    d = e.denominator * p.denominator
+    key = ("j", c.key(), e, p)
+    return _memo(key, order, lambda: bilateral_sum(-c, (p / 2, e - p / 2, 0), order, d, c.order))
 
 
 def theta_is_zero(x: Monomial, p: Rat) -> bool:
@@ -295,14 +264,9 @@ def appell_m(x: Monomial, p: Rat, z: Monomial, order: Rat) -> QSeries:
     ez, ex, xz = z.expo, x.expo, x * z
 
     def build(work: Fraction) -> QSeries:
-        s = lambert_sum(
-            (-z.coeff, lambda r: p * _binom2(r) + r * ez),
-            lambda r: xz.times_q(p * (r - 1)),
-            work,
-            [Fraction(1, 2) - ez / p, 1 - (ex + ez) / p],
-            ez.denominator * ex.denominator * p.denominator,
-            z.field_order,
-        )
+        d = ez.denominator * ex.denominator * p.denominator
+        e, f = (p / 2, ez - p / 2, 0), (p, xz.expo - p)
+        s = bilateral_sum(-z.coeff, e, work, d, z.field_order, xz.coeff, f)
         return series_div(s, theta_j(z, p, work))
 
     key = ("m", x.coeff.key(), ex, p, z.coeff.key(), ez)
@@ -360,17 +324,10 @@ def _g_sum(x: Monomial, p: Fraction, work: Fraction, route: str) -> QSeries:
 def rjtp_lhs(z: Monomial, order: Rat, p: Rat = 1) -> QSeries:
     """sum over n of (-1)^n q^(p*binom(n+1,2)) / (1 - q^(pn) z)."""
     p = _fr(p)
-    order = _fr(order)
     if theta_is_zero(z, p):
         raise NonGenericError(
             f"Lambert denominator 1 - q^(pn) z has a pole: z = {z} is a power of q^({p})"
         )
     ez = z.expo
-    return lambert_sum(
-        (Fraction(-1), lambda n: p * _binom2(n + 1)),
-        lambda n: z.times_q(p * n),
-        order,
-        [Fraction(-1, 2), -ez / p],
-        ez.denominator * p.denominator,
-        z.field_order,
-    )
+    d = ez.denominator * p.denominator
+    return bilateral_sum(-1, (p / 2, p / 2, 0), order, d, z.field_order, z.coeff, (p, ez))

@@ -205,16 +205,17 @@ class TestBilateralSum:
         def val(n):
             return F(n * (n - 1), 2) + 2 * n
 
-        def term(n):
-            return from_monomial(Monomial.make((-1) ** n, val(n)), order)
-
-        got = bilateral_sum(val, term, order, [F(1, 2) - 2])
+        got = bilateral_sum(-1, (F(1, 2), F(3, 2), 0), order)
         want = {}
         for n in range(-40, 40):
             e = val(n)
             if e < order:
                 want[e] = want.get(e, 0) + (-1) ** n
         assert_series_matches(got, {e: c for e, c in want.items() if c}, order)
+
+    def test_exponent_off_the_grid_is_rejected(self):
+        with pytest.raises(ValueError):
+            bilateral_sum(1, (F(1, 2), 0, 0), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +377,11 @@ def test_div_matches_naive_product(a, b):
     assert back == dict_truncate(_naive(a, m), window)
 
 
+def _one_minus(u, order):
+    """1 - u as a series exact below order."""
+    return series_sub(const_series(1, order, u.expo.denominator), from_monomial(u, order))
+
+
 @given(
     qseries(),
     small_rationals.filter(lambda r: r != 0),
@@ -398,6 +404,10 @@ def test_div_one_minus_is_exact_division(a, c_rat, f, field, k):
     one_minus_u[f] = one_minus_u.get(f, cyclo_embed(F(0), m)) - lift_order(u.coeff, m)
     back = dict_truncate(dict_mul(series_dict(got), one_minus_u), a.prec_order())
     assert back == dict_truncate(_naive(a, m), a.prec_order())
+    # and equal to the general division by a 1 - u deep enough that only a bounds it
+    want = series_div(a, _one_minus(u, a.prec_order() - _val_or_prec(a) + abs(f) + 1))
+    assert (got.denom, got.field_order, got.prec) == (want.denom, want.field_order, want.prec)
+    assert got.terms == want.terms
 
 
 @given(qseries(), st.sampled_from([2, 3, 8]), st.sampled_from([12, 24]))
@@ -424,9 +434,68 @@ def test_shift_is_monomial_mul(a, c, e):
 @given(qseries(), st.integers(min_value=0, max_value=4))
 @settings(max_examples=60, deadline=None)
 def test_pow_matches_repeated_mul(a, n):
+    # the chain a * a * ... * a, precision included: a negative valuation
+    # costs no more than it does there
     got = series_pow(a, n)
-    want = const_series(1, a.prec_order(), a.denom).lift_field(a.field_order)
-    for _ in range(n):
+    want = a if n else const_series(1, a.prec_order(), a.denom).lift_field(a.field_order)
+    for _ in range(n - 1):
         want = series_mul(want, a)
-    w = min(got.prec_order(), want.prec_order())
-    assert series_eq_to_order(got, want, w).ok
+    assert (got.denom, got.field_order, got.prec) == (want.denom, want.field_order, want.prec)
+    assert got.terms == want.terms
+
+
+def _cyclo(draw):
+    field = draw(st.sampled_from([1, 3, 4, 5]))
+    r = draw(small_rationals.filter(lambda r: r != 0))
+    return cyclo_embed(r, field) * zeta_power(field, draw(st.integers(min_value=0, max_value=4)))
+
+
+@st.composite
+def bilateral_args(draw):
+    """c, E, order, D, field order, u, F: on the grid 1/D, E(n) is
+    (A2 n(n-1)/2 + A1 n + A0)/D and F(n) is (B1 n + B0)/D, so F may be
+    negative or zero and the order may lie below every term."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    a2 = draw(st.integers(min_value=1, max_value=3))
+    a1, a0 = draw(st.integers(min_value=-6, max_value=6)), draw(st.integers(min_value=-8, max_value=8))
+    e = (F(a2, 2 * d), F(2 * a1 - a2, 2 * d), F(a0, d))
+    order = draw(st.fractions(min_value=-4, max_value=10, max_denominator=4))
+    c = _cyclo(draw)
+    field_order = draw(st.sampled_from([1, c.order]))
+    if draw(st.booleans()):
+        return c, e, order, d, field_order, None, (0, 0)
+    b1, b0 = draw(st.integers(min_value=-3, max_value=3)), draw(st.integers(min_value=-6, max_value=6))
+    u = cyclo_embed(1, 1) if draw(st.integers(min_value=0, max_value=5)) == 0 else _cyclo(draw)
+    return c, e, order, d, field_order, u, (F(b1, d), F(b0, d))
+
+
+def _bilateral_reference(c, e, order, d, field_order, u, f):
+    """Term by term: each c^n q^E(n) a monomial series, divided by 1 - u q^F(n)
+    with the general series_div, all added by series_sum."""
+    terms = []
+    for n in range(-60, 61):
+        en = e[0] * n * n + e[1] * n + e[2]
+        t = from_monomial(Monomial(c**n, en), order)
+        if u is not None:
+            un = Monomial(u, f[0] * n + f[1])
+            if en + max(0, -un.expo) >= order:
+                continue
+            t = series_div(t, _one_minus(un, order - en + abs(un.expo) + 1))
+        elif en >= order:
+            continue
+        terms.append(t)
+    return series_sum(zero_series(order, d, field_order), terms)
+
+
+@given(bilateral_args())
+@settings(max_examples=300, deadline=None)
+def test_bilateral_sum_matches_term_by_term_reference(args):
+    try:
+        want = _bilateral_reference(*args)
+    except NonGenericError:
+        with pytest.raises(NonGenericError):
+            bilateral_sum(*args)
+        return
+    got = bilateral_sum(*args)
+    assert (got.denom, got.field_order, got.prec) == (want.denom, want.field_order, want.prec)
+    assert got.terms == want.terms

@@ -65,6 +65,23 @@ def _binom2(n):
     return n * (n - 1) // 2
 
 
+def count_dots(monkeypatch, text, order):
+    """coeff.dot calls, in both namespaces that call it, of one cold evaluation."""
+    calls = 0
+    dot = coeff.dot
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return dot(*args)
+
+    monkeypatch.setattr(special, "_theta_cache", {})
+    monkeypatch.setattr(coeff, "dot", counted)
+    monkeypatch.setattr(series, "dot", counted)
+    eval_expr(parse(text), order)
+    return calls
+
+
 class TestPochhammer:
     def test_empty_product_is_one(self):
         s = pochhammer(mono(2, 1), 1, 0, 10)
@@ -127,18 +144,7 @@ class TestPochhammer:
     def test_euler_sum_dot_budget(self, monkeypatch):
         # Euler's sum takes about 1,800 fused products at order 100; the
         # product of binomials it replaced took 17,920
-        calls = 0
-        dot = coeff.dot
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return dot(*args)
-
-        monkeypatch.setattr(special, "_theta_cache", {})
-        monkeypatch.setattr(coeff, "dot", counted)
-        monkeypatch.setattr(series, "dot", counted)
-        eval_expr(parse("poch(-q^(1/2), q, inf)"), 100)
+        calls = count_dots(monkeypatch, "poch(-q^(1/2), q, inf)", 100)
         assert calls < 3000, calls
 
 
@@ -276,6 +282,26 @@ class TestThetaFunction:
         cold = theta_j(x, p, 41)
         assert (warm.denom, warm.prec, warm.field_order) == (cold.denom, cold.prec, cold.field_order)
         assert warm.terms == cold.terms
+
+    def test_bilateral_scan_dot_budget(self, monkeypatch):
+        # one running power and one fused sum per exponent; a fresh power
+        # of the coefficient per term took 256
+        calls = count_dots(monkeypatch, "j(-q^(1/2); q)", 200)
+        assert calls < 100, calls
+
+    def test_memo_evicts_the_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(special, "_theta_cache", {})
+        monkeypatch.setattr(special, "MEMO_LIMIT", 2)
+        monkeypatch.setattr(special, "memo_counts", {"hits": 0, "misses": 0})
+        a, b, c = mono(-1, F(1, 2)), mono(2, 1), zmono(3, 1)
+        theta_j(a, 1, 20)
+        theta_j(b, 1, 20)
+        theta_j(a, 1, 10)  # a hit makes a the most recently used
+        theta_j(c, 1, 20)
+        assert [k[1:] for k in special._theta_cache] == [
+            (x.coeff.key(), x.expo, 1) for x in (a, c)
+        ]
+        assert special.memo_counts == {"hits": 1, "misses": 3}
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -501,6 +527,12 @@ class TestAppellLerch:
         monkeypatch.setattr(CycloNumber, "__mul__", counted)
         appell_m(mono(2, 1), 1, mono(-1, F(1, 2)), 60)
         assert calls < 4000, calls
+
+    def test_lambert_scan_dot_budget(self, monkeypatch):
+        # each coefficient of the Lambert sum is one fused sum over its
+        # geometric-run pairs; a division per term took 836
+        calls = count_dots(monkeypatch, "m(2*q, q, -q^(1/2))", 60)
+        assert calls < 750, calls
 
 
     def test_partition_inverse_product_budget(self, monkeypatch):

@@ -228,15 +228,6 @@ class CycloNumber:
         norm = self * c
         return c * cyclo_embed(Fraction(norm.den, norm.num[0]), M)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("cyclotomic powers take integer exponents")

@@ -510,6 +510,10 @@ def _call(e: Call, order: Fraction, binding: Dict[str, Monomial], asked: Fractio
         raise EvalError(f"{e.name}: {exc}") from exc
 
 
+# the deepest order an evaluation may be asked for; the deepest in use is 200
+MAX_ORDER = 10000
+
+
 def eval_expr(
     e: Expr, order: Rat, binding: Optional[Dict[str, Monomial]] = None
 ) -> QSeries:
@@ -519,8 +523,11 @@ def eval_expr(
     v < 0, are evaluated at order - v up front, within PAD_LIMIT (a monomial
     on the right of * is not: write it first); the evaluation wins back what
     other shifts and divisions cost by rerunning at a deeper working order.
+    An order past MAX_ORDER raises EvalError.
     """
     b, asked = dict(binding or {}), Fraction(order)
+    if asked > MAX_ORDER:
+        raise EvalError(f"order {asked} exceeds MAX_ORDER = {MAX_ORDER}")
     return ensure_prec(lambda work: _to_series(_ev(e, work, b, asked), work), order)
 
 

@@ -8,12 +8,12 @@ beyond P is unknown.  Negative k is allowed (Laurent behavior).
 
 Precision propagates through arithmetic by the min/valuation rules below,
 so a comparison can never silently read coefficients outside the
-guaranteed window.  A general quotient is one long division, series_div,
-which series_invert wraps; a quotient by 1 - u for a monomial u is the
-two-term recurrence series_div_one_minus, which geom_inverse wraps.  Every
-theta function and bilateral Lambert sum is one integer-grid scan,
+guaranteed window.  Every quotient is one long division, series_div,
+which walks only the residue classes its divisor reaches; series_invert,
+geom_inverse and series_div_one_minus (by 1 - u, u a monomial) wrap it.
+Every theta function and bilateral Lambert sum is one integer-grid scan,
 bilateral_sum.  Each coefficient of a product, a quotient or a bilateral
-sum is summed by one fused coeff.dot.
+sum is summed by one fused coeff.dot.  QSeries has no operators.
 """
 
 from __future__ import annotations
@@ -190,38 +190,7 @@ class QSeries:
             _checked=True,
         )
 
-    # -- operators ------------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = const_series(other, Fraction(self.prec, self.denom))
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return series_add(self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return series_neg(self)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = const_series(other, Fraction(self.prec, self.denom))
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return series_add(self, series_neg(other))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloNumber)):
-            return series_scale(self, other)
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return series_mul(self, other)
-
-    __rmul__ = __mul__
+    # -- display ------------------------------------------------------------
 
     def __str__(self) -> str:
         if not self.terms:
@@ -422,9 +391,12 @@ def substitute_base(a: QSeries, p: Rat) -> QSeries:
 
 
 def series_div(a: QSeries, b: QSeries) -> QSeries:
-    """a / b by long division: in grid steps from the valuations,
+    """a / b by long division from the valuations:
     c_n = (a_n - sum over j >= 1 of b_j c_{n-j}) / b_0, with the b_j
-    negated, and divided by b_0 unless b_0 is 1, once up front.
+    negated, and divided by b_0 unless b_0 is 1, once up front.  c_n reads
+    only c_{n-j} for the tail offsets j of b, so the walk climbs in steps of
+    their gcd g through each residue class that holds an exponent of a and
+    skips the rest (a monomial b has no tail: g spans the whole window).
 
     With v the valuation of b, c_n needs a at n + v and b as far past its
     lead as n is past the quotient's valuation val(a) - v, so the quotient
@@ -447,7 +419,8 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
     )
     out: dict[int, CycloNumber] = {}
     m = a.field_order
-    for n in range(lo, p):
+    g = gcd(*(j for j, _ in tail)) or max(p - lo, 1)
+    for n in (n for r in {(k - v - lo) % g for k in a.terms} for n in range(lo + r, p, g)):
         s = a.terms.get(n + v)
         if s is not None and scale is not None:
             s = s * scale
@@ -501,37 +474,20 @@ def geom_inverse(u: Monomial, order: Rat) -> QSeries:
 
 
 def series_div_one_minus(a: QSeries, u: Monomial) -> QSeries:
-    """a / (1 - u) for a monomial u = c*q^f, exact below a.prec - min(f, 0).
-
-    f > 0: the recurrence out[n] = a[n] + c out[n - f] along each residue
-    class of a's exponents, a plain geometric run for a monomial a; f < 0:
-    the same for -c^(-1) q^(-f) a / (1 - c^(-1) q^(-f)); f = 0: a / (1 - c).
-    A pole (f = 0, c = 1) is a non-generic specialization and raises.
+    """a / (1 - u) for a monomial u = c*q^f: series_div by 1 - u, exact,
+    so the quotient is guaranteed below a.prec - min(f, 0).  A pole
+    (f = 0, c = 1) is a non-generic specialization and raises.
     """
     c, f = u.coeff, u.expo
     if f == 0 and c == 1:
         raise NonGenericError("pole 1/(1 - u) with u exactly 1")
     d = lcm(a.denom, f.denominator)
-    m = lcm(a.field_order, c.order)
-    a = a.rebase(d).lift_field(m)
-    c = lift_order(c, m)
+    a = a.rebase(d)
     k = int(f * d)
-    if k == 0:
-        return series_scale(a, (1 - c).inv())
-    terms, p = a.terms, a.prec
-    if k < 0:
-        c = c.inv()
-        terms, p, k = {n - k: -(t * c) for n, t in terms.items()}, p - k, -k
-    out: dict[int, CycloNumber] = {}
-    # from the lowest exponent of each residue class mod k
-    for start in {n % k: n for n in sorted(terms, reverse=True)}.values():
-        prev = None
-        for n in range(start, p, k):
-            s = terms.get(n) if prev is None else dot(m, ((c, prev),), terms.get(n))
-            if s:
-                out[n] = s
-            prev = s or None
-    return QSeries(d, p, out, m, _checked=True)
+    terms = {0: 1 - c} if k == 0 else {0: cyclo_one(c.order), k: -c}
+    # deep enough that only the precision of a bounds the quotient
+    exact = QSeries(d, a.prec - a.val_grid + abs(k) + 1, terms, c.order, _checked=True)
+    return series_div(a, exact)
 
 
 # ---------------------------------------------------------------------------

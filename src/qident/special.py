@@ -8,11 +8,12 @@ standing for q^p.  Every function takes a target order and returns a
 QSeries whose guaranteed precision reaches that order; a construction
 whose own division costs precision runs through ensure_prec, which
 deepens its working order up to PAD_LIMIT.  Each theta quotient, m(x,q,z)
-among them, is a single series_div of its numerator by its denominator.
-j and the Lambert sum of m are series.bilateral_sum scans, and each 1 - v
-of a term-ratio row is one series_div_one_minus.  j, m and g keep one
-memo entry per (function, arguments) in _theta_cache, a least recently
-used cache of at most MEMO_LIMIT entries.
+among them, is a single series_div of its numerator by its denominator,
+and each 1 - v of a term-ratio row one series_div_one_minus, the same
+division stepping by v's exponent through the classes the dividend holds.
+j and the Lambert sum of m are series.bilateral_sum scans.  j, m and g
+keep one memo entry per (function, arguments) in _theta_cache, a least
+recently used cache of at most MEMO_LIMIT entries.
 """
 
 from __future__ import annotations
@@ -239,17 +240,6 @@ def _check_theta_denominator(x: Monomial, p: Rat, label: str):
         raise NonGenericError(f"{label} = j({x}; q^({p})) vanishes identically")
 
 
-def _appell_pole_check(x: Monomial, p: Fraction, z: Monomial):
-    prod = (x * z).coeff
-    if not (prod.is_rational() and prod.rational_value() == 1):
-        return
-    r = 1 - (x.expo + z.expo) / p
-    if r.denominator == 1:
-        raise NonGenericError(
-            f"Appell-Lerch denominator 1 - q^((r-1)p) x z vanishes at r = {r}"
-        )
-
-
 def appell_m(x: Monomial, p: Rat, z: Monomial, order: Rat) -> QSeries:
     """m(x, q^p, z): the normalized bilateral Lambert-type sum.
 
@@ -260,8 +250,11 @@ def appell_m(x: Monomial, p: Rat, z: Monomial, order: Rat) -> QSeries:
     if p <= 0:
         raise ValueError("Appell-Lerch base exponent must be positive")
     _check_theta_denominator(z, p, "j(z; q^p)")
-    _appell_pole_check(x, p, z)
     ez, ex, xz = z.expo, x.expo, x * z
+    if theta_is_zero(xz, p):
+        raise NonGenericError(
+            f"Appell-Lerch denominator 1 - q^((r-1)p) x z vanishes at r = {1 - xz.expo / p}"
+        )
 
     def build(work: Fraction) -> QSeries:
         d = ez.denominator * ex.denominator * p.denominator

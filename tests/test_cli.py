@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from qident import cli
+from qident import cli, dsl
 from qident.cli import main
 from qident.coeff import MAX_FIELD_ORDER
 from qident.errors import CapExceededError
@@ -133,6 +133,15 @@ class TestExpand:
         assert time.perf_counter() - t0 < 1
         assert f"exceeds MAX_FIELD_ORDER = {MAX_FIELD_ORDER}" in capsys.readouterr().err
 
+    def test_order_past_cap_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(dsl, "MAX_ORDER", 50)
+        assert main(["expand", "1/Jm(1)", "--order", "51"]) == 2
+        assert "exceeds MAX_ORDER = 50" in capsys.readouterr().err
+        assert main(["expand", "1/Jm(1)", "--order", "50"]) == 0
+
+    def test_order_cap_covers_every_order_in_use(self):
+        assert dsl.MAX_ORDER >= 200
+
     def test_duplicate_binding_rejected(self, capsys):
         code = main(["expand", "x", "--order", "4", "--bind", "x=q", "--bind", "x=q^2"])
         assert code == 2
@@ -189,6 +198,13 @@ class TestVerify:
         assert main(["verify", path]) == 1
         assert "first mismatch at q^(7/1)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("order, code", [(51, 2), (50, 0)])
+    def test_stanza_order_past_cap_is_usage_error(self, tmp_path, monkeypatch, capsys, order, code):
+        monkeypatch.setattr(dsl, "MAX_ORDER", 50)
+        path = self.write(tmp_path, f"id: deep\nlhs: J(1,2)\nrhs: Jm(1)^2/Jm(2)\norder: {order}\n")
+        assert main(["verify", path]) == code
+        assert ("exceeds MAX_ORDER = 50" in capsys.readouterr().err) == (code == 2)
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.id")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -213,6 +229,11 @@ class TestSuite:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "# metadata: level constant f_c = 2c/gcd(c,4): f_2=2 f_3=6 f_4=2 f_5=10"
         assert out[-1] == "total 172 / pass 166 / fail 1 / nongeneric 5"
+
+    def test_order_past_cap_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(dsl, "MAX_ORDER", 50)
+        assert main(["suite", "--order", "51"]) == 2
+        assert "exceeds MAX_ORDER = 50" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Series ring: worked examples, brute-force oracles, and property suites."""
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -406,6 +407,20 @@ def test_div_one_minus_is_exact_division(a, c_rat, f, field, k):
     assert back == dict_truncate(_naive(a, m), a.prec_order())
     # and equal to the general division by a 1 - u deep enough that only a bounds it
     want = series_div(a, _one_minus(u, a.prec_order() - _val_or_prec(a) + abs(f) + 1))
+    assert (got.denom, got.field_order, got.prec) == (want.denom, want.field_order, want.prec)
+    assert got.terms == want.terms
+
+
+@given(qseries(), divisors(), st.sampled_from([2, 3, 8]))
+@settings(max_examples=150, deadline=None)
+def test_div_follows_grid_refinement(a, b, k):
+    # on a k times finer grid every offset is a multiple of k, so the
+    # division must step past the residue classes no exponent reaches
+    if b.is_zero():
+        return
+    d = k * lcm(a.denom, b.denom)
+    got = series_div(a.rebase(d), b.rebase(d))
+    want = series_div(a, b).rebase(d)
     assert (got.denom, got.field_order, got.prec) == (want.denom, want.field_order, want.prec)
     assert got.terms == want.terms
 

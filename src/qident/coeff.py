@@ -255,10 +255,7 @@ class CycloNumber:
 
     __hash__ = None  # cross-order equality makes a consistent hash impractical
 
-    # -- lifting and automorphisms -------------------------------------------
-
-    def lift(self, new_order: int) -> "CycloNumber":
-        return lift_order(self, new_order)
+    # -- automorphisms --------------------------------------------------------
 
     def galois(self, t: int) -> "CycloNumber":
         """Image under zeta_M -> zeta_M^t (requires gcd(t, M) = 1)."""

@@ -62,6 +62,7 @@ from .special import (
     _check_theta_denominator,
     appell_m,
     ensure_prec,
+    g_sum,
     g_universal,
     pochhammer,
     rjtp_lhs,
@@ -579,14 +580,6 @@ def _eul(fn: Callable[[Fraction], QSeries]):
     return run
 
 
-def _g(route: str):
-    def run(v: List[object], order: Fraction) -> QSeries:
-        p = v[1] if len(v) > 1 else 1
-        return g_universal(v[0], p, order, route)
-
-    return run
-
-
 # ---------------------------------------------------------------------------
 # Definitions: the paper's combinations as expressions over the core
 # ---------------------------------------------------------------------------
@@ -716,8 +709,10 @@ FUNCTIONS: Dict[str, Dict[int, Tuple[Tuple[str, ...], Callable]]] = {
     "m": _both(("x", "p", "x"), lambda v, o: appell_m(v[0], v[1], v[2], o)),
     "mcorr": _both(("x", "p", "x", "x"), _definition("mcorr", _mcorr)),
     "msplit": _both(("x", "p", "x", "x", "i"), _definition("msplit", _msplit)),
-    "g": {1: (("x",), _g("lambert")), 2: (("x", "p"), _g("lambert"))},
-    "g_sum": {1: (("x",), _g("eulerian")), 2: (("x", "p"), _g("eulerian"))},
+    "g": {1: (("x",), lambda v, o: g_universal(v[0], 1, o)),
+          2: (("x", "p"), lambda v, o: g_universal(v[0], v[1], o))},
+    "g_sum": {1: (("x",), lambda v, o: g_sum(v[0], 1, o)),
+              2: (("x", "p"), lambda v, o: g_sum(v[0], v[1], o))},
     "g_appell": {1: (("x",), _g_appell_def), 2: (("x", "p"), _g_appell_def)},
     "phi": {0: ((), _eul(phi6)), 1: (("p",), _eul(phi6))},
     "sigma": {0: ((), _eul(sigma6)), 1: (("p",), _eul(sigma6))},
@@ -744,5 +739,3 @@ FUNCTIONS: Dict[str, Dict[int, Tuple[Tuple[str, ...], Callable]]] = {
         2: (("x", "p"), lambda v, o: rjtp_lhs(v[0], o, v[1])),
     },
 }
-
-FUNCTION_NAMES = tuple(sorted(FUNCTIONS))

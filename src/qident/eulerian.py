@@ -1,9 +1,11 @@
 """Eulerian q-hypergeometric sums and bilateral Lambert series.
 
-Each Eulerian series is summed by special._term_sum from two rows: its
-first term and its term ratio t_n / t_{n-1}, each a signed power of q
-times factors (1 - u q^(an+b))^(+-1).  Each bilateral Lambert series is
-one series.bilateral_sum scan.  Exact pole prechecks reject the parameter
+Each Eulerian series is stated in its product form, the sum over n of
+c^n q^E(n) times Pochhammer symbols (y; q^p)_(an+b)^(+-1), with E quadratic:
+its builder passes c, the coefficients of E and a table of factors
+(y, p, a, b, s) to special._term_sum, which reads the first term and the
+term ratio off that table.  Each bilateral Lambert series is one
+series.bilateral_sum scan.  Exact pole prechecks reject the parameter
 values where a denominator factor vanishes identically.  The paper's
 root-of-unity combinations of these series, K-tilde and H-tilde, are
 expression-language definitions in dsl.
@@ -18,11 +20,9 @@ from typing import Union
 from .coeff import zeta_power
 from .errors import NonGenericError
 from .series import Monomial, QSeries, bilateral_sum, series_div
-from .special import J, JB, Row, _term_sum, ensure_prec, theta_is_zero
+from .special import J, JB, _term_sum, ensure_prec, theta_is_zero
 
 Rat = Union[int, Fraction]
-
-_ONE = (1, 0, (), ())  # the row of a first term equal to 1
 
 
 def _q(e: Rat, c: Rat = 1) -> Monomial:
@@ -45,68 +45,51 @@ def _reject_pole(x: Monomial, parity: int, label: str):
 
 
 # ---------------------------------------------------------------------------
-# The individual series
+# The individual series: (y, p, a, b, s) stands for (y; q^p)_(an+b)^s
 # ---------------------------------------------------------------------------
 
 
 def phi6(order: Rat) -> QSeries:
     """sum (-1)^n q^(n^2) (q;q^2)_n / (-q;q)_{2n}."""
-
-    def ratio(n):
-        return (-1, 2 * n - 1, [_q(2 * n - 1)], [_q(2 * n - 1, -1), _q(2 * n, -1)])
-
-    return ensure_prec(lambda work: _term_sum(_ONE, ratio, work), order)
+    factors = ((_q(1), 2, 1, 0, 1), (_q(1, -1), 1, 2, 0, -1))
+    return ensure_prec(lambda work: _term_sum(-1, (1, 0, 0), factors, work), order)
 
 
 def sigma6(order: Rat) -> QSeries:
     """sum q^binom(n+2,2) (-q)_n / (q;q^2)_{n+1}."""
-
-    def ratio(n):
-        return (1, n + 1, [_q(n, -1)], [_q(2 * n + 1)])
-
-    return ensure_prec(lambda work: _term_sum((1, 1, (), [_q(1)]), ratio, work), order)
+    factors = ((_q(1, -1), 1, 1, 0, 1), (_q(1), 2, 1, 1, -1))
+    e = (Fraction(1, 2), Fraction(3, 2), 1)
+    return ensure_prec(lambda work: _term_sum(1, e, factors, work), order)
 
 
 def f3(order: Rat) -> QSeries:
     """sum q^(n^2) / (-q)_n^2."""
-
-    def ratio(n):
-        return (1, 2 * n - 1, (), [_q(n, -1), _q(n, -1)])
-
-    return ensure_prec(lambda work: _term_sum(_ONE, ratio, work), order)
+    factors = ((_q(1, -1), 1, 1, 0, -1),) * 2
+    return ensure_prec(lambda work: _term_sum(1, (1, 0, 0), factors, work), order)
 
 
 def f0_5(order: Rat) -> QSeries:
     """sum q^(n^2) / (-q)_n."""
-
-    def ratio(n):
-        return (1, 2 * n - 1, (), [_q(n, -1)])
-
-    return ensure_prec(lambda work: _term_sum(_ONE, ratio, work), order)
-
-
-def _k_sum(x: Monomial, k: int, first: Row, label: str, order: Rat) -> QSeries:
-    """The sum from the row first (term k) on, term ratio -q^(2n-1) (1 - q^(2n-1-2k))
-    / ((1 - x q^(2n-k)) (1 - q^(2n-k)/x)): K' and even Lambert k = 0, K'' and odd k = 1."""
-    _reject_pole(x, k, label)
-    xinv = x.inv()
-
-    def ratio(n):
-        d = 2 * n - k
-        return (-1, 2 * n - 1, [_q(2 * n - 1 - 2 * k)], [x.times_q(d), xinv.times_q(d)])
-
-    return ensure_prec(lambda work: _term_sum(first, ratio, work, start=k), order)
+    factors = ((_q(1, -1), 1, 1, 0, -1),)
+    return ensure_prec(lambda work: _term_sum(1, (1, 0, 0), factors, work), order)
 
 
 def kprime(omega: Monomial, order: Rat) -> QSeries:
     """sum (-1)^n q^(n^2) (q;q^2)_n / ((w q^2;q^2)_n (w^-1 q^2;q^2)_n)."""
-    return _k_sum(omega, 0, _ONE, "Kprime", order)
+    # the denominators vanish only at w = q^(2k), k != 0
+    if omega != _q(0):
+        _reject_pole(omega, 0, "Kprime")
+    y0, y1 = omega.times_q(2), omega.inv().times_q(2)
+    factors = ((_q(1), 2, 1, 0, 1), (y0, 2, 1, 0, -1), (y1, 2, 1, 0, -1))
+    return ensure_prec(lambda work: _term_sum(-1, (1, 0, 0), factors, work), order)
 
 
 def kprimeprime(omega: Monomial, order: Rat) -> QSeries:
     """sum_{n>=1} (-1)^n q^(n^2) (q;q^2)_{n-1} / ((w q;q^2)_n (w^-1 q;q^2)_n)."""
-    first = (-1, 1, (), [omega.times_q(1), omega.inv().times_q(1)])
-    return _k_sum(omega, 1, first, "Kprimeprime", order)
+    _reject_pole(omega, 1, "Kprimeprime")
+    y0, y1 = omega.times_q(1), omega.inv().times_q(1)
+    factors = ((_q(1), 2, 1, -1, 1), (y0, 2, 1, 0, -1), (y1, 2, 1, 0, -1))
+    return ensure_prec(lambda work: _term_sum(-1, (1, 0, 0), factors, work, start=1), order)
 
 
 def hprime(a: int, c: int, omega: Monomial, order: Rat) -> QSeries:
@@ -117,24 +100,26 @@ def hprime(a: int, c: int, omega: Monomial, order: Rat) -> QSeries:
     for u in (u0, u1):
         if u.is_q_power() and u.expo.denominator == 1 and u.expo <= 0:
             raise NonGenericError(f"Hprime has a vanishing denominator at {omega}")
-
-    def ratio(n):
-        return (1, n, [_q(n, -1)], [u0.times_q(n), u1.times_q(n)])
-
-    return ensure_prec(lambda work: _term_sum((1, 0, (), [u0, u1]), ratio, work), order)
+    factors = ((_q(1, -1), 1, 1, 0, 1), (u0, 1, 1, 1, -1), (u1, 1, 1, 1, -1))
+    e = (Fraction(1, 2), Fraction(1, 2), 0)
+    return ensure_prec(lambda work: _term_sum(1, e, factors, work), order)
 
 
 def lambert_even_lhs(x: Monomial, order: Rat) -> QSeries:
     """sum (-1)^n q^(n^2) (q;q^2)_n / ((x;q^2)_{n+1} (q^2/x;q^2)_n)."""
-    return _k_sum(x, 0, (1, 0, (), [x]), "left side of the even Lambert identity", order)
+    _reject_pole(x, 0, "left side of the even Lambert identity")
+    factors = ((_q(1), 2, 1, 0, 1), (x, 2, 1, 1, -1), (x.inv().times_q(2), 2, 1, 0, -1))
+    return ensure_prec(lambda work: _term_sum(-1, (1, 0, 0), factors, work), order)
 
 
 def lambert_odd_lhs(x: Monomial, order: Rat) -> QSeries:
-    """(1 - 1/x) sum (-1)^n (q;q^2)_n q^((n+1)^2)
-    / ((xq;q^2)_{n+1} (q/x;q^2)_{n+1}); the factor (1 - 1/x) rides on the
-    first term."""
-    first = (1, 1, [x.inv()], [x.times_q(1), x.inv().times_q(1)])
-    return _k_sum(x, 1, first, "left side of the odd Lambert identity", order)
+    """(1/x; q)_1 sum (-1)^n q^((n+1)^2) (q;q^2)_n
+    / ((xq;q^2)_{n+1} (q/x;q^2)_{n+1}), the factor 1 - 1/x a Pochhammer
+    symbol of constant length."""
+    _reject_pole(x, 1, "left side of the odd Lambert identity")
+    factors = ((x.inv(), 1, 0, 1, 1), (_q(1), 2, 1, 0, 1),
+               (x.times_q(1), 2, 1, 1, -1), (x.inv().times_q(1), 2, 1, 1, -1))
+    return ensure_prec(lambda work: _term_sum(-1, (1, 2, 1), factors, work), order)
 
 
 # ---------------------------------------------------------------------------

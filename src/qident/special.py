@@ -1,24 +1,25 @@
 """Classical building blocks: Pochhammer products, the theta function j,
-its J specializations, the Appell-Lerch sum m(x,q,z) and the universal
-mock theta function g, with the q-hypergeometric term-ratio sum behind
-every Eulerian series.
+its J specializations, the Appell-Lerch sum m(x,q,z), the universal mock
+theta function g, and the term sum behind every Eulerian series.
 
 All arguments x, z are Monomials c*q^e; the base is a positive rational p
 standing for q^p.  Every function takes a target order and returns a
 QSeries whose guaranteed precision reaches that order; a construction
 whose own division costs precision runs through ensure_prec, which
-deepens its working order up to PAD_LIMIT.  Each theta quotient, m(x,q,z)
-among them, is a single series_div of its numerator by its denominator,
-and each 1 - v of a term-ratio row one series_div_one_minus, the same
-division stepping by v's exponent through the classes the dividend holds.
-j and the Lambert sum of m are series.bilateral_sum scans.  j, m and g
-keep one memo entry per (function, arguments) in _theta_cache, a least
-recently used cache of at most MEMO_LIMIT entries.
+deepens its working order up to PAD_LIMIT.  An Eulerian series is its
+product form, a table of Pochhammer factors that _term_sum turns into
+rows, each one series_mul by its numerator polynomial and one
+series_div_one_minus per denominator binomial; pochhammer and both sums
+for g are such tables.  Each theta quotient, m(x,q,z) among them, is a
+single series_div; j and the Lambert sum of m are series.bilateral_sum
+scans.  j, m and g keep one memo entry per (function, arguments) in
+_theta_cache, a least recently used cache of at most MEMO_LIMIT entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -98,17 +99,40 @@ def _times_row(t: QSeries, row: Row, work: Fraction) -> QSeries:
     return series_truncate(t, work)
 
 
-def _term_sum(
-    first: Row, ratio: Callable[[int], Row], work: Fraction, start: int = 0
-) -> QSeries:
-    """The q-hypergeometric sum t_start + t_{start+1} + ... below q^work,
-    where t_start is the row first and t_n / t_{n-1} is the row ratio(n).
+# A factor (y, p, a, b, s) stands for (y; q^p)_(an+b)^s, with a >= 0 and s = +-1.
+Factor = Tuple[Monomial, Rat, int, int, int]
 
+
+def _row(sign, e: Rat, factors: Sequence[Factor], ks: Callable[[int, int], range]) -> Row:
+    """sign q^e times 1 - y q^(pk) for each factor (y, p, a, b, s) and k in
+    ks(a, b), in ups when s = 1 and in downs when s = -1."""
+    ups, downs = [], []
+    for y, p, a, b, s in factors:
+        (ups if s > 0 else downs).extend(y.times_q(p * k) for k in ks(a, b))
+    return sign, e, ups, downs
+
+
+def _term_sum(
+    c: Union[Rat, CycloNumber], e: Tuple[Rat, Rat, Rat], factors: Sequence[Factor],
+    work: Fraction, start: int = 0,
+) -> QSeries:
+    """The sum over n >= start of c^n q^E(n) prod (y; q^p)_(an+b)^s below
+    q^work, with E(n) = e[0] n^2 + e[1] n + e[2] and one factor (y, p, a, b, s)
+    per Pochhammer symbol.
+
+    The first term is c^start q^E(start) times the binomials 1 - y q^(pk)
+    for k < a start + b; the ratio t_n / t_{n-1} is c q^(E(n) - E(n-1)) times
+    those for k in [a(n-1) + b, an + b) (Gasper and Rahman, section 1.3).
     Every term is carried as a truncated series, so each costs one pass per
     factor, and the quadratic exponent growth ends the loop.  The term cap
     counts from the lowest valuation, as a Pochhammer sum may dip first.
     """
+
+    def E(n: int) -> Rat:
+        return e[0] * n * n + e[1] * n + e[2]
+
     cap = 10 * (int(work) + 10)
+    first = _row(c**start, E(start), factors, lambda a, b: range(a * start + b))
     t = _times_row(const_series(1, work), first, work)
 
     def terms(t: QSeries):
@@ -123,7 +147,8 @@ def _term_sum(
             if work - t.prec_order() > PAD_LIMIT:
                 raise _too_deep(work - t.prec_order())
             n += 1
-            t = _times_row(t, ratio(n), work)
+            ratio = _row(c, E(n) - E(n - 1), factors, lambda a, b: range(a * (n - 1) + b, a * n + b))
+            t = _times_row(t, ratio, work)
 
     return series_sum(zero_series(work, t.denom, t.field_order), terms(t))
 
@@ -134,10 +159,10 @@ def _term_sum(
 
 
 def pochhammer(x: Monomial, p: Rat, n: Optional[int], order: Rat) -> QSeries:
-    """(x; q^p)_n, with n = None meaning the infinite product, as the sum
-    of (-x)^k q^(p binom(k,2)) / (q^p; q^p)_k (Euler) or, for finite n, of
-    the same terms times (q^(p(n-k+1)); q^p)_k, the q-binomial sum that
-    ends by itself at k = n + 1 (Gasper and Rahman, section 1.3).
+    """(x; q^p)_n for x = c q^e, with n = None meaning the infinite product:
+    Euler's sum of (-c)^k q^(p binom(k,2) + ek) / (q^p; q^p)_k, or for finite
+    n the q-binomial sum of c^k q^((e+pn)k) (q^(-pn); q^p)_k / (q^p; q^p)_k,
+    which ends by itself at k = n + 1 (Gasper and Rahman, section 1.3).
 
     A vanishing factor (x*q^(kp) exactly 1) makes the whole product the
     zero series rather than an error.
@@ -147,15 +172,16 @@ def pochhammer(x: Monomial, p: Rat, n: Optional[int], order: Rat) -> QSeries:
         raise ValueError("Pochhammer base exponent must be positive")
     if n is not None and n < 0:
         raise ValueError("Pochhammer length must be nonnegative")
-    c, e = -x.coeff, x.expo
+    c, e = x.coeff, x.expo
     d = lcm(e.denominator, p.denominator)
-
-    def ratio(k: int) -> Row:
-        ups = () if n is None else (Monomial.make(1, p * (n - k + 1)),)
-        return (c, e + p * (k - 1), ups, (Monomial.make(1, p * k),))
+    qp = (Monomial.make(1, p), p, 1, 0, -1)
+    if n is None:
+        c, expo, factors = -c, (p / 2, e - p / 2, 0), (qp,)
+    else:
+        expo, factors = (0, e + p * n, 0), ((Monomial.make(1, -p * n), p, 1, 0, 1), qp)
 
     def build(work: Fraction) -> QSeries:
-        return _term_sum((1, 0, (), ()), ratio, work).rebase(d).lift_field(x.field_order)
+        return _term_sum(c, expo, factors, work).rebase(d).lift_field(x.field_order)
 
     # the first term, 1, must lie inside the window for the sum to start
     return ensure_prec(build, max(_fr(order), Fraction(1)))
@@ -213,21 +239,19 @@ def theta_is_zero(x: Monomial, p: Rat) -> bool:
     return x.is_q_power() and (x.expo / p).denominator == 1
 
 
-def J(a: int, m: int, order: Rat, p: Rat = 1) -> QSeries:
-    """J_{a,m} = j(q^a; q^m) at base q^p."""
-    p = _fr(p)
-    return theta_j(Monomial.make(1, p * a), p * m, order)
+def J(a: int, m: int, order: Rat) -> QSeries:
+    """J_{a,m} = j(q^a; q^m)."""
+    return theta_j(Monomial.make(1, a), m, order)
 
 
-def JB(a: int, m: int, order: Rat, p: Rat = 1) -> QSeries:
-    """JB_{a,m} = j(-q^a; q^m) at base q^p."""
-    p = _fr(p)
-    return theta_j(Monomial.make(-1, p * a), p * m, order)
+def JB(a: int, m: int, order: Rat) -> QSeries:
+    """JB_{a,m} = j(-q^a; q^m)."""
+    return theta_j(Monomial.make(-1, a), m, order)
 
 
-def Jm(m: int, order: Rat, p: Rat = 1) -> QSeries:
+def Jm(m: int, order: Rat) -> QSeries:
     """J_m = J_{m,3m}."""
-    return J(m, 3 * m, order, p)
+    return J(m, 3 * m, order)
 
 
 # ---------------------------------------------------------------------------
@@ -271,42 +295,40 @@ def appell_m(x: Monomial, p: Rat, z: Monomial, order: Rat) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def g_universal(x: Monomial, p: Rat, order: Rat, route: str = "lambert") -> QSeries:
-    """g(x, q^p) by one of two equivalent sums, Pochhammers at base q^p:
-
-    lambert:  sum of q^(p n(n+1)) / ((x)_{n+1} (q^p/x)_{n+1});
-    eulerian: x^(-1) (-1 + sum of q^(p n^2) / ((x)_{n+1} (q^p/x)_n)).
-
-    Its Appell-Lerch form is the expression-language definition g_appell.
-    """
+def _g_base(x: Monomial, p: Rat) -> Fraction:
     p = _fr(p)
     if p <= 0:
         raise ValueError("base exponent must be positive")
-    if route not in ("lambert", "eulerian"):
-        raise ValueError(f"unknown g construction {route!r}")
     if theta_is_zero(x, p):
-        raise NonGenericError(
-            f"g pole: Pochhammer factor vanishes for x = {x} a power of q^({p})"
-        )
-    key = ("g", route, x.coeff.key(), x.expo, p)
-    return _memo(key, order, lambda: ensure_prec(lambda w: _g_sum(x, p, w, route), order))
+        raise NonGenericError(f"g pole: Pochhammer factor vanishes for x = {x} a power of q^({p})")
+    return p
 
 
-def _g_sum(x: Monomial, p: Fraction, work: Fraction, route: str) -> QSeries:
-    xinv = x.inv()
-    if route == "lambert":
-        return _term_sum(
-            (1, 0, (), (x, xinv.times_q(p))),
-            lambda n: (1, 2 * p * n, (), (x.times_q(p * n), xinv.times_q(p * (n + 1)))),
-            work,
-        )
-    # the -1 + sum form, then the x^(-1) prefactor
-    s = _term_sum(
-        (1, 0, (), (x,)),
-        lambda n: (1, p * (2 * n - 1), (), (x.times_q(p * n), xinv.times_q(p * n))),
-        work,
-    )
-    return series_shift(series_sub(s, const_series(1, work)), xinv)
+def g_universal(x: Monomial, p: Rat, order: Rat) -> QSeries:
+    """g(x, q^p) as its Lambert sum, Pochhammers at base q^p:
+    sum of q^(p n(n+1)) / ((x)_{n+1} (q^p/x)_{n+1}).
+
+    Its Eulerian form is g_sum, its Appell-Lerch form the
+    expression-language definition g_appell.
+    """
+    p = _g_base(x, p)
+    factors = ((x, p, 1, 1, -1), (x.inv().times_q(p), p, 1, 1, -1))
+    key = ("g", x.coeff.key(), x.expo, p)
+    return _memo(key, order, lambda: ensure_prec(partial(_term_sum, 1, (p, p, 0), factors), order))
+
+
+def g_sum(x: Monomial, p: Rat, order: Rat) -> QSeries:
+    """g(x, q^p) as its Eulerian sum, Pochhammers at base q^p:
+    x^(-1) (-1 + sum of q^(p n^2) / ((x)_{n+1} (q^p/x)_n))."""
+    p = _g_base(x, p)
+    factors = ((x, p, 1, 1, -1), (x.inv().times_q(p), p, 1, 0, -1))
+
+    def build(work: Fraction) -> QSeries:
+        s = _term_sum(1, (p, 0, 0), factors, work)
+        return series_shift(series_sub(s, const_series(1, work)), x.inv())
+
+    key = ("g_sum", x.coeff.key(), x.expo, p)
+    return _memo(key, order, lambda: ensure_prec(build, order))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,21 @@ def pochhammer_bruteforce(
     return acc
 
 
+def geom_inverse_bruteforce(a: dict[Fraction, Fraction], order: Fraction) -> dict[Fraction, Fraction]:
+    """1/a below q^order for a nonzero a = c0 q^v (1 - u): c0^(-1) q^(-v)
+    times the geometric series 1 + u + u^2 + ..., every power multiplied out."""
+    v = min(a)
+    c0 = a[v]
+    u = {e - v: -c / c0 for e, c in a.items() if e != v}
+    rel = order + v  # the geometric series is needed below q^(order + v)
+    acc, power = {Fraction(0): Fraction(1)}, {Fraction(0): Fraction(1)}
+    while power:
+        power = dict_truncate(dict_mul(power, u), rel)
+        for e, c in power.items():
+            acc[e] = acc.get(e, Fraction(0)) + c
+    return {e - v: c / c0 for e, c in acc.items() if e < rel and c}
+
+
 def theta_bruteforce(c: Fraction, e: Fraction, p: Fraction, order: Fraction) -> dict[Fraction, Fraction]:
     """Bilateral theta sum with rational x = c*q^e, scanned over a wide window."""
     out: dict[Fraction, Fraction] = {}

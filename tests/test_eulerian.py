@@ -1,6 +1,7 @@
 """Eulerian sums, bilateral Lambert series, and root-of-unity combinations."""
 
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -25,7 +26,6 @@ from qident.eulerian import (
 from qident.identity import check, make_case
 from qident.series import (
     Monomial,
-    q_power,
     series_add,
     series_div,
     series_eq_to_order,
@@ -36,9 +36,15 @@ from qident.series import (
     series_sub,
     substitute_base,
 )
-from qident.special import J, Jm, appell_m, pochhammer, theta_j
+from qident.special import J, Jm, appell_m, g_sum, g_universal, pochhammer, theta_j
 
-from oracles import assert_series_matches
+from oracles import (
+    assert_series_matches,
+    dict_mul,
+    dict_truncate,
+    geom_inverse_bruteforce,
+    pochhammer_bruteforce,
+)
 
 ORDER = F(40)
 
@@ -72,6 +78,94 @@ def one_minus_root(w):
     return Monomial(one - w.coeff, F(0))
 
 
+# ---------------------------------------------------------------------------
+# Every product-form builder against its docstring, summed naively
+# ---------------------------------------------------------------------------
+
+
+def P(c, e, p, m):
+    """(c q^e; q^p)_m as an exact polynomial."""
+    return pochhammer_bruteforce(F(c), F(e), F(p), m)
+
+
+def naive_sum(term, order, start=0, stop=9):
+    """The sum over start <= n < stop of c q^E prod(num) / prod(den) below
+    q^order, for (c, E, num, den) = term(n); the last term must already lie
+    at or past q^order."""
+    out = {}
+    for n in range(start, stop):
+        c, E, num, den = term(n)
+        top = reduce(dict_mul, num, {F(0): F(1)})
+        bottom = reduce(dict_mul, den, {F(0): F(1)})
+        if not top:
+            continue
+        low = E + min(top) - min(bottom)
+        assert n < stop - 1 or low >= order, (n, low)
+        if low >= order:
+            continue
+        inv = geom_inverse_bruteforce(bottom, order - E - min(top))
+        for e, v in dict_mul({F(E): F(c)}, dict_mul(top, inv)).items():
+            out[e] = out.get(e, F(0)) + v
+    return dict_truncate({e: v for e, v in out.items() if v}, order)
+
+
+def naive_g_sum(c, e, p, order):
+    """x^(-1) (-1 + sum q^(p n^2) / ((x)_{n+1} (q^p/x)_n)) for x = c q^e."""
+    s = naive_sum(lambda n: (1, p * n * n, [], [P(c, e, p, n + 1), P(1 / F(c), p - e, p, n)]),
+                  order + e)
+    s[F(0)] = s.get(F(0), F(0)) - 1
+    return {k - e: v / c for k, v in s.items() if v}
+
+
+PRODUCT_FORMS = [
+    pytest.param(phi6, lambda o: naive_sum(
+        lambda n: ((-1) ** n, n * n, [P(1, 1, 2, n)], [P(-1, 1, 1, 2 * n)]), o), id="phi"),
+    pytest.param(sigma6, lambda o: naive_sum(
+        lambda n: (1, F((n + 2) * (n + 1), 2), [P(-1, 1, 1, n)], [P(1, 1, 2, n + 1)]), o), id="sigma"),
+    pytest.param(f3, lambda o: naive_sum(
+        lambda n: (1, n * n, [], [P(-1, 1, 1, n), P(-1, 1, 1, n)]), o), id="f3"),
+    pytest.param(f0_5, lambda o: naive_sum(
+        lambda n: (1, n * n, [], [P(-1, 1, 1, n)]), o), id="f0"),
+    # K'(1) has no pole: only w = q^(2k), k != 0, zeroes a denominator
+    pytest.param(lambda o: kprime(mono(1), o), lambda o: naive_sum(
+        lambda n: ((-1) ** n, n * n, [P(1, 1, 2, n)], [P(1, 2, 2, n), P(1, 2, 2, n)]), o), id="Kp-1"),
+    pytest.param(lambda o: kprime(mono(-2, F(1, 2)), o), lambda o: naive_sum(
+        lambda n: ((-1) ** n, n * n, [P(1, 1, 2, n)],
+                   [P(-2, F(5, 2), 2, n), P(F(-1, 2), F(3, 2), 2, n)]), o), id="Kp-2"),
+    pytest.param(lambda o: kprimeprime(mono(3), o), lambda o: naive_sum(
+        lambda n: ((-1) ** n, n * n, [P(1, 1, 2, n - 1)], [P(3, 1, 2, n), P(F(1, 3), 1, 2, n)]),
+        o, start=1), id="Kpp"),
+    pytest.param(lambda o: hprime(1, 3, mono(-1), o), lambda o: naive_sum(
+        lambda n: (1, F(n * (n + 1), 2), [P(-1, 1, 1, n)],
+                   [P(-1, F(1, 3), 1, n + 1), P(-1, F(2, 3), 1, n + 1)]), o), id="Hp"),
+    pytest.param(lambda o: lambert_even_lhs(mono(2), o), lambda o: naive_sum(
+        lambda n: ((-1) ** n, n * n, [P(1, 1, 2, n)], [P(2, 0, 2, n + 1), P(F(1, 2), 2, 2, n)]), o),
+        id="lambert-even"),
+    pytest.param(lambda o: lambert_odd_lhs(mono(F(-1, 3), F(1, 2)), o), lambda o: naive_sum(
+        lambda n: ((-1) ** n, (n + 1) ** 2, [P(-3, F(-1, 2), 1, 1), P(1, 1, 2, n)],
+                   [P(F(-1, 3), F(3, 2), 2, n + 1), P(-3, F(1, 2), 2, n + 1)]), o), id="lambert-odd"),
+    pytest.param(lambda o: g_universal(mono(2), 1, o), lambda o: naive_sum(
+        lambda n: (1, n * (n + 1), [], [P(2, 0, 1, n + 1), P(F(1, 2), 1, 1, n + 1)]), o), id="g"),
+    pytest.param(lambda o: g_universal(mono(F(-1, 2), F(1, 3)), 2, o), lambda o: naive_sum(
+        lambda n: (1, 2 * n * (n + 1), [],
+                   [P(F(-1, 2), F(1, 3), 2, n + 1), P(-2, F(5, 3), 2, n + 1)]), o), id="g-base-2"),
+    pytest.param(lambda o: g_sum(mono(2), 1, o), lambda o: naive_g_sum(2, 0, 1, o), id="g_sum"),
+    pytest.param(lambda o: g_sum(mono(F(-1, 2), F(1, 3)), 2, o),
+                 lambda o: naive_g_sum(F(-1, 2), F(1, 3), 2, o), id="g_sum-base-2"),
+    # Euler: (x; q^p)_inf = sum (-c)^k q^(p binom(k,2) + ek) / (q^p; q^p)_k
+    pytest.param(lambda o: pochhammer(mono(2, -1), 1, None, o), lambda o: naive_sum(
+        lambda k: ((-2) ** k, F(k * (k - 1), 2) - k, [], [P(1, 1, 1, k)]), o), id="poch-inf"),
+    pytest.param(lambda o: pochhammer(mono(F(-1, 3), F(1, 2)), 2, None, o), lambda o: naive_sum(
+        lambda k: (F(1, 3) ** k, k * (k - 1) + F(k, 2), [], [P(1, 2, 2, k)]), o), id="poch-inf-base-2"),
+    # q-binomial: (x; q^p)_n = sum c^k q^((e+pn)k) (q^(-pn); q^p)_k / (q^p; q^p)_k
+    pytest.param(lambda o: pochhammer(mono(2, 1), 1, 5, o), lambda o: naive_sum(
+        lambda k: (2 ** k, 6 * k, [P(1, -5, 1, k)], [P(1, 1, 1, k)]), o), id="poch-5"),
+    pytest.param(lambda o: pochhammer(mono(F(-1, 3), F(1, 2)), 2, 3, o), lambda o: naive_sum(
+        lambda k: (F(-1, 3) ** k, F(13, 2) * k, [P(1, -6, 2, k)], [P(1, 2, 2, k)]), o),
+        id="poch-3-base-2"),
+]
+
+
 class TestPartialSumOracles:
     def test_third_order_partial_sums(self):
         # sum q^(n^2)/(-q)_n^2 begins 1 + q - 2q^2 + 3q^3 - 3q^4
@@ -95,24 +189,10 @@ class TestPartialSumOracles:
         # sigma starts at q
         assert sigma6(2).valuation() == 1
 
-    def test_direct_sums_match_running_terms(self):
-        # recompute phi by explicit finite products
-        order = 25
-        acc = None
-        n = 0
-        while n * n <= order:
-            t = series_mul(
-                q_power(n * n, order),
-                series_div(
-                    pochhammer(mono(1, 1), 2, n, order),
-                    pochhammer(mono(-1, 1), 1, 2 * n, order),
-                ),
-            )
-            if n % 2:
-                t = series_neg(t)
-            acc = t if acc is None else series_add(acc, t)
-            n += 1
-        check_eq(phi6(order), acc, order)
+    @pytest.mark.parametrize("build, naive", PRODUCT_FORMS)
+    def test_direct_sums_match_running_terms(self, build, naive):
+        order = F(20)
+        assert_series_matches(build(order), naive(order), order)
 
 
 class TestAppellForms:

@@ -430,7 +430,7 @@ def test_div_follows_grid_refinement(a, b, k):
 def test_rebase_and_lift_transparency(a, mult, field):
     b = a.rebase(a.denom * mult).lift_field(a.field_order * (field // a.field_order) if field % a.field_order == 0 else a.field_order * field)
     assert {F(k, b.denom): str(c) for k, c in b.terms.items()} == {
-        F(k, a.denom): str(c.lift(b.field_order)) for k, c in a.terms.items()
+        F(k, a.denom): str(lift_order(c, b.field_order)) for k, c in a.terms.items()
     }
     assert b.prec_order() == a.prec_order()
 

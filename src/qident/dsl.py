@@ -21,25 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .coeff import csc_pi, sin_pi, zeta_power
 from .errors import EvalError, ParseError
-from .eulerian import (
-    bilateral_even,
-    bilateral_odd,
-    f0_5,
-    f3,
-    habc_sum,
-    hprime,
-    kprime,
-    kprimeprime,
-    lambert_even_lhs,
-    lambert_odd_lhs,
-    phi6,
-    sigma6,
-)
+from .eulerian import FORMS, bilateral_even, bilateral_odd, habc_sum, need_a_below_c
 from .series import (
     Monomial,
     QSeries,
@@ -51,7 +39,6 @@ from .series import (
     series_pow,
     series_shift,
     series_sub,
-    substitute_base,
     zero_series,
 )
 from .special import (
@@ -65,6 +52,7 @@ from .special import (
     g_sum,
     g_universal,
     pochhammer,
+    product_sum,
     rjtp_lhs,
     theta_j,
 )
@@ -572,14 +560,6 @@ def _zeta(v: List[object], order: Fraction) -> Monomial:
     return Monomial(zeta_power(M, k), Fraction(0))
 
 
-def _eul(fn: Callable[[Fraction], QSeries]):
-    def run(v: List[object], order: Fraction) -> QSeries:
-        p = v[0] if v else 1
-        return substitute_base(fn(order / p), p)
-
-    return run
-
-
 # ---------------------------------------------------------------------------
 # Definitions: the paper's combinations as expressions over the core
 # ---------------------------------------------------------------------------
@@ -605,14 +585,9 @@ def _q(e: Rat) -> str:
     return f"q^({e})"
 
 
-def _need_a_below_c(a: int, c: int):
-    if not 0 < a < c:
-        raise ValueError("need 0 < a < c")
-
-
 def _ktilde(a: int, c: int) -> Source:
     """csc(pi a/c)/4 q^(-1/8) K'(zeta_c^a) + sin(pi a/c) q^(-1/8) K''(zeta_c^a)."""
-    _need_a_below_c(a, c)
+    need_a_below_c(a, c)
     w = f"zeta({c},{a})"
     return f"cscpi({a},{c})/4*q^(-1/8)*Kp({w}) + sinpi({a},{c})*q^(-1/8)*Kpp({w})", {}
 
@@ -632,7 +607,7 @@ def _htilde_shift(a: int, c: int) -> str:
 def _htilde(a: int, c: int) -> Source:
     """q^((a/c)(1-a/c)) (H'(a,c,1) + H'(a,c,-1)), the relative sign forced
     by agreement with the closed form."""
-    _need_a_below_c(a, c)
+    need_a_below_c(a, c)
     return f"{_htilde_shift(a, c)}*(Hp({a},{c},1) + Hp({a},{c},-1))", {}
 
 
@@ -645,7 +620,7 @@ def _htilde_bilateral(a: int, c: int) -> Source:
     """q^((a/c)(1-a/c)) (H(a,0,c) - H(a,c/2,c)), for even c."""
     if c % 2:
         raise ValueError("the split-difference route needs even c")
-    _need_a_below_c(a, c)
+    need_a_below_c(a, c)
     return f"{_htilde_shift(a, c)}*(Habc({a},0,{c}) - Habc({a},{c // 2},{c}))", {}
 
 
@@ -687,20 +662,30 @@ def _msplit(x: Monomial, p: int, z: Monomial, zp: Monomial, n: int) -> Source:
     return text, {"x": x, "z": z, "zp": zp}
 
 
-def _g_appell(x: Monomial, p: int = 1) -> Source:
+def _g_appell(x: Monomial, p: int) -> Source:
     """g(x, q^p) = -x^(-1) m(q^(2p) x^(-3), q^(3p), x^2) - x^(-2) m(q^p x^(-3), q^(3p), x^2)."""
     text = f"-x^(-1)*m(q^{2 * p}*x^(-3), q^{3 * p}, x^2) - x^(-2)*m(q^{p}*x^(-3), q^{3 * p}, x^2)"
     return text, {"x": x}
-
-
-_g_appell_def = _definition("g_appell", _g_appell)
 
 
 def _both(kinds: Tuple[str, ...], fn) -> Dict[int, Tuple[Tuple[str, ...], Callable]]:
     return {len(kinds): (kinds, fn)}
 
 
+def _base_q(kinds: Tuple[str, ...], fn) -> Dict[int, Tuple[Tuple[str, ...], Callable]]:
+    """As _both, and with the trailing base argument left out meaning q."""
+    return {**_both(kinds, fn), len(kinds) - 1: (kinds[:-1], lambda v, o: fn(v + [1], o))}
+
+
+def _form(name: str, v: List[object], order: Fraction) -> QSeries:
+    """The row name of FORMS at the arguments v: its sum, or its pole message raised."""
+    _, form, pole = FORMS[name]
+    return product_sum(form(*v), order, pole.format(*v))
+
+
 FUNCTIONS: Dict[str, Dict[int, Tuple[Tuple[str, ...], Callable]]] = {
+    **{name: (_base_q if kinds[-1:] == ("p",) else _both)(kinds, partial(_form, name))
+       for name, (kinds, _, _) in FORMS.items()},
     "j": _both(("x", "p"), lambda v, o: theta_j(v[0], v[1], o)),
     "J": _both(("i", "i"), lambda v, o: J(v[0], v[1], o)),
     "JB": _both(("i", "i"), lambda v, o: JB(v[0], v[1], o)),
@@ -709,18 +694,9 @@ FUNCTIONS: Dict[str, Dict[int, Tuple[Tuple[str, ...], Callable]]] = {
     "m": _both(("x", "p", "x"), lambda v, o: appell_m(v[0], v[1], v[2], o)),
     "mcorr": _both(("x", "p", "x", "x"), _definition("mcorr", _mcorr)),
     "msplit": _both(("x", "p", "x", "x", "i"), _definition("msplit", _msplit)),
-    "g": {1: (("x",), lambda v, o: g_universal(v[0], 1, o)),
-          2: (("x", "p"), lambda v, o: g_universal(v[0], v[1], o))},
-    "g_sum": {1: (("x",), lambda v, o: g_sum(v[0], 1, o)),
-              2: (("x", "p"), lambda v, o: g_sum(v[0], v[1], o))},
-    "g_appell": {1: (("x",), _g_appell_def), 2: (("x", "p"), _g_appell_def)},
-    "phi": {0: ((), _eul(phi6)), 1: (("p",), _eul(phi6))},
-    "sigma": {0: ((), _eul(sigma6)), 1: (("p",), _eul(sigma6))},
-    "f3": {0: ((), _eul(f3)), 1: (("p",), _eul(f3))},
-    "f0": {0: ((), _eul(f0_5)), 1: (("p",), _eul(f0_5))},
-    "Kp": _both(("x",), lambda v, o: kprime(v[0], o)),
-    "Kpp": _both(("x",), lambda v, o: kprimeprime(v[0], o)),
-    "Hp": _both(("i", "i", "x"), lambda v, o: hprime(v[0], v[1], v[2], o)),
+    "g": _base_q(("x", "p"), lambda v, o: g_universal(v[0], v[1], o)),
+    "g_sum": _base_q(("x", "p"), lambda v, o: g_sum(v[0], v[1], o)),
+    "g_appell": _base_q(("x", "p"), _definition("g_appell", _g_appell)),
     "Ktilde": _both(("i", "i"), _definition("Ktilde", _ktilde)),
     "Ktilde_closed": _both(("i", "i"), _definition("Ktilde_closed", _ktilde_closed)),
     "Htilde": _both(("i", "i"), _definition("Htilde", _htilde)),
@@ -732,10 +708,5 @@ FUNCTIONS: Dict[str, Dict[int, Tuple[Tuple[str, ...], Callable]]] = {
     "zeta": _both(("i", "i"), _zeta),
     "bilateral_even": _both(("x",), lambda v, o: bilateral_even(v[0], o)),
     "bilateral_odd": _both(("x",), lambda v, o: bilateral_odd(v[0], o)),
-    "lambert_even": _both(("x",), lambda v, o: lambert_even_lhs(v[0], o)),
-    "lambert_odd": _both(("x",), lambda v, o: lambert_odd_lhs(v[0], o)),
-    "rjtp": {
-        1: (("x",), lambda v, o: rjtp_lhs(v[0], o)),
-        2: (("x", "p"), lambda v, o: rjtp_lhs(v[0], o, v[1])),
-    },
+    "rjtp": _base_q(("x", "p"), lambda v, o: rjtp_lhs(v[0], o, v[1])),
 }

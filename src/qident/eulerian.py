@@ -1,26 +1,25 @@
 """Eulerian q-hypergeometric sums and bilateral Lambert series.
 
-Each Eulerian series is stated in its product form, the sum over n of
-c^n q^E(n) times Pochhammer symbols (y; q^p)_(an+b)^(+-1), with E quadratic:
-its builder passes c, the coefficients of E and a table of factors
-(y, p, a, b, s) to special._term_sum, which reads the first term and the
-term ratio off that table.  Each bilateral Lambert series is one
-series.bilateral_sum scan.  Exact pole prechecks reject the parameter
-values where a denominator factor vanishes identically.  The paper's
-root-of-unity combinations of these series, K-tilde and H-tilde, are
-expression-language definitions in dsl.
+Each Eulerian series is one row of FORMS: its product form, the sum over
+n >= start of c^n q^E(n) times Pochhammer symbols (y; q^p)_(an+b)^(+-1)
+with E quadratic, as the table (c, E, factors, start) that
+special.product_sum sums and reads its poles from, and the message that
+names a pole.  Each bilateral Lambert series is one series.bilateral_sum
+scan, rejected up front where series.bilateral_pole finds a zero
+denominator.  The paper's root-of-unity combinations of these series,
+K-tilde and H-tilde, are expression-language definitions in dsl.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Callable, Dict, Tuple, Union
 
 from .coeff import zeta_power
 from .errors import NonGenericError
-from .series import Monomial, QSeries, bilateral_sum, series_div
-from .special import J, JB, _term_sum, ensure_prec, theta_is_zero
+from .series import Monomial, QSeries, bilateral_pole, bilateral_sum, series_div
+from .special import J, JB, ensure_prec
 
 Rat = Union[int, Fraction]
 
@@ -38,88 +37,57 @@ def f_c(c: int) -> int:
     return 2 * c // gcd(c, 4)
 
 
-def _reject_pole(x: Monomial, parity: int, label: str):
-    """Reject x = q^e with e an integer of the given parity (0 even, 1 odd)."""
-    if theta_is_zero(x.times_q(-parity), 2):
-        raise NonGenericError(f"{label} has a vanishing denominator at {x}")
-
-
-# ---------------------------------------------------------------------------
-# The individual series: (y, p, a, b, s) stands for (y; q^p)_(an+b)^s
-# ---------------------------------------------------------------------------
-
-
-def phi6(order: Rat) -> QSeries:
-    """sum (-1)^n q^(n^2) (q;q^2)_n / (-q;q)_{2n}."""
-    factors = ((_q(1), 2, 1, 0, 1), (_q(1, -1), 1, 2, 0, -1))
-    return ensure_prec(lambda work: _term_sum(-1, (1, 0, 0), factors, work), order)
-
-
-def sigma6(order: Rat) -> QSeries:
-    """sum q^binom(n+2,2) (-q)_n / (q;q^2)_{n+1}."""
-    factors = ((_q(1, -1), 1, 1, 0, 1), (_q(1), 2, 1, 1, -1))
-    e = (Fraction(1, 2), Fraction(3, 2), 1)
-    return ensure_prec(lambda work: _term_sum(1, e, factors, work), order)
-
-
-def f3(order: Rat) -> QSeries:
-    """sum q^(n^2) / (-q)_n^2."""
-    factors = ((_q(1, -1), 1, 1, 0, -1),) * 2
-    return ensure_prec(lambda work: _term_sum(1, (1, 0, 0), factors, work), order)
-
-
-def f0_5(order: Rat) -> QSeries:
-    """sum q^(n^2) / (-q)_n."""
-    factors = ((_q(1, -1), 1, 1, 0, -1),)
-    return ensure_prec(lambda work: _term_sum(1, (1, 0, 0), factors, work), order)
-
-
-def kprime(omega: Monomial, order: Rat) -> QSeries:
-    """sum (-1)^n q^(n^2) (q;q^2)_n / ((w q^2;q^2)_n (w^-1 q^2;q^2)_n)."""
-    # the denominators vanish only at w = q^(2k), k != 0
-    if omega != _q(0):
-        _reject_pole(omega, 0, "Kprime")
-    y0, y1 = omega.times_q(2), omega.inv().times_q(2)
-    factors = ((_q(1), 2, 1, 0, 1), (y0, 2, 1, 0, -1), (y1, 2, 1, 0, -1))
-    return ensure_prec(lambda work: _term_sum(-1, (1, 0, 0), factors, work), order)
-
-
-def kprimeprime(omega: Monomial, order: Rat) -> QSeries:
-    """sum_{n>=1} (-1)^n q^(n^2) (q;q^2)_{n-1} / ((w q;q^2)_n (w^-1 q;q^2)_n)."""
-    _reject_pole(omega, 1, "Kprimeprime")
-    y0, y1 = omega.times_q(1), omega.inv().times_q(1)
-    factors = ((_q(1), 2, 1, -1, 1), (y0, 2, 1, 0, -1), (y1, 2, 1, 0, -1))
-    return ensure_prec(lambda work: _term_sum(-1, (1, 0, 0), factors, work, start=1), order)
-
-
-def hprime(a: int, c: int, omega: Monomial, order: Rat) -> QSeries:
-    """sum q^(n(n+1)/2) (-q)_n / ((w q^(a/c))_{n+1} (w q^(1-a/c))_{n+1})."""
+def need_a_below_c(a: int, c: int):
     if not 0 < a < c:
         raise ValueError("need 0 < a < c")
-    u0, u1 = omega.times_q(Fraction(a, c)), omega.times_q(1 - Fraction(a, c))
-    for u in (u0, u1):
-        if u.is_q_power() and u.expo.denominator == 1 and u.expo <= 0:
-            raise NonGenericError(f"Hprime has a vanishing denominator at {omega}")
-    factors = ((_q(1, -1), 1, 1, 0, 1), (u0, 1, 1, 1, -1), (u1, 1, 1, 1, -1))
-    e = (Fraction(1, 2), Fraction(1, 2), 0)
-    return ensure_prec(lambda work: _term_sum(1, e, factors, work), order)
 
 
-def lambert_even_lhs(x: Monomial, order: Rat) -> QSeries:
-    """sum (-1)^n q^(n^2) (q;q^2)_n / ((x;q^2)_{n+1} (q^2/x;q^2)_n)."""
-    _reject_pole(x, 0, "left side of the even Lambert identity")
-    factors = ((_q(1), 2, 1, 0, 1), (x, 2, 1, 1, -1), (x.inv().times_q(2), 2, 1, 0, -1))
-    return ensure_prec(lambda work: _term_sum(-1, (1, 0, 0), factors, work), order)
+def _hp(a: int, c: int, w: Monomial) -> tuple:
+    need_a_below_c(a, c)
+    u0, u1 = w.times_q(Fraction(a, c)), w.times_q(1 - Fraction(a, c))
+    return 1, (Fraction(1, 2), Fraction(1, 2), 0), (
+        (_q(1, -1), 1, 1, 0, 1), (u0, 1, 1, 1, -1), (u1, 1, 1, 1, -1)), 0
 
 
-def lambert_odd_lhs(x: Monomial, order: Rat) -> QSeries:
-    """(1/x; q)_1 sum (-1)^n q^((n+1)^2) (q;q^2)_n
-    / ((xq;q^2)_{n+1} (q/x;q^2)_{n+1}), the factor 1 - 1/x a Pochhammer
-    symbol of constant length."""
-    _reject_pole(x, 1, "left side of the odd Lambert identity")
-    factors = ((x.inv(), 1, 0, 1, 1), (_q(1), 2, 1, 0, 1),
-               (x.times_q(1), 2, 1, 1, -1), (x.inv().times_q(1), 2, 1, 1, -1))
-    return ensure_prec(lambda work: _term_sum(-1, (1, 2, 1), factors, work), order)
+# name: (argument kinds, arguments -> product form (c, E, factors, start),
+# pole message over the arguments), a factor (y, p, a, b, s) standing for
+# (y; q^p)_(an+b)^s.  The first four series take their base q^p as argument.
+FORMS: Dict[str, Tuple[Tuple[str, ...], Callable[..., tuple], str]] = {
+    # sum (-1)^n q^(n^2) (q;q^2)_n / (-q;q)_{2n}
+    "phi": (("p",), lambda p: (-1, (p, 0, 0), (
+        (_q(p), 2 * p, 1, 0, 1), (_q(p, -1), p, 2, 0, -1)), 0),
+        "phi has a vanishing denominator"),
+    # sum q^binom(n+2,2) (-q)_n / (q;q^2)_{n+1}
+    "sigma": (("p",), lambda p: (1, (Fraction(p, 2), Fraction(3 * p, 2), p), (
+        (_q(p, -1), p, 1, 0, 1), (_q(p), 2 * p, 1, 1, -1)), 0),
+        "sigma has a vanishing denominator"),
+    # sum q^(n^2) / (-q)_n^2
+    "f3": (("p",), lambda p: (1, (p, 0, 0), ((_q(p, -1), p, 1, 0, -1),) * 2, 0),
+           "f3 has a vanishing denominator"),
+    # sum q^(n^2) / (-q)_n
+    "f0": (("p",), lambda p: (1, (p, 0, 0), ((_q(p, -1), p, 1, 0, -1),), 0),
+           "f0 has a vanishing denominator"),
+    # sum (-1)^n q^(n^2) (q;q^2)_n / ((w q^2;q^2)_n (w^-1 q^2;q^2)_n)
+    "Kp": (("x",), lambda w: (-1, (1, 0, 0), (
+        (_q(1), 2, 1, 0, 1), (w.times_q(2), 2, 1, 0, -1), (w.inv().times_q(2), 2, 1, 0, -1)), 0),
+        "Kprime has a vanishing denominator at {0}"),
+    # sum_{n>=1} (-1)^n q^(n^2) (q;q^2)_{n-1} / ((w q;q^2)_n (w^-1 q;q^2)_n)
+    "Kpp": (("x",), lambda w: (-1, (1, 0, 0), (
+        (_q(1), 2, 1, -1, 1), (w.times_q(1), 2, 1, 0, -1), (w.inv().times_q(1), 2, 1, 0, -1)), 1),
+        "Kprimeprime has a vanishing denominator at {0}"),
+    # sum q^(n(n+1)/2) (-q)_n / ((w q^(a/c))_{n+1} (w q^(1-a/c))_{n+1})
+    "Hp": (("i", "i", "x"), _hp, "Hprime has a vanishing denominator at {2}"),
+    # sum (-1)^n q^(n^2) (q;q^2)_n / ((x;q^2)_{n+1} (q^2/x;q^2)_n)
+    "lambert_even": (("x",), lambda x: (-1, (1, 0, 0), (
+        (_q(1), 2, 1, 0, 1), (x, 2, 1, 1, -1), (x.inv().times_q(2), 2, 1, 0, -1)), 0),
+        "left side of the even Lambert identity has a vanishing denominator at {0}"),
+    # (1/x; q)_1 sum (-1)^n q^((n+1)^2) (q;q^2)_n / ((xq;q^2)_{n+1} (q/x;q^2)_{n+1}),
+    # the factor 1 - 1/x a Pochhammer symbol of constant length
+    "lambert_odd": (("x",), lambda x: (-1, (1, 2, 1), (
+        (x.inv(), 1, 0, 1, 1), (_q(1), 2, 1, 0, 1),
+        (x.times_q(1), 2, 1, 1, -1), (x.inv().times_q(1), 2, 1, 1, -1)), 0),
+        "left side of the odd Lambert identity has a vanishing denominator at {0}"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +97,12 @@ def lambert_odd_lhs(x: Monomial, order: Rat) -> QSeries:
 
 def _bilateral(omega: Monomial, k: int, order: Rat, label: str) -> QSeries:
     """(1/JB(1,4)) * sum over all n of q^(2n^2+(2k+1)n+k) / (1 - w q^(2n+k))."""
-    _reject_pole(omega, k, label)
-    e = omega.expo
+    e, f = omega.expo, (2, k + omega.expo)
+    if bilateral_pole(omega.coeff, f) is not None:
+        raise NonGenericError(f"{label} has a vanishing denominator at {omega}")
 
     def build(work):
-        s = bilateral_sum(1, (2, 2 * k + 1, k), work, e.denominator, omega.field_order, omega.coeff,
-                          (2, k + e))
+        s = bilateral_sum(1, (2, 2 * k + 1, k), work, e.denominator, omega.field_order, omega.coeff, f)
         return series_div(s, JB(1, 4, work))
 
     return ensure_prec(build, order)
@@ -153,8 +121,7 @@ def bilateral_odd(omega: Monomial, order: Rat) -> QSeries:
 def habc_sum(a: int, b: int, c: int, order: Rat) -> QSeries:
     """(1/J(1,2)) * sum over all n of (-1)^n q^(n+a/c) q^(n(n+1))
     / (1 - zeta_c^b q^(n+a/c))."""
-    if not 0 < a < c:
-        raise ValueError("need 0 < a < c")
+    need_a_below_c(a, c)
     ac = Fraction(a, c)
     zb = Monomial(zeta_power(c, b % c), ac)
 
@@ -166,17 +133,9 @@ def habc_sum(a: int, b: int, c: int, order: Rat) -> QSeries:
 
 
 __all__ = [
-    "f0_5",
-    "f3",
+    "FORMS",
     "f_c",
-    "hprime",
     "habc_sum",
-    "kprime",
-    "kprimeprime",
-    "lambert_even_lhs",
-    "lambert_odd_lhs",
-    "phi6",
-    "sigma6",
     "bilateral_even",
     "bilateral_odd",
 ]

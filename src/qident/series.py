@@ -101,6 +101,10 @@ class Monomial:
 # ---------------------------------------------------------------------------
 
 
+# The finest grid 1/D a series may be built on; the finest in use is 1/49.
+MAX_GRID = 1000
+
+
 class QSeries:
     """Sparse truncated series; immutable by convention."""
 
@@ -114,6 +118,8 @@ class QSeries:
         field_order: int,
         _checked: bool = False,
     ):
+        if denom > MAX_GRID:
+            raise ValueError(f"grid denominator {denom} exceeds MAX_GRID = {MAX_GRID}")
         if not _checked:
             if denom < 1:
                 raise ValueError("grid denominator must be positive")
@@ -533,6 +539,13 @@ def series_eq_to_order(a: QSeries, b: QSeries, order: Rat) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+def bilateral_pole(u: CycloNumber, f: tuple[Rat, Rat]) -> Optional[int]:
+    """The integer n with u q^F(n) = 1, F(n) = f[0] n + f[1], or None: the
+    term of bilateral_sum whose denominator 1 - u q^F(n) is exactly zero."""
+    n = Fraction(-f[1], f[0] or 1)
+    return int(n) if u == 1 and n.denominator == 1 and f[0] * n + f[1] == 0 else None
+
+
 def bilateral_sum(
     c: Union[CycloNumber, Rat],
     e: tuple[Rat, Rat, Rat],
@@ -552,8 +565,11 @@ def bilateral_sum(
     pairs into one map: u^j at E + jF when F > 0, -u^(-1-j) at E - (j+1)F
     when F < 0, 1/(1 - u) at E when F = 0.  Each coefficient is one
     coeff.dot.  The field is field_order, lifted to those of c and u once
-    a term falls below the order.
+    a term falls below the order.  A term with a zero denominator raises,
+    wherever it lies.
     """
+    if u is not None and bilateral_pole(u, f) is not None:
+        raise NonGenericError("pole 1/(1 - u) with u exactly 1")
     if not isinstance(c, CycloNumber):
         c = cyclo_embed(_as_frac(c), 1)
 
@@ -582,13 +598,14 @@ def bilateral_sum(
 
     M = lcm(field_order, c.order, 1 if u is None else u.order)
     c = lift_order(c, M)
-    # each weight table with the ratio that extends it; F = 0 without u weighs 1
+    # each weight table with the ratio that extends it; F = 0 weighs 1 without u
     flat = ([cyclo_one(M)], None)
     if u is not None:
         u = lift_order(u, M)
         uinv = u.inv()
         up, down = ([cyclo_one(M)], u), ([-uinv], uinv)
-        flat = None if u == 1 else ([(1 - u).inv()], None)
+        if u != 1:
+            flat = ([(1 - u).inv()], None)
     pairs: dict[int, list] = {}
     cinv, start = c.inv(), c**n0
     for n, step, r, cn in ((n0, 1, c, start), (n0 - 1, -1, cinv, start * cinv)):
@@ -597,8 +614,6 @@ def bilateral_sum(
                 keys, (ws, g) = range(a, P, b), up
             elif b < 0:
                 keys, (ws, g) = range(a - b, P, -b), down
-            elif flat is None:
-                raise NonGenericError("pole 1/(1 - u) with u exactly 1")
             else:
                 keys, (ws, g) = (a,), flat
             while len(ws) < len(keys):
@@ -614,6 +629,7 @@ __all__ = [
     "Monomial",
     "QSeries",
     "align",
+    "bilateral_pole",
     "bilateral_sum",
     "const_series",
     "from_monomial",

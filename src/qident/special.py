@@ -9,11 +9,12 @@ whose own division costs precision runs through ensure_prec, which
 deepens its working order up to PAD_LIMIT.  An Eulerian series is its
 product form, a table of Pochhammer factors that _term_sum turns into
 rows, each one series_mul by its numerator polynomial and one
-series_div_one_minus per denominator binomial; pochhammer and both sums
-for g are such tables.  Each theta quotient, m(x,q,z) among them, is a
-single series_div; j and the Lambert sum of m are series.bilateral_sum
-scans.  j, m and g keep one memo entry per (function, arguments) in
-_theta_cache, a least recently used cache of at most MEMO_LIMIT entries.
+series_div_one_minus per denominator binomial, and that has_pole reads
+its poles off; pochhammer and both sums for g are such tables.  Each
+theta quotient, m(x,q,z) among them, is a single series_div; j and the
+Lambert sum of m are series.bilateral_sum scans.  j, m and g keep one
+memo entry per (function, arguments) in _theta_cache, a least recently
+used cache of at most MEMO_LIMIT entries.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import CapExceededError, NonGenericError
 from .series import (
     Monomial,
     QSeries,
+    bilateral_pole,
     bilateral_sum,
     const_series,
     from_monomial,
@@ -153,6 +155,26 @@ def _term_sum(
     return series_sum(zero_series(work, t.denom, t.field_order), terms(t))
 
 
+def has_pole(factors: Sequence[Factor]) -> bool:
+    """Whether a denominator factor (y; q^p)_(an+b) is exactly zero in some
+    term: y = q^(-pk) for an integer k >= 0, with k < b when a = 0 (for
+    a > 0 the length an + b outgrows every k, whatever the first n)."""
+    for y, p, a, b, s in factors:
+        k = -y.expo / p
+        if s < 0 and y.is_q_power() and k.denominator == 1 and k >= 0 and (a > 0 or k < b):
+            return True
+    return False
+
+
+def product_sum(form: tuple, order: Rat, pole: str) -> QSeries:
+    """The product form (c, e, factors, start) of _term_sum summed below
+    q^order, or NonGenericError(pole) when has_pole(factors)."""
+    c, e, factors, start = form
+    if has_pole(factors):
+        raise NonGenericError(pole)
+    return ensure_prec(partial(_term_sum, c, e, factors, start=start), order)
+
+
 # ---------------------------------------------------------------------------
 # Pochhammer products
 # ---------------------------------------------------------------------------
@@ -275,15 +297,13 @@ def appell_m(x: Monomial, p: Rat, z: Monomial, order: Rat) -> QSeries:
         raise ValueError("Appell-Lerch base exponent must be positive")
     _check_theta_denominator(z, p, "j(z; q^p)")
     ez, ex, xz = z.expo, x.expo, x * z
-    if theta_is_zero(xz, p):
-        raise NonGenericError(
-            f"Appell-Lerch denominator 1 - q^((r-1)p) x z vanishes at r = {1 - xz.expo / p}"
-        )
+    f = (p, xz.expo - p)
+    if (r := bilateral_pole(xz.coeff, f)) is not None:
+        raise NonGenericError(f"Appell-Lerch denominator 1 - q^((r-1)p) x z vanishes at r = {r}")
 
     def build(work: Fraction) -> QSeries:
         d = ez.denominator * ex.denominator * p.denominator
-        e, f = (p / 2, ez - p / 2, 0), (p, xz.expo - p)
-        s = bilateral_sum(-z.coeff, e, work, d, z.field_order, xz.coeff, f)
+        s = bilateral_sum(-z.coeff, (p / 2, ez - p / 2, 0), work, d, z.field_order, xz.coeff, f)
         return series_div(s, theta_j(z, p, work))
 
     key = ("m", x.coeff.key(), ex, p, z.coeff.key(), ez)
@@ -295,13 +315,17 @@ def appell_m(x: Monomial, p: Rat, z: Monomial, order: Rat) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def _g_base(x: Monomial, p: Rat) -> Fraction:
+def _g_form(x: Monomial, p: Rat, b: int) -> Tuple[Fraction, Tuple[Rat, Rat, Rat], Sequence[Factor]]:
+    """The base p, E and factors of q^(p n(n+b)) / ((x)_{n+1} (q^p/x)_{n+b}),
+    Pochhammers at base q^p: the terms of g's Lambert sum for b = 1 and of
+    its Eulerian sum for b = 0."""
     p = _fr(p)
     if p <= 0:
         raise ValueError("base exponent must be positive")
-    if theta_is_zero(x, p):
+    factors = ((x, p, 1, 1, -1), (x.inv().times_q(p), p, 1, b, -1))
+    if has_pole(factors):
         raise NonGenericError(f"g pole: Pochhammer factor vanishes for x = {x} a power of q^({p})")
-    return p
+    return p, (p, b * p, 0), factors
 
 
 def g_universal(x: Monomial, p: Rat, order: Rat) -> QSeries:
@@ -311,20 +335,18 @@ def g_universal(x: Monomial, p: Rat, order: Rat) -> QSeries:
     Its Eulerian form is g_sum, its Appell-Lerch form the
     expression-language definition g_appell.
     """
-    p = _g_base(x, p)
-    factors = ((x, p, 1, 1, -1), (x.inv().times_q(p), p, 1, 1, -1))
+    p, e, factors = _g_form(x, p, 1)
     key = ("g", x.coeff.key(), x.expo, p)
-    return _memo(key, order, lambda: ensure_prec(partial(_term_sum, 1, (p, p, 0), factors), order))
+    return _memo(key, order, lambda: ensure_prec(partial(_term_sum, 1, e, factors), order))
 
 
 def g_sum(x: Monomial, p: Rat, order: Rat) -> QSeries:
     """g(x, q^p) as its Eulerian sum, Pochhammers at base q^p:
     x^(-1) (-1 + sum of q^(p n^2) / ((x)_{n+1} (q^p/x)_n))."""
-    p = _g_base(x, p)
-    factors = ((x, p, 1, 1, -1), (x.inv().times_q(p), p, 1, 0, -1))
+    p, e, factors = _g_form(x, p, 0)
 
     def build(work: Fraction) -> QSeries:
-        s = _term_sum(1, (p, 0, 0), factors, work)
+        s = _term_sum(1, e, factors, work)
         return series_shift(series_sub(s, const_series(1, work)), x.inv())
 
     key = ("g_sum", x.coeff.key(), x.expo, p)
@@ -339,10 +361,10 @@ def g_sum(x: Monomial, p: Rat, order: Rat) -> QSeries:
 def rjtp_lhs(z: Monomial, order: Rat, p: Rat = 1) -> QSeries:
     """sum over n of (-1)^n q^(p*binom(n+1,2)) / (1 - q^(pn) z)."""
     p = _fr(p)
-    if theta_is_zero(z, p):
+    f = (p, z.expo)
+    if bilateral_pole(z.coeff, f) is not None:
         raise NonGenericError(
             f"Lambert denominator 1 - q^(pn) z has a pole: z = {z} is a power of q^({p})"
         )
-    ez = z.expo
-    d = ez.denominator * p.denominator
-    return bilateral_sum(-1, (p / 2, p / 2, 0), order, d, z.field_order, z.coeff, (p, ez))
+    d = z.expo.denominator * p.denominator
+    return bilateral_sum(-1, (p / 2, p / 2, 0), order, d, z.field_order, z.coeff, f)

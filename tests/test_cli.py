@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from qident import cli, dsl
+from qident import cli, dsl, series
 from qident.cli import main
 from qident.coeff import MAX_FIELD_ORDER
 from qident.errors import CapExceededError
@@ -132,6 +132,22 @@ class TestExpand:
         assert main(["expand", expr, "--order", "3"]) == 2
         assert time.perf_counter() - t0 < 1
         assert f"exceeds MAX_FIELD_ORDER = {MAX_FIELD_ORDER}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", ["1/(1 - q^(1/997) - q^(1/991))",
+                                      "j(q^(1/988027), q)/j(q^(2/988027), q)"])
+    def test_grid_past_cap_is_usage_error(self, capsys, expr):
+        # a window is order * D grid steps: on the grid 1/988027 the first
+        # ran out of memory and the second ran for minutes
+        t0 = time.perf_counter()
+        assert main(["expand", expr, "--order", "20"]) == 2
+        assert time.perf_counter() - t0 < 1
+        assert f"exceeds MAX_GRID = {series.MAX_GRID}" in capsys.readouterr().err
+
+    def test_lowered_grid_cap_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(series, "MAX_GRID", 6)
+        assert main(["expand", "1/(1 - q^(1/7))", "--order", "5"]) == 2
+        assert "exceeds MAX_GRID = 6" in capsys.readouterr().err
+        assert main(["expand", "1/(1 - q^(1/6))", "--order", "5"]) == 0
 
     def test_order_past_cap_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setattr(dsl, "MAX_ORDER", 50)

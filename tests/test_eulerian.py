@@ -4,25 +4,13 @@ from fractions import Fraction as F
 from functools import reduce
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qident.coeff import cyclo_embed, zeta_power
 from qident.dsl import eval_expr, parse
 from qident.errors import EvalError, NonGenericError
-from qident.eulerian import (
-    f0_5,
-    f3,
-    f_c,
-    habc_sum,
-    hprime,
-    kprime,
-    kprimeprime,
-    bilateral_even,
-    bilateral_odd,
-    lambert_even_lhs,
-    lambert_odd_lhs,
-    phi6,
-    sigma6,
-)
+from qident.eulerian import f_c, habc_sum, bilateral_even, bilateral_odd
 from qident.identity import check, make_case
 from qident.series import (
     Monomial,
@@ -34,9 +22,8 @@ from qident.series import (
     series_scale,
     series_shift,
     series_sub,
-    substitute_base,
 )
-from qident.special import J, Jm, appell_m, g_sum, g_universal, pochhammer, theta_j
+from qident.special import J, Jm, appell_m, g_sum, g_universal, has_pole, pochhammer, theta_j
 
 from oracles import (
     assert_series_matches,
@@ -58,6 +45,11 @@ def zmono(M, k, e=0):
 
 
 OMEGAS = [mono(-1), zmono(3, 1), zmono(4, 1), zmono(5, 1)]
+
+
+def ev(source, order, **binding):
+    """An Eulerian series, or any expression, through the expression language."""
+    return eval_expr(parse(source), order, binding)
 
 
 def check_eq(lhs, rhs, order):
@@ -118,30 +110,30 @@ def naive_g_sum(c, e, p, order):
 
 
 PRODUCT_FORMS = [
-    pytest.param(phi6, lambda o: naive_sum(
+    pytest.param(lambda o: ev("phi()", o), lambda o: naive_sum(
         lambda n: ((-1) ** n, n * n, [P(1, 1, 2, n)], [P(-1, 1, 1, 2 * n)]), o), id="phi"),
-    pytest.param(sigma6, lambda o: naive_sum(
+    pytest.param(lambda o: ev("sigma()", o), lambda o: naive_sum(
         lambda n: (1, F((n + 2) * (n + 1), 2), [P(-1, 1, 1, n)], [P(1, 1, 2, n + 1)]), o), id="sigma"),
-    pytest.param(f3, lambda o: naive_sum(
+    pytest.param(lambda o: ev("f3()", o), lambda o: naive_sum(
         lambda n: (1, n * n, [], [P(-1, 1, 1, n), P(-1, 1, 1, n)]), o), id="f3"),
-    pytest.param(f0_5, lambda o: naive_sum(
+    pytest.param(lambda o: ev("f0()", o), lambda o: naive_sum(
         lambda n: (1, n * n, [], [P(-1, 1, 1, n)]), o), id="f0"),
     # K'(1) has no pole: only w = q^(2k), k != 0, zeroes a denominator
-    pytest.param(lambda o: kprime(mono(1), o), lambda o: naive_sum(
+    pytest.param(lambda o: ev("Kp(w)", o, w=mono(1)), lambda o: naive_sum(
         lambda n: ((-1) ** n, n * n, [P(1, 1, 2, n)], [P(1, 2, 2, n), P(1, 2, 2, n)]), o), id="Kp-1"),
-    pytest.param(lambda o: kprime(mono(-2, F(1, 2)), o), lambda o: naive_sum(
+    pytest.param(lambda o: ev("Kp(w)", o, w=mono(-2, F(1, 2))), lambda o: naive_sum(
         lambda n: ((-1) ** n, n * n, [P(1, 1, 2, n)],
                    [P(-2, F(5, 2), 2, n), P(F(-1, 2), F(3, 2), 2, n)]), o), id="Kp-2"),
-    pytest.param(lambda o: kprimeprime(mono(3), o), lambda o: naive_sum(
+    pytest.param(lambda o: ev("Kpp(w)", o, w=mono(3)), lambda o: naive_sum(
         lambda n: ((-1) ** n, n * n, [P(1, 1, 2, n - 1)], [P(3, 1, 2, n), P(F(1, 3), 1, 2, n)]),
         o, start=1), id="Kpp"),
-    pytest.param(lambda o: hprime(1, 3, mono(-1), o), lambda o: naive_sum(
+    pytest.param(lambda o: ev("Hp(1,3,-1)", o), lambda o: naive_sum(
         lambda n: (1, F(n * (n + 1), 2), [P(-1, 1, 1, n)],
                    [P(-1, F(1, 3), 1, n + 1), P(-1, F(2, 3), 1, n + 1)]), o), id="Hp"),
-    pytest.param(lambda o: lambert_even_lhs(mono(2), o), lambda o: naive_sum(
+    pytest.param(lambda o: ev("lambert_even(x)", o, x=mono(2)), lambda o: naive_sum(
         lambda n: ((-1) ** n, n * n, [P(1, 1, 2, n)], [P(2, 0, 2, n + 1), P(F(1, 2), 2, 2, n)]), o),
         id="lambert-even"),
-    pytest.param(lambda o: lambert_odd_lhs(mono(F(-1, 3), F(1, 2)), o), lambda o: naive_sum(
+    pytest.param(lambda o: ev("lambert_odd(x)", o, x=mono(F(-1, 3), F(1, 2))), lambda o: naive_sum(
         lambda n: ((-1) ** n, (n + 1) ** 2, [P(-3, F(-1, 2), 1, 1), P(1, 1, 2, n)],
                    [P(F(-1, 3), F(3, 2), 2, n + 1), P(-3, F(1, 2), 2, n + 1)]), o), id="lambert-odd"),
     pytest.param(lambda o: g_universal(mono(2), 1, o), lambda o: naive_sum(
@@ -169,14 +161,14 @@ PRODUCT_FORMS = [
 class TestPartialSumOracles:
     def test_third_order_partial_sums(self):
         # sum q^(n^2)/(-q)_n^2 begins 1 + q - 2q^2 + 3q^3 - 3q^4
-        s = f3(10)
+        s = ev("f3()", 10)
         assert_series_matches(
             s, {0: 1, 1: 1, 2: -2, 3: 3, 4: -3, 5: 3, 6: -5, 7: 7, 8: -6, 9: 6}, F(10)
         )
 
     def test_fifth_order_partial_sums(self):
         # sum q^(n^2)/(-q)_n begins 1 + q - q^2 + q^3 - q^6 + q^7
-        s = f0_5(14)
+        s = ev("f0()", 14)
         assert_series_matches(
             s,
             {0: 1, 1: 1, 2: -1, 3: 1, 6: -1, 7: 1, 9: 1, 10: -2, 11: 1, 12: -1, 13: 2},
@@ -184,10 +176,10 @@ class TestPartialSumOracles:
         )
 
     def test_constant_terms(self):
-        assert phi6(1).coeff_at(F(0)) is not None
-        assert_series_matches(phi6(1), {0: 1}, F(1))
+        assert ev("phi()", 1).coeff_at(F(0)) is not None
+        assert_series_matches(ev("phi()", 1), {0: 1}, F(1))
         # sigma starts at q
-        assert sigma6(2).valuation() == 1
+        assert ev("sigma()", 2).valuation() == 1
 
     @pytest.mark.parametrize("build, naive", PRODUCT_FORMS)
     def test_direct_sums_match_running_terms(self, build, naive):
@@ -198,14 +190,14 @@ class TestPartialSumOracles:
 class TestAppellForms:
     def test_phi_as_appell(self):
         check_eq(
-            phi6(ORDER),
+            ev("phi()", ORDER),
             series_scale(appell_m(mono(1, 1), 3, mono(-1), ORDER), 2),
             ORDER,
         )
 
     def test_sigma_as_appell(self):
         check_eq(
-            sigma6(ORDER),
+            ev("sigma()", ORDER),
             series_neg(appell_m(mono(1, 2), 6, mono(1, 1), ORDER)),
             ORDER,
         )
@@ -213,8 +205,8 @@ class TestAppellForms:
     def test_sixth_order_product_identity(self):
         # phi(q^2) + 2 sigma(q) = prod (1+q^(2n-1))^2 (1-q^(6n)) (1+q^(6n-3))^2
         lhs = series_add(
-            substitute_base(phi6(21), F(2)),
-            series_scale(sigma6(ORDER), 2),
+            ev("phi(q^2)", ORDER),
+            series_scale(ev("sigma()", ORDER), 2),
         )
         p1 = pochhammer(mono(-1, 1), 2, None, ORDER)
         p2 = pochhammer(mono(1, 6), 6, None, ORDER)
@@ -231,9 +223,7 @@ class TestAppellForms:
                 appell_m(-w, 1, mono(-1), ORDER), half_quotient(w, ORDER)
             )
             rhs = series_shift(inner, one_minus_root(w))
-            check_eq(
-                kprime(w, ORDER), rhs, ORDER
-            )
+            check_eq(ev("Kp(w)", ORDER, w=w), rhs, ORDER)
 
     def test_kprimeprime_closed_combination(self):
         # K''(w) = w/(1-w) (m(-w,q,-1) - J(1,2)^2/(2 j(w;q)))
@@ -243,11 +233,7 @@ class TestAppellForms:
             )
             c = w.coeff * one_minus_root(w).coeff.inv()
             rhs = series_shift(inner, Monomial(c, F(0)))
-            check_eq(
-                kprimeprime(w, ORDER),
-                rhs,
-                ORDER,
-            )
+            check_eq(ev("Kpp(w)", ORDER, w=w), rhs, ORDER)
 
 
 class TestLambertPairs:
@@ -264,13 +250,13 @@ class TestLambertPairs:
 
     def test_eulerian_pole_guards(self):
         with pytest.raises(NonGenericError):
-            lambert_even_lhs(mono(1, 2), 10)
+            ev("lambert_even(q^2)", 10)
         with pytest.raises(NonGenericError):
-            lambert_even_lhs(mono(1, 0), 10)
+            ev("lambert_even(1)", 10)
         with pytest.raises(NonGenericError):
-            lambert_odd_lhs(mono(1, -3), 10)
+            ev("lambert_odd(q^(-3))", 10)
         # fractional or non-unit arguments are generic
-        assert not lambert_odd_lhs(mono(1, F(1, 2)), 10).is_zero()
+        assert not ev("lambert_odd(q^(1/2))", 10).is_zero()
 
     def test_bilateral_pole_guards(self):
         with pytest.raises(NonGenericError):
@@ -329,7 +315,7 @@ class TestHabcLambertForm:
 
 
 def tilde(name, a, c, order):
-    return eval_expr(parse(f"{name}({a},{c})"), order)
+    return ev(f"{name}({a},{c})", order)
 
 
 class TestTildeCombinations:
@@ -375,18 +361,88 @@ class TestTildeCombinations:
 
 class TestDispatch:
     def test_spec_validates_fraction(self):
-        with pytest.raises(ValueError):
-            hprime(3, 2, mono(1), 10)
+        with pytest.raises(EvalError, match="^Hp: need 0 < a < c$"):
+            ev("Hp(3,2,1)", 10)
 
     def test_hprime_pole_guard(self):
         with pytest.raises(NonGenericError):
-            hprime(1, 2, mono(1, F(-1, 2)), 10)
+            ev("Hp(1,2,q^(-1/2))", 10)
 
     def test_kprime_pole_guard(self):
         with pytest.raises(NonGenericError):
-            kprime(mono(1, -2), 10)
+            ev("Kp(q^(-2))", 10)
         with pytest.raises(NonGenericError):
-            kprimeprime(mono(1, 1), 10)
+            ev("Kpp(q)", 10)
         # omega = q^2 breaks the w^-1 Pochhammer row exactly
         with pytest.raises(NonGenericError):
-            kprime(mono(1, 2), 10)
+            ev("Kp(q^2)", 10)
+
+
+# ---------------------------------------------------------------------------
+# The derived pole checks against independently stated pole sets
+# ---------------------------------------------------------------------------
+
+
+def naive_has_pole(factors, start):
+    """Some 1 - y q^(pj), j < an + b, of a denominator factor is exactly 0
+    for some n in [start, start + 12)."""
+    one = mono(1)
+    return any(y.times_q(p * j) == one
+               for n in range(start, start + 12)
+               for y, p, a, b, s in factors if s < 0
+               for j in range(a * n + b))
+
+
+@st.composite
+def factor(draw):
+    y = mono(draw(st.sampled_from([1, -1])), F(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2, 3]))))
+    a = draw(st.sampled_from([0, 1, 2]))
+    b = draw(st.integers(0 if a == 0 else -1, 4))
+    return y, draw(st.sampled_from([1, 2])), a, b, draw(st.sampled_from([1, -1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factors=st.lists(factor(), min_size=1, max_size=3), start=st.sampled_from([0, 1]))
+# (1; q)_(n+1) vanishes at every n, (q^-2; q^2)_1 never, (q^-2; q^2)_2 at every n
+@example(factors=[(mono(1), 1, 1, 0, -1)], start=1)
+@example(factors=[(mono(1, -2), 2, 0, 1, -1)], start=0)
+@example(factors=[(mono(1, -2), 2, 0, 2, -1)], start=1)
+def test_has_pole_matches_a_naive_scan(factors, start):
+    assert has_pole(factors) == naive_has_pole(factors, start)
+
+
+def is_q_power_of(w, p, keep=lambda k: True):
+    """w = q^(pk) exactly, for an integer k with keep(k)."""
+    k = w.expo / p
+    return w.is_q_power() and k.denominator == 1 and keep(int(k))
+
+
+# the pole sets the README states, each over w
+POLE_SETS = {
+    "Kp(w)": lambda w: is_q_power_of(w, 2, lambda k: k != 0),
+    "Kpp(w)": lambda w: is_q_power_of(w.times_q(1), 2),
+    "lambert_even(w)": lambda w: is_q_power_of(w, 2),
+    "lambert_odd(w)": lambda w: is_q_power_of(w.times_q(1), 2),
+    "bilateral_even(w)": lambda w: is_q_power_of(w, 2),
+    "bilateral_odd(w)": lambda w: is_q_power_of(w.times_q(1), 2),
+    "g(w)": lambda w: is_q_power_of(w, 1),
+    "g(w, q^2)": lambda w: is_q_power_of(w, 2),
+    "g_sum(w)": lambda w: is_q_power_of(w, 1),
+    "g_sum(w, q^2)": lambda w: is_q_power_of(w, 2),
+    "rjtp(w)": lambda w: is_q_power_of(w, 1),
+    "rjtp(w, q^2)": lambda w: is_q_power_of(w, 2),
+    # w = q^(-k-1/3) or q^(-k-2/3), k >= 0
+    "Hp(1,3,w)": lambda w: any(is_q_power_of(w.times_q(F(r, 3)), 1, lambda k: k <= 0) for r in (1, 2)),
+}
+SIXTHS = [mono(c, F(k, 6)) for c in (1, -1) for k in range(-14, 15)]
+
+
+@pytest.mark.parametrize("source", POLE_SETS)
+def test_nongeneric_exactly_on_the_stated_pole_set(source):
+    rejected = []
+    for w in SIXTHS:
+        try:
+            ev(source, 3, w=w)
+        except NonGenericError:
+            rejected.append(w)
+    assert rejected == [w for w in SIXTHS if POLE_SETS[source](w)]

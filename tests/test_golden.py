@@ -23,6 +23,8 @@ from itertools import zip_longest
 from pathlib import Path
 
 from qident.cli import main
+from qident.dsl import FUNCTIONS, Call, parse
+from qident.errors import ParseError
 
 GOLDEN = Path(__file__).parent / "golden"
 TIMING = re.compile(r" \[\d+\.\d+s\]$", re.M)
@@ -167,6 +169,27 @@ def golden_blocks(path):
         else:
             blocks[-1][1].append(line)
     return blocks
+
+
+def _called(e):
+    """(name, arity) of every call in an expression tree."""
+    if isinstance(e, Call):
+        yield e.name, len(e.args)
+    for child in vars(e).values():
+        for c in child if isinstance(child, tuple) else (child,):
+            if hasattr(c, "__dataclass_fields__"):
+                yield from _called(c)
+
+
+def test_every_function_and_arity_has_a_golden_call():
+    called = set()
+    for expr, _, _ in _calls():
+        try:
+            called.update(_called(parse(expr)))
+        except ParseError:  # the golden arity and syntax errors
+            pass
+    registry = {(name, arity) for name, arities in FUNCTIONS.items() for arity in arities}
+    assert registry - called == set()
 
 
 def test_expand_matches_golden():

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qident.coeff import CycloNumber, cyclo_embed, euler_phi, lift_order, zeta_power
+from qident import series
 from qident.errors import InsufficientPrecisionError, NonGenericError
 from qident.series import (
     Monomial,
     QSeries,
     align,
+    bilateral_pole,
     bilateral_sum,
     const_series,
     from_monomial,
@@ -217,6 +219,39 @@ class TestBilateralSum:
     def test_exponent_off_the_grid_is_rejected(self):
         with pytest.raises(ValueError):
             bilateral_sum(1, (F(1, 2), 0, 0), 10)
+
+    def test_pole_outside_the_window_is_rejected(self):
+        # the n = 10 term is q^100 / (1 - q^0), far past order 5
+        with pytest.raises(NonGenericError):
+            bilateral_sum(1, (1, 0, 0), 5, 1, 1, cyclo_embed(1, 1), (1, -10))
+
+    @pytest.mark.parametrize("u, f, n", [
+        (1, (1, -10), 10),
+        (1, (2, F(3)), None),
+        (1, (F(1, 2), F(-3, 2)), 3),
+        (1, (0, 0), 0),
+        (1, (0, 1), None),
+        (-1, (1, 0), None),
+        (zeta_power(3, 1), (1, 0), None),
+    ])
+    def test_bilateral_pole_is_the_integer_zero_of_f(self, u, f, n):
+        u = u if isinstance(u, CycloNumber) else cyclo_embed(u, 1)
+        assert bilateral_pole(u, f) == n
+
+
+class TestGridCap:
+    def test_grid_past_the_cap_is_rejected_as_it_is_built(self, monkeypatch):
+        monkeypatch.setattr(series, "MAX_GRID", 6)
+        assert from_monomial(Monomial.make(1, F(1, 6)), 3).denom == 6
+        with pytest.raises(ValueError, match="exceeds MAX_GRID = 6"):
+            from_monomial(Monomial.make(1, F(1, 7)), 3)
+        a = from_monomial(Monomial.make(1, F(1, 2)), 3)
+        with pytest.raises(ValueError, match="exceeds MAX_GRID = 6"):
+            series_add(a, from_monomial(Monomial.make(1, F(1, 5)), 3))
+
+    def test_grid_cap_covers_every_grid_in_use(self):
+        # the finest grid of the golden expansions is 1/49
+        assert series.MAX_GRID >= 49
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +521,16 @@ def bilateral_args(draw):
 
 def _bilateral_reference(c, e, order, d, field_order, u, f):
     """Term by term: each c^n q^E(n) a monomial series, divided by 1 - u q^F(n)
-    with the general series_div, all added by series_sum."""
+    with the general series_div, all added by series_sum; a term whose
+    denominator is exactly zero is a pole wherever it lies."""
     terms = []
     for n in range(-60, 61):
         en = e[0] * n * n + e[1] * n + e[2]
         t = from_monomial(Monomial(c**n, en), order)
         if u is not None:
             un = Monomial(u, f[0] * n + f[1])
+            if un == Monomial.make(1):
+                raise NonGenericError(f"pole at n = {n}")
             if en + max(0, -un.expo) >= order:
                 continue
             t = series_div(t, _one_minus(un, order - en + abs(un.expo) + 1))

@@ -44,7 +44,6 @@ from .series import (
     geom_inverse,
     series_add,
     series_div,
-    series_div_one_minus,
     series_eq_to_order,
     series_invert,
     series_mul,
@@ -54,7 +53,6 @@ from .series import (
     series_shift,
     series_sub,
     series_truncate,
-    substitute_base,
 )
 from .special import J, JB, Jm, appell_m, g_universal, pochhammer, theta_j
 from .verdict import Verdict
@@ -82,7 +80,6 @@ __all__ = [
     "geom_inverse",
     "series_add",
     "series_div",
-    "series_div_one_minus",
     "series_eq_to_order",
     "series_invert",
     "series_mul",
@@ -92,7 +89,6 @@ __all__ = [
     "series_shift",
     "series_sub",
     "series_truncate",
-    "substitute_base",
     "J",
     "JB",
     "Jm",

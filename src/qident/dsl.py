@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .coeff import csc_pi, sin_pi, zeta_power
 from .errors import EvalError, ParseError
-from .eulerian import FORMS, bilateral_even, bilateral_odd, habc_sum, need_a_below_c
+from .eulerian import BILATERAL, FORMS, need_a_below_c
 from .series import (
     Monomial,
     QSeries,
@@ -48,12 +48,12 @@ from .special import (
     Jm,
     _check_theta_denominator,
     appell_m,
+    bilateral_quotient,
     ensure_prec,
     g_sum,
     g_universal,
     pochhammer,
     product_sum,
-    rjtp_lhs,
     theta_j,
 )
 
@@ -677,15 +677,17 @@ def _base_q(kinds: Tuple[str, ...], fn) -> Dict[int, Tuple[Tuple[str, ...], Call
     return {**_both(kinds, fn), len(kinds) - 1: (kinds[:-1], lambda v, o: fn(v + [1], o))}
 
 
-def _form(name: str, v: List[object], order: Fraction) -> QSeries:
-    """The row name of FORMS at the arguments v: its sum, or its pole message raised."""
-    _, form, pole = FORMS[name]
-    return product_sum(form(*v), order, pole.format(*v))
+def _row(table: dict, read: Callable, name: str, v: List[object], order: Fraction) -> QSeries:
+    """The row name of FORMS or BILATERAL at the arguments v, read by
+    product_sum or bilateral_quotient: its series, or its pole message raised."""
+    _, form, pole = table[name]
+    return read(form(*v), order, pole, tuple(v))
 
 
 FUNCTIONS: Dict[str, Dict[int, Tuple[Tuple[str, ...], Callable]]] = {
-    **{name: (_base_q if kinds[-1:] == ("p",) else _both)(kinds, partial(_form, name))
-       for name, (kinds, _, _) in FORMS.items()},
+    **{name: (_base_q if kinds[-1:] == ("p",) else _both)(kinds, partial(_row, table, read, name))
+       for table, read in ((FORMS, product_sum), (BILATERAL, bilateral_quotient))
+       for name, (kinds, _, _) in table.items()},
     "j": _both(("x", "p"), lambda v, o: theta_j(v[0], v[1], o)),
     "J": _both(("i", "i"), lambda v, o: J(v[0], v[1], o)),
     "JB": _both(("i", "i"), lambda v, o: JB(v[0], v[1], o)),
@@ -702,11 +704,7 @@ FUNCTIONS: Dict[str, Dict[int, Tuple[Tuple[str, ...], Callable]]] = {
     "Htilde": _both(("i", "i"), _definition("Htilde", _htilde)),
     "Htilde_closed": _both(("i", "i"), _definition("Htilde_closed", _htilde_closed)),
     "Htilde_bilateral": _both(("i", "i"), _definition("Htilde_bilateral", _htilde_bilateral)),
-    "Habc": _both(("i", "i", "i"), lambda v, o: habc_sum(v[0], v[1], v[2], o)),
     "sinpi": _both(("i", "i"), lambda v, o: _trig(sin_pi, v)),
     "cscpi": _both(("i", "i"), lambda v, o: _trig(csc_pi, v)),
     "zeta": _both(("i", "i"), _zeta),
-    "bilateral_even": _both(("x",), lambda v, o: bilateral_even(v[0], o)),
-    "bilateral_odd": _both(("x",), lambda v, o: bilateral_odd(v[0], o)),
-    "rjtp": _base_q(("x", "p"), lambda v, o: rjtp_lhs(v[0], o, v[1])),
 }

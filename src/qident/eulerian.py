@@ -4,10 +4,13 @@ Each Eulerian series is one row of FORMS: its product form, the sum over
 n >= start of c^n q^E(n) times Pochhammer symbols (y; q^p)_(an+b)^(+-1)
 with E quadratic, as the table (c, E, factors, start) that
 special.product_sum sums and reads its poles from, and the message that
-names a pole.  Each bilateral Lambert series is one series.bilateral_sum
-scan, rejected up front where series.bilateral_pole finds a zero
-denominator.  The paper's root-of-unity combinations of these series,
-K-tilde and H-tilde, are expression-language definitions in dsl.
+names a pole.  Each bilateral Lambert series is one row of BILATERAL:
+its form, the sum over all n of c^n q^E(n) / (1 - u q^F(n)) with E
+quadratic and F linear, as series.bilateral_sum takes it, the theta
+function it is divided by, and the message that names a pole, which
+special.bilateral_quotient raises where series.bilateral_pole finds one.
+The paper's root-of-unity combinations of these series, K-tilde and
+H-tilde, are expression-language definitions in dsl.
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ from math import gcd
 from typing import Callable, Dict, Tuple, Union
 
 from .coeff import zeta_power
-from .errors import NonGenericError
-from .series import Monomial, QSeries, bilateral_pole, bilateral_sum, series_div
-from .special import J, JB, ensure_prec
+from .series import Monomial
 
 Rat = Union[int, Fraction]
 
@@ -90,52 +91,35 @@ FORMS: Dict[str, Tuple[Tuple[str, ...], Callable[..., tuple], str]] = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Bilateral Lambert series
-# ---------------------------------------------------------------------------
+def _lambert(k: int) -> Callable[[Monomial], tuple]:
+    """(1/JB(1,4)) sum over n of q^(2n^2+(2k+1)n+k) / (1 - w q^(2n+k))."""
+    return lambda w: (1, (2, 2 * k + 1, k), w.expo.denominator, w.field_order, w.coeff,
+                      (2, k + w.expo), (_q(1, -1), 4))
 
 
-def _bilateral(omega: Monomial, k: int, order: Rat, label: str) -> QSeries:
-    """(1/JB(1,4)) * sum over all n of q^(2n^2+(2k+1)n+k) / (1 - w q^(2n+k))."""
-    e, f = omega.expo, (2, k + omega.expo)
-    if bilateral_pole(omega.coeff, f) is not None:
-        raise NonGenericError(f"{label} has a vanishing denominator at {omega}")
-
-    def build(work):
-        s = bilateral_sum(1, (2, 2 * k + 1, k), work, e.denominator, omega.field_order, omega.coeff, f)
-        return series_div(s, JB(1, 4, work))
-
-    return ensure_prec(build, order)
-
-
-def bilateral_even(omega: Monomial, order: Rat) -> QSeries:
-    """(1/JB(1,4)) * sum over all n of q^(2n^2+n) / (1 - w q^(2n))."""
-    return _bilateral(omega, 0, order, "even bilateral Lambert sum")
-
-
-def bilateral_odd(omega: Monomial, order: Rat) -> QSeries:
-    """(1/JB(1,4)) * sum over all n of q^(2n^2+3n+1) / (1 - w q^(2n+1))."""
-    return _bilateral(omega, 1, order, "odd bilateral Lambert sum")
-
-
-def habc_sum(a: int, b: int, c: int, order: Rat) -> QSeries:
-    """(1/J(1,2)) * sum over all n of (-1)^n q^(n+a/c) q^(n(n+1))
-    / (1 - zeta_c^b q^(n+a/c))."""
+def _habc(a: int, b: int, c: int) -> tuple:
     need_a_below_c(a, c)
-    ac = Fraction(a, c)
-    zb = Monomial(zeta_power(c, b % c), ac)
-
-    def build(work):
-        s = bilateral_sum(-1, (1, 2, ac), work, ac.denominator, zb.field_order, zb.coeff, (1, ac))
-        return series_div(s, J(1, 2, work))
-
-    return ensure_prec(build, order)
+    ac, zb = Fraction(a, c), zeta_power(c, b % c)
+    return -1, (1, 2, ac), ac.denominator, zb.order, zb, (1, ac), (_q(1), 2)
 
 
-__all__ = [
-    "FORMS",
-    "f_c",
-    "habc_sum",
-    "bilateral_even",
-    "bilateral_odd",
-]
+# name: (argument kinds, arguments -> bilateral form (c, e, denom, field, u, f,
+# theta), pole message over the arguments), the form standing for the sum
+# over all n of c^n q^E(n) / (1 - u q^F(n)) that series.bilateral_sum scans,
+# divided by j(y; q^p) for theta = (y, p) unless theta is None.
+BILATERAL: Dict[str, Tuple[Tuple[str, ...], Callable[..., tuple], str]] = {
+    # sum (-1)^n q^(p binom(n+1,2)) / (1 - q^(pn) z)
+    "rjtp": (("x", "p"), lambda z, p: (
+        -1, (Fraction(p, 2), Fraction(p, 2), 0), z.expo.denominator, z.field_order, z.coeff,
+        (p, z.expo), None),
+        "Lambert denominator 1 - q^(pn) z has a pole: z = {0} is a power of q^({1})"),
+    "bilateral_even": (("x",), _lambert(0),
+                       "even bilateral Lambert sum has a vanishing denominator at {0}"),
+    "bilateral_odd": (("x",), _lambert(1),
+                      "odd bilateral Lambert sum has a vanishing denominator at {0}"),
+    # (1/J(1,2)) sum (-1)^n q^(n+a/c) q^(n(n+1)) / (1 - zeta_c^b q^(n+a/c))
+    "Habc": (("i", "i", "i"), _habc, "Habc has a vanishing denominator"),
+}
+
+
+__all__ = ["BILATERAL", "FORMS", "f_c"]

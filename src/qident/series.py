@@ -9,8 +9,8 @@ beyond P is unknown.  Negative k is allowed (Laurent behavior).
 Precision propagates through arithmetic by the min/valuation rules below,
 so a comparison can never silently read coefficients outside the
 guaranteed window.  Every quotient is one long division, series_div,
-which walks only the residue classes its divisor reaches; series_invert,
-geom_inverse and series_div_one_minus (by 1 - u, u a monomial) wrap it.
+which walks only the residue classes its divisor reaches; series_invert
+and geom_inverse (1/(1 - u), u a monomial) wrap it.
 Every theta function and bilateral Lambert sum is one integer-grid scan,
 bilateral_sum.  Each coefficient of a product, a quotient or a bilateral
 sum is summed by one fused coeff.dot.  QSeries has no operators.
@@ -378,24 +378,6 @@ def series_shift(a: QSeries, m: Monomial) -> QSeries:
     )
 
 
-def substitute_base(a: QSeries, p: Rat) -> QSeries:
-    """q -> q^p with p > 0: every exponent is scaled by p."""
-    p = _as_frac(p)
-    if p <= 0:
-        raise ValueError("base exponent must be positive")
-    if p == 1:
-        return a
-    d = a.denom * p.denominator
-    n = p.numerator
-    return QSeries(
-        d,
-        a.prec * n,
-        {k * n: c for k, c in a.terms.items()},
-        a.field_order,
-        _checked=True,
-    )
-
-
 def series_div(a: QSeries, b: QSeries) -> QSeries:
     """a / b by long division from the valuations:
     c_n = (a_n - sum over j >= 1 of b_j c_{n-j}) / b_0, with the b_j
@@ -472,28 +454,16 @@ def geom_inverse(u: Monomial, order: Rat) -> QSeries:
     """Expansion of 1/(1 - u) for a monomial u = c*q^f, below q^order.
 
     f > 0: sum of c^k q^(kf); f = 0, c != 1: the constant 1/(1-c);
-    f < 0: -sum over k >= 1 of c^(-k) q^(-kf).  A pole (f = 0, c = 1)
-    is a non-generic specialization and raises.
+    f < 0: -sum over k >= 1 of c^(-k) q^(-kf).  One series_div by 1 - u,
+    exact below q^max(order, 1), which holds its lead and is as deep as
+    the quotient needs.  A pole (f = 0, c = 1) is a non-generic
+    specialization and raises.
     """
-    one = const_series(1, order, u.expo.denominator)
-    return series_truncate(series_div_one_minus(one, u), order)
-
-
-def series_div_one_minus(a: QSeries, u: Monomial) -> QSeries:
-    """a / (1 - u) for a monomial u = c*q^f: series_div by 1 - u, exact,
-    so the quotient is guaranteed below a.prec - min(f, 0).  A pole
-    (f = 0, c = 1) is a non-generic specialization and raises.
-    """
-    c, f = u.coeff, u.expo
-    if f == 0 and c == 1:
+    if u.expo == 0 and u.coeff == 1:
         raise NonGenericError("pole 1/(1 - u) with u exactly 1")
-    d = lcm(a.denom, f.denominator)
-    a = a.rebase(d)
-    k = int(f * d)
-    terms = {0: 1 - c} if k == 0 else {0: cyclo_one(c.order), k: -c}
-    # deep enough that only the precision of a bounds the quotient
-    exact = QSeries(d, a.prec - a.val_grid + abs(k) + 1, terms, c.order, _checked=True)
-    return series_div(a, exact)
+    d, top = u.expo.denominator, max(_as_frac(order), Fraction(1))
+    one_minus_u = series_sub(const_series(1, top, d), from_monomial(u, top))
+    return series_truncate(series_div(const_series(1, order, d), one_minus_u), order)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +608,6 @@ __all__ = [
     "q_power",
     "series_add",
     "series_div",
-    "series_div_one_minus",
     "series_eq_to_order",
     "series_invert",
     "series_mul",
@@ -648,6 +617,5 @@ __all__ = [
     "series_shift",
     "series_sub",
     "series_sum",
-    "substitute_base",
     "zero_series",
 ]

@@ -1,6 +1,6 @@
 """Classical building blocks: Pochhammer products, the theta function j,
 its J specializations, the Appell-Lerch sum m(x,q,z), the universal mock
-theta function g, and the term sum behind every Eulerian series.
+theta function g, and the readers of every Eulerian and bilateral series.
 
 All arguments x, z are Monomials c*q^e; the base is a positive rational p
 standing for q^p.  Every function takes a target order and returns a
@@ -8,13 +8,14 @@ QSeries whose guaranteed precision reaches that order; a construction
 whose own division costs precision runs through ensure_prec, which
 deepens its working order up to PAD_LIMIT.  An Eulerian series is its
 product form, a table of Pochhammer factors that _term_sum turns into
-rows, each one series_mul by its numerator polynomial and one
-series_div_one_minus per denominator binomial, and that has_pole reads
-its poles off; pochhammer and both sums for g are such tables.  Each
-theta quotient, m(x,q,z) among them, is a single series_div; j and the
-Lambert sum of m are series.bilateral_sum scans.  j, m and g keep one
-memo entry per (function, arguments) in _theta_cache, a least recently
-used cache of at most MEMO_LIMIT entries.
+rows, each one series_mul by prod(1 - u) and one series_div by
+prod(1 - v), both polynomials built by _poly, and that has_pole reads
+its poles off; pochhammer and both sums for g are such tables.  A
+bilateral series is its bilateral_sum form and theta divisor, which
+bilateral_quotient reads after rejecting the pole bilateral_pole finds;
+m(x,q,z) is one.  j, m and g keep one memo entry per (function,
+arguments) in _theta_cache, a least recently used cache of at most
+MEMO_LIMIT entries.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .series import (
     from_monomial,
     grid_prec,
     series_div,
-    series_div_one_minus,
     series_mul,
     series_shift,
     series_sub,
@@ -88,16 +88,22 @@ def ensure_prec(build: Callable[[Fraction], QSeries], order: Rat) -> QSeries:
 Row = Tuple[Union[Rat, CycloNumber], Rat, Sequence[Monomial], Sequence[Monomial]]
 
 
+def _poly(sign, e: Rat, us: Sequence[Monomial], window: Fraction) -> QSeries:
+    """sign q^e prod(1 - u) over the monomials u, exact below q^(e + window)."""
+    s = from_monomial(Monomial.make(sign, e), e + window + sum(abs(u.expo) for u in us))
+    for u in us:
+        s = series_sub(s, series_shift(s, u))
+    return s
+
+
 def _times_row(t: QSeries, row: Row, work: Fraction) -> QSeries:
     sign, e, ups, downs = row
-    # sign q^e prod(1 - u) exactly, so only t bounds the one product
-    window = Fraction(t.prec - t.val_grid, t.denom) + sum(abs(u.expo) for u in ups)
-    num = from_monomial(Monomial.make(sign, e), e + window + 1)
-    for u in ups:
-        num = series_sub(num, series_shift(num, u))
-    t = series_mul(t, num)
-    for v in downs:
-        t = series_div_one_minus(t, v)
+    # both polynomials exact past t's window, so only t bounds the product
+    # and the quotient
+    window = Fraction(t.prec - t.val_grid, t.denom) + 1
+    t = series_mul(t, _poly(sign, e, ups, window))
+    if downs:
+        t = series_div(t, _poly(1, 0, downs, window))
     return series_truncate(t, work)
 
 
@@ -166,12 +172,12 @@ def has_pole(factors: Sequence[Factor]) -> bool:
     return False
 
 
-def product_sum(form: tuple, order: Rat, pole: str) -> QSeries:
+def product_sum(form: tuple, order: Rat, pole: str, args: tuple) -> QSeries:
     """The product form (c, e, factors, start) of _term_sum summed below
-    q^order, or NonGenericError(pole) when has_pole(factors)."""
+    q^order, or NonGenericError(pole filled in from args) when has_pole(factors)."""
     c, e, factors, start = form
     if has_pole(factors):
-        raise NonGenericError(pole)
+        raise NonGenericError(pole.format(*args))
     return ensure_prec(partial(_term_sum, c, e, factors, start=start), order)
 
 
@@ -286,8 +292,28 @@ def _check_theta_denominator(x: Monomial, p: Rat, label: str):
         raise NonGenericError(f"{label} = j({x}; q^({p})) vanishes identically")
 
 
+def bilateral_quotient(form: tuple, order: Rat, pole: str, args: tuple = (), key=None) -> QSeries:
+    """The bilateral form (c, e, denom, field, u, f, theta) summed by
+    series.bilateral_sum below q^order and divided by j(y; q^p) for
+    theta = (y, p) unless theta is None; or NonGenericError(pole filled in
+    from args and r) when series.bilateral_pole finds the r whose
+    denominator 1 - u q^F(r) vanishes.  A key memoises the quotient in
+    _theta_cache, behind that check."""
+    c, e, d, m, u, f, theta = form
+    if (r := bilateral_pole(u, f)) is not None:
+        raise NonGenericError(pole.format(*args, r=r))
+
+    def build(work: Fraction) -> QSeries:
+        s = bilateral_sum(c, e, work, d, m, u, f)
+        return s if theta is None else series_div(s, theta_j(*theta, work))
+
+    run = partial(ensure_prec, build, order)
+    return run() if key is None else _memo(key, order, run)
+
+
 def appell_m(x: Monomial, p: Rat, z: Monomial, order: Rat) -> QSeries:
-    """m(x, q^p, z): the normalized bilateral Lambert-type sum.
+    """m(x, q^p, z): the sum over n of (-1)^n q^(p binom(n,2)) z^n
+    / (1 - q^(p(n-1)) x z), divided by j(z; q^p).
 
     Raises NonGenericError when j(z; q^p) vanishes or some denominator
     factor has a pole; both conditions are decided exactly up front.
@@ -297,17 +323,10 @@ def appell_m(x: Monomial, p: Rat, z: Monomial, order: Rat) -> QSeries:
         raise ValueError("Appell-Lerch base exponent must be positive")
     _check_theta_denominator(z, p, "j(z; q^p)")
     ez, ex, xz = z.expo, x.expo, x * z
-    f = (p, xz.expo - p)
-    if (r := bilateral_pole(xz.coeff, f)) is not None:
-        raise NonGenericError(f"Appell-Lerch denominator 1 - q^((r-1)p) x z vanishes at r = {r}")
-
-    def build(work: Fraction) -> QSeries:
-        d = ez.denominator * ex.denominator * p.denominator
-        s = bilateral_sum(-z.coeff, (p / 2, ez - p / 2, 0), work, d, z.field_order, xz.coeff, f)
-        return series_div(s, theta_j(z, p, work))
-
-    key = ("m", x.coeff.key(), ex, p, z.coeff.key(), ez)
-    return _memo(key, order, lambda: ensure_prec(build, order))
+    d = ez.denominator * ex.denominator * p.denominator
+    form = (-z.coeff, (p / 2, ez - p / 2, 0), d, z.field_order, xz.coeff, (p, xz.expo - p), (z, p))
+    pole = "Appell-Lerch denominator 1 - q^((r-1)p) x z vanishes at r = {r}"
+    return bilateral_quotient(form, order, pole, key=("m", x.coeff.key(), ex, p, z.coeff.key(), ez))
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +370,3 @@ def g_sum(x: Monomial, p: Rat, order: Rat) -> QSeries:
 
     key = ("g_sum", x.coeff.key(), x.expo, p)
     return _memo(key, order, lambda: ensure_prec(build, order))
-
-
-# ---------------------------------------------------------------------------
-# Reciprocal of Jacobi's theta product (bilateral Lambert sum)
-# ---------------------------------------------------------------------------
-
-
-def rjtp_lhs(z: Monomial, order: Rat, p: Rat = 1) -> QSeries:
-    """sum over n of (-1)^n q^(p*binom(n+1,2)) / (1 - q^(pn) z)."""
-    p = _fr(p)
-    f = (p, z.expo)
-    if bilateral_pole(z.coeff, f) is not None:
-        raise NonGenericError(
-            f"Lambert denominator 1 - q^(pn) z has a pole: z = {z} is a power of q^({p})"
-        )
-    d = z.expo.denominator * p.denominator
-    return bilateral_sum(-1, (p / 2, p / 2, 0), order, d, z.field_order, z.coeff, f)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qident.coeff import CycloNumber, cyclo_embed, euler_phi, lift_order, zeta_power
 from qident import series
 from qident.errors import InsufficientPrecisionError, NonGenericError
+from qident.special import _times_row
 from qident.series import (
     Monomial,
     QSeries,
@@ -22,7 +23,6 @@ from qident.series import (
     q_power,
     series_add,
     series_div,
-    series_div_one_minus,
     series_eq_to_order,
     series_invert,
     series_mul,
@@ -32,7 +32,6 @@ from qident.series import (
     series_shift,
     series_sub,
     series_sum,
-    substitute_base,
     zero_series,
 )
 
@@ -187,17 +186,6 @@ class TestEqToOrder:
         a = q_power(F(1, 2), 10)
         b = series_shift(const_series(1, F(19, 2)), Monomial.make(1, F(1, 2)))
         assert series_eq_to_order(a, b, F(19, 2)).ok
-
-
-class TestSubstituteBase:
-    def test_square(self):
-        s = substitute_base(geometric(5), 2)
-        assert_series_matches(s, {0: 1, 2: 1, 4: 1, 6: 1, 8: 1}, F(10))
-        assert s.prec_order() == 10
-
-    def test_fractional(self):
-        s = substitute_base(geometric(4), F(1, 2))
-        assert_series_matches(s, {0: 1, F(1, 2): 1, 1: 1, F(3, 2): 1}, F(2))
 
 
 class TestBilateralSum:
@@ -428,11 +416,13 @@ def _one_minus(u, order):
 @settings(max_examples=150, deadline=None)
 def test_div_one_minus_is_exact_division(a, c_rat, f, field, k):
     u = Monomial(cyclo_embed(c_rat, field) * zeta_power(field, k), f)
+    # 1 - u deep enough that only a bounds the quotient
+    one_minus = _one_minus(u, a.prec_order() - _val_or_prec(a) + abs(f) + 1)
     if f == 0 and u.coeff == 1:
         with pytest.raises(NonGenericError):
-            series_div_one_minus(a, u)
+            series_div(a, one_minus)
         return
-    got = series_div_one_minus(a, u)
+    got = series_div(a, one_minus)
     # 1 - u is exact, so only a bounds the quotient: a q^f shift when f < 0
     assert got.prec_order() == a.prec_order() - min(f, 0)
     m = got.field_order
@@ -440,10 +430,9 @@ def test_div_one_minus_is_exact_division(a, c_rat, f, field, k):
     one_minus_u[f] = one_minus_u.get(f, cyclo_embed(F(0), m)) - lift_order(u.coeff, m)
     back = dict_truncate(dict_mul(series_dict(got), one_minus_u), a.prec_order())
     assert back == dict_truncate(_naive(a, m), a.prec_order())
-    # and equal to the general division by a 1 - u deep enough that only a bounds it
-    want = series_div(a, _one_minus(u, a.prec_order() - _val_or_prec(a) + abs(f) + 1))
-    assert (got.denom, got.field_order, got.prec) == (want.denom, want.field_order, want.prec)
-    assert got.terms == want.terms
+    # and the row quotient of an Eulerian term by its one binomial 1 - u
+    row = _times_row(a, (1, 0, (), (u,)), got.prec_order() + 1)
+    assert (row.denom, row.field_order, row.prec, row.terms) == (got.denom, got.field_order, got.prec, got.terms)
 
 
 @given(qseries(), divisors(), st.sampled_from([2, 3, 8]))

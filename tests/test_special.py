@@ -39,7 +39,6 @@ from qident.special import (
     g_sum,
     g_universal,
     pochhammer,
-    rjtp_lhs,
     theta_is_zero,
     theta_j,
 )
@@ -408,13 +407,13 @@ class TestThetaTransforms:
         j1 = Jm(1, ORDER)
         cube = series_mul(series_mul(j1, j1), j1)
         for z in [mono(-1, 0), mono(2, 1), zmono(3, 1), mono(1, F(1, 2))]:
-            lhs = rjtp_lhs(z, ORDER)
+            lhs = eval_expr(parse("rjtp(z)"), ORDER, {"z": z})
             rhs = series_div(cube, theta_j(z, 1, ORDER))
             check_eq(lhs, rhs, ORDER)
 
     def test_reciprocal_sum_rejects_pole(self):
         with pytest.raises(NonGenericError):
-            rjtp_lhs(mono(1, 1), 20)
+            eval_expr(parse("rjtp(q)"), 20)
 
 
 class TestAppellLerch:

@@ -15,6 +15,11 @@ The paper's fixed combinations (Ktilde, Htilde and their other forms,
 mcorr, msplit, g_appell) are definitions: exact argument checks, then an
 expression over the core functions with the integer arguments spliced into
 its text and the monomial ones bound as its symbols.
+
+The function registry holds every row of eulerian.FORMS and
+eulerian.BILATERAL, each read by special.read_row, beside the other
+functions and the definitions; by one rule, an entry whose last argument
+is a base may leave it out, meaning q.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .coeff import csc_pi, sin_pi, zeta_power
 from .errors import EvalError, ParseError
-from .eulerian import BILATERAL, FORMS, need_a_below_c
+from .eulerian import BILATERAL, FORMS, need_a_below_c, need_theta_nonzero
 from .series import (
     Monomial,
     QSeries,
@@ -41,21 +46,7 @@ from .series import (
     series_sub,
     zero_series,
 )
-from .special import (
-    J,
-    JB,
-    PAD_LIMIT,
-    Jm,
-    _check_theta_denominator,
-    appell_m,
-    bilateral_quotient,
-    ensure_prec,
-    g_sum,
-    g_universal,
-    pochhammer,
-    product_sum,
-    theta_j,
-)
+from .special import J, JB, PAD_LIMIT, Jm, ensure_prec, g_sum, pochhammer, read_row
 
 Rat = Union[int, Fraction]
 
@@ -627,7 +618,7 @@ def _htilde_bilateral(a: int, c: int) -> Source:
 def _mcorr(x: Monomial, p: int, z0: Monomial, z1: Monomial) -> Source:
     """m(x,q^p,z1) - m(x,q^p,z0) as one theta quotient, every theta at base q^p."""
     for mono, name in ((z0, "z0"), (z1, "z1"), (x * z0, "x z0"), (x * z1, "x z1")):
-        _check_theta_denominator(mono, p, f"j({name}; q^p)")
+        need_theta_nonzero(mono, p, f"j({name}; q^p)")
     b = f"q^{p}"
     text = (f"z0*(j({b}, q^{3 * p})^3*j(z1/z0, {b})*j(x*z0*z1, {b})"
             f"/(j(z0, {b})*j(z1, {b})*j(x*z0, {b})*j(x*z1, {b})))")
@@ -641,13 +632,13 @@ def _msplit(x: Monomial, p: int, z: Monomial, zp: Monomial, n: int) -> Source:
     if n < 1:
         raise ValueError("splitting depth must be at least 1")
     b, xn = n * (n - 1) // 2, (-x) ** n
-    _check_theta_denominator(x * z, p, "j(xz; q^p)")
-    _check_theta_denominator(zp, p * n * n, "j(z'; q^(p n^2))")
-    _check_theta_denominator(
+    need_theta_nonzero(x * z, p, "j(xz; q^p)")
+    need_theta_nonzero(zp, p * n * n, "j(z'; q^(p n^2))")
+    need_theta_nonzero(
         (-(xn * zp)).times_q(p * b), p * n, "j(-q^(binom(n,2)) (-x)^n z'; q^(p n))"
     )
     for r in range(n):
-        _check_theta_denominator(z.times_q(p * r), p * n, f"j(q^{r} z; q^(p n))")
+        need_theta_nonzero(z.times_q(p * r), p * n, f"j(q^{r} z; q^(p n))")
     qn, qn2, pw = f"q^{p * n}", f"q^{p * n * n}", f"(-x)^{n}"
     split = " + ".join(
         f"{_q(-p * r * (r + 1) // 2)}*(-x)^{r}*m(-{_q(p * (b - n * r))}*{pw}, {qn2}, zp)"
@@ -668,43 +659,40 @@ def _g_appell(x: Monomial, p: int) -> Source:
     return text, {"x": x}
 
 
-def _both(kinds: Tuple[str, ...], fn) -> Dict[int, Tuple[Tuple[str, ...], Callable]]:
-    return {len(kinds): (kinds, fn)}
+Entry = Tuple[Tuple[str, ...], Callable[[List[object], Fraction], Value]]
+
+# name: (argument kinds, (argument values, order) -> value), every row of
+# FORMS and BILATERAL read by special.read_row among them
+_ENTRIES: Dict[str, Entry] = {
+    **{name: (kinds, partial(read_row, name))
+       for table in (FORMS, BILATERAL) for name, (kinds, _, _) in table.items()},
+    "J": (("i", "i"), lambda v, o: J(v[0], v[1], o)),
+    "JB": (("i", "i"), lambda v, o: JB(v[0], v[1], o)),
+    "Jm": (("i",), lambda v, o: Jm(v[0], o)),
+    "poch": (("x", "p", "n"), lambda v, o: pochhammer(v[0], v[1], v[2], o)),
+    "mcorr": (("x", "p", "x", "x"), _definition("mcorr", _mcorr)),
+    "msplit": (("x", "p", "x", "x", "i"), _definition("msplit", _msplit)),
+    "g_sum": (("x", "p"), lambda v, o: g_sum(v[0], v[1], o)),
+    "g_appell": (("x", "p"), _definition("g_appell", _g_appell)),
+    "Ktilde": (("i", "i"), _definition("Ktilde", _ktilde)),
+    "Ktilde_closed": (("i", "i"), _definition("Ktilde_closed", _ktilde_closed)),
+    "Htilde": (("i", "i"), _definition("Htilde", _htilde)),
+    "Htilde_closed": (("i", "i"), _definition("Htilde_closed", _htilde_closed)),
+    "Htilde_bilateral": (("i", "i"), _definition("Htilde_bilateral", _htilde_bilateral)),
+    "sinpi": (("i", "i"), lambda v, o: _trig(sin_pi, v)),
+    "cscpi": (("i", "i"), lambda v, o: _trig(csc_pi, v)),
+    "zeta": (("i", "i"), _zeta),
+}
 
 
-def _base_q(kinds: Tuple[str, ...], fn) -> Dict[int, Tuple[Tuple[str, ...], Callable]]:
-    """As _both, and with the trailing base argument left out meaning q."""
-    return {**_both(kinds, fn), len(kinds) - 1: (kinds[:-1], lambda v, o: fn(v + [1], o))}
+def _arities(kinds: Tuple[str, ...], fn) -> Dict[int, Entry]:
+    """fn by its arity, and when its last argument is a base, also without
+    it, the base left out meaning q."""
+    if kinds[-1:] != ("p",):
+        return {len(kinds): (kinds, fn)}
+    return {len(kinds): (kinds, fn), len(kinds) - 1: (kinds[:-1], lambda v, o: fn(v + [1], o))}
 
 
-def _row(table: dict, read: Callable, name: str, v: List[object], order: Fraction) -> QSeries:
-    """The row name of FORMS or BILATERAL at the arguments v, read by
-    product_sum or bilateral_quotient: its series, or its pole message raised."""
-    _, form, pole = table[name]
-    return read(form(*v), order, pole, tuple(v))
-
-
-FUNCTIONS: Dict[str, Dict[int, Tuple[Tuple[str, ...], Callable]]] = {
-    **{name: (_base_q if kinds[-1:] == ("p",) else _both)(kinds, partial(_row, table, read, name))
-       for table, read in ((FORMS, product_sum), (BILATERAL, bilateral_quotient))
-       for name, (kinds, _, _) in table.items()},
-    "j": _both(("x", "p"), lambda v, o: theta_j(v[0], v[1], o)),
-    "J": _both(("i", "i"), lambda v, o: J(v[0], v[1], o)),
-    "JB": _both(("i", "i"), lambda v, o: JB(v[0], v[1], o)),
-    "Jm": _both(("i",), lambda v, o: Jm(v[0], o)),
-    "poch": _both(("x", "p", "n"), lambda v, o: pochhammer(v[0], v[1], v[2], o)),
-    "m": _both(("x", "p", "x"), lambda v, o: appell_m(v[0], v[1], v[2], o)),
-    "mcorr": _both(("x", "p", "x", "x"), _definition("mcorr", _mcorr)),
-    "msplit": _both(("x", "p", "x", "x", "i"), _definition("msplit", _msplit)),
-    "g": _base_q(("x", "p"), lambda v, o: g_universal(v[0], v[1], o)),
-    "g_sum": _base_q(("x", "p"), lambda v, o: g_sum(v[0], v[1], o)),
-    "g_appell": _base_q(("x", "p"), _definition("g_appell", _g_appell)),
-    "Ktilde": _both(("i", "i"), _definition("Ktilde", _ktilde)),
-    "Ktilde_closed": _both(("i", "i"), _definition("Ktilde_closed", _ktilde_closed)),
-    "Htilde": _both(("i", "i"), _definition("Htilde", _htilde)),
-    "Htilde_closed": _both(("i", "i"), _definition("Htilde_closed", _htilde_closed)),
-    "Htilde_bilateral": _both(("i", "i"), _definition("Htilde_bilateral", _htilde_bilateral)),
-    "sinpi": _both(("i", "i"), lambda v, o: _trig(sin_pi, v)),
-    "cscpi": _both(("i", "i"), lambda v, o: _trig(csc_pi, v)),
-    "zeta": _both(("i", "i"), _zeta),
+FUNCTIONS: Dict[str, Dict[int, Entry]] = {
+    name: _arities(kinds, fn) for name, (kinds, fn) in _ENTRIES.items()
 }

@@ -1,26 +1,30 @@
-"""Eulerian q-hypergeometric sums and bilateral Lambert series.
+"""Eulerian q-hypergeometric sums, bilateral Lambert series, the theta
+function j and the Appell-Lerch sum m.
 
-Each Eulerian series is one row of FORMS: its product form, the sum over
-n >= start of c^n q^E(n) times Pochhammer symbols (y; q^p)_(an+b)^(+-1)
-with E quadratic, as the table (c, E, factors, start) that
-special.product_sum sums and reads its poles from, and the message that
-names a pole.  Each bilateral Lambert series is one row of BILATERAL:
-its form, the sum over all n of c^n q^E(n) / (1 - u q^F(n)) with E
-quadratic and F linear, as series.bilateral_sum takes it, the theta
-function it is divided by, and the message that names a pole, which
-special.bilateral_quotient raises where series.bilateral_pole finds one.
-The paper's root-of-unity combinations of these series, K-tilde and
-H-tilde, are expression-language definitions in dsl.
+Each Eulerian series, the universal mock theta function g among them, is
+one row of FORMS: its product form, the sum over n >= start of c^n q^E(n)
+times Pochhammer symbols (y; q^p)_(an+b)^(+-1) with E quadratic, as the
+table (c, E, factors, start) that special.read_row sums and reads its poles
+from, and the message that names a pole.  Each bilateral series, j and m
+among them, is one row of BILATERAL: its form, the sum over all n of
+c^n q^E(n) / (1 - u q^F(n)) with E quadratic and F linear, as
+series.bilateral_sum takes it, the theta function it is divided by, and
+the message that names a pole, which special.read_row raises where
+series.bilateral_pole finds one.  need_theta_nonzero is the one exact
+test for an identically vanishing theta function.  The paper's
+root-of-unity combinations of these series, K-tilde and H-tilde, are
+expression-language definitions in dsl.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from .coeff import zeta_power
-from .series import Monomial
+from .errors import NonGenericError
+from .series import Monomial, bilateral_pole
 
 Rat = Union[int, Fraction]
 
@@ -43,6 +47,14 @@ def need_a_below_c(a: int, c: int):
         raise ValueError("need 0 < a < c")
 
 
+def need_theta_nonzero(x: Monomial, p: Rat, label: str):
+    """Raise NonGenericError naming label when j(x; q^p) vanishes
+    identically: exactly when x is a power of q^p, that is when
+    series.bilateral_pole finds the n with 1 - x q^(pn) = 0."""
+    if bilateral_pole(x.coeff, (p, x.expo)) is not None:
+        raise NonGenericError(f"{label} = j({x}; q^({p})) vanishes identically")
+
+
 def _hp(a: int, c: int, w: Monomial) -> tuple:
     need_a_below_c(a, c)
     u0, u1 = w.times_q(Fraction(a, c)), w.times_q(1 - Fraction(a, c))
@@ -52,7 +64,7 @@ def _hp(a: int, c: int, w: Monomial) -> tuple:
 
 # name: (argument kinds, arguments -> product form (c, E, factors, start),
 # pole message over the arguments), a factor (y, p, a, b, s) standing for
-# (y; q^p)_(an+b)^s.  The first four series take their base q^p as argument.
+# (y; q^p)_(an+b)^s.  An argument of kind "p" is a base q^p.
 FORMS: Dict[str, Tuple[Tuple[str, ...], Callable[..., tuple], str]] = {
     # sum (-1)^n q^(n^2) (q;q^2)_n / (-q;q)_{2n}
     "phi": (("p",), lambda p: (-1, (p, 0, 0), (
@@ -88,6 +100,11 @@ FORMS: Dict[str, Tuple[Tuple[str, ...], Callable[..., tuple], str]] = {
         (x.inv(), 1, 0, 1, 1), (_q(1), 2, 1, 0, 1),
         (x.times_q(1), 2, 1, 1, -1), (x.inv().times_q(1), 2, 1, 1, -1)), 0),
         "left side of the odd Lambert identity has a vanishing denominator at {0}"),
+    # the universal mock theta function g(x, q^p) as its Lambert sum,
+    # sum q^(p n(n+1)) / ((x; q^p)_{n+1} (q^p/x; q^p)_{n+1})
+    "g": (("x", "p"), lambda x, p: (1, (p, p, 0), (
+        (x, p, 1, 1, -1), (x.inv().times_q(p), p, 1, 1, -1)), 0),
+        "g pole: Pochhammer factor vanishes for x = {0} a power of q^({1})"),
 }
 
 
@@ -103,11 +120,26 @@ def _habc(a: int, b: int, c: int) -> tuple:
     return -1, (1, 2, ac), ac.denominator, zb.order, zb, (1, ac), (_q(1), 2)
 
 
+def _m(x: Monomial, p: Rat, z: Monomial) -> tuple:
+    need_theta_nonzero(z, p, "j(z; q^p)")
+    xz = x * z
+    return (-z.coeff, (Fraction(p, 2), z.expo - Fraction(p, 2), 0),
+            z.expo.denominator * x.expo.denominator * p.denominator, z.field_order,
+            xz.coeff, (p, xz.expo - p), (z, p))
+
+
 # name: (argument kinds, arguments -> bilateral form (c, e, denom, field, u, f,
-# theta), pole message over the arguments), the form standing for the sum
-# over all n of c^n q^E(n) / (1 - u q^F(n)) that series.bilateral_sum scans,
-# divided by j(y; q^p) for theta = (y, p) unless theta is None.
-BILATERAL: Dict[str, Tuple[Tuple[str, ...], Callable[..., tuple], str]] = {
+# theta), pole message over the arguments and r), the form standing for the
+# sum over all n of c^n q^E(n) / (1 - u q^F(n)) that series.bilateral_sum
+# scans, without the denominator when u is None, divided by j(y; q^p) for
+# theta = (y, p) unless theta is None.
+BILATERAL: Dict[str, Tuple[Tuple[str, ...], Callable[..., tuple], Optional[str]]] = {
+    # j(x; q^p) = sum (-1)^n q^(p binom(n,2)) x^n, which has no pole
+    "j": (("x", "p"), lambda x, p: (
+        -x.coeff, (Fraction(p, 2), x.expo - Fraction(p, 2), 0), x.expo.denominator * p.denominator,
+        x.field_order, None, (0, 0), None), None),
+    # m(x, q^p, z) = sum (-1)^n q^(p binom(n,2)) z^n / (1 - q^(p(n-1)) x z), over j(z; q^p)
+    "m": (("x", "p", "x"), _m, "Appell-Lerch denominator 1 - q^((r-1)p) x z vanishes at r = {r}"),
     # sum (-1)^n q^(p binom(n+1,2)) / (1 - q^(pn) z)
     "rjtp": (("x", "p"), lambda z, p: (
         -1, (Fraction(p, 2), Fraction(p, 2), 0), z.expo.denominator, z.field_order, z.coeff,

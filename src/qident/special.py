@@ -1,6 +1,7 @@
-"""Classical building blocks: Pochhammer products, the theta function j,
-its J specializations, the Appell-Lerch sum m(x,q,z), the universal mock
-theta function g, and the readers of every Eulerian and bilateral series.
+"""Classical building blocks: the one reader of every row of
+eulerian.FORMS and eulerian.BILATERAL, Pochhammer products, the theta
+function j with its J specializations, the Appell-Lerch sum m(x,q,z) and
+the universal mock theta function g in its two sums.
 
 All arguments x, z are Monomials c*q^e; the base is a positive rational p
 standing for q^p.  Every function takes a target order and returns a
@@ -10,12 +11,12 @@ deepens its working order up to PAD_LIMIT.  An Eulerian series is its
 product form, a table of Pochhammer factors that _term_sum turns into
 rows, each one series_mul by prod(1 - u) and one series_div by
 prod(1 - v), both polynomials built by _poly, and that has_pole reads
-its poles off; pochhammer and both sums for g are such tables.  A
-bilateral series is its bilateral_sum form and theta divisor, which
-bilateral_quotient reads after rejecting the pole bilateral_pole finds;
-m(x,q,z) is one.  j, m and g keep one memo entry per (function,
-arguments) in _theta_cache, a least recently used cache of at most
-MEMO_LIMIT entries.
+its poles off.  A bilateral series is its bilateral_sum form and theta
+divisor, whose pole bilateral_pole finds.  read_row reads both kinds, j, m
+and g among them, and keeps one memo entry per (row, arguments) in
+_theta_cache, a least recently used cache of at most MEMO_LIMIT entries;
+g_sum, g's Eulerian sum, shares the memo, and pochhammer, which rebases
+its sum, is a term sum of its own.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .coeff import CycloNumber
 from .errors import CapExceededError, NonGenericError
+from .eulerian import BILATERAL, FORMS
 from .series import (
     Monomial,
     QSeries,
@@ -163,22 +165,21 @@ def _term_sum(
 
 def has_pole(factors: Sequence[Factor]) -> bool:
     """Whether a denominator factor (y; q^p)_(an+b) is exactly zero in some
-    term: y = q^(-pk) for an integer k >= 0, with k < b when a = 0 (for
-    a > 0 the length an + b outgrows every k, whatever the first n)."""
+    term: 1 - y q^(pk) = 0 at the k that bilateral_pole finds, with k >= 0,
+    and k < b when a = 0 (for a > 0 the length an + b outgrows every k,
+    whatever the first n)."""
     for y, p, a, b, s in factors:
-        k = -y.expo / p
-        if s < 0 and y.is_q_power() and k.denominator == 1 and k >= 0 and (a > 0 or k < b):
+        k = bilateral_pole(y.coeff, (p, y.expo))
+        if s < 0 and k is not None and k >= 0 and (a > 0 or k < b):
             return True
     return False
 
 
-def product_sum(form: tuple, order: Rat, pole: str, args: tuple) -> QSeries:
-    """The product form (c, e, factors, start) of _term_sum summed below
-    q^order, or NonGenericError(pole filled in from args) when has_pole(factors)."""
-    c, e, factors, start = form
-    if has_pole(factors):
-        raise NonGenericError(pole.format(*args))
-    return ensure_prec(partial(_term_sum, c, e, factors, start=start), order)
+def _base(p: Rat) -> Fraction:
+    p = _fr(p)
+    if p <= 0:
+        raise ValueError("base exponent must be positive")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +196,7 @@ def pochhammer(x: Monomial, p: Rat, n: Optional[int], order: Rat) -> QSeries:
     A vanishing factor (x*q^(kp) exactly 1) makes the whole product the
     zero series rather than an error.
     """
-    p = _fr(p)
-    if p <= 0:
-        raise ValueError("Pochhammer base exponent must be positive")
+    p = _base(p)
     if n is not None and n < 0:
         raise ValueError("Pochhammer length must be nonnegative")
     c, e = x.coeff, x.expo
@@ -216,14 +215,14 @@ def pochhammer(x: Monomial, p: Rat, n: Optional[int], order: Rat) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# Theta functions
+# The rows of FORMS and BILATERAL, j, m and g among them
 # ---------------------------------------------------------------------------
 
 
 _theta_cache: dict[tuple, QSeries] = {}
 
 # The most entries _theta_cache keeps; one run_suite() of the built-in
-# corpus leaves about 300, so the corpus never evicts.
+# corpus leaves about 360, so the corpus never evicts.
 MEMO_LIMIT = 1024
 
 memo_counts = {"hits": 0, "misses": 0}
@@ -246,25 +245,45 @@ def _memo(key: tuple, order: Rat, build: Callable[[], QSeries]) -> QSeries:
     return series_truncate(s, order)
 
 
-def theta_j(x: Monomial, p: Rat, order: Rat) -> QSeries:
-    """j(x; q^p) by the bilateral sum over (-1)^n q^(p*binom(n,2)) x^n.
+def _key(name: str, args: Sequence) -> tuple:
+    """The memo key of name at args, each monomial c q^e flattened to c's key and e."""
+    return (name, *(v for a in args for v in ((a.coeff.key(), a.expo) if isinstance(a, Monomial) else (a,))))
 
-    Always well defined; vanishes identically exactly when x is a power
-    q^(p*k).
+
+def read_row(name: str, args: Sequence, order: Rat) -> QSeries:
+    """The row name of FORMS or BILATERAL at args, below q^order.
+
+    Each base argument must be positive, and the row's form function runs
+    the row's own argument checks.  A pole raises NonGenericError with the
+    row's message: has_pole reads it off a product form's factors and
+    bilateral_pole off a bilateral form.  A product form is summed by
+    _term_sum; a bilateral form is scanned by bilateral_sum and divided by
+    its theta divisor, read back as the row j.  The series is memoised
+    under (name, args).
     """
-    p = _fr(p)
-    if p <= 0:
-        raise ValueError("theta base exponent must be positive")
-    c, e = x.coeff, x.expo
-    d = e.denominator * p.denominator
-    key = ("j", c.key(), e, p)
-    return _memo(key, order, lambda: bilateral_sum(-c, (p / 2, e - p / 2, 0), order, d, c.order))
+    kinds, form, pole = FORMS[name] if name in FORMS else BILATERAL[name]
+    args = tuple(_base(a) if k == "p" else a for k, a in zip(kinds, args))
+    if name in FORMS:
+        c, e, factors, start = form(*args)
+        if has_pole(factors):
+            raise NonGenericError(pole.format(*args))
+        build = partial(_term_sum, c, e, factors, start=start)
+    else:
+        c, e, d, m, u, f, theta = form(*args)
+        if (r := bilateral_pole(u, f)) is not None:
+            raise NonGenericError(pole.format(*args, r=r))
+
+        def build(work: Fraction) -> QSeries:
+            s = bilateral_sum(c, e, work, d, m, u, f)
+            return s if theta is None else series_div(s, read_row("j", theta, work))
+
+    return _memo(_key(name, args), order, partial(ensure_prec, build, order))
 
 
-def theta_is_zero(x: Monomial, p: Rat) -> bool:
-    """Exact test for identical vanishing of j(x; q^p)."""
-    p = _fr(p)
-    return x.is_q_power() and (x.expo / p).denominator == 1
+def theta_j(x: Monomial, p: Rat, order: Rat) -> QSeries:
+    """j(x; q^p), the row j: always well defined, and identically zero
+    exactly when x is a power of q^p."""
+    return read_row("j", (x, p), order)
 
 
 def J(a: int, m: int, order: Rat) -> QSeries:
@@ -282,91 +301,29 @@ def Jm(m: int, order: Rat) -> QSeries:
     return J(m, 3 * m, order)
 
 
-# ---------------------------------------------------------------------------
-# Appell-Lerch sums
-# ---------------------------------------------------------------------------
-
-
-def _check_theta_denominator(x: Monomial, p: Rat, label: str):
-    if theta_is_zero(x, p):
-        raise NonGenericError(f"{label} = j({x}; q^({p})) vanishes identically")
-
-
-def bilateral_quotient(form: tuple, order: Rat, pole: str, args: tuple = (), key=None) -> QSeries:
-    """The bilateral form (c, e, denom, field, u, f, theta) summed by
-    series.bilateral_sum below q^order and divided by j(y; q^p) for
-    theta = (y, p) unless theta is None; or NonGenericError(pole filled in
-    from args and r) when series.bilateral_pole finds the r whose
-    denominator 1 - u q^F(r) vanishes.  A key memoises the quotient in
-    _theta_cache, behind that check."""
-    c, e, d, m, u, f, theta = form
-    if (r := bilateral_pole(u, f)) is not None:
-        raise NonGenericError(pole.format(*args, r=r))
-
-    def build(work: Fraction) -> QSeries:
-        s = bilateral_sum(c, e, work, d, m, u, f)
-        return s if theta is None else series_div(s, theta_j(*theta, work))
-
-    run = partial(ensure_prec, build, order)
-    return run() if key is None else _memo(key, order, run)
-
-
 def appell_m(x: Monomial, p: Rat, z: Monomial, order: Rat) -> QSeries:
-    """m(x, q^p, z): the sum over n of (-1)^n q^(p binom(n,2)) z^n
-    / (1 - q^(p(n-1)) x z), divided by j(z; q^p).
-
-    Raises NonGenericError when j(z; q^p) vanishes or some denominator
-    factor has a pole; both conditions are decided exactly up front.
-    """
-    p = _fr(p)
-    if p <= 0:
-        raise ValueError("Appell-Lerch base exponent must be positive")
-    _check_theta_denominator(z, p, "j(z; q^p)")
-    ez, ex, xz = z.expo, x.expo, x * z
-    d = ez.denominator * ex.denominator * p.denominator
-    form = (-z.coeff, (p / 2, ez - p / 2, 0), d, z.field_order, xz.coeff, (p, xz.expo - p), (z, p))
-    pole = "Appell-Lerch denominator 1 - q^((r-1)p) x z vanishes at r = {r}"
-    return bilateral_quotient(form, order, pole, key=("m", x.coeff.key(), ex, p, z.coeff.key(), ez))
-
-
-# ---------------------------------------------------------------------------
-# Universal mock theta function g(x, q)
-# ---------------------------------------------------------------------------
-
-
-def _g_form(x: Monomial, p: Rat, b: int) -> Tuple[Fraction, Tuple[Rat, Rat, Rat], Sequence[Factor]]:
-    """The base p, E and factors of q^(p n(n+b)) / ((x)_{n+1} (q^p/x)_{n+b}),
-    Pochhammers at base q^p: the terms of g's Lambert sum for b = 1 and of
-    its Eulerian sum for b = 0."""
-    p = _fr(p)
-    if p <= 0:
-        raise ValueError("base exponent must be positive")
-    factors = ((x, p, 1, 1, -1), (x.inv().times_q(p), p, 1, b, -1))
-    if has_pole(factors):
-        raise NonGenericError(f"g pole: Pochhammer factor vanishes for x = {x} a power of q^({p})")
-    return p, (p, b * p, 0), factors
+    """m(x, q^p, z), the row m; NonGenericError when j(z; q^p) vanishes or
+    a denominator 1 - q^(p(n-1)) x z does, both decided exactly up front."""
+    return read_row("m", (x, p, z), order)
 
 
 def g_universal(x: Monomial, p: Rat, order: Rat) -> QSeries:
-    """g(x, q^p) as its Lambert sum, Pochhammers at base q^p:
-    sum of q^(p n(n+1)) / ((x)_{n+1} (q^p/x)_{n+1}).
-
-    Its Eulerian form is g_sum, its Appell-Lerch form the
-    expression-language definition g_appell.
-    """
-    p, e, factors = _g_form(x, p, 1)
-    key = ("g", x.coeff.key(), x.expo, p)
-    return _memo(key, order, lambda: ensure_prec(partial(_term_sum, 1, e, factors), order))
+    """g(x, q^p) as its Lambert sum, the row g.  Its Eulerian form is
+    g_sum, its Appell-Lerch form the expression-language definition g_appell."""
+    return read_row("g", (x, p), order)
 
 
 def g_sum(x: Monomial, p: Rat, order: Rat) -> QSeries:
     """g(x, q^p) as its Eulerian sum, Pochhammers at base q^p:
-    x^(-1) (-1 + sum of q^(p n^2) / ((x)_{n+1} (q^p/x)_n))."""
-    p, e, factors = _g_form(x, p, 0)
+    x^(-1) (-1 + sum of q^(p n^2) / ((x)_{n+1} (q^p/x)_n)), rejected at the
+    poles of the row g, which are its own."""
+    p = _base(p)
+    factors = ((x, p, 1, 1, -1), (x.inv().times_q(p), p, 1, 0, -1))
+    if has_pole(factors):
+        raise NonGenericError(FORMS["g"][2].format(x, p))
 
     def build(work: Fraction) -> QSeries:
-        s = _term_sum(1, e, factors, work)
+        s = _term_sum(1, (p, 0, 0), factors, work)
         return series_shift(series_sub(s, const_series(1, work)), x.inv())
 
-    key = ("g_sum", x.coeff.key(), x.expo, p)
-    return _memo(key, order, lambda: ensure_prec(build, order))
+    return _memo(_key("g_sum", (x, p)), order, partial(ensure_prec, build, order))

@@ -183,6 +183,11 @@ class TestEval:
     def test_theta_shorthand(self):
         check_eq(eval_expr(parse("J(1,2)"), 30), eval_expr(parse("j(q; q^2)"), 30), 30)
 
+    def test_theta_base_left_out_means_q(self):
+        for x in ("2*q", "zeta(3,1)", "-q^(1/2)"):
+            short, full = (eval_expr(parse(t), 30) for t in (f"j({x})", f"j({x}, q)"))
+            assert (short.denom, short.prec, short.terms) == (full.denom, full.prec, full.terms)
+
     def test_geometric_series(self):
         s = eval_expr(parse("1/(1-q)"), 9)
         assert_series_matches(s, {k: 1 for k in range(9)}, F(9))

@@ -431,8 +431,12 @@ POLE_SETS = {
     "g_sum(w, q^2)": lambda w: is_q_power_of(w, 2),
     "rjtp(w)": lambda w: is_q_power_of(w, 1),
     "rjtp(w, q^2)": lambda w: is_q_power_of(w, 2),
-    # w = -q^k: m's memoised path through special.bilateral_quotient
+    # w = -q^k: the pole of the row m, after its theta check
     "m(w, q, -1)": lambda w: is_q_power_of(-w, 1),
+    # w = +-q^k: j(w; q) vanishes at q^k, and 1 - q^(n-1) (-1) w at -q^k
+    "m(-1, q, w)": lambda w: is_q_power_of(w, 1) or is_q_power_of(-w, 1),
+    # a theta function is defined everywhere
+    "j(w, q)": lambda w: False,
     # w = q^(-k-1/3) or q^(-k-2/3), k >= 0
     "Hp(1,3,w)": lambda w: any(is_q_power_of(w.times_q(F(r, 3)), 1, lambda k: k <= 0) for r in (1, 2)),
 }

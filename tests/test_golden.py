@@ -73,6 +73,7 @@ def _calls():
     for x in ("2*q", "zeta(3,1)*q^(1/2)", "-1", "q"):
         add("j(x, q)", 20, f"x={x}")
     add("j(x, q^2)", 15, "x=-q^(1/3)")
+    add("j(x)", 20, "x=2*q")
     for a, m in ((1, 2), (1, 3), (2, 5)):
         add(f"J({a},{m})", 25)
     add("JB(1,4)")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qident import coeff, eval_expr, parse, series, special
 from qident.coeff import CycloNumber, cyclo_embed, lift_order, zeta_power
 from qident.errors import CapExceededError, EvalError, NonGenericError
+from qident.eulerian import need_theta_nonzero
 from qident.series import (
     Monomial,
     const_series,
@@ -39,7 +40,6 @@ from qident.special import (
     g_sum,
     g_universal,
     pochhammer,
-    theta_is_zero,
     theta_j,
 )
 
@@ -63,6 +63,16 @@ def check_eq(lhs, rhs, order):
 
 def _binom2(n):
     return n * (n - 1) // 2
+
+
+def theta_vanishes(x, p):
+    """Whether need_theta_nonzero rejects j(x; q^p), with its message."""
+    try:
+        need_theta_nonzero(x, p, "j(x; q^p)")
+    except NonGenericError as exc:
+        assert str(exc) == f"j(x; q^p) = j({x}; q^({p})) vanishes identically"
+        return True
+    return False
 
 
 def count_dots(monkeypatch, text, order):
@@ -240,7 +250,7 @@ class TestThetaFunction:
 
     def test_unit_arguments_vanish(self):
         for x, p in [(mono(1, 0), 1), (mono(1, 1), 1), (mono(1, -2), 1), (mono(1, 6), 3)]:
-            assert theta_is_zero(x, p)
+            assert theta_vanishes(x, p)
             assert theta_j(x, p, 25).is_zero()
 
     def test_five_product_evaluations(self):
@@ -312,13 +322,13 @@ class TestThetaFunction:
         e=st.fractions(min_value=F(-3), max_value=3, max_denominator=3),
     )
     def test_vanishing_predicate_is_exact(self, c, zk, e):
-        # theta_is_zero agrees with the computed series on a finite window
+        # need_theta_nonzero agrees with the computed series on a finite window
         M, k = zk
         coeff = lift_order(cyclo_embed(c, 1), M) * zeta_power(M, k)
         if coeff.is_zero():
             return
         x = Monomial(coeff, e)
-        assert theta_j(x, 1, 12).is_zero() == theta_is_zero(x, 1)
+        assert theta_j(x, 1, 12).is_zero() == theta_vanishes(x, 1)
 
 
 class TestThetaTransforms:
@@ -694,10 +704,18 @@ class TestUniversalMockSum:
             g_universal(mono(1, 10), 5, 10)
 
 
+def _expand(text):
+    return lambda order: eval_expr(parse(text), order)
+
+
 @pytest.mark.parametrize("key, build", [
     ("m", lambda order: appell_m(mono(2, 1), 1, mono(-1, F(1, 2)), order)),
     ("m", lambda order: appell_m(zmono(3, 1, F(-1, 2)), 2, mono(-1, 1), order)),
     ("g_sum", lambda order: g_sum(zmono(3, 1), 1, order)),
+    ("Kp", _expand("Kp(zeta(3,1))")),
+    ("Habc", _expand("Habc(1,0,2)")),
+    ("rjtp", _expand("rjtp(2*q)")),
+    ("g", _expand("g(2*q)")),
 ])
 def test_memo_keeps_one_entry_cut_at_its_order(monkeypatch, key, build):
     # keyed by the arguments alone: the shallower call is the deeper entry
@@ -710,3 +728,17 @@ def test_memo_keeps_one_entry_cut_at_its_order(monkeypatch, key, build):
     cold = build(20)
     assert (warm.denom, warm.prec, warm.field_order) == (cold.denom, cold.prec, cold.field_order)
     assert warm.terms == cold.terms
+
+
+@pytest.mark.parametrize("p", [0, -1])
+@pytest.mark.parametrize("build", [
+    lambda p: theta_j(mono(2, 1), p, 10),
+    lambda p: J(1, p, 10),
+    lambda p: appell_m(mono(2, 1), p, mono(-1, F(1, 2)), 10),
+    lambda p: g_universal(mono(2, 1), p, 10),
+    lambda p: g_sum(mono(2, 1), p, 10),
+    lambda p: pochhammer(mono(2, 1), p, 3, 10),
+], ids=["theta_j", "J", "appell_m", "g_universal", "g_sum", "pochhammer"])
+def test_base_must_be_positive(build, p):
+    with pytest.raises(ValueError, match="base exponent must be positive"):
+        build(p)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .coeff import csc_pi, sin_pi, zeta_power
@@ -398,7 +398,23 @@ def _pad(order: Fraction, asked: Fraction, loss: Rat) -> Fraction:
     return order
 
 
+def _factors(e: Expr) -> List[Tuple[Expr, int]]:
+    """The operands of a chain of * and ^k (k > 0), each with its power; any
+    other expression is one factor."""
+    if isinstance(e, Mul):
+        return _factors(e.a) + _factors(e.b)
+    if isinstance(e, Pow) and e.expo.denominator == 1 and e.expo > 0:
+        return [(f, k * int(e.expo)) for f, k in _factors(e.base)]
+    return [(e, 1)]
+
+
 def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction) -> Value:
+    """The value of e below q^order, a monomial while it stays one.  A / B
+    shifts A by the product of B's monomial _factors, padded as _pad says,
+    and divides it by each series factor, the fewest terms first: with v1,
+    v2, va the valuations of b1, b2, a, series_div makes (a / b1) / b2 exact
+    below min(a.prec - v1 - v2, b1.prec - 2 v1 - v2 + va, b2.prec - v1 -
+    2 v2 + va), just as it makes a / (b1 b2)."""
     if isinstance(e, Lit):
         if e.value == 0:
             return zero_series(order)
@@ -437,15 +453,16 @@ def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction)
             return series_shift(va, vb)
         return series_mul(va, vb)
     if isinstance(e, Div):
-        vb = _ev(e.b, order, binding, asked)
-        va = _ev(e.a, _pad(order, asked, vb.expo) if isinstance(vb, Monomial) else order,
-                 binding, asked)
-        if isinstance(vb, Monomial):
-            inv = vb.inv()
-            if isinstance(va, Monomial):
-                return va * inv
-            return series_shift(va, inv)
-        return series_div(_to_series(va, order), vb)
+        vals = [(_ev(f, order, binding, asked), k) for f, k in _factors(e.b)]
+        monos = [v**k for v, k in vals if isinstance(v, Monomial)]
+        out = _ev(e.a, _pad(order, asked, sum(m.expo for m in monos)), binding, asked)
+        if monos:
+            inv = prod(monos[1:], start=monos[0]).inv()
+            out = out * inv if isinstance(out, Monomial) else series_shift(out, inv)
+        divisors = [v for v, k in vals if isinstance(v, QSeries) for _ in range(k)]
+        for b in sorted(divisors, key=lambda s: len(s.terms)):
+            out = series_div(_to_series(out, order), b)
+        return out
     if isinstance(e, Pow):
         v = _ev(e.base, order, binding, asked)
         if e.expo.denominator == 1:
@@ -499,11 +516,12 @@ def eval_expr(
 ) -> QSeries:
     """Evaluate to a truncated series with every exponent below order covered.
 
-    The right factor of c*q^v * B and the dividend of A / (c*q^-v), with
-    v < 0, are evaluated at order - v up front, within PAD_LIMIT (a monomial
-    on the right of * is not: write it first); the evaluation wins back what
-    other shifts and divisions cost by rerunning at a deeper working order.
-    An order past MAX_ORDER raises EvalError.
+    A / B divides by each factor of B's chain of * and ^k, at the precision
+    of one division by B (see _ev); the right factor of c*q^v * B and the
+    dividend of A / (c*q^-v * B), v < 0, are evaluated at order - v up front,
+    within PAD_LIMIT (a monomial on the right of * is not: write it first);
+    reruns at a deeper working order win back what other shifts and
+    divisions cost.  An order past MAX_ORDER raises EvalError.
     """
     b, asked = dict(binding or {}), Fraction(order)
     if asked > MAX_ORDER:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from qident.coeff import zeta_power
 from qident.dsl import FUNCTIONS, eval_expr, parse
 from qident.errors import NonGenericError
+from qident.eulerian import FORMS
 from qident.series import Monomial, series_eq_to_order
 
 # integer arguments each function accepts (0 < a < c where it needs it)
@@ -52,10 +53,12 @@ exponents = st.tuples(st.sampled_from([1, 2, 3]), st.integers(-6, 6)).map(
 monomials = st.builds(lambda c, e: c.times_q(e), coefficients, exponents)
 
 
-def _call(draw, name, arity):
+def _call(draw, name, arity, binding):
+    """name(...) with drawn arguments, each monomial one a fresh symbol
+    bound in binding."""
     kinds = FUNCTIONS[name][arity][0]
     ints = iter(draw(st.sampled_from(INTS[name])) if "i" in kinds else ())
-    args, binding = [], {}
+    args = []
     for kind in kinds:
         if kind == "x":
             sym = f"x{len(binding)}"
@@ -67,8 +70,14 @@ def _call(draw, name, arity):
             args.append(str(next(ints)))
         else:
             args.append(draw(st.sampled_from(["inf", "0", "1", "3", "5"])))
+    return f"{name}({', '.join(args)})"
+
+
+def _outer(draw, name, arity):
+    binding = {}
+    text = _call(draw, name, arity, binding)
     binding["s"] = draw(monomials)  # an outer factor whose shift costs precision
-    return f"s*{name}({', '.join(args)})", binding
+    return f"s*{text}", binding
 
 
 def _assert_prefix(expr, order, deeper, binding):
@@ -87,10 +96,26 @@ def test_generated_call_is_a_prefix(name, arity):
     @settings(max_examples=15, deadline=None)
     @given(data=st.data(), order=st.integers(3, 7), k=st.integers(1, 3))
     def run(data, order, k):
-        source, binding = data.draw(st.composite(lambda draw: _call(draw, name, arity))())
+        source, binding = data.draw(st.composite(lambda draw: _outer(draw, name, arity))())
         _assert_prefix(parse(source), F(order), F(order + k), binding)
 
     run()
+
+
+# the theta functions and Eulerian series, the factors theta quotients are built from
+FACTORS = [(n, a) for n, a in ENTRIES if n in FORMS or n in ("j", "J", "JB", "Jm")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), order=st.integers(3, 7), k=st.integers(1, 3), power=st.integers(1, 3))
+def test_quotient_by_a_product_divisor_is_a_prefix(data, order, k, power):
+    # one shift by the monomial m1 and one division per series factor, f2
+    # divided by power times: the quotient must claim no more than it computed
+    binding = {}
+    a, f1, f2 = (_call(data.draw, *data.draw(st.sampled_from(FACTORS)), binding) for _ in range(3))
+    binding.update(s=data.draw(monomials), m1=data.draw(monomials))
+    source = f"s*{a}/({f1}*m1*{f2}^{power})"
+    _assert_prefix(parse(source), F(order), F(order + k), binding)
 
 
 @settings(max_examples=60, deadline=None)

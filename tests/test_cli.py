@@ -111,6 +111,26 @@ class TestExpand:
         assert main(["expand", "rjtp(q)", "--order", "6"]) == 2
         assert "pole" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expr", ["1/(j(q)*Jm(1))", "Jm(1)/(Jm(2)*j(1))", "1/(0*q*Jm(1))"])
+    def test_zero_factor_of_a_divisor_is_usage_error(self, capsys, expr):
+        # j(q) and j(1) vanish, and 0 is zero, in whichever place they stand
+        assert main(["expand", expr, "--order", "10"]) == 2
+        assert "cannot divide by a series that is zero to its precision" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr, same", [
+        ("{A}/({B}^0)", "{A}"),
+        ("{A}/{B}^2", "{A}/{B}/{B}"),
+        ("{A}/(q^(-1)*{B})", "q*{A}/{B}"),
+    ])
+    def test_divisor_forms_print_the_same(self, capsys, expr, same):
+        # B has valuation -1/2, so each division by it costs precision
+        outs = []
+        for text in (expr, same):
+            text = text.format(A="m(2*q, q, -q^(1/2))", B="j(2*q^(-1/2))")
+            assert main(["expand", text, "--order", "12"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("expr, name", [
         ("Ktilde(0,2)", "Ktilde"),
         ("Htilde(0,3)", "Htilde"),

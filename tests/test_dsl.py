@@ -1,6 +1,7 @@
 """Parser, printer, and evaluator for the expression language."""
 
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,9 @@ from qident.dsl import (
     parse_binding,
     print_expr,
 )
+from qident import series
 from qident.errors import EvalError, NonGenericError, ParseError
-from qident.series import Monomial, series_eq_to_order, series_mul
+from qident.series import Monomial, series_div, series_eq_to_order, series_mul
 from oracles import assert_series_matches
 
 
@@ -270,6 +272,55 @@ class TestEval:
         lhs = eval_expr(Mul(u, v), order)
         rhs = series_mul(eval_expr(u, order), eval_expr(v, order))
         check_eq(lhs, rhs, order)
+
+
+# a theta quotient, its dividend and the factors of its divisor
+SPARSE_QUOTIENTS = [
+    # the quotient of the right side of habc-lambert-3-2-7
+    ("Jm(2)^3/(J(1,2)*j(zeta(7,4)*q^(6/7); q^2))", "Jm(2)^3",
+     ["J(1,2)", "j(zeta(7,4)*q^(6/7); q^2)"]),
+    # z0 j(q; q^3)^3 j(z1/z0) j(x z0 z1) / (j(z0) j(z1) j(x z0) j(x z1))
+    # at x = 2q, z0 = -1, z1 = -q^(1/2)
+    ("mcorr(2*q, q, -1, -q^(1/2))", "-j(q, q^3)^3*j(q^(1/2), q)*j(2*q^(3/2), q)",
+     ["j(-1, q)", "j(-q^(1/2), q)", "j(-2*q, q)", "j(-2*q^(3/2), q)"]),
+    # 2 q^(3/16) J_2^3 / (J_{1,2} j(q^(1/2); q^2))
+    ("Htilde_closed(1,4)", "2*q^(3/16)*Jm(2)^3", ["J(1,2)", "j(q^(1/2), q^2)"]),
+]
+
+
+def _dot_pairs(monkeypatch, run):
+    """The coeff.dot pairs that run() makes through series, and its value."""
+    pairs = 0
+    dot = series.dot
+
+    def counted(m, ps, extra=None):
+        nonlocal pairs
+        pairs += len(ps)
+        return dot(m, ps, extra)
+
+    monkeypatch.setattr(series, "dot", counted)
+    value = run()
+    monkeypatch.setattr(series, "dot", dot)
+    return pairs, value
+
+
+@pytest.mark.parametrize("text, dividend, factors", SPARSE_QUOTIENTS)
+def test_theta_quotient_divides_by_each_factor(monkeypatch, text, dividend, factors):
+    # counted in coeff.dot pairs with a warm memo, the same on every
+    # machine: a division by each lacunary theta in turn takes at most half
+    # of what forming their dense product and dividing by it takes
+    order = 100
+
+    def ev(t):
+        return eval_expr(parse(t), order)
+
+    ev(text)
+    by_factor, got = _dot_pairs(monkeypatch, lambda: ev(text))
+    by_product, want = _dot_pairs(
+        monkeypatch, lambda: series_div(ev(dividend), reduce(series_mul, map(ev, factors)))
+    )
+    check_eq(got, want, order)
+    assert 2 * by_factor <= by_product, (by_factor, by_product)
 
 
 class TestBindings:

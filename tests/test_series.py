@@ -541,3 +541,36 @@ def test_bilateral_sum_matches_term_by_term_reference(args):
     got = bilateral_sum(*args)
     assert (got.denom, got.field_order, got.prec) == (want.denom, want.field_order, want.prec)
     assert got.terms == want.terms
+
+
+@st.composite
+def thetas(draw):
+    """A lacunary divisor: the sum of c^n q^E(n) that bilateral_sum scans,
+    on a grid 1 .. 4 and in a field of order 1, 3, 4 or 5, its valuation of
+    either sign; now and then zero to its precision."""
+    d, a2 = draw(st.integers(min_value=1, max_value=4)), draw(st.integers(min_value=1, max_value=3))
+    a1, a0 = draw(st.integers(min_value=-4, max_value=4)), draw(st.integers(min_value=-6, max_value=6))
+    e = (F(a2, 2 * d), F(2 * a1 - a2, 2 * d), F(a0, d))
+    c = _cyclo(draw)
+    order = draw(st.fractions(min_value=-2, max_value=10, max_denominator=4))
+    field = draw(st.sampled_from([1, c.order]))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return zero_series(order, d, field)
+    return bilateral_sum(c, e, order, d, field)
+
+
+@given(qseries(), thetas(), thetas())
+@settings(max_examples=200, deadline=None)
+def test_division_by_each_factor_is_division_by_the_product(a, b1, b2):
+    # with v1, v2, va the valuations of b1, b2, a, both routes claim
+    # min(a.prec - v1 - v2, b1.prec - 2 v1 - v2 + va, b2.prec - v1 - 2 v2 + va)
+    if b1.is_zero() or b2.is_zero():
+        with pytest.raises(NonGenericError):
+            series_div(series_div(a, b1), b2)
+        with pytest.raises(NonGenericError):
+            series_div(a, series_mul(b1, b2))
+        return
+    got = series_div(series_div(a, b1), b2)
+    want = series_div(a, series_mul(b1, b2))
+    assert (got.denom, got.field_order, got.prec) == (want.denom, want.field_order, want.prec)
+    assert got.terms == want.terms

@@ -104,6 +104,22 @@ class Monomial:
 # The finest grid 1/D a series may be built on; the finest in use is 1/49.
 MAX_GRID = 1000
 
+# The most grid steps a window may span: order times D for a series, and
+# from its lowest slot to its order for a dense term row.
+MAX_WINDOW = 100000
+
+
+def check_window(denom: int, steps: int) -> None:
+    """Refuse a grid finer than 1/MAX_GRID or a window of more than
+    MAX_WINDOW grid steps, before anything of that size is allocated."""
+    if denom > MAX_GRID:
+        raise ValueError(f"grid denominator {denom} exceeds MAX_GRID = {MAX_GRID}")
+    if steps > MAX_WINDOW:
+        raise ValueError(
+            f"a window of {steps} steps on the grid 1/{denom} (order times grid denominator)"
+            f" exceeds MAX_WINDOW = {MAX_WINDOW}"
+        )
+
 
 class QSeries:
     """Sparse truncated series; immutable by convention."""
@@ -118,8 +134,7 @@ class QSeries:
         field_order: int,
         _checked: bool = False,
     ):
-        if denom > MAX_GRID:
-            raise ValueError(f"grid denominator {denom} exceeds MAX_GRID = {MAX_GRID}")
+        check_window(denom, prec)
         if not _checked:
             if denom < 1:
                 raise ValueError("grid denominator must be positive")
@@ -319,7 +334,8 @@ def series_sub(a: QSeries, b: QSeries) -> QSeries:
 
 
 def series_scale(a: QSeries, c: Union[CycloNumber, Rat]) -> QSeries:
-    """Multiply by an exact scalar; precision is unchanged."""
+    """Multiply by an exact scalar; precision is unchanged, and a scalar 1
+    returns a, lifted to c's field."""
     if not isinstance(c, CycloNumber):
         c = cyclo_embed(_as_frac(c), a.field_order)
     m = a.field_order
@@ -327,6 +343,8 @@ def series_scale(a: QSeries, c: Union[CycloNumber, Rat]) -> QSeries:
         m = c.order * m // gcd(c.order, m)
         c = lift_order(c, m)
         a = a.lift_field(m)
+    if c.is_one():
+        return a
     if c.is_zero():
         return QSeries(a.denom, a.prec, {}, m, _checked=True)
     return QSeries(
@@ -601,6 +619,7 @@ __all__ = [
     "align",
     "bilateral_pole",
     "bilateral_sum",
+    "check_window",
     "const_series",
     "from_monomial",
     "geom_inverse",

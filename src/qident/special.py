@@ -8,25 +8,28 @@ standing for q^p.  Every function takes a target order and returns a
 QSeries whose guaranteed precision reaches that order; a construction
 whose own division costs precision runs through ensure_prec, which
 deepens its working order up to PAD_LIMIT.  An Eulerian series is its
-product form, a table of Pochhammer factors that _term_sum turns into
-rows, each one series_mul by prod(1 - u) and one series_div by
-prod(1 - v), both polynomials built by _poly, and that has_pole reads
-its poles off.  A bilateral series is its bilateral_sum form and theta
-divisor, whose pole bilateral_pole finds.  read_row reads both kinds, j, m
-and g among them, and keeps one memo entry per (row, arguments) in
-_theta_cache, a least recently used cache of at most MEMO_LIMIT entries;
-g_sum, g's Eulerian sum, shares the memo, and pochhammer, which rebases
-its sum, is a term sum of its own.
+product form, a table of Pochhammer factors that has_pole reads its
+poles off and that _term_sum sums term by term: each term is a _Row,
+phi(M) dense lists of ints over one denominator on the grid 1/D with an
+offset and a precision index, and each binomial of a term ratio is one
+pass over those lists, so no series arithmetic runs inside the sum.  The
+sum is one more _Row, read out as a QSeries once.  A bilateral series
+is its bilateral_sum form and theta divisor, whose pole bilateral_pole
+finds.  read_row reads both kinds, j, m and g among them, and keeps one
+memo entry per (row, arguments) in _theta_cache, a least recently used
+cache of at most MEMO_LIMIT entries; g_sum, g's Eulerian sum, shares the
+memo, and pochhammer, which rebases its sum, is a term sum of its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from math import lcm
+from functools import lru_cache, partial
+from itertools import accumulate, chain
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .coeff import CycloNumber
+from .coeff import CycloNumber, _make, _power_table, cyclo_embed, euler_phi, lift_order, zeta_power
 from .errors import CapExceededError, NonGenericError
 from .eulerian import BILATERAL, FORMS
 from .series import (
@@ -34,16 +37,13 @@ from .series import (
     QSeries,
     bilateral_pole,
     bilateral_sum,
+    check_window,
     const_series,
-    from_monomial,
     grid_prec,
     series_div,
-    series_mul,
     series_shift,
     series_sub,
-    series_sum,
     series_truncate,
-    zero_series,
 )
 
 Rat = Union[int, Fraction]
@@ -85,41 +85,177 @@ def ensure_prec(build: Callable[[Fraction], QSeries], order: Rat) -> QSeries:
     )
 
 
-# A row (sign, e, ups, downs) stands for sign * q^e * prod(1 - u) / prod(1 - v)
-# over the monomials u in ups and v in downs.
-Row = Tuple[Union[Rat, CycloNumber], Rat, Sequence[Monomial], Sequence[Monomial]]
-
-
-def _poly(sign, e: Rat, us: Sequence[Monomial], window: Fraction) -> QSeries:
-    """sign q^e prod(1 - u) over the monomials u, exact below q^(e + window)."""
-    s = from_monomial(Monomial.make(sign, e), e + window + sum(abs(u.expo) for u in us))
-    for u in us:
-        s = series_sub(s, series_shift(s, u))
-    return s
-
-
-def _times_row(t: QSeries, row: Row, work: Fraction) -> QSeries:
-    sign, e, ups, downs = row
-    # both polynomials exact past t's window, so only t bounds the product
-    # and the quotient
-    window = Fraction(t.prec - t.val_grid, t.denom) + 1
-    t = series_mul(t, _poly(sign, e, ups, window))
-    if downs:
-        t = series_div(t, _poly(1, 0, downs, window))
-    return series_truncate(t, work)
-
-
 # A factor (y, p, a, b, s) stands for (y; q^p)_(an+b)^s, with a >= 0 and s = +-1.
 Factor = Tuple[Monomial, Rat, int, int, int]
 
 
-def _row(sign, e: Rat, factors: Sequence[Factor], ks: Callable[[int, int], range]) -> Row:
-    """sign q^e times 1 - y q^(pk) for each factor (y, p, a, b, s) and k in
-    ks(a, b), in ups when s = 1 and in downs when s = -1."""
-    ups, downs = [], []
-    for y, p, a, b, s in factors:
-        (ups if s > 0 else downs).extend(y.times_q(p * k) for k in ks(a, b))
-    return sign, e, ups, downs
+def _ints(*xs: Rat) -> Tuple[int, ...]:
+    """xs as ints over their least common denominator, which comes last."""
+    q = lcm(*(_fr(x).denominator for x in xs))
+    return (*(int(x * q) for x in xs), q)
+
+
+def _ratio(sign, e: Tuple[int, int], factors: Sequence[tuple], ks: Callable[[int, int], range]) -> tuple:
+    """(sign, e, binomials): sign q^e times 1 - r q^x, or over it when s = -1,
+    for each factor (r, y, p, q, a, b, s) and k in ks(a, b), x = (y + pk)/q;
+    each exponent a pair (numerator, denominator) of ints."""
+    return sign, e, [(r, (y + p * k, q), s) for r, y, p, q, a, b, s in factors for k in ks(a, b)]
+
+
+class _Row:
+    """A term on the grid 1/denom over Q(zeta_field): the coefficient of
+    q^(k/denom) for off <= k < prec is sum_j cols[j][k - off] zeta^j / den,
+    phi(field) lists of ints over one positive den.  It is exact below prec
+    and zero below off, where its lead lies even when prec <= off and the
+    lists are empty; off is None when the term is exactly zero."""
+
+    __slots__ = ("denom", "field", "off", "prec", "cols", "den")
+
+    def __init__(self, denom: int, field: int, off: Optional[int], prec: int, cols: list, den: int):
+        self.denom, self.field, self.off, self.prec, self.cols, self.den = denom, field, off, prec, cols, den
+
+
+@lru_cache(maxsize=1024)
+def _times_table(M: int, num: tuple, den: int) -> tuple:
+    """Multiplication by num/den in Q(zeta_M) as (pairs, den): component k of
+    the product with v is the sum of c v_j over the pairs (j, c) of pairs[k],
+    read off coeff._power_table."""
+    table, phi = _power_table(M), len(num)
+    rows = [[0] * phi for _ in range(phi)]
+    for a, x in enumerate(num):
+        for j in range(phi):
+            for k, t in enumerate(table[a + j]):
+                rows[k][j] += x * t
+    return tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in rows), den
+
+
+def _times_of(x, M: int) -> tuple:
+    """_times_table of x, rational or in a subfield of Q(zeta_M)."""
+    x = lift_order(x, M) if isinstance(x, CycloNumber) else cyclo_embed(x, M)
+    return _times_table(M, x.num, x.den)
+
+
+@lru_cache(maxsize=None)
+def _lift_table(M: int, field: int) -> tuple:
+    """The pairs of the embedding of Q(zeta_M) in Q(zeta_field), as _times_table's."""
+    images = [lift_order(zeta_power(M, j), field).num for j in range(euler_phi(M))]
+    return tuple(tuple((j, v[k]) for j, v in enumerate(images) if v[k]) for k in range(euler_phi(field)))
+
+
+def _apply(pairs: tuple, cols: list) -> list:
+    """The list sum of c cols[j] over the pairs (j, c) of each entry of pairs."""
+    out = []
+    for ps in pairs:
+        acc = None
+        for j, c in ps:
+            v = cols[j]
+            acc = (v if c == 1 else [c * x for x in v]) if acc is None else [a + c * b for a, b in zip(acc, v)]
+        out.append([0] * len(cols[0]) if acc is None else acc)
+    return out
+
+
+def _scale(t: _Row, x) -> _Row:
+    """t times the scalar x, rational or in a subfield of t's field."""
+    pairs, d = _times_of(x, t.field)
+    return _Row(t.denom, t.field, t.off, t.prec, _apply(pairs, t.cols), t.den * d)
+
+
+def _regrid(t: _Row, denom: int, field: int) -> _Row:
+    """t on the grid 1/denom over Q(zeta_field), multiples of its own."""
+    g = denom // t.denom
+    if g > 1:
+        check_window(denom, (t.prec - min(t.off, 0)) * g)
+        cols = [[0] * (len(col) * g) for col in t.cols]
+        for new, col in zip(cols, t.cols):
+            new[::g] = col
+        t = _Row(denom, t.field, t.off * g, t.prec * g, cols, t.den)
+    if field != t.field:
+        t = _Row(t.denom, field, t.off, t.prec, _apply(_lift_table(t.field, field), t.cols), t.den)
+    return t
+
+
+def _binomial(t: _Row, r: CycloNumber, f: int, s: int) -> _Row:
+    """t times 1 - r q^(f/denom) for s = 1 and over it for s = -1, which
+    must not be zero.  For f < 0 the binomial is -r q^f (1 - r^-1 q^-f).
+    Times 1 - r q^f, f > 0, is one reverse pass t[i] -= r t[i-f], over it
+    one forward pass t[i] += r t[i-f], and f = 0 is a scaling.  For r with
+    a denominator d the forward pass starts from t times d^ceil(len/f),
+    after which every t[i-f] it reads is a multiple of d."""
+    if f == 0:
+        x = 1 - r
+        if s > 0 and not x:
+            return _Row(t.denom, t.field, None, t.prec, t.cols, t.den)
+        return _scale(t, x if s > 0 else x.inv())
+    if f < 0:
+        t = _scale(t, -r if s > 0 else -r.inv())
+        t, r, f = _Row(t.denom, t.field, t.off + s * f, t.prec + s * f, t.cols, t.den), r.inv(), -f
+    pairs, d = _times_of(r, t.field)
+    n = len(t.cols[0])
+    if s > 0:
+        cols = t.cols if d == 1 else [[d * v for v in col] for col in t.cols]
+        cols = [a[:f] + [x - y for x, y in zip(a[f:], b)] for a, b in zip(cols, _apply(pairs, t.cols))]
+        return _Row(t.denom, t.field, t.off, t.prec, cols, t.den * d)
+    w = d ** -(-n // f)
+    cols = [[w * v for v in col] if w > 1 else list(col) for col in t.cols]
+    if len(cols) == 1:
+        (col,), ((_, c),) = cols, pairs[0]
+        if c == d == 1:
+            for j in range(min(f, n)):
+                col[j::f] = accumulate(col[j::f])
+        else:
+            for i in range(f, n):
+                col[i] += c * (col[i - f] // d)
+    else:
+        plan = [(col, [(cols[j], c) for j, c in ps]) for col, ps in zip(cols, pairs)]
+        for i in range(f, n):
+            for col, terms in plan:
+                acc = 0
+                for src, c in terms:
+                    acc += c * (src[i - f] // d)
+                col[i] += acc
+    return _Row(t.denom, t.field, t.off, t.prec, cols, t.den * w)
+
+
+def _times(t: _Row, ratio: tuple, work: Fraction) -> _Row:
+    """t times a _ratio below q^work, on the grid and over the field that
+    both need, with its denominator in lowest terms."""
+    sign, (e, eq), binomials = ratio
+    denom = lcm(t.denom, eq // gcd(e, eq), *(q // gcd(x, q) for _, (x, q), _ in binomials))
+    field = lcm(t.field, *(c.order for c in (sign, *(r for r, _, _ in binomials)) if isinstance(c, CycloNumber)))
+    t = _regrid(t, denom, field)
+    for r, (x, q), s in binomials:
+        t = _binomial(t, r, x * denom // q, s)
+        if t.off is None:
+            return t
+    t, k = _scale(t, sign), e * denom // eq
+    p = min(t.prec + k, grid_prec(work, denom))
+    cols = [col[:max(p - t.off - k, 0)] for col in t.cols]
+    g = gcd(t.den, *chain.from_iterable(cols)) if t.den > 1 else 1
+    if g > 1:
+        cols = [[v // g for v in col] for col in cols]
+    return _Row(denom, field, t.off + k, p, cols, t.den // g)
+
+
+def _add(a: _Row, b: _Row) -> _Row:
+    """a + b on the finer grid and over the larger field of the two, exact
+    below the lower precision."""
+    denom, field = lcm(a.denom, b.denom), lcm(a.field, b.field)
+    a, b = _regrid(a, denom, field), _regrid(b, denom, field)
+    den, prec, lo = lcm(a.den, b.den), min(a.prec, b.prec), min(a.off, b.off)
+    fa, fb = den // a.den, den // b.den
+    i, n = b.off - lo, max(0, prec - b.off)
+    cols = []
+    for x, y in zip(a.cols, b.cols):
+        x = ([0] * (a.off - lo) + (x if fa == 1 else [fa * v for v in x]))[:max(prec - lo, 0)]
+        x[i:i + n] = [u + v for u, v in zip(x[i:i + n], y if fb == 1 else [fb * v for v in y])]
+        cols.append(x)
+    return _Row(denom, field, lo, prec, cols, den)
+
+
+def _series(t: _Row) -> QSeries:
+    """t as a QSeries, one CycloNumber per nonzero slot."""
+    terms = {k: _make(t.field, v, t.den) for k, v in enumerate(zip(*t.cols), t.off) if any(v)}
+    return QSeries(t.denom, t.prec, terms, t.field, _checked=True)
 
 
 def _term_sum(
@@ -133,34 +269,54 @@ def _term_sum(
     The first term is c^start q^E(start) times the binomials 1 - y q^(pk)
     for k < a start + b; the ratio t_n / t_{n-1} is c q^(E(n) - E(n-1)) times
     those for k in [a(n-1) + b, an + b) (Gasper and Rahman, section 1.3).
-    Every term is carried as a truncated series, so each costs one pass per
-    factor, and the quadratic exponent growth ends the loop.  The term cap
-    counts from the lowest valuation, as a Pochhammer sum may dip first.
+    Each term is a _Row, one pass per binomial and a scaling, on the grid
+    and over the field of the exponents and coefficients met so far, and
+    the sum is one more _Row, read out as a QSeries once at the end.
+
+    Precision is a ledger: a ratio moves the precision index by
+    (e + sum over ups of min(0, f) - sum over downs of min(0, f)) D for its
+    binomials 1 - r q^f, and the term is then cut at q^work; the sum is
+    exact below the lowest precision of its terms.  The quadratic exponent
+    growth ends the loop, and a term that is zero (a factor 1 - 1 in a
+    numerator) ends it at once.  A term whose lead lies at or past q^work
+    still carries its lead and precision on to the next, and the loop ends
+    there only when no later ratio can lower a lead: E and the numerator
+    exponents no longer fall.  A later term that dips back below q^work
+    without known coefficients lowers the precision of the sum.  The term
+    cap counts from the lowest valuation, as a Pochhammer sum may dip first.
     """
 
-    def E(n: int) -> Rat:
+    *e, eq = _ints(*e)
+    factors = [(y.coeff, *_ints(y.expo, p), a, b, s) for y, p, a, b, s in factors]
+
+    def E(n: int) -> int:
         return e[0] * n * n + e[1] * n + e[2]
 
     cap = 10 * (int(work) + 10)
-    first = _row(c**start, E(start), factors, lambda a, b: range(a * start + b))
-    t = _times_row(const_series(1, work), first, work)
-
-    def terms(t: QSeries):
-        n = deepest = start
-        low = t.valuation()
-        while not t.is_zero():
-            yield t
-            if t.valuation() < low:
-                low, deepest = t.valuation(), n
+    p = grid_prec(work, 1)
+    check_window(1, p)
+    one = _Row(1, 1, 0, p, [[1] + [0] * (p - 1)] if p > 0 else [[]], 1)
+    t = _times(one, _ratio(c**start, (E(start), eq), factors, lambda a, b: range(a * start + b)), work)
+    p = grid_prec(work, t.denom)
+    total = _Row(t.denom, t.field, p, p, [[] for _ in t.cols], 1)
+    n = deepest = start
+    low = None
+    while t.off is not None:
+        past = t.prec <= t.off and t.off >= grid_prec(work, t.denom)
+        if not past:
+            total = _add(total, t)
+            if low is None or Fraction(t.off, t.denom) < low:
+                low, deepest = Fraction(t.off, t.denom), n
             if n - deepest > cap:
                 raise CapExceededError("q-hypergeometric term valuation failed to grow")
-            if work - t.prec_order() > PAD_LIMIT:
-                raise _too_deep(work - t.prec_order())
-            n += 1
-            ratio = _row(c, E(n) - E(n - 1), factors, lambda a, b: range(a * (n - 1) + b, a * n + b))
-            t = _times_row(t, ratio, work)
-
-    return series_sum(zero_series(work, t.denom, t.field_order), terms(t))
+            if work - Fraction(t.prec, t.denom) > PAD_LIMIT:
+                raise _too_deep(work - Fraction(t.prec, t.denom))
+        n += 1
+        ratio = _ratio(c, (E(n) - E(n - 1), eq), factors, lambda a, b: range(a * (n - 1) + b, a * n + b))
+        if past and e[0] >= 0 and ratio[1][0] >= 0 and all(x >= 0 for _, (x, _), s in ratio[2] if s > 0):
+            break
+        t = _times(t, ratio, work)
+    return _series(total)
 
 
 def has_pole(factors: Sequence[Factor]) -> bool:

@@ -1,8 +1,10 @@
 """Brute-force reference computations used to cross-check the engine.
 
 Everything here is deliberately naive: dense dict arithmetic over exact
-rationals with no precision tracking, no sparsity tricks, and no shared
-code with the package under test.
+coefficients with no precision tracking, no sparsity tricks, and no shared
+code with the package under test beyond CycloNumber, the coefficient type:
+a coefficient is a Fraction, or a CycloNumber where a root of unity enters,
+all CycloNumbers of one computation in one field.
 """
 
 from __future__ import annotations
@@ -13,6 +15,16 @@ import sympy
 
 from qident.coeff import CycloNumber, cyclo_embed, lift_order
 from qident.series import QSeries
+
+
+def exact(c):
+    """c as an exact coefficient: a CycloNumber as it is, anything else a Fraction."""
+    return c if isinstance(c, CycloNumber) else Fraction(c)
+
+
+def inverse(c):
+    """1/c for an exact coefficient c."""
+    return c.inv() if isinstance(c, CycloNumber) else 1 / Fraction(c)
 
 
 def series_dict(s: QSeries) -> dict[Fraction, CycloNumber]:
@@ -35,9 +47,7 @@ def dict_truncate(a: dict[Fraction, Fraction], order: Fraction) -> dict[Fraction
     return {e: c for e, c in a.items() if e < order}
 
 
-def pochhammer_bruteforce(
-    c: Fraction, e: Fraction, p: Fraction, n_factors: int
-) -> dict[Fraction, Fraction]:
+def pochhammer_bruteforce(c, e: Fraction, p: Fraction, n_factors: int) -> dict:
     """Partial product of (1 - c*q^(e + i*p)) for i = 0 .. n_factors-1."""
     acc = {Fraction(0): Fraction(1)}
     for i in range(n_factors):
@@ -48,19 +58,19 @@ def pochhammer_bruteforce(
     return acc
 
 
-def geom_inverse_bruteforce(a: dict[Fraction, Fraction], order: Fraction) -> dict[Fraction, Fraction]:
+def geom_inverse_bruteforce(a: dict, order: Fraction) -> dict:
     """1/a below q^order for a nonzero a = c0 q^v (1 - u): c0^(-1) q^(-v)
     times the geometric series 1 + u + u^2 + ..., every power multiplied out."""
     v = min(a)
-    c0 = a[v]
-    u = {e - v: -c / c0 for e, c in a.items() if e != v}
+    inv0 = inverse(a[v])
+    u = {e - v: -c * inv0 for e, c in a.items() if e != v}
     rel = order + v  # the geometric series is needed below q^(order + v)
     acc, power = {Fraction(0): Fraction(1)}, {Fraction(0): Fraction(1)}
     while power:
         power = dict_truncate(dict_mul(power, u), rel)
         for e, c in power.items():
             acc[e] = acc.get(e, Fraction(0)) + c
-    return {e - v: c / c0 for e, c in acc.items() if e < rel and c}
+    return {e - v: c * inv0 for e, c in acc.items() if e < rel and c}
 
 
 def theta_bruteforce(c: Fraction, e: Fraction, p: Fraction, order: Fraction) -> dict[Fraction, Fraction]:

@@ -169,6 +169,18 @@ class TestExpand:
         assert "exceeds MAX_GRID = 6" in capsys.readouterr().err
         assert main(["expand", "1/(1 - q^(1/6))", "--order", "5"]) == 0
 
+    @pytest.mark.parametrize("expr", ["1/(1 - q^(1/6))", "Hp(1,6,1)"])
+    def test_lowered_window_cap_is_usage_error(self, monkeypatch, capsys, expr):
+        # order times grid denominator: 84 * 6 = 504 steps, 83 * 6 = 498
+        monkeypatch.setattr(series, "MAX_WINDOW", 500)
+        assert main(["expand", expr, "--order", "84"]) == 2
+        assert "exceeds MAX_WINDOW = 500" in capsys.readouterr().err
+        assert main(["expand", expr, "--order", "83"]) == 0
+
+    def test_window_cap_covers_every_window_in_use(self):
+        # the corpus at order 100 reaches 2,504 steps, the golden calls 756
+        assert series.MAX_WINDOW >= 2504
+
     def test_order_past_cap_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setattr(dsl, "MAX_ORDER", 50)
         assert main(["expand", "1/Jm(1)", "--order", "51"]) == 2

@@ -2,12 +2,13 @@
 
 from fractions import Fraction as F
 from functools import reduce
+from math import lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qident.coeff import cyclo_embed, zeta_power
+from qident.coeff import CycloNumber, cyclo_embed, lift_order, zeta_power
 from qident.dsl import eval_expr, parse
 from qident.errors import EvalError, NonGenericError
 from qident.eulerian import f_c
@@ -23,13 +24,16 @@ from qident.series import (
     series_shift,
     series_sub,
 )
+from qident import special
 from qident.special import J, Jm, appell_m, g_sum, g_universal, has_pole, pochhammer, theta_j
 
 from oracles import (
     assert_series_matches,
     dict_mul,
     dict_truncate,
+    exact,
     geom_inverse_bruteforce,
+    inverse,
     pochhammer_bruteforce,
 )
 
@@ -45,6 +49,7 @@ def zmono(M, k, e=0):
 
 
 OMEGAS = [mono(-1), zmono(3, 1), zmono(4, 1), zmono(5, 1)]
+Z3, Z4, Z5 = zeta_power(3, 1), zeta_power(4, 1), zeta_power(5, 1)
 
 
 def ev(source, order, **binding):
@@ -76,14 +81,15 @@ def one_minus_root(w):
 
 
 def P(c, e, p, m):
-    """(c q^e; q^p)_m as an exact polynomial."""
-    return pochhammer_bruteforce(F(c), F(e), F(p), m)
+    """(c q^e; q^p)_m as an exact polynomial, c rational or a CycloNumber."""
+    return pochhammer_bruteforce(exact(c), F(e), F(p), m)
 
 
 def naive_sum(term, order, start=0, stop=9):
     """The sum over start <= n < stop of c q^E prod(num) / prod(den) below
-    q^order, for (c, E, num, den) = term(n); the last term must already lie
-    at or past q^order."""
+    q^order, for (c, E, num, den) = term(n), each c and each coefficient of
+    num and den rational or in one cyclotomic field; the last term must
+    already lie at or past q^order."""
     out = {}
     for n in range(start, stop):
         c, E, num, den = term(n)
@@ -96,17 +102,17 @@ def naive_sum(term, order, start=0, stop=9):
         if low >= order:
             continue
         inv = geom_inverse_bruteforce(bottom, order - E - min(top))
-        for e, v in dict_mul({F(E): F(c)}, dict_mul(top, inv)).items():
+        for e, v in dict_mul({F(E): exact(c)}, dict_mul(top, inv)).items():
             out[e] = out.get(e, F(0)) + v
     return dict_truncate({e: v for e, v in out.items() if v}, order)
 
 
 def naive_g_sum(c, e, p, order):
     """x^(-1) (-1 + sum q^(p n^2) / ((x)_{n+1} (q^p/x)_n)) for x = c q^e."""
-    s = naive_sum(lambda n: (1, p * n * n, [], [P(c, e, p, n + 1), P(1 / F(c), p - e, p, n)]),
+    s = naive_sum(lambda n: (1, p * n * n, [], [P(c, e, p, n + 1), P(inverse(c), p - e, p, n)]),
                   order + e)
     s[F(0)] = s.get(F(0), F(0)) - 1
-    return {k - e: v / c for k, v in s.items() if v}
+    return {k - e: v * inverse(c) for k, v in s.items() if v}
 
 
 PRODUCT_FORMS = [
@@ -155,6 +161,32 @@ PRODUCT_FORMS = [
     pytest.param(lambda o: pochhammer(mono(F(-1, 3), F(1, 2)), 2, 3, o), lambda o: naive_sum(
         lambda k: (F(-1, 3) ** k, F(13, 2) * k, [P(1, -6, 2, k)], [P(1, 2, 2, k)]), o),
         id="poch-3-base-2"),
+    # the same rows at roots of unity, whose sums run in Q(zeta_M)
+    pytest.param(lambda o: ev("Kp(w)", o, w=zmono(5, 1)), lambda o: naive_sum(
+        lambda n: ((-1) ** n, n * n, [P(1, 1, 2, n)], [P(Z5, 2, 2, n), P(inverse(Z5), 2, 2, n)]), o),
+        id="Kp-zeta5"),
+    pytest.param(lambda o: ev("Kpp(w)", o, w=zmono(3, 1)), lambda o: naive_sum(
+        lambda n: ((-1) ** n, n * n, [P(1, 1, 2, n - 1)], [P(Z3, 1, 2, n), P(inverse(Z3), 1, 2, n)]),
+        o, start=1), id="Kpp-zeta3"),
+    pytest.param(lambda o: ev("Hp(1,3,w)", o, w=zmono(4, 1)), lambda o: naive_sum(
+        lambda n: (1, F(n * (n + 1), 2), [P(-1, 1, 1, n)],
+                   [P(Z4, F(1, 3), 1, n + 1), P(Z4, F(2, 3), 1, n + 1)]), o, stop=8), id="Hp-zeta4"),
+    pytest.param(lambda o: g_universal(zmono(4, 1, F(1, 2)), 1, o), lambda o: naive_sum(
+        lambda n: (1, n * (n + 1), [], [P(Z4, F(1, 2), 1, n + 1), P(inverse(Z4), F(1, 2), 1, n + 1)]), o),
+        id="g-zeta4"),
+    pytest.param(lambda o: g_sum(zmono(5, 2, F(1, 3)), 2, o),
+                 lambda o: naive_g_sum(zeta_power(5, 2), F(1, 3), 2, o), id="g_sum-zeta5"),
+    pytest.param(lambda o: pochhammer(zmono(3, 1, 1), 1, None, o), lambda o: naive_sum(
+        lambda k: ((-Z3) ** k, F(k * (k - 1), 2) + k, [], [P(1, 1, 1, k)]), o), id="poch-inf-zeta3"),
+    pytest.param(lambda o: pochhammer(zmono(4, 1, F(1, 2)), 1, 4, o), lambda o: naive_sum(
+        lambda k: (Z4 ** k, F(9, 2) * k, [P(1, -4, 1, k)], [P(1, 1, 1, k)]), o), id="poch-4-zeta4"),
+    pytest.param(lambda o: ev("lambert_even(x)", o, x=zmono(5, 1)), lambda o: naive_sum(
+        lambda n: ((-1) ** n, n * n, [P(1, 1, 2, n)], [P(Z5, 0, 2, n + 1), P(inverse(Z5), 2, 2, n)]), o),
+        id="lambert-even-zeta5"),
+    pytest.param(lambda o: ev("lambert_odd(x)", o, x=zmono(3, 1, F(1, 2))), lambda o: naive_sum(
+        lambda n: ((-1) ** n, (n + 1) ** 2, [P(inverse(Z3), F(-1, 2), 1, 1), P(1, 1, 2, n)],
+                   [P(Z3, F(3, 2), 2, n + 1), P(inverse(Z3), F(1, 2), 2, n + 1)]), o),
+        id="lambert-odd-zeta3"),
 ]
 
 
@@ -185,6 +217,64 @@ class TestPartialSumOracles:
     def test_direct_sums_match_running_terms(self, build, naive):
         order = F(20)
         assert_series_matches(build(order), naive(order), order)
+
+
+@st.composite
+def product_form(draw):
+    """A term sum (c, E, factors, start) over Q or Q(zeta_M): each factor
+    (r q^x; q^p)_(an+b)^s with r rational or a root of unity, x of either
+    sign and a start + b >= 0; E has its vertex at n <= 1.  Roots of unity
+    of orders 3 and 4 together make the sum lift its rows into Q(zeta_12)."""
+    orders = draw(st.sampled_from([(1,), (3,), (4,), (5,), (3, 4)]))
+    coeffs = [F(1), F(-1), F(2), F(-1, 2)] + [zeta_power(M, k) for M in orders for k in range(1, M)]
+    start = draw(st.sampled_from([0, 1]))
+    factors = []
+    for _ in range(draw(st.integers(0, 2))):
+        a = draw(st.sampled_from([0, 1]))
+        b = draw(st.integers(-a * start, 2))
+        x = F(draw(st.integers(-4, 4)), 2)
+        y = Monomial.make(draw(st.sampled_from(coeffs)), x)
+        factors.append((y, draw(st.sampled_from([1, 2])), a, b, draw(st.sampled_from([1, -1]))))
+    c = draw(st.sampled_from(coeffs))
+    e = (draw(st.sampled_from([1, F(3, 2), 2])), F(draw(st.integers(-4, 4)), 2), draw(st.sampled_from([0, F(1, 2)])))
+    return c, e, tuple(factors), start
+
+
+def naive_form(c, e, factors, start, order):
+    """naive_sum of the product form up to the first n from which every term
+    lies at or past q^order: E climbs from n = 1 on, and a numerator factor
+    lowers a term's valuation by at most 3."""
+    E = lambda n: e[0] * n * n + e[1] * n + e[2]
+    M = lcm(c.order if isinstance(c, CycloNumber) else 1, *(y.field_order for y, *_ in factors))
+    field = lambda x: lift_order(x, M) if M > 1 else x.rational_value()
+    stop = start + 1
+    while not all(E(n) - 6 >= order for n in (stop - 1, stop)):
+        stop += 1
+
+    def term(n):
+        num, den = [], []
+        for y, p, a, b, s in factors:
+            (num if s > 0 else den).append(P(field(y.coeff), y.expo, p, a * n + b))
+        return (field(c) if isinstance(c, CycloNumber) else c) ** n, E(n), num, den
+
+    return naive_sum(term, order, start, stop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=product_form())
+# a factor 1 - 1 in the numerator of the first term, and one at f = 0 in a denominator
+@example(form=(F(-1), (1, 0, 0), ((Monomial.make(1, 0), 1, 0, 1, 1),), 0))
+@example(form=(Z4, (1, F(-3, 2), 0), ((Monomial(Z4, F(-1)), 1, 1, 0, -1),), 0))
+# the first term lies in Q(zeta_3), the second lifts it into Q(zeta_12)
+@example(form=(F(1), (1, 0, 0), ((Monomial(Z3, F(1, 2)), 1, 0, 1, -1), (Monomial(Z4, F(1)), 1, 1, 0, 1)), 0))
+# the first term lies past q^4, the second dips back to q^(7/2)
+@example(form=(F(1), (1, F(-3, 2), 0), ((mono(1, -1), 1, 0, 1, -1), (mono(1, -2), 1, 0, 2, -1)), 0))
+def test_term_sum_matches_the_naive_sum(form):
+    c, e, factors, start = form
+    assume(not has_pole(factors))
+    s = special._term_sum(c, e, factors, F(4), start)
+    order = min(F(4), s.prec_order())
+    assert_series_matches(s, naive_form(c, e, factors, start, order), order)
 
 
 class TestAppellForms:

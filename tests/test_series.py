@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qident.coeff import CycloNumber, cyclo_embed, euler_phi, lift_order, zeta_power
 from qident import series
 from qident.errors import InsufficientPrecisionError, NonGenericError
-from qident.special import _times_row
+from qident import special
 from qident.series import (
     Monomial,
     QSeries,
@@ -401,6 +401,18 @@ def test_div_matches_naive_product(a, b):
     assert back == dict_truncate(_naive(a, m), window)
 
 
+def _as_row(a):
+    """a as a term row of special._term_sum: phi(M) lists of ints from its
+    valuation to its precision, over the lcm of its denominators."""
+    off = a.val_grid
+    den = lcm(1, *(c.den for c in a.terms.values()))
+    cols = [[0] * (a.prec - off) for _ in range(euler_phi(a.field_order))]
+    for k, c in a.terms.items():
+        for j, v in enumerate(c.num):
+            cols[j][k - off] = v * (den // c.den)
+    return special._Row(a.denom, a.field_order, off, a.prec, cols, den)
+
+
 def _one_minus(u, order):
     """1 - u as a series exact below order."""
     return series_sub(const_series(1, order, u.expo.denominator), from_monomial(u, order))
@@ -431,7 +443,8 @@ def test_div_one_minus_is_exact_division(a, c_rat, f, field, k):
     back = dict_truncate(dict_mul(series_dict(got), one_minus_u), a.prec_order())
     assert back == dict_truncate(_naive(a, m), a.prec_order())
     # and the row quotient of an Eulerian term by its one binomial 1 - u
-    row = _times_row(a, (1, 0, (), (u,)), got.prec_order() + 1)
+    ratio = (1, (0, 1), [(u.coeff, (u.expo.numerator, u.expo.denominator), -1)])
+    row = special._series(special._times(_as_row(a), ratio, got.prec_order() + 1))
     assert (row.denom, row.field_order, row.prec, row.terms) == (got.denom, got.field_order, got.prec, got.terms)
 
 

@@ -6,6 +6,7 @@ sum-versus-product equivalence on small windows.
 """
 
 from fractions import Fraction as F
+from functools import partial
 from math import ceil
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from qident import coeff, eval_expr, parse, series, special
 from qident.coeff import CycloNumber, cyclo_embed, lift_order, zeta_power
 from qident.errors import CapExceededError, EvalError, NonGenericError
-from qident.eulerian import need_theta_nonzero
+from qident.eulerian import FORMS, need_theta_nonzero
 from qident.series import (
     Monomial,
     const_series,
@@ -197,6 +198,14 @@ class TestPaddingLimit:
         s = special._term_sum(1, (F(1, 4), F(-121, 4), 0), (), F(1))
         assert -1000 < s.prec_order() < -800
 
+    def test_a_term_past_the_order_does_not_end_a_sum_that_dips_back(self):
+        # q^(n^2 - 3n + 2) puts its first term at q^2, past q^(3/2), and the
+        # next two at q^0; the first term's loss shows as the sum's precision
+        s = special._term_sum(1, (1, -3, 2), (), F(3, 2))
+        assert s.prec_order() == 0
+        s = special.ensure_prec(partial(special._term_sum, 1, (1, -3, 2), ()), F(3, 2))
+        assert_series_matches(s, {0: 2}, F(3, 2))
+
     def test_term_cap_stops_a_flat_sum(self):
         with pytest.raises(CapExceededError, match="failed to grow"):
             special._term_sum(1, (0, 0, 0), (), F(1))
@@ -207,6 +216,49 @@ class TestPaddingLimit:
         monkeypatch.setattr(special, "PAD_LIMIT", 20)
         with pytest.raises(CapExceededError, match="padding limit 20"):
             pochhammer(mono(2, -10), 1, None, 10)
+
+
+class TestTermRows:
+    def test_term_sums_use_no_series_product_quotient_or_fused_dot(self, monkeypatch):
+        # every binomial is a pass over integer rows, in every field
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        rows = [(FORMS["phi"][1](F(1)), 100), (FORMS["Kp"][1](Monomial(zeta_power(5, 1), F(0))), 60)]
+        for mod, name in ((series, "series_mul"), (series, "series_div"), (special, "series_div"),
+                          (series, "dot"), (coeff, "dot")):
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        for (c, e, factors, start), order in rows:
+            assert not special._term_sum(c, e, factors, F(order), start).is_zero()
+        assert calls == []
+        # the wrappers do see what calls them
+        series.series_div(const_series(1, 5), const_series(2, 5))
+        assert calls and calls[0] == "series_div"
+
+    @pytest.mark.parametrize("cap, message", [("MAX_WINDOW", "exceeds MAX_WINDOW = 500"),
+                                              ("MAX_GRID", "exceeds MAX_GRID = 6")])
+    def test_row_past_a_cap_is_refused_before_it_is_allocated(self, monkeypatch, cap, message):
+        # H'(1,7,1) sums on the grid 1/7: 700 slots at order 100
+        monkeypatch.setattr(series, cap, 500 if cap == "MAX_WINDOW" else 6)
+        sizes = []
+
+        class Row(special._Row):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                sizes.append(max(map(len, self.cols)))
+
+        monkeypatch.setattr(special, "_Row", Row)
+        c, e, factors, start = FORMS["Hp"][1](1, 7, Monomial.make(1))
+        with pytest.raises(ValueError, match=message):
+            special._term_sum(c, e, factors, F(100), start)
+        assert max(sizes) <= 100
 
 
 class TestThetaFunction:

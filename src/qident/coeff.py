@@ -218,13 +218,15 @@ class CycloNumber:
     def inv(self) -> "CycloNumber":
         """Multiplicative inverse: the product c of the other Galois
         conjugates makes self * c the norm, a nonzero rational."""
-        M, c = self.order, one(self.order)
+        M, n = self.order, self.num[0]
         if not any(self.num):
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if any(self.num[1:]):
-            for t in range(2, M):
-                if gcd(t, M) == 1:
-                    c = c * self.galois(t)
+        if not any(self.num[1:]):  # a rational n/den: den/n, the sign on top
+            return _raw(M, (self.den if n > 0 else -self.den,) + self.num[1:], abs(n))
+        c = one(M)
+        for t in range(2, M):
+            if gcd(t, M) == 1:
+                c = c * self.galois(t)
         norm = self * c
         return c * cyclo_embed(Fraction(norm.den, norm.num[0]), M)
 

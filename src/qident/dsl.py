@@ -4,8 +4,8 @@ The surface syntax is plain infix arithmetic over rational literals, bound
 symbols, and a fixed set of named functions (theta products, Appell-Lerch
 sums, Eulerian series). Precedence is ^ then unary minus then * / then + -.
 There is no implicit multiplication: write 2*q, not 2q. Exponents after ^
-are integer literals, or parenthesized fractions when the base is a pure
-power of q.
+are integer literals, at most MAX_POWER in size unless the base is a pure
+power of q, or parenthesized fractions when it is.
 
 parse/print round-trip structurally; eval is bottom-up and keeps monomial
 subexpressions exact for as long as possible so that function arguments
@@ -24,7 +24,7 @@ is a base may leave it out, meaning q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from math import lcm, prod
@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from .coeff import csc_pi, sin_pi, zeta_power
 from .errors import EvalError, ParseError
 from .eulerian import BILATERAL, FORMS, need_a_below_c, need_theta_nonzero
+from .record import Record, set_key
 from .series import (
     Monomial,
     QSeries,
@@ -56,60 +57,68 @@ Rat = Union[int, Fraction]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
+class Lit(Record):
+    __slots__, _fields = (), ("value",)
+
+    def __init__(self, value: Fraction):
+        set_key(self, (value,))
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+class Sym(Record):
+    __slots__, _fields = (), ("name",)
+
+    def __init__(self, name: str):
+        set_key(self, (name,))
 
 
-@dataclass(frozen=True)
-class Inf:
-    pass
+class Inf(Record):
+    __slots__, _key = (), ()  # no fields: every instance shares the empty key
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: Tuple["Expr", ...]
+class Call(Record):
+    __slots__, _fields = (), ("name", "args")
+
+    def __init__(self, name: str, args: Tuple["Expr", ...]):
+        set_key(self, (name, args))
 
 
-@dataclass(frozen=True)
-class Neg:
-    a: "Expr"
+class Neg(Record):
+    __slots__, _fields = (), ("a",)
+
+    def __init__(self, a: "Expr"):
+        set_key(self, (a,))
 
 
-@dataclass(frozen=True)
-class Add:
-    a: "Expr"
-    b: "Expr"
+class _Binary(Record):
+    """a op b; each operator is its own type, so Add(a, b) != Sub(a, b)."""
+
+    __slots__, _fields = (), ("a", "b")
+
+    def __init__(self, a: "Expr", b: "Expr"):
+        set_key(self, (a, b))
 
 
-@dataclass(frozen=True)
-class Sub:
-    a: "Expr"
-    b: "Expr"
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul:
-    a: "Expr"
-    b: "Expr"
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div:
-    a: "Expr"
-    b: "Expr"
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    expo: Fraction
+class Div(_Binary):
+    __slots__ = ()
+
+
+class Pow(Record):
+    __slots__, _fields = (), ("base", "expo")
+
+    def __init__(self, base: "Expr", expo: Fraction):
+        set_key(self, (base, expo))
 
 
 Expr = Union[Lit, Sym, Inf, Call, Neg, Add, Sub, Mul, Div, Pow]
@@ -120,13 +129,7 @@ Expr = Union[Lit, Sym, Inf, Call, Neg, Add, Sub, Mul, Div, Pow]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
-
+_Tok = namedtuple("_Tok", "kind text line col")
 
 _PUNCT = set("+-*/^(),;")
 _DIGITS = set("0123456789")  # str.isdigit also admits digits int() rejects, such as '²'
@@ -467,6 +470,8 @@ def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction)
         v = _ev(e.base, order, binding, asked)
         if e.expo.denominator == 1:
             k = int(e.expo)
+            if abs(k) > MAX_POWER and not (isinstance(v, Monomial) and v.is_q_power()):
+                raise EvalError(f"power {k} exceeds MAX_POWER = {MAX_POWER} for a base other than q^e")
             if isinstance(v, Monomial):
                 return v**k if k >= 0 else v.inv() ** (-k)
             return series_pow(v, k)
@@ -510,6 +515,9 @@ def _call(e: Call, order: Fraction, binding: Dict[str, Monomial], asked: Fractio
 # the deepest order an evaluation may be asked for; the deepest in use is 200
 MAX_ORDER = 10000
 
+# the largest |k| in ^k over a base that is not a pure power of q; the largest in use is 30
+MAX_POWER = 1000
+
 
 def eval_expr(
     e: Expr, order: Rat, binding: Optional[Dict[str, Monomial]] = None
@@ -521,7 +529,8 @@ def eval_expr(
     dividend of A / (c*q^-v * B), v < 0, are evaluated at order - v up front,
     within PAD_LIMIT (a monomial on the right of * is not: write it first);
     reruns at a deeper working order win back what other shifts and
-    divisions cost.  An order past MAX_ORDER raises EvalError.
+    divisions cost.  An order past MAX_ORDER, or a power past MAX_POWER of
+    anything but a pure power of q, raises EvalError.
     """
     b, asked = dict(binding or {}), Fraction(order)
     if asked > MAX_ORDER:

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .dsl import Expr, eval_expr, parse, parse_binding, print_expr
 from .errors import CapExceededError, NonGenericError
+from .record import Record, set_key
 from .series import Monomial, series_eq_to_order
 from .verdict import INSUFFICIENT, NONGENERIC, Verdict
 
@@ -43,27 +41,24 @@ EXPECTATIONS = ("pass", "fail", "nongeneric")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCase:
-    id: str
-    lhs: Expr
-    rhs: Expr
-    sample_bindings: Tuple[Dict[str, Monomial], ...] = ({},)
-    binding_sources: Tuple[str, ...] = ("",)
-    default_order: Fraction = DEFAULT_ORDER
-    genericity_note: str = ""
-    expect: str = "pass"
+class IdentityCase(Record):
+    __slots__, _fields = (), ("id", "lhs", "rhs", "sample_bindings", "binding_sources",
+                              "default_order", "genericity_note", "expect")
 
-    def __post_init__(self):
-        if not self.sample_bindings:
-            object.__setattr__(self, "sample_bindings", ({},))
-            object.__setattr__(self, "binding_sources", ("",))
-        if len(self.binding_sources) != len(self.sample_bindings):
-            raise ValueError(f"case {self.id}: binding sources out of step")
-        if self.default_order <= 0:
-            raise ValueError(f"case {self.id}: default_order must be positive")
-        if self.expect not in EXPECTATIONS:
-            raise ValueError(f"case {self.id}: unknown expectation {self.expect!r}")
+    def __init__(self, id: str, lhs: Expr, rhs: Expr,
+                 sample_bindings: Tuple[Dict[str, Monomial], ...] = ({},),
+                 binding_sources: Tuple[str, ...] = ("",), default_order: Fraction = DEFAULT_ORDER,
+                 genericity_note: str = "", expect: str = "pass"):
+        if not sample_bindings:
+            sample_bindings, binding_sources = ({},), ("",)
+        if len(binding_sources) != len(sample_bindings):
+            raise ValueError(f"case {id}: binding sources out of step")
+        if default_order <= 0:
+            raise ValueError(f"case {id}: default_order must be positive")
+        if expect not in EXPECTATIONS:
+            raise ValueError(f"case {id}: unknown expectation {expect!r}")
+        set_key(self, (id, lhs, rhs, sample_bindings, binding_sources, default_order,
+                       genericity_note, expect))
 
 
 def _split_top(text: str, sep: str) -> List[str]:
@@ -199,7 +194,8 @@ def serialize_corpus(cases: Sequence[IdentityCase]) -> str:
 
 
 def builtin_corpus_text() -> str:
-    return resources.files("qident").joinpath("corpus/builtin.id").read_text()
+    with open(os.path.join(os.path.dirname(__file__), "corpus", "builtin.id"), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def builtin_cases() -> List[IdentityCase]:
@@ -237,23 +233,23 @@ def check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    case_id: str
-    binding: str
-    status: str
-    detail: str
-    expect: str
-    seconds: float
+class CheckRecord(Record):
+    __slots__, _fields = (), ("case_id", "binding", "status", "detail", "expect", "seconds")
+
+    def __init__(self, case_id: str, binding: str, status: str, detail: str, expect: str,
+                 seconds: float):
+        set_key(self, (case_id, binding, status, detail, expect, seconds))
 
     @property
     def expected(self) -> bool:
         return self.status == self.expect
 
 
-@dataclass
-class SuiteReport:
-    records: List[CheckRecord]
+class SuiteReport(Record):
+    __slots__, _fields = (), ("records",)
+
+    def __init__(self, records: List[CheckRecord]):
+        set_key(self, (records,))
 
     def counts(self) -> Dict[str, int]:
         out = {"total": len(self.records), "pass": 0, "fail": 0, "nongeneric": 0, "insufficient_precision": 0}
@@ -311,6 +307,7 @@ def run_suite(
         cases = builtin_cases()
     work = [(c, i) for c in cases for i in range(len(c.sample_bindings))]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         args = [(serialize_case(c), i, None if order is None else str(Fraction(order))) for c, i in work]
         with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
             records = list(pool.map(_run_serialized, args))

@@ -18,13 +18,13 @@ sum is summed by one fused coeff.dot.  QSeries has no operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Iterable, Optional, Union
 
 from .coeff import CycloNumber, cyclo_embed, dot, lift_order, one as cyclo_one, zero as cyclo_zero
 from .errors import InsufficientPrecisionError, NonGenericError
+from .record import Record, set_key
 from .verdict import FAIL, PASS, Verdict
 
 Rat = Union[int, Fraction]
@@ -39,16 +39,13 @@ def _as_frac(x: Rat) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Monomial:
-    coeff: CycloNumber
-    expo: Fraction
+class Monomial(Record):
+    __slots__, _fields = (), ("coeff", "expo")
 
-    def __post_init__(self):
-        if self.coeff.is_zero():
+    def __init__(self, coeff: CycloNumber, expo: Fraction):
+        if coeff.is_zero():
             raise ValueError("monomial coefficient must be nonzero")
-        if not isinstance(self.expo, Fraction):
-            object.__setattr__(self, "expo", Fraction(self.expo))
+        set_key(self, (coeff, expo if isinstance(expo, Fraction) else Fraction(expo)))
 
     @staticmethod
     def make(coeff: Union[CycloNumber, Rat], expo: Rat = 0) -> "Monomial":

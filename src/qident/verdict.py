@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .coeff import CycloNumber
+from .record import Record, set_key
 
 PASS = "pass"
 FAIL = "fail"
@@ -16,31 +16,25 @@ INSUFFICIENT = "insufficient_precision"
 _STATUSES = frozenset({PASS, FAIL, NONGENERIC, INSUFFICIENT})
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Result of comparing two series, or of a failed attempt to build them.
 
     A fail verdict always carries the smallest offending exponent and the
     two disagreeing coefficients.
     """
 
-    status: str
-    order_checked: Fraction
-    first_bad_exponent: Optional[Fraction] = None
-    lhs_coeff: Optional[CycloNumber] = None
-    rhs_coeff: Optional[CycloNumber] = None
-    note: str = ""
+    __slots__, _fields = (), ("status", "order_checked", "first_bad_exponent", "lhs_coeff",
+                              "rhs_coeff", "note")
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown verdict status {self.status!r}")
-        if self.status == FAIL:
-            if (
-                self.first_bad_exponent is None
-                or self.lhs_coeff is None
-                or self.rhs_coeff is None
-            ):
-                raise ValueError("fail verdict requires exponent and both coefficients")
+    def __init__(self, status: str, order_checked: Fraction,
+                 first_bad_exponent: Optional[Fraction] = None,
+                 lhs_coeff: Optional[CycloNumber] = None, rhs_coeff: Optional[CycloNumber] = None,
+                 note: str = ""):
+        if status not in _STATUSES:
+            raise ValueError(f"unknown verdict status {status!r}")
+        if status == FAIL and (first_bad_exponent is None or lhs_coeff is None or rhs_coeff is None):
+            raise ValueError("fail verdict requires exponent and both coefficients")
+        set_key(self, (status, order_checked, first_bad_exponent, lhs_coeff, rhs_coeff, note))
 
     @property
     def ok(self) -> bool:

@@ -190,6 +190,31 @@ class TestExpand:
     def test_order_cap_covers_every_order_in_use(self):
         assert dsl.MAX_ORDER >= 200
 
+    @pytest.mark.parametrize("expr", ["(3/2)^6*q", "cscpi(1,3)^6", "(2*q)^-6", "j(2^6*q)", "(1 - q)^6"])
+    def test_lowered_power_cap_is_usage_error(self, monkeypatch, capsys, expr):
+        monkeypatch.setattr(dsl, "MAX_POWER", 5)
+        assert main(["expand", expr, "--order", "10"]) == 2
+        assert "exceeds MAX_POWER = 5" in capsys.readouterr().err
+        assert main(["expand", expr.replace("6", "5"), "--order", "10"]) == 0
+
+    @pytest.mark.parametrize("expr", ["q^7", "q^(-7)*j(q)", "(q^2)^-7*j(q)"])
+    def test_power_cap_spares_pure_powers_of_q(self, monkeypatch, expr):
+        monkeypatch.setattr(dsl, "MAX_POWER", 5)
+        assert main(["expand", expr, "--order", "10"]) == 0
+
+    @pytest.mark.parametrize(
+        "expr", ["cscpi(1,3)^10000000", "(3/2)^300000*q", "(2*q)^100000000", "j(2^100000*q)"]
+    )
+    def test_huge_scalar_power_is_refused_at_once(self, capsys, expr):
+        t0 = time.perf_counter()
+        assert main(["expand", expr, "--order", "10"]) == 2
+        assert time.perf_counter() - t0 < 1
+        assert f"exceeds MAX_POWER = {dsl.MAX_POWER}" in capsys.readouterr().err
+
+    def test_power_cap_covers_every_power_in_use(self):
+        # the corpus and the golden calls raise nothing to a power past 30
+        assert dsl.MAX_POWER >= 30
+
     def test_duplicate_binding_rejected(self, capsys):
         code = main(["expand", "x", "--order", "4", "--bind", "x=q", "--bind", "x=q^2"])
         assert code == 2

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident import coeff, series, special
 from qident.coeff import (
     CycloNumber,
     csc_pi,
@@ -21,6 +22,7 @@ from qident.coeff import (
     zero,
     zeta_power,
 )
+from qident.dsl import eval_expr, parse
 from qident.errors import OrderMismatchError
 
 from oracles import fraction_dot
@@ -303,6 +305,30 @@ class TestTrig:
                 )
                 diff = sympy.expand_complex(num - sympy.sin(sympy.pi * a / c))
                 assert sympy.simplify(diff) == 0
+
+
+class TestRationalInverse:
+    @given(st.sampled_from([1, 2, 3, 4, 5, 12, 60]), rationals.filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fraction_oracle(self, M, r):
+        got = cyclo_embed(r, M).inv()
+        assert got.coeffs == (1 / r,) + (Fraction(0),) * (euler_phi(M) - 1)
+        assert lowest_terms(got)
+
+    def test_needs_no_multiplication(self, monkeypatch):
+        # the five factors 1 - q^(k-5) of poch(2*q, q, 5) each invert r = 1;
+        # through the norm, that took two dot calls apiece, eleven in all
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dot(*args)
+
+        monkeypatch.setattr(coeff, "dot", counted)
+        monkeypatch.setattr(series, "dot", counted)
+        monkeypatch.setattr(special, "_theta_cache", {})
+        eval_expr(parse("poch(2*q, q, 5)"), 20)
+        assert len(calls) <= 1
 
 
 class TestGalois:

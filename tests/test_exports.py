@@ -3,6 +3,9 @@ harness in perfbench/ reaches by attribute or import."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +39,15 @@ def test_benchmark_module_names_resolve():
     qident.eval_expr(qident.parse("j(-q; q)"), 5)
     cache = special._theta_cache
     assert isinstance(cache, dict) and cache and all(isinstance(k, tuple) for k in cache)
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # an expansion needs none of these, and loading them takes several times
+    # as long as the rest of this import; -S keeps site from loading them first
+    src = str(Path(qident.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import qident.cli; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert "qident.cli" in out
+    heavy = {"concurrent.futures", "multiprocessing", "dataclasses", "importlib.resources"}
+    assert heavy.isdisjoint(out)

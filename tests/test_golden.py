@@ -25,6 +25,7 @@ from pathlib import Path
 from qident.cli import main
 from qident.dsl import FUNCTIONS, Call, parse
 from qident.errors import ParseError
+from qident.record import Record
 
 GOLDEN = Path(__file__).parent / "golden"
 TIMING = re.compile(r" \[\d+\.\d+s\]$", re.M)
@@ -176,9 +177,10 @@ def _called(e):
     """(name, arity) of every call in an expression tree."""
     if isinstance(e, Call):
         yield e.name, len(e.args)
-    for child in vars(e).values():
+    for field in e._fields:
+        child = getattr(e, field)
         for c in child if isinstance(child, tuple) else (child,):
-            if hasattr(c, "__dataclass_fields__"):
+            if isinstance(c, Record):
                 yield from _called(c)
 
 

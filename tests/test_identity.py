@@ -1,5 +1,6 @@
 """Corpus file format, the checking engine, and suite reports."""
 
+import concurrent.futures
 import os
 from fractions import Fraction as F
 
@@ -214,7 +215,7 @@ class TestSuite:
             def map(self, fn, args):
                 return map(fn, args)
 
-        monkeypatch.setattr(identity, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         report = run_suite(jobs=64, cases=self.make_cases())
         assert workers == [2]

@@ -6,13 +6,16 @@ exit code, its stdout lines (prefixed "> ") and its stderr lines
 least once at orders 10-30; the derived combinations appear at several
 (a, c) and under bindings, with their pole and bad-argument cases.
 tests/golden/suite.txt is `run_suite().render()` at the stated orders
-with the timing field stripped; test_acceptance compares it.
+with the timing field stripped; test_acceptance compares it.  The deep
+pair pins the same at depth: tests/golden/expand_deep.txt holds one block
+per builder family at orders 40-200, and tests/golden/suite_deep.txt is
+`run_suite(order=100).render()`, timing stripped.
 
-Regenerate both files with
+Regenerate all four files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and list every changed line of either file in CHANGES.md.
+and list every changed line of any of them in CHANGES.md.
 """
 
 import io
@@ -141,6 +144,25 @@ def _calls():
     return out
 
 
+# one expression per builder family, each at the order it is pinned at
+DEEP_CALLS = (
+    ("j(-q^(1/2); q)", 200, ""),
+    ("1/Jm(1)", 200, ""),
+    ("q^(-3)/Jm(1)", 40, ""),
+    ("poch(-q^(1/2), q, inf)", 100, ""),
+    ("m(2*q, q, -q^(1/2))", 60, ""),
+    ("g(zeta(3,1))", 40, ""),
+    ("phi()", 200, ""),
+    ("Kp(zeta(5,1))", 60, ""),
+    ("Habc(3,2,7)", 40, ""),
+    ("Ktilde(1,3)", 40, ""),
+    ("Htilde(1,4)", 40, ""),
+    ("msplit(2*q, q, -1, -q, 3)", 40, ""),
+)
+
+DEEP_ORDER = 100
+
+
 def argv_of(expr, order, binds):
     argv = ["expand", expr, "--order", str(order)]
     for b in binds.split():
@@ -195,9 +217,9 @@ def test_every_function_and_arity_has_a_golden_call():
     assert registry - called == set()
 
 
-def test_expand_matches_golden():
-    blocks = golden_blocks(GOLDEN / "expand.txt")
-    assert [argv for argv, _ in blocks] == [argv_of(*call) for call in _calls()]
+def _compare_expand(name, calls):
+    blocks = golden_blocks(GOLDEN / name)
+    assert [argv for argv, _ in blocks] == [argv_of(*call) for call in calls]
     bad = []
     for argv, want in blocks:
         got = expand_block(argv)
@@ -207,12 +229,29 @@ def test_expand_matches_golden():
     assert not bad, "\n".join(bad)
 
 
+def test_expand_matches_golden():
+    _compare_expand("expand.txt", _calls())
+
+
+def test_deep_expand_matches_golden():
+    _compare_expand("expand_deep.txt", DEEP_CALLS)
+
+
+def test_deep_suite_matches_golden():
+    from qident.identity import run_suite
+
+    got = TIMING.sub("", run_suite(order=DEEP_ORDER).render())
+    assert got.splitlines() == (GOLDEN / "suite_deep.txt").read_text().splitlines()
+
+
 if __name__ == "__main__":
     from qident.identity import run_suite
 
-    lines = []
-    for call in _calls():
-        lines += expand_block(argv_of(*call))
-    (GOLDEN / "expand.txt").write_text("\n".join(lines) + "\n")
-    suite = TIMING.sub("", run_suite().render())
-    (GOLDEN / "suite.txt").write_text(suite + "\n")
+    for name, calls in (("expand.txt", _calls()), ("expand_deep.txt", DEEP_CALLS)):
+        lines = []
+        for call in calls:
+            lines += expand_block(argv_of(*call))
+        (GOLDEN / name).write_text("\n".join(lines) + "\n")
+    for name, order in (("suite.txt", None), ("suite_deep.txt", DEEP_ORDER)):
+        suite = TIMING.sub("", run_suite(order=order).render())
+        (GOLDEN / name).write_text(suite + "\n")

@@ -8,9 +8,9 @@ field elements is equality of (num, den) (after lifting to a common order),
 and every sum and product is Python-int arithmetic followed by at most one
 gcd.
 
-`dot` is the fused multiply-accumulate under series multiplication and
-division: it sums many products as unreduced integer convolutions over one
-common denominator, then reduces mod Phi_M and normalises once.
+A CycloNumber is a scalar: a coefficient read out of a series, a
+monomial's coefficient, a memo key, a verdict's witness.  Series store
+their coefficients as integer rows and never build one per coefficient.
 
 All roots of unity, i = zeta_4, rational constants, and the exact values
 sin(pi*a/c), csc(pi*a/c) live here.
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import OrderMismatchError
 
@@ -211,7 +211,18 @@ class CycloNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return dot(self.order, ((self, other),))
+        M, x, y = self.order, self.num, other.num
+        if not any(x[1:]):
+            x, y = y, x
+        if not any(y[1:]):  # a rational factor scales
+            return _make(M, [v * y[0] for v in x], self.den * other.den)
+        acc = [0] * (2 * len(x) - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y):
+                    if b:
+                        acc[i + j] += a * b
+        return _make(M, _reduce(M, acc), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -293,6 +304,9 @@ class CycloNumber:
     def __repr__(self) -> str:
         return f"CycloNumber({self.order}, {tuple(str(c) for c in self.coeffs)})"
 
+    def __reduce__(self):
+        return CycloNumber, (self.order, self.coeffs)  # rebuilt, so checked, by __init__
+
 
 _new = object.__new__
 _set_order = CycloNumber.order.__set__
@@ -317,73 +331,6 @@ def _make(M: int, num: list[int], den: int) -> CycloNumber:
             num = [x // g for x in num]
             den //= g
     return _raw(M, tuple(num), den)
-
-
-def _scale(a: CycloNumber, r: CycloNumber) -> CycloNumber:
-    """a * r for a rational r, cancelling across before it multiplies, as
-    Fraction multiplication does."""
-    n, d = r.num[0], r.den
-    if not n:
-        return zero(a.order)
-    num, den = a.num, a.den
-    g1 = gcd(d, *num) if d != 1 else 1
-    g2 = gcd(n, den) if den != 1 else 1
-    n, d, den = n // g2, d // g1, den // g2
-    return _raw(a.order, tuple(x // g1 * n for x in num), den * d)
-
-
-def dot(
-    M: int,
-    pairs: Sequence[tuple[CycloNumber, CycloNumber]],
-    extra: Optional[CycloNumber] = None,
-) -> CycloNumber:
-    """extra + the sum of x * y over pairs, all in Q(zeta_M).
-
-    The products are accumulated as unreduced integer convolutions over one
-    common denominator, the lcm of the pairs' denominators, and the sum is
-    reduced mod Phi_M and brought to lowest terms once.  A lone product
-    with a rational factor is a scaling that cancels across instead.
-    """
-    if extra is None:
-        if len(pairs) == 1:
-            x, y = pairs[0]
-            if not any(y.num[1:]):
-                return _scale(x, y)
-            if not any(x.num[1:]):
-                return _scale(y, x)
-        phi = euler_phi(M)
-        acc, den = [0] * (2 * phi - 1), 1
-    else:
-        phi = len(extra.num)
-        acc, den = list(extra.num) + [0] * (phi - 1), extra.den
-    if phi == 1:  # Q itself: scalar numerators, no convolution
-        s = acc[0]
-        for x, y in pairs:
-            d = x.den * y.den
-            if d == den:
-                s += x.num[0] * y.num[0]
-            else:
-                common = lcm(den, d)
-                s = s * (common // den) + x.num[0] * y.num[0] * (common // d)
-                den = common
-        return _make(M, [s], den)
-    for x, y in pairs:
-        d = x.den * y.den
-        f = 1
-        if d != den:
-            common = lcm(den, d)
-            if common != den:
-                s = common // den
-                acc = [c * s for c in acc]
-                den = common
-            f = common // d
-        for i, a in enumerate(x.num):
-            if a:
-                a *= f
-                for j, b in enumerate(y.num):
-                    if b:
-                        acc[i + j] += a * b
-    return _make(M, _reduce(M, acc), den)
 
 
 def _substitute(a: CycloNumber, M: int, step: int) -> CycloNumber:

@@ -14,7 +14,8 @@ subexpressions exact for as long as possible so that function arguments
 The paper's fixed combinations (Ktilde, Htilde and their other forms,
 mcorr, msplit, g_appell) are definitions: exact argument checks, then an
 expression over the core functions with the integer arguments spliced into
-its text and the monomial ones bound as its symbols.
+its text and the monomial ones bound as its symbols.  msplit's depth, the
+number of terms of its text, is at most MAX_SPLIT.
 
 The function registry holds every row of eulerian.FORMS and
 eulerian.BILATERAL, each read by special.read_row, beside the other
@@ -463,7 +464,7 @@ def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction)
             inv = prod(monos[1:], start=monos[0]).inv()
             out = out * inv if isinstance(out, Monomial) else series_shift(out, inv)
         divisors = [v for v, k in vals if isinstance(v, QSeries) for _ in range(k)]
-        for b in sorted(divisors, key=lambda s: len(s.terms)):
+        for b in sorted(divisors, key=QSeries.term_count):
             out = series_div(_to_series(out, order), b)
         return out
     if isinstance(e, Pow):
@@ -517,6 +518,10 @@ MAX_ORDER = 10000
 
 # the largest |k| in ^k over a base that is not a pure power of q; the largest in use is 30
 MAX_POWER = 1000
+
+# the deepest msplit: its text holds n Appell-Lerch sums and n theta
+# quotients; the deepest in use is 4
+MAX_SPLIT = 16
 
 
 def eval_expr(
@@ -658,6 +663,8 @@ def _msplit(x: Monomial, p: int, z: Monomial, zp: Monomial, n: int) -> Source:
     the source identity's theta denominator is read as a product."""
     if n < 1:
         raise ValueError("splitting depth must be at least 1")
+    if n > MAX_SPLIT:
+        raise ValueError(f"splitting depth {n} exceeds MAX_SPLIT = {MAX_SPLIT}")
     b, xn = n * (n - 1) // 2, (-x) ** n
     need_theta_nonzero(x * z, p, "j(xz; q^p)")
     need_theta_nonzero(zp, p * n * n, "j(z'; q^(p n^2))")

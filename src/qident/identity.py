@@ -289,13 +289,6 @@ def _record(case: IdentityCase, bidx: int, order: Optional[Rat]) -> CheckRecord:
     )
 
 
-def _run_serialized(args: Tuple[str, int, Optional[str]]) -> CheckRecord:
-    stanza, bidx, order_text = args
-    case = parse_corpus(stanza)[0]
-    order = Fraction(order_text) if order_text is not None else None
-    return _record(case, bidx, order)
-
-
 def run_suite(
     order: Optional[Rat] = None,
     jobs: int = 1,
@@ -308,9 +301,8 @@ def run_suite(
     work = [(c, i) for c in cases for i in range(len(c.sample_bindings))]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
-        args = [(serialize_case(c), i, None if order is None else str(Fraction(order))) for c, i in work]
         with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-            records = list(pool.map(_run_serialized, args))
+            records = list(pool.map(_record, *zip(*work), [order] * len(work)))
     else:
         records = [_record(c, i, order) for c, i in work]
     return SuiteReport(records)

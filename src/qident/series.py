@@ -1,28 +1,46 @@
-"""Truncated Puiseux series with cyclotomic coefficients.
+"""Truncated Puiseux series with cyclotomic coefficients, on dense integer rows.
 
-A QSeries stores finitely many terms c * q^(k/D) in a sparse map from the
-integer grid index k to a nonzero CycloNumber c, together with the grid
-denominator D, the shared coefficient field order M, and a precision P:
-every coefficient with k < P is guaranteed correct, everything at or
-beyond P is unknown.  Negative k is allowed (Laurent behavior).
+A QSeries is a window of the grid 1/D over Q(zeta_M): the coefficient of
+q^(k/D) for off <= k < off + n is sum_j cols[j][k - off] zeta_M^j / den,
+phi(M) lists of Python ints over one positive denominator (the storage
+of FLINT's fmpq_poly); every other coefficient below the precision index
+P is zero, and none at or past P is known.  Negative k is allowed.  Rows
+are kept trimmed to their nonzero ends and in lowest terms; CycloNumbers
+appear only at the edges: the checked constructor QSeries(D, P, {k: c}, M)
+and the read-only views terms, sorted_terms and coeff_at.
 
-Precision propagates through arithmetic by the min/valuation rules below,
-so a comparison can never silently read coefficients outside the
-guaranteed window.  Every quotient is one long division, series_div,
-which walks only the residue classes its divisor reaches; series_invert
-and geom_inverse (1/(1 - u), u a monomial) wrap it.
-Every theta function and bilateral Lambert sum is one integer-grid scan,
-bilateral_sum.  Each coefficient of a product, a quotient or a bilateral
-sum is summed by one fused coeff.dot.  QSeries has no operators.
+Precision propagates by the min/valuation rules below, so a comparison
+never silently reads coefficients outside the guaranteed window.  Every
+operation is a pass over the lists: a product adds the denser row in at
+each nonzero slot of the sparser one, a scalar multiplies through its
+table (_times_table, applied by _apply), a field lift through that of the
+embedding (_lift_table), and a power of q moves the offset.  Every
+quotient is one long division, series_div, walking only the residue
+classes its divisor reaches; series_invert and geom_inverse (1/(1 - u),
+u a monomial) wrap it.  Every theta function and bilateral Lambert sum is
+one integer-grid scan, bilateral_sum, written straight into a row.
+QSeries has no operators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from math import ceil, floor, gcd, lcm
 from typing import Iterable, Optional, Union
 
-from .coeff import CycloNumber, cyclo_embed, dot, lift_order, one as cyclo_one, zero as cyclo_zero
+from .coeff import (
+    CycloNumber,
+    _make,
+    _power_table,
+    cyclo_embed,
+    euler_phi,
+    lift_order,
+    one as cyclo_one,
+    zero as cyclo_zero,
+    zeta_power,
+)
 from .errors import InsufficientPrecisionError, NonGenericError
 from .record import Record, set_key
 from .verdict import FAIL, PASS, Verdict
@@ -101,8 +119,8 @@ class Monomial(Record):
 # The finest grid 1/D a series may be built on; the finest in use is 1/49.
 MAX_GRID = 1000
 
-# The most grid steps a window may span: order times D for a series, and
-# from its lowest slot to its order for a dense term row.
+# The most grid steps a window may span, from its lowest slot or q^0,
+# whichever is lower, to its precision: order times D for most series.
 MAX_WINDOW = 100000
 
 
@@ -119,49 +137,53 @@ def check_window(denom: int, steps: int) -> None:
 
 
 class QSeries:
-    """Sparse truncated series; immutable by convention."""
+    """A truncated series on one dense integer row; immutable by convention.
 
-    __slots__ = ("denom", "prec", "terms", "field_order")
+    The coefficient of q^(k/denom) for off <= k < off + len(cols[0]) is
+    sum_j cols[j][k - off] zeta^j / den in Q(zeta_field_order), every
+    other coefficient below prec is zero, and none at or past prec is
+    known.  The lists are never changed once the series is built.
+    """
 
-    def __init__(
-        self,
-        denom: int,
-        prec: int,
-        terms: dict[int, CycloNumber],
-        field_order: int,
-        _checked: bool = False,
-    ):
+    __slots__ = ("denom", "prec", "field_order", "off", "cols", "den")
+
+    def __init__(self, denom: int, prec: int, terms: dict[int, CycloNumber], field_order: int):
+        """The sum of c q^(k/denom) over the pairs (k, c) of terms below
+        prec, every c in Q(zeta_field_order): the checked constructor."""
         check_window(denom, prec)
-        if not _checked:
-            if denom < 1:
-                raise ValueError("grid denominator must be positive")
-            terms = {
-                k: c for k, c in terms.items() if k < prec and not c.is_zero()
-            }
-            for k, c in terms.items():
-                if c.order != field_order:
-                    raise ValueError("coefficient field order mismatch")
-        self.denom = denom
-        self.prec = prec
-        self.terms = terms
-        self.field_order = field_order
+        if denom < 1:
+            raise ValueError("grid denominator must be positive")
+        terms = {k: c for k, c in terms.items() if k < prec and not c.is_zero()}
+        if any(c.order != field_order for c in terms.values()):
+            raise ValueError("coefficient field order mismatch")
+        off = min(terms, default=prec)
+        check_window(denom, prec - min(off, 0))
+        den = lcm(1, *(c.den for c in terms.values()))
+        cols = [[0] * (max(terms, default=off - 1) + 1 - off) for _ in range(euler_phi(field_order))]
+        for k, c in terms.items():
+            for col, v in zip(cols, c.num):
+                col[k - off] = v * (den // c.den)
+        self.denom, self.prec, self.field_order, self.off, self.cols, self.den = (
+            denom, prec, field_order, off, cols, den)
 
     # -- queries --------------------------------------------------------------
 
     def is_zero(self) -> bool:
         """Zero to the guaranteed precision."""
-        return not self.terms
+        return not self.cols[0]
+
+    def term_count(self) -> int:
+        """The number of nonzero coefficients."""
+        return sum(map(any, zip(*self.cols)))
 
     @property
     def val_grid(self) -> int:
         """Valuation in grid units; precision for a zero-to-order series."""
-        return min(self.terms) if self.terms else self.prec
+        return self.off if self.cols[0] else self.prec
 
     def valuation(self) -> Optional[Fraction]:
         """Least exponent with nonzero coefficient, None if zero to precision."""
-        if not self.terms:
-            return None
-        return Fraction(min(self.terms), self.denom)
+        return Fraction(self.off, self.denom) if self.cols[0] else None
 
     def prec_order(self) -> Fraction:
         """Exponent bound below which coefficients are guaranteed."""
@@ -173,12 +195,20 @@ class QSeries:
         k = e * self.denom
         if e >= self.prec_order():
             raise InsufficientPrecisionError(e, self.prec_order())
-        if k.denominator != 1:
+        i = k - self.off
+        if k.denominator != 1 or not 0 <= i < len(self.cols[0]):
             return cyclo_zero(self.field_order)
-        return self.terms.get(int(k), cyclo_zero(self.field_order))
+        return _make(self.field_order, [col[int(i)] for col in self.cols], self.den)
 
     def sorted_terms(self) -> list[tuple[int, CycloNumber]]:
-        return sorted(self.terms.items())
+        """(k, coefficient of q^(k/denom)) for every nonzero coefficient, k ascending."""
+        M, den, off = self.field_order, self.den, self.off
+        return [(off + i, _make(M, list(v), den)) for i, v in enumerate(zip(*self.cols)) if any(v)]
+
+    @property
+    def terms(self) -> dict[int, CycloNumber]:
+        """A fresh map from k to the nonzero coefficient of q^(k/denom)."""
+        return dict(self.sorted_terms())
 
     # -- rebasing -------------------------------------------------------------
 
@@ -189,29 +219,25 @@ class QSeries:
         if new_denom % self.denom != 0:
             raise ValueError(f"{self.denom} does not divide {new_denom}")
         f = new_denom // self.denom
-        return QSeries(
-            new_denom,
-            self.prec * f,
-            {k * f: c for k, c in self.terms.items()},
-            self.field_order,
-            _checked=True,
-        )
+        check_window(new_denom, (self.prec - min(self.off, 0)) * f)
+        cols = []
+        for col in self.cols:
+            new = [0] * ((len(col) - 1) * f + 1) if col else []
+            new[::f] = col
+            cols.append(new)
+        return _new(new_denom, self.prec * f, self.field_order, self.off * f, cols, self.den)
 
     def lift_field(self, new_order: int) -> "QSeries":
+        """Re-express over Q(zeta_new_order), which must contain the field."""
         if new_order == self.field_order:
             return self
-        return QSeries(
-            self.denom,
-            self.prec,
-            {k: lift_order(c, new_order) for k, c in self.terms.items()},
-            new_order,
-            _checked=True,
-        )
+        cols = _apply(_lift_table(self.field_order, new_order), self.cols)
+        return _new(self.denom, self.prec, new_order, self.off, cols, self.den)
 
     # -- display ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if self.is_zero():
             return f"O(q^({self.prec_order()}))"
         bits = []
         for k, c in self.sorted_terms():
@@ -225,7 +251,88 @@ class QSeries:
         return " + ".join(bits) + f" + O(q^({self.prec_order()}))"
 
     def __repr__(self) -> str:
-        return f"<QSeries D={self.denom} M={self.field_order} P={self.prec} terms={len(self.terms)}>"
+        return (f"<QSeries D={self.denom} M={self.field_order} P={self.prec}"
+                f" terms={self.term_count()}>")
+
+
+_alloc = object.__new__
+
+
+def _new(denom: int, prec: int, field: int, off: int, cols: list, den: int) -> QSeries:
+    """The series of these fields, taken as they are."""
+    check_window(denom, prec - min(off, 0))
+    s = _alloc(QSeries)
+    s.denom, s.prec, s.field_order, s.off, s.cols, s.den = denom, prec, field, off, cols, den
+    return s
+
+
+def _row(denom: int, prec: int, field: int, off: int, cols: list, den: int) -> QSeries:
+    """The series of these fields cut at prec, trimmed to its first and
+    last nonzero slot and brought to lowest terms.  An empty row keeps off,
+    the lead of a term of special._term_sum that lies past its precision."""
+    n, first = min(len(cols[0]), prec - off), 0
+    while first < n and not any(c[first] for c in cols):
+        first += 1
+    while n > first and not any(c[n - 1] for c in cols):
+        n -= 1
+    if n <= first:
+        return _new(denom, prec, field, off, [[] for _ in cols], 1)
+    if first or n < len(cols[0]):
+        cols, off = [c[first:n] for c in cols], off + first
+    if den > 1:
+        g = gcd(den, *chain.from_iterable(cols))
+        if g > 1:
+            cols, den = [[x // g for x in c] for c in cols], den // g
+    return _new(denom, prec, field, off, cols, den)
+
+
+def _zero(denom: int, prec: int, field: int) -> QSeries:
+    return _new(denom, prec, field, prec, [[] for _ in range(euler_phi(field))], 1)
+
+
+# ---------------------------------------------------------------------------
+# Rows times scalars, and field lifts
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=1024)
+def _times_table(M: int, num: tuple, den: int) -> tuple:
+    """Multiplication by num/den in Q(zeta_M) as (pairs, den): component k of
+    the product with v is the sum of c v_j over the pairs (j, c) of pairs[k],
+    read off coeff._power_table."""
+    table, phi = _power_table(M), len(num)
+    rows = [[0] * phi for _ in range(phi)]
+    for a, x in enumerate(num):
+        if x:
+            for j in range(phi):
+                for k, t in enumerate(table[a + j]):
+                    rows[k][j] += x * t
+    return tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in rows), den
+
+
+def _times_of(x: Union[CycloNumber, Rat], M: int) -> tuple:
+    """_times_table of x, rational or in a subfield of Q(zeta_M)."""
+    x = lift_order(x, M) if isinstance(x, CycloNumber) else cyclo_embed(x, M)
+    return _times_table(M, x.num, x.den)
+
+
+@lru_cache(maxsize=None)
+def _lift_table(M: int, field: int) -> tuple:
+    """The pairs of the embedding of Q(zeta_M) in Q(zeta_field), as _times_table's."""
+    images = [lift_order(zeta_power(M, j), field).num for j in range(euler_phi(M))]
+    return tuple(tuple((j, v[k]) for j, v in enumerate(images) if v[k]) for k in range(euler_phi(field)))
+
+
+def _apply(pairs: tuple, cols: list) -> list:
+    """The list sum of c cols[j] over the pairs (j, c) of each entry of pairs."""
+    out = []
+    for ps in pairs:
+        acc = None
+        for j, c in ps:
+            v = cols[j]
+            acc = (v if c == 1 else [c * x for x in v]) if acc is None else [a + c * b for a, b in zip(acc, v)]
+        out.append([0] * len(cols[0]) if acc is None else acc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +342,7 @@ class QSeries:
 
 def align(a: QSeries, b: QSeries) -> tuple[QSeries, QSeries]:
     """Bring two series to a common grid denominator and coefficient field."""
-    d = a.denom * b.denom // gcd(a.denom, b.denom)
-    m = a.field_order * b.field_order // gcd(a.field_order, b.field_order)
+    d, m = lcm(a.denom, b.denom), lcm(a.field_order, b.field_order)
     return a.rebase(d).lift_field(m), b.rebase(d).lift_field(m)
 
 
@@ -250,8 +356,15 @@ def grid_prec(order: Rat, denom: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _monomial_row(denom: int, prec: int, c: CycloNumber, k: int) -> QSeries:
+    """c q^(k/denom) below prec."""
+    if k >= prec or c.is_zero():
+        return _zero(denom, prec, c.order)
+    return _new(denom, prec, c.order, k, [[x] for x in c.num], c.den)
+
+
 def zero_series(order: Rat, denom: int = 1, field_order: int = 1) -> QSeries:
-    return QSeries(denom, grid_prec(order, denom), {}, field_order, _checked=True)
+    return _zero(denom, grid_prec(order, denom), field_order)
 
 
 def const_series(
@@ -259,17 +372,12 @@ def const_series(
 ) -> QSeries:
     if not isinstance(value, CycloNumber):
         value = cyclo_embed(_as_frac(value), 1)
-    p = grid_prec(order, denom)
-    terms = {} if (value.is_zero() or p <= 0) else {0: value}
-    return QSeries(denom, p, terms, value.order, _checked=True)
+    return _monomial_row(denom, grid_prec(order, denom), value, 0)
 
 
 def from_monomial(m: Monomial, order: Rat) -> QSeries:
     d = m.expo.denominator
-    k = int(m.expo * d)
-    p = grid_prec(order, d)
-    terms = {k: m.coeff} if k < p else {}
-    return QSeries(d, p, terms, m.field_order, _checked=True)
+    return _monomial_row(d, grid_prec(order, d), m.coeff, int(m.expo * d))
 
 
 def q_power(e: Rat, order: Rat) -> QSeries:
@@ -286,44 +394,35 @@ def series_add(a: QSeries, b: QSeries) -> QSeries:
 
 
 def series_sum(total: QSeries, terms: Iterable[QSeries]) -> QSeries:
-    """total plus every series in terms, accumulated in one dict owned by
-    the loop rather than a copy of the running total per term.
+    """total plus every series in terms, in one pass over each row.
 
-    Each term is rebased to the total's grid and field as align does (the
-    total first, when a term needs a finer grid or a larger field), and the
-    precision is the minimum over all of them.
+    Every row is rebased to the finest grid and lifted to the largest
+    field among them, as align does, and put over the lcm of their
+    denominators; the precision is the minimum over all of them.
     """
-    d, m, p = total.denom, total.field_order, total.prec
-    out = dict(total.terms)
-    for t in terms:
-        if t.denom != d or t.field_order != m:
-            d2, m2 = lcm(d, t.denom), lcm(m, t.field_order)
-            if (d2, m2) != (d, m):
-                acc = QSeries(d, p, out, m, _checked=True).rebase(d2).lift_field(m2)
-                d, m, p, out = d2, m2, acc.prec, acc.terms
-            t = t.rebase(d).lift_field(m)
-        p = min(p, t.prec)
-        for k, c in t.terms.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-    return QSeries(d, p, {k: c for k, c in out.items() if k < p}, m, _checked=True)
+    rows = [total, *terms]
+    d, m = lcm(*(s.denom for s in rows)), lcm(*(s.field_order for s in rows))
+    rows = [s.rebase(d).lift_field(m) for s in rows]
+    p = min(s.prec for s in rows)
+    live = [s for s in rows if s.cols[0] and s.off < p]
+    if not live:
+        return _zero(d, p, m)
+    lo = min(s.off for s in live)
+    hi = min(p, max(s.off + len(s.cols[0]) for s in live))
+    check_window(d, p - min(lo, 0))
+    den = lcm(*(s.den for s in live))
+    acc = [[0] * (hi - lo) for _ in live[0].cols]
+    for s in live:
+        f, i = den // s.den, s.off - lo
+        n = min(len(s.cols[0]), hi - s.off)
+        for dst, col in zip(acc, s.cols):
+            seg = dst[i:i + n]
+            dst[i:i + n] = [x + y for x, y in zip(seg, col)] if f == 1 else [x + f * y for x, y in zip(seg, col)]
+    return _row(d, p, m, lo, acc, den)
 
 
 def series_neg(a: QSeries) -> QSeries:
-    return QSeries(
-        a.denom,
-        a.prec,
-        {k: -c for k, c in a.terms.items()},
-        a.field_order,
-        _checked=True,
-    )
+    return _new(a.denom, a.prec, a.field_order, a.off, [[-x for x in c] for c in a.cols], a.den)
 
 
 def series_sub(a: QSeries, b: QSeries) -> QSeries:
@@ -337,35 +436,58 @@ def series_scale(a: QSeries, c: Union[CycloNumber, Rat]) -> QSeries:
         c = cyclo_embed(_as_frac(c), a.field_order)
     m = a.field_order
     if c.order != m:
-        m = c.order * m // gcd(c.order, m)
+        m = lcm(c.order, m)
         c = lift_order(c, m)
         a = a.lift_field(m)
     if c.is_one():
         return a
     if c.is_zero():
-        return QSeries(a.denom, a.prec, {}, m, _checked=True)
-    return QSeries(
-        a.denom, a.prec, {k: v * c for k, v in a.terms.items()}, m, _checked=True
-    )
+        return _zero(a.denom, a.prec, m)
+    pairs, d = _times_table(m, c.num, c.den)
+    return _row(a.denom, a.prec, m, a.off, _apply(pairs, a.cols), a.den * d)
 
 
 def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    a, b = align(a, b)
+    """a times b: for each nonzero slot of the factor with fewer nonzero
+    coefficients, the other row times that slot's coefficient is added in
+    at its offset, as unreduced products of the phi(M) lists, reduced mod
+    Phi_M once at the end.  Each factor stays on its own grid and steps
+    through the finer one; the product is exact below the lower of the
+    two precisions each raised by the other's valuation."""
+    m = lcm(a.field_order, b.field_order)
+    a, b = a.lift_field(m), b.lift_field(m)
+    d = lcm(a.denom, b.denom)
+    fa, fb = d // a.denom, d // b.denom
+    lo = a.val_grid * fa + b.val_grid * fb
     # unknown tail of one factor meets the leading term of the other
-    p = min(a.prec + b.val_grid, b.prec + a.val_grid)
-    if len(a.terms) > len(b.terms):
-        a, b = b, a
-    bs = sorted(b.terms.items())
-    pairs: dict[int, list] = {}
-    for ka, ca in a.terms.items():
-        top = p - ka
-        for kb, cb in bs:
-            if kb >= top:
-                break
-            pairs.setdefault(ka + kb, []).append((ca, cb))
-    m = a.field_order
-    out = {k: c for k, ps in pairs.items() if (c := dot(m, ps))}
-    return QSeries(a.denom, p, out, m, _checked=True)
+    p = min(a.prec * fa + b.val_grid * fb, b.prec * fb + a.val_grid * fa)
+    if a.is_zero() or b.is_zero() or p <= lo:
+        return _zero(d, p, m)
+    if a.term_count() > b.term_count():
+        a, b, fa, fb = b, a, fb, fa
+    check_window(d, p - min(lo, 0))
+    L, phi, ys = p - lo, len(a.cols), b.cols
+    acc = [[0] * L for _ in range(2 * phi - 1)]
+    for i, xs in enumerate(zip(*a.cols)):
+        start = i * fa
+        if start >= L:
+            break
+        if not any(xs):
+            continue
+        # the other row's slots that land below p, fb grid steps apart
+        stop = start + (min(len(ys[0]), (L - start + fb - 1) // fb) - 1) * fb + 1
+        for ia, x in enumerate(xs):
+            if x:
+                for dst, y in zip(acc[ia:], ys):
+                    dst[start:stop:fb] = [u + x * v for u, v in zip(dst[start:stop:fb], y)]
+    if phi > 1:
+        table = _power_table(m)
+        for k in range(phi, 2 * phi - 1):
+            if any(acc[k]):
+                for t, r in enumerate(table[k]):
+                    if r:
+                        acc[t] = [u + r * v for u, v in zip(acc[t], acc[k])]
+    return _row(d, p, m, lo, acc[:phi], a.den * b.den)
 
 
 def series_pow(a: QSeries, n: int) -> QSeries:
@@ -380,26 +502,26 @@ def series_pow(a: QSeries, n: int) -> QSeries:
 
 
 def series_shift(a: QSeries, m: Monomial) -> QSeries:
-    """m.coeff * q^(m.expo) * a, rebasing the grid as needed."""
-    d = a.denom * m.expo.denominator // gcd(a.denom, m.expo.denominator)
+    """m.coeff * q^(m.expo) * a, rebasing the grid as needed; the power of
+    q only moves the offset."""
+    d = lcm(a.denom, m.expo.denominator)
     a = series_scale(a.rebase(d), m.coeff)
     s = int(m.expo * d)
-    return QSeries(
-        d,
-        a.prec + s,
-        {k + s: c for k, c in a.terms.items()},
-        a.field_order,
-        _checked=True,
-    )
+    return _new(d, a.prec + s, a.field_order, a.off + s, a.cols, a.den)
 
 
 def series_div(a: QSeries, b: QSeries) -> QSeries:
     """a / b by long division from the valuations:
-    c_n = (a_n - sum over j >= 1 of b_j c_{n-j}) / b_0, with the b_j
-    negated, and divided by b_0 unless b_0 is 1, once up front.  c_n reads
-    only c_{n-j} for the tail offsets j of b, so the walk climbs in steps of
-    their gcd g through each residue class that holds an exponent of a and
-    skips the rest (a monomial b has no tail: g spans the whole window).
+    c_n = a_n / b_0 - sum over j >= 1 of (b_j / b_0) c_{n-j}.  c_n reads
+    only c_{n-j} for the tail offsets j of b, so the walk climbs in steps
+    of their gcd g through each residue class that holds an exponent of a
+    and skips the rest (a monomial b has no tail: it is a scaling).
+
+    With 1/b_0 = N/delta, N integral, each b_j / b_0 is an integer vector
+    T_j over delta, and the walk runs on integers C_n = c_n Z for one Z:
+    it starts from a / b_0 times delta^K, K the most tail steps any c_n is
+    from the quotient's lead, after which every C_{n-j} it reads is a
+    multiple of delta, and the row is brought to lowest terms once.
 
     With v the valuation of b, c_n needs a at n + v and b as far past its
     lead as n is past the quotient's valuation val(a) - v, so the quotient
@@ -407,38 +529,51 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
     that is zero to its precision is a non-generic specialization and
     raises.
     """
-    if not b.terms:
+    if b.is_zero():
         raise NonGenericError(
             f"cannot divide by a series that is zero to its precision O(q^({b.prec_order()}))"
         )
     a, b = align(a, b)
-    v, va = b.val_grid, a.val_grid
+    v, va = b.off, a.val_grid
     lo = va - v
     p = min(a.prec - v, b.prec - 2 * v + va)
-    lead = b.terms[v]
-    scale = None if lead.is_one() else lead.inv()
-    tail = sorted(
-        (k - v, -c if scale is None else -(c * scale)) for k, c in b.terms.items() if k != v
-    )
-    out: dict[int, CycloNumber] = {}
-    m = a.field_order
-    g = gcd(*(j for j, _ in tail)) or max(p - lo, 1)
-    for n in (n for r in {(k - v - lo) % g for k in a.terms} for n in range(lo + r, p, g)):
-        s = a.terms.get(n + v)
-        if s is not None and scale is not None:
-            s = s * scale
-        pairs = []
-        for j, c in tail:
-            if j > n - lo:
-                break
-            t = out.get(n - j)
-            if t is not None:
-                pairs.append((c, t))
-        if pairs:
-            s = dot(m, pairs, s)
-        if s:
-            out[n] = s
-    return QSeries(a.denom, p, out, m, _checked=True)
+    M, L = a.field_order, p - lo
+    if a.is_zero() or L <= 0:
+        return _zero(a.denom, p, M)
+    check_window(a.denom, p - min(lo, 0))
+    inv = _make(M, [col[0] for col in b.cols], 1).inv()
+    times_n, _ = _times_table(M, inv.num, 1)
+    # (b / b_0) delta0 and its lowest terms over delta; slot 0 is delta0
+    t_cols = _apply(times_n, b.cols)
+    g = gcd(*chain.from_iterable(t_cols))
+    delta = inv.den // g
+    tail = [(j, [x // g for x in t]) for j, t in enumerate(zip(*t_cols)) if j and any(t)]
+    # a / b_0 = (a N) b.den / (a.den delta0), over Z = W a.den delta0 / g1
+    g1 = gcd(b.den, inv.den)
+    A, den, mult = _apply(times_n, a.cols), a.den * (inv.den // g1), b.den // g1
+    if not tail:
+        return _row(a.denom, p, M, lo, [[x * mult for x in col] for col in A], den)
+    w = delta ** ((L - 1) // tail[0][0]) if delta > 1 else 1
+    step, scale, A, zero = gcd(*(j for j, _ in tail)), w * mult, list(zip(*A)), (0,) * len(A)
+    tail = [(j, [(k, i, x) for k, ps in enumerate(_times_table(M, tuple(t), 1)[0]) for i, x in ps])
+            for j, t in tail]
+    c = [None] * L
+    cd = c if delta == 1 else [None] * L
+    for r in {i % step for i, x in enumerate(A) if any(x)}:
+        for n in range(r, L, step):
+            s = [scale * x for x in (A[n] if n < len(A) else zero)]
+            for j, t in tail:
+                if j > n:
+                    break
+                y = cd[n - j]
+                if y is not None:
+                    for k, i, x in t:
+                        s[k] -= x * y[i]
+            if any(s):
+                c[n] = s
+                if delta > 1:
+                    cd[n] = [x // delta for x in s]
+    return _row(a.denom, p, M, lo, [list(col) for col in zip(*(s or zero for s in c))], den * w)
 
 
 def series_invert(a: QSeries) -> QSeries:
@@ -456,13 +591,7 @@ def series_truncate(a: QSeries, order: Rat) -> QSeries:
     p = min(a.prec, grid_prec(order, a.denom))
     if p == a.prec:
         return a
-    return QSeries(
-        a.denom,
-        p,
-        {k: c for k, c in a.terms.items() if k < p},
-        a.field_order,
-        _checked=True,
-    )
+    return _row(a.denom, p, a.field_order, a.off, a.cols, a.den)
 
 
 def geom_inverse(u: Monomial, order: Rat) -> QSeries:
@@ -487,36 +616,22 @@ def geom_inverse(u: Monomial, order: Rat) -> QSeries:
 
 
 def series_eq_to_order(a: QSeries, b: QSeries, order: Rat) -> Verdict:
-    """Compare all coefficients with exponent strictly below order.
+    """Compare all coefficients with exponent strictly below order: the
+    first nonzero slot of a - b, if it lies below order, is the mismatch.
 
     Raises InsufficientPrecisionError when either side's guaranteed window
     is too shallow for the request; the caller must recompute deeper.
     """
     order = _as_frac(order)
     a, b = align(a, b)
-    need = order * a.denom
     short = min(a.prec, b.prec)
-    if short < need:
+    if short < order * a.denom:
         raise InsufficientPrecisionError(order, Fraction(short, a.denom))
-    diff_keys = set(a.terms) | set(b.terms)
-    bad = None
-    for k in diff_keys:
-        if k >= need:
-            continue
-        if a.terms.get(k) != b.terms.get(k):
-            if bad is None or k < bad:
-                bad = k
-    if bad is None:
+    diff = series_sub(a, b)
+    if diff.is_zero() or diff.off >= order * a.denom:
         return Verdict(PASS, order)
-    za = a.terms.get(bad, cyclo_zero(a.field_order))
-    zb = b.terms.get(bad, cyclo_zero(b.field_order))
-    return Verdict(
-        FAIL,
-        order,
-        first_bad_exponent=Fraction(bad, a.denom),
-        lhs_coeff=za,
-        rhs_coeff=zb,
-    )
+    e = Fraction(diff.off, a.denom)
+    return Verdict(FAIL, order, first_bad_exponent=e, lhs_coeff=a.coeff_at(e), rhs_coeff=b.coeff_at(e))
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +661,13 @@ def bilateral_sum(
 
     A term's valuation E(n) + max(0, -F(n)) is convex, so the scan walks
     out from its integer minimizer until it reaches the order on each side,
-    with c^n a running power.  Term n is a geometric run of (c^n, weight)
-    pairs into one map: u^j at E + jF when F > 0, -u^(-1-j) at E - (j+1)F
-    when F < 0, 1/(1 - u) at E when F = 0.  Each coefficient is one
-    coeff.dot.  The field is field_order, lifted to those of c and u once
-    a term falls below the order.  A term with a zero denominator raises,
-    wherever it lies.
+    with c^n a running power.  Term n is a geometric run of c^n times the
+    weights u^j at E + jF when F > 0, -u^(-1-j) at E - (j+1)F when F < 0,
+    1/(1 - u) at E when F = 0: one row of weights, scaled by c^n and added
+    into the sum's row every |F| grid steps, all over one denominator.  The
+    field is field_order, lifted to those of c and u once a term falls
+    below the order.  A term with a zero denominator raises, wherever it
+    lies.
     """
     if u is not None and bilateral_pole(u, f) is not None:
         raise NonGenericError("pole 1/(1 - u) with u exactly 1")
@@ -583,31 +699,43 @@ def bilateral_sum(
 
     M = lcm(field_order, c.order, 1 if u is None else u.order)
     c = lift_order(c, M)
-    # each weight table with the ratio that extends it; F = 0 weighs 1 without u
-    flat = ([cyclo_one(M)], None)
-    if u is not None:
-        u = lift_order(u, M)
-        uinv = u.inv()
-        up, down = ([cyclo_one(M)], u), ([-uinv], uinv)
-        if u != 1:
-            flat = ([(1 - u).inv()], None)
-    pairs: dict[int, list] = {}
+    # (c^n, first slot, step, length) of each run below P
+    runs = []
     cinv, start = c.inv(), c**n0
     for n, step, r, cn in ((n0, 1, c, start), (n0 - 1, -1, cinv, start * cinv)):
         while (a := E(n)) + max(0, -(b := F(n))) < P:
-            if b > 0:
-                keys, (ws, g) = range(a, P, b), up
-            elif b < 0:
-                keys, (ws, g) = range(a - b, P, -b), down
-            else:
-                keys, (ws, g) = (a,), flat
-            while len(ws) < len(keys):
-                ws.append(ws[-1] * g)
-            for k, w in zip(keys, ws):
-                pairs.setdefault(k, []).append((cn, w))
+            first = a if b >= 0 else a - b
+            runs.append((cn, first, abs(b), len(range(first, P, abs(b))) if b else 1, (b > 0) - (b < 0)))
             n, cn = n + step, cn * r
-    out = {k: s for k, ps in pairs.items() if (s := dot(M, ps))}
-    return QSeries(denom, P, out, M if pairs else field_order, _checked=True)
+    if not runs:
+        return _zero(denom, P, field_order)
+    # each weight table as a row, with the ratio that extends it; F = 0
+    # weighs 1 without u
+    tables = {0: ([cyclo_one(M)], None)}
+    if u is not None:
+        u = lift_order(u, M)
+        uinv = u.inv()
+        tables = {1: ([cyclo_one(M)], u), -1: ([-uinv], uinv), 0: ([(1 - u).inv()] if u != 1 else [], None)}
+    rows = {}
+    for sign in {run[4] for run in runs}:
+        ws, g = tables[sign]
+        while len(ws) < max(run[3] for run in runs if run[4] == sign):
+            ws.append(ws[-1] * g)
+        wden = lcm(*(w.den for w in ws))
+        rows[sign] = ([[x * (wden // w.den) for x, w in zip(comp, ws)] for comp in zip(*(w.num for w in ws))], wden)
+    lo = min(run[1] for run in runs)
+    check_window(denom, P - min(lo, 0))
+    den = lcm(*(cn.den * rows[sign][1] for cn, _, _, _, sign in runs))
+    acc = [[0] * (P - lo) for _ in range(euler_phi(M))]
+    for cn, first, step, count, sign in runs:
+        cols, wden = rows[sign]
+        f = den // (cn.den * wden)
+        vals = _apply(_times_table(M, cn.num, 1)[0], [col[:count] for col in cols])
+        i, step = first - lo, step or 1
+        stop = i + (count - 1) * step + 1
+        for dst, v in zip(acc, vals):
+            dst[i:stop:step] = [x + f * y for x, y in zip(dst[i:stop:step], v)]
+    return _row(denom, P, M, lo, acc, den)
 
 
 __all__ = [

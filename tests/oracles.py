@@ -9,7 +9,10 @@ all CycloNumbers of one computation in one field.
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 
 import sympy
 
@@ -122,3 +125,68 @@ def assert_series_matches(s: QSeries, expected: dict, order: Fraction):
         a, b = got[e], want[e]
         m = a.order * b.order // __import__("math").gcd(a.order, b.order)
         assert lift_order(a, m) == lift_order(b, m), (e, str(a), str(b))
+
+
+# ---------------------------------------------------------------------------
+# Work counts, read off the operands from outside the program
+# ---------------------------------------------------------------------------
+
+
+def _grid_keys(s: QSeries, d: int) -> list[int]:
+    """The exponents of the nonzero terms of s, ascending, on the grid 1/d."""
+    return [k * (d // s.denom) for k, _ in s.sorted_terms()]
+
+
+def mul_pairs(a: QSeries, b: QSeries) -> int:
+    """Term pairs of a product: one term of each factor, their exponents
+    summing below the product's precision (as perfbench/tracing.py counts)."""
+    d = a.denom * b.denom // gcd(a.denom, b.denom)
+    ka, kb = _grid_keys(a, d), _grid_keys(b, d)
+    va = ka[0] if ka else a.prec * (d // a.denom)
+    vb = kb[0] if kb else b.prec * (d // b.denom)
+    p = min(a.prec * (d // a.denom) + vb, b.prec * (d // b.denom) + va)
+    return sum(bisect_left(kb, p - k) for k in ka)
+
+
+def div_pairs(b: QSeries, c: QSeries) -> int:
+    """Term pairs of a quotient c = a / b: a term of b past its lead and a
+    term of c, their exponents summing below c's precision."""
+    kb, kc = _grid_keys(b, c.denom), _grid_keys(c, c.denom)
+    tail = [k - kb[0] for k in kb[1:]]
+    return sum(bisect_left(tail, c.prec - k) for k in kc)
+
+
+def count_pairs(monkeypatch) -> list[int]:
+    """Wrap series_mul and series_div wherever a qident module binds them;
+    the one entry of the list returned counts the term pairs they read."""
+    from qident import series
+
+    mul, div, count = series.series_mul, series.series_div, [0]
+
+    def counted_mul(a, b):
+        count[0] += mul_pairs(a, b)
+        return mul(a, b)
+
+    def counted_div(a, b):
+        c = div(a, b)
+        count[0] += div_pairs(b, c)
+        return c
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "qident":
+            for attr, fn, wrapped in (("series_mul", mul, counted_mul), ("series_div", div, counted_div)):
+                if getattr(mod, attr, None) is fn:
+                    monkeypatch.setattr(mod, attr, wrapped)
+    return count
+
+
+def count_products(monkeypatch) -> list[int]:
+    """Count CycloNumber products from here on, in the one entry of the list returned."""
+    mul, count = CycloNumber.__mul__, [0]
+
+    def counted(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloNumber, "__mul__", counted)
+    return count

@@ -215,6 +215,24 @@ class TestExpand:
         # the corpus and the golden calls raise nothing to a power past 30
         assert dsl.MAX_POWER >= 30
 
+    def test_lowered_split_cap_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(dsl, "MAX_SPLIT", 2)
+        assert main(["expand", "msplit(2*q, q, -1, -q, 3)", "--order", "10"]) == 2
+        assert "exceeds MAX_SPLIT = 2" in capsys.readouterr().err
+        assert main(["expand", "msplit(2*q, q, -1, -q, 2)", "--order", "10"]) == 0
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_deep_split_is_refused_at_once(self, capsys, n):
+        # n = 300 ran past a minute and n = 1000 ended in a RecursionError
+        t0 = time.perf_counter()
+        assert main(["expand", f"msplit(2*q, q, -1, -q, {n})", "--order", "10"]) == 2
+        assert time.perf_counter() - t0 < 1
+        assert f"exceeds MAX_SPLIT = {dsl.MAX_SPLIT}" in capsys.readouterr().err
+
+    def test_split_cap_covers_every_split_in_use(self):
+        # the corpus splits at most 3 ways and the golden calls 4
+        assert dsl.MAX_SPLIT >= 4
+
     def test_duplicate_binding_rejected(self, capsys):
         code = main(["expand", "x", "--order", "4", "--bind", "x=q", "--bind", "x=q^2"])
         assert code == 2

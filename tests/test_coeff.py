@@ -8,13 +8,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import coeff, series, special
+from qident import special
 from qident.coeff import (
     CycloNumber,
     csc_pi,
     cyclo_embed,
     cyclotomic_poly,
-    dot,
     euler_phi,
     lift_order,
     one,
@@ -25,7 +24,7 @@ from qident.coeff import (
 from qident.dsl import eval_expr, parse
 from qident.errors import OrderMismatchError
 
-from oracles import fraction_dot
+from oracles import count_products, fraction_dot
 
 
 def sympy_zeta_power(M, k):
@@ -241,41 +240,24 @@ class TestCanonicalForm:
 
 
 @st.composite
-def dot_inputs(draw):
-    """M, Fraction vectors of 0-6 pairs and an optional extra; some factors
-    rational, denominators mixed."""
+def product_inputs(draw):
+    """M and two Fraction vectors, each now and then rational, denominators mixed."""
     M = draw(st.sampled_from([1, 3, 4, 5, 12]))
     phi = euler_phi(M)
     vec = st.one_of(
         st.lists(rationals, min_size=phi, max_size=phi),
         rationals.map(lambda r: [r] + [Fraction(0)] * (phi - 1)),
     )
-    pairs = draw(st.lists(st.tuples(vec, vec), max_size=6))
-    extra = draw(st.one_of(st.none(), vec))
-    return M, pairs, extra
+    return M, draw(vec), draw(vec)
 
 
-class TestDot:
-    @given(dot_inputs())
+class TestProduct:
+    @given(product_inputs())
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_oracle(self, inp):
-        M, pairs, extra = inp
-        got = dot(
-            M,
-            [(CycloNumber(M, x), CycloNumber(M, y)) for x, y in pairs],
-            None if extra is None else CycloNumber(M, extra),
-        )
-        assert got.coeffs == fraction_dot(M, pairs, extra)
-        assert lowest_terms(got)
-
-    @pytest.mark.parametrize("M", [1, 5])
-    def test_denominator_changes_mid_sum(self, M):
-        # common denominator 1, 2, 18, then a pair over 1 again
-        half, third = cyclo_embed(Fraction(1, 2), M), cyclo_embed(Fraction(1, 3), M)
-        z = zeta_power(M, 1) + 1
-        pairs = [(z, z), (half, z), (third, third), (z, z * z)]
-        got = dot(M, pairs, half)
-        assert got.coeffs == fraction_dot(M, [(x.coeffs, y.coeffs) for x, y in pairs], half.coeffs)
+        M, x, y = inp
+        got = CycloNumber(M, x) * CycloNumber(M, y)
+        assert got.coeffs == fraction_dot(M, [(x, y)])
         assert lowest_terms(got)
 
 
@@ -317,18 +299,11 @@ class TestRationalInverse:
 
     def test_needs_no_multiplication(self, monkeypatch):
         # the five factors 1 - q^(k-5) of poch(2*q, q, 5) each invert r = 1;
-        # through the norm, that took two dot calls apiece, eleven in all
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return dot(*args)
-
-        monkeypatch.setattr(coeff, "dot", counted)
-        monkeypatch.setattr(series, "dot", counted)
+        # through the norm, that took two CycloNumber products apiece
         monkeypatch.setattr(special, "_theta_cache", {})
+        products = count_products(monkeypatch)
         eval_expr(parse("poch(2*q, q, 5)"), 20)
-        assert len(calls) <= 1
+        assert products[0] <= 1
 
 
 class TestGalois:

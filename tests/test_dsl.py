@@ -27,7 +27,7 @@ from qident.dsl import (
 from qident import series
 from qident.errors import EvalError, NonGenericError, ParseError
 from qident.series import Monomial, series_div, series_eq_to_order, series_mul
-from oracles import assert_series_matches
+from oracles import assert_series_matches, count_pairs
 
 
 def check_eq(lhs, rhs, order):
@@ -288,37 +288,23 @@ SPARSE_QUOTIENTS = [
 ]
 
 
-def _dot_pairs(monkeypatch, run):
-    """The coeff.dot pairs that run() makes through series, and its value."""
-    pairs = 0
-    dot = series.dot
-
-    def counted(m, ps, extra=None):
-        nonlocal pairs
-        pairs += len(ps)
-        return dot(m, ps, extra)
-
-    monkeypatch.setattr(series, "dot", counted)
-    value = run()
-    monkeypatch.setattr(series, "dot", dot)
-    return pairs, value
-
-
 @pytest.mark.parametrize("text, dividend, factors", SPARSE_QUOTIENTS)
 def test_theta_quotient_divides_by_each_factor(monkeypatch, text, dividend, factors):
-    # counted in coeff.dot pairs with a warm memo, the same on every
-    # machine: a division by each lacunary theta in turn takes at most half
-    # of what forming their dense product and dividing by it takes
+    # counted in term pairs of series_mul and series_div with a warm memo,
+    # read off the operands, the same on every machine: a division by each
+    # lacunary theta in turn takes at most half of what forming their
+    # dense product and dividing by it takes
     order = 100
 
     def ev(t):
         return eval_expr(parse(t), order)
 
     ev(text)
-    by_factor, got = _dot_pairs(monkeypatch, lambda: ev(text))
-    by_product, want = _dot_pairs(
-        monkeypatch, lambda: series_div(ev(dividend), reduce(series_mul, map(ev, factors)))
-    )
+    pairs = count_pairs(monkeypatch)
+    got = ev(text)
+    by_factor = pairs[0]
+    want = series.series_div(ev(dividend), reduce(series.series_mul, map(ev, factors)))
+    by_product = pairs[0] - by_factor
     check_eq(got, want, order)
     assert 2 * by_factor <= by_product, (by_factor, by_product)
 

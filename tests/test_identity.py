@@ -2,11 +2,13 @@
 
 import concurrent.futures
 import os
+import pickle
 from fractions import Fraction as F
 
 import pytest
 
-from qident import dsl, identity
+from qident import Verdict, dsl, identity
+from qident.coeff import zeta_power
 from qident.dsl import eval_expr, parse
 from qident.errors import CapExceededError, EvalError, NonGenericError
 from qident.identity import (
@@ -198,6 +200,15 @@ class TestSuite:
         strip = lambda rs: [(r.case_id, r.binding, r.status, r.expect) for r in rs]
         assert strip(serial.records) == strip(parallel.records)
 
+    def test_cases_and_verdicts_pickle(self):
+        # what --jobs workers are sent and may send back: every built-in
+        # case, bound monomials and all, and a fail verdict's coefficients
+        for case in builtin_cases():
+            assert pickle.loads(pickle.dumps(case)) == case
+        v = Verdict("fail", F(3), F(1), zeta_power(5, 1), zeta_power(5, 2) - F(1, 2))
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v and back.detail() == v.detail()
+
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         # a stand-in pool: no worker process starts, whatever --jobs says
         workers = []
@@ -212,8 +223,8 @@ class TestSuite:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, args):
-                return map(fn, args)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -250,9 +250,9 @@ small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
 @st.composite
-def qseries(draw, min_prec=4, max_prec=18):
+def qseries(draw, min_prec=4, max_prec=18, fields=(1, 3, 4)):
     denom = draw(st.sampled_from([1, 2, 3, 4]))
-    field = draw(st.sampled_from([1, 3, 4]))
+    field = draw(st.sampled_from(fields))
     prec = draw(st.integers(min_value=min_prec, max_value=max_prec))
     n_terms = draw(st.integers(min_value=0, max_value=6))
     phi = euler_phi(field)
@@ -352,13 +352,14 @@ def _val_or_prec(s):
 
 
 @st.composite
-def divisors(draw):
+def divisors(draw, fields=(1, 3, 4), windows=(1, 14)):
     """A divisor with a cyclotomic lead of valuation -3 .. 3 on a grid 1 .. 4,
-    now and then zero to its precision."""
+    its window as many slots as windows allows, now and then zero to its
+    precision; in Q(zeta_5) the lead may be 1 - zeta_5^k, of norm 5."""
     denom = draw(st.sampled_from([1, 2, 3, 4]))
-    field = draw(st.sampled_from([1, 3, 4]))
+    field = draw(st.sampled_from(fields))
     v = draw(st.integers(min_value=-3, max_value=3))
-    prec = v + draw(st.integers(min_value=1, max_value=14))
+    prec = v + draw(st.integers(min_value=windows[0], max_value=windows[1]))
     if draw(st.integers(min_value=0, max_value=9)) == 0:
         return QSeries(denom, prec, {}, field)
     phi = euler_phi(field)
@@ -373,6 +374,11 @@ def divisors(draw):
             st.lists(small_rationals, min_size=phi, max_size=phi)
             .map(lambda vec: CycloNumber(field, vec))
             .filter(lambda c: not c.is_zero()),
+            st.builds(
+                lambda c, k: cyclo_embed(F(c), field) - zeta_power(field, k),
+                st.integers(min_value=1, max_value=3),
+                st.integers(min_value=1, max_value=4),
+            ).filter(lambda c: not c.is_zero()),
         )
     )
     terms = {v: lead}
@@ -386,6 +392,19 @@ def divisors(draw):
 @given(qseries(), divisors())
 @settings(max_examples=200, deadline=None)
 def test_div_matches_naive_product(a, b):
+    _check_quotient(a, b)
+
+
+@given(qseries(min_prec=60, max_prec=80, fields=(1, 5)), divisors(fields=(1, 5), windows=(60, 80)))
+@settings(max_examples=40, deadline=None)
+def test_div_over_long_windows_matches_naive_product(a, b):
+    # walks of 60 slots and more, non-unit leads whose quotients' denominators
+    # grow like a power of the lead's norm at each step
+    _check_quotient(a, b)
+
+
+def _check_quotient(a, b):
+    """series_div(a, b) has the stated precision and gives back a times b."""
     if b.is_zero():
         with pytest.raises(NonGenericError):
             series_div(a, b)
@@ -399,18 +418,6 @@ def test_div_matches_naive_product(a, b):
     m = got.field_order
     back = dict_truncate(dict_mul(series_dict(got), _naive(b, m)), window)
     assert back == dict_truncate(_naive(a, m), window)
-
-
-def _as_row(a):
-    """a as a term row of special._term_sum: phi(M) lists of ints from its
-    valuation to its precision, over the lcm of its denominators."""
-    off = a.val_grid
-    den = lcm(1, *(c.den for c in a.terms.values()))
-    cols = [[0] * (a.prec - off) for _ in range(euler_phi(a.field_order))]
-    for k, c in a.terms.items():
-        for j, v in enumerate(c.num):
-            cols[j][k - off] = v * (den // c.den)
-    return special._Row(a.denom, a.field_order, off, a.prec, cols, den)
 
 
 def _one_minus(u, order):
@@ -444,7 +451,7 @@ def test_div_one_minus_is_exact_division(a, c_rat, f, field, k):
     assert back == dict_truncate(_naive(a, m), a.prec_order())
     # and the row quotient of an Eulerian term by its one binomial 1 - u
     ratio = (1, (0, 1), [(u.coeff, (u.expo.numerator, u.expo.denominator), -1)])
-    row = special._series(special._times(_as_row(a), ratio, got.prec_order() + 1))
+    row = special._times(a, ratio, got.prec_order() + 1)
     assert (row.denom, row.field_order, row.prec, row.terms) == (got.denom, got.field_order, got.prec, got.terms)
 
 

@@ -150,7 +150,6 @@ class QSeries:
     def __init__(self, denom: int, prec: int, terms: dict[int, CycloNumber], field_order: int):
         """The sum of c q^(k/denom) over the pairs (k, c) of terms below
         prec, every c in Q(zeta_field_order): the checked constructor."""
-        check_window(denom, prec)
         if denom < 1:
             raise ValueError("grid denominator must be positive")
         terms = {k: c for k, c in terms.items() if k < prec and not c.is_zero()}
@@ -709,20 +708,17 @@ def bilateral_sum(
             n, cn = n + step, cn * r
     if not runs:
         return _zero(denom, P, field_order)
-    # each weight table as a row, with the ratio that extends it; F = 0
-    # weighs 1 without u
-    tables = {0: ([cyclo_one(M)], None)}
-    if u is not None:
-        u = lift_order(u, M)
-        uinv = u.inv()
-        tables = {1: ([cyclo_one(M)], u), -1: ([-uinv], uinv), 0: ([(1 - u).inv()] if u != 1 else [], None)}
+    # the weights of each sign of F as one row: 1/(1 - u) for F = 0 (1
+    # without u), and u^j or -u^(-1-j) at slot j, read off 1/(1 - u^(+-1) q)
     rows = {}
     for sign in {run[4] for run in runs}:
-        ws, g = tables[sign]
-        while len(ws) < max(run[3] for run in runs if run[4] == sign):
-            ws.append(ws[-1] * g)
-        wden = lcm(*(w.den for w in ws))
-        rows[sign] = ([[x * (wden // w.den) for x, w in zip(comp, ws)] for comp in zip(*(w.num for w in ws))], wden)
+        if sign == 0:
+            w = const_series(cyclo_one(M) if u is None else (1 - lift_order(u, M)).inv(), 1)
+        else:
+            x = lift_order(u if sign > 0 else u.inv(), M)
+            w = geom_inverse(Monomial(x, 1), max(run[3] for run in runs if run[4] == sign))
+            w = w if sign > 0 else series_scale(w, -x)
+        rows[sign] = (w.cols, w.den)
     lo = min(run[1] for run in runs)
     check_window(denom, P - min(lo, 0))
     den = lcm(*(cn.den * rows[sign][1] for cn, _, _, _, sign in runs))

@@ -40,7 +40,6 @@ from .series import (
     _times_of,
     bilateral_pole,
     bilateral_sum,
-    check_window,
     const_series,
     grid_prec,
     series_add,
@@ -211,7 +210,6 @@ def _term_sum(
 
     cap = 10 * (int(work) + 10)
     p = grid_prec(work, 1)
-    check_window(1, p)
     one = _new(1, p, 1, 0, [[1] if p > 0 else []], 1)
     first = _ratio(c**start, (E(start), eq), factors, lambda a, b: range(a * start + b))
     t = _times(one, first, work)

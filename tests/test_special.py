@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qident import eval_expr, parse, series, special
-from qident.coeff import CycloNumber, cyclo_embed, lift_order, zeta_power
+from qident.coeff import cyclo_embed, lift_order, zeta_power
 from qident.errors import CapExceededError, EvalError, NonGenericError
 from qident.eulerian import FORMS, need_theta_nonzero
 from qident.series import (
@@ -564,26 +564,19 @@ class TestAppellLerch:
         check_eq(acc, rhs, ORDER)
 
     def test_theta_quotient_product_budget(self, monkeypatch):
-        # m is a Lambert sum divided by j(z;q) in one long division, about
-        # 1,900 products; inverting j(z;q) and then multiplying takes 9,313
-        calls = 0
-        mul = CycloNumber.__mul__
-
-        def counted(self, other):
-            nonlocal calls
-            calls += 1
-            return mul(self, other)
-
+        # m is a Lambert sum divided by j(z;q) in one long division, 1,097
+        # CycloNumber products and term pairs in all; inverting j(z;q) and
+        # then multiplying takes 8,355
         monkeypatch.setattr(special, "_theta_cache", {})
-        monkeypatch.setattr(CycloNumber, "__mul__", counted)
+        products, pairs = count_products(monkeypatch), count_pairs(monkeypatch)
         appell_m(mono(2, 1), 1, mono(-1, F(1, 2)), 60)
-        assert calls < 4000, calls
+        assert products[0] + pairs[0] < 4000, (products[0], pairs[0])
 
     def test_lambert_scan_dot_budget(self, monkeypatch):
-        # the scan's running powers and weight tables take 282 CycloNumber
-        # products and the division by j(z;q) 815 term pairs; dividing each
-        # term by its own 1 - u q^F(n), as _bilateral_reference in
-        # test_series does, takes 542 for the Lambert sum where the scan takes 282
+        # the scan takes 46 CycloNumber products for its running powers and
+        # 236 term pairs for its weight rows, the division by j(z;q) 815;
+        # dividing each term by its own 1 - u q^F(n), as _bilateral_reference
+        # in test_series does, takes 542 for the Lambert sum where the scan takes 282
         calls = count_work(monkeypatch, "m(2*q, q, -q^(1/2))", 60)
         assert calls < 1200, calls
 
@@ -591,19 +584,11 @@ class TestAppellLerch:
     def test_partition_inverse_product_budget(self, monkeypatch):
         # dividing by Jm(1) at 200 sums every c_n on integer rows; only the
         # powers of the theta terms' coefficients are CycloNumber products
-        calls = 0
-        mul = CycloNumber.__mul__
-
-        def counted(self, other):
-            nonlocal calls
-            calls += 1
-            return mul(self, other)
-
         monkeypatch.setattr(special, "_theta_cache", {})
-        monkeypatch.setattr(CycloNumber, "__mul__", counted)
+        products = count_products(monkeypatch)
         s = eval_expr(parse("1/Jm(1)"), 200)
         assert s.coeff_at(199) == 3646072432125  # p(199)
-        assert calls < 300, calls
+        assert products[0] < 300, products[0]
 
 
 def msplit(x, z, zp, n, order):

@@ -458,6 +458,8 @@ def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction)
         return series_mul(va, vb)
     if isinstance(e, Div):
         vals = [(_ev(f, order, binding, asked), k) for f, k in _factors(e.b)]
+        for v, k in vals:
+            _check_power(v, k)
         monos = [v**k for v, k in vals if isinstance(v, Monomial)]
         out = _ev(e.a, _pad(order, asked, sum(m.expo for m in monos)), binding, asked)
         if monos:
@@ -471,8 +473,7 @@ def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction)
         v = _ev(e.base, order, binding, asked)
         if e.expo.denominator == 1:
             k = int(e.expo)
-            if abs(k) > MAX_POWER and not (isinstance(v, Monomial) and v.is_q_power()):
-                raise EvalError(f"power {k} exceeds MAX_POWER = {MAX_POWER} for a base other than q^e")
+            _check_power(v, k)
             if isinstance(v, Monomial):
                 return v**k if k >= 0 else v.inv() ** (-k)
             return series_pow(v, k)
@@ -482,6 +483,13 @@ def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction)
     if isinstance(e, Call):
         return _call(e, order, binding, asked)
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def _check_power(v: Value, k: int) -> None:
+    """Refuse v^k for |k| past MAX_POWER unless v is a pure power of q; a
+    divisor's factor counts with the product of the powers around it."""
+    if abs(k) > MAX_POWER and not (isinstance(v, Monomial) and v.is_q_power()):
+        raise EvalError(f"power {k} exceeds MAX_POWER = {MAX_POWER} for a base other than q^e")
 
 
 def _call(e: Call, order: Fraction, binding: Dict[str, Monomial], asked: Fraction) -> Value:

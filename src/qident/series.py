@@ -514,13 +514,12 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
     c_n = a_n / b_0 - sum over j >= 1 of (b_j / b_0) c_{n-j}.  c_n reads
     only c_{n-j} for the tail offsets j of b, so the walk climbs in steps
     of their gcd g through each residue class that holds an exponent of a
-    and skips the rest (a monomial b has no tail: it is a scaling).
+    and skips the rest (a monomial b has no tail: g spans the window).
 
-    With 1/b_0 = N/delta, N integral, each b_j / b_0 is an integer vector
-    T_j over delta, and the walk runs on integers C_n = c_n Z for one Z:
-    it starts from a / b_0 times delta^K, K the most tail steps any c_n is
-    from the quotient's lead, after which every C_{n-j} it reads is a
-    multiple of delta, and the row is brought to lowest terms once.
+    With 1/b_0 = N/delta, N integral, each ratio b_j / b_0 is an integer
+    vector over its own denominator, and each c_n one over the lcm of the
+    denominators of the terms it sums, brought to lowest terms; the row is
+    put over the lcm of them all once, at the end.
 
     With v the valuation of b, c_n needs a at n + v and b as far past its
     lead as n is past the quotient's valuation val(a) - v, so the quotient
@@ -542,37 +541,39 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
     check_window(a.denom, p - min(lo, 0))
     inv = _make(M, [col[0] for col in b.cols], 1).inv()
     times_n, _ = _times_table(M, inv.num, 1)
-    # (b / b_0) delta0 and its lowest terms over delta; slot 0 is delta0
-    t_cols = _apply(times_n, b.cols)
-    g = gcd(*chain.from_iterable(t_cols))
-    delta = inv.den // g
-    tail = [(j, [x // g for x in t]) for j, t in enumerate(zip(*t_cols)) if j and any(t)]
-    # a / b_0 = (a N) b.den / (a.den delta0), over Z = W a.den delta0 / g1
-    g1 = gcd(b.den, inv.den)
-    A, den, mult = _apply(times_n, a.cols), a.den * (inv.den // g1), b.den // g1
-    if not tail:
-        return _row(a.denom, p, M, lo, [[x * mult for x in col] for col in A], den)
-    w = delta ** ((L - 1) // tail[0][0]) if delta > 1 else 1
-    step, scale, A, zero = gcd(*(j for j, _ in tail)), w * mult, list(zip(*A)), (0,) * len(A)
-    tail = [(j, [(k, i, x) for k, ps in enumerate(_times_table(M, tuple(t), 1)[0]) for i, x in ps])
-            for j, t in tail]
-    c = [None] * L
-    cd = c if delta == 1 else [None] * L
+    # each b_j / b_0 = (b_j N) / delta in lowest terms, as (j, products, denominator)
+    tail = []
+    for j, t in enumerate(zip(*_apply(times_n, b.cols))):
+        if j and any(t):
+            g = gcd(inv.den, *t)
+            pairs = _times_table(M, tuple(x // g for x in t), 1)[0]
+            tail.append((j, [(k, i, x) for k, ps in enumerate(pairs) for i, x in ps], inv.den // g))
+    # a / b_0 = (a N) b.den / (a.den delta)
+    g = gcd(b.den, inv.den)
+    A, da, mult = _apply(times_n, a.cols), a.den * (inv.den // g), b.den // g
+    step, A, zero = gcd(*(j for j, _, _ in tail)) or L, list(zip(*A)), (0,) * len(A)
+    c, dc = [None] * L, [1] * L
     for r in {i % step for i, x in enumerate(A) if any(x)}:
         for n in range(r, L, step):
-            s = [scale * x for x in (A[n] if n < len(A) else zero)]
-            for j, t in tail:
+            s, d = [mult * x for x in (A[n] if n < len(A) else zero)], da
+            for j, t, dj in tail:
                 if j > n:
                     break
-                y = cd[n - j]
+                y = c[n - j]
                 if y is not None:
+                    e = dc[n - j] * dj
+                    if d % e:
+                        f = e // gcd(d, e)
+                        s, d = [f * x for x in s], d * f
+                    f = d // e
                     for k, i, x in t:
-                        s[k] -= x * y[i]
+                        s[k] -= f * x * y[i]
             if any(s):
-                c[n] = s
-                if delta > 1:
-                    cd[n] = [x // delta for x in s]
-    return _row(a.denom, p, M, lo, [list(col) for col in zip(*(s or zero for s in c))], den * w)
+                g = gcd(d, *s) if d > 1 else 1
+                c[n], dc[n] = ([x // g for x in s], d // g) if g > 1 else (s, d)
+    den = lcm(*dc)
+    cols = [[y[k] * (den // e) if y else 0 for y, e in zip(c, dc)] for k in range(len(zero))]
+    return _row(a.denom, p, M, lo, cols, den)
 
 
 def series_invert(a: QSeries) -> QSeries:

@@ -190,12 +190,20 @@ class TestExpand:
     def test_order_cap_covers_every_order_in_use(self):
         assert dsl.MAX_ORDER >= 200
 
-    @pytest.mark.parametrize("expr", ["(3/2)^6*q", "cscpi(1,3)^6", "(2*q)^-6", "j(2^6*q)", "(1 - q)^6"])
+    @pytest.mark.parametrize("expr", ["(3/2)^6*q", "cscpi(1,3)^6", "(2*q)^-6", "j(2^6*q)", "(1 - q)^6",
+                                      "1/(1 - q)^6", "q/(2*q)^6"])
     def test_lowered_power_cap_is_usage_error(self, monkeypatch, capsys, expr):
         monkeypatch.setattr(dsl, "MAX_POWER", 5)
         assert main(["expand", expr, "--order", "10"]) == 2
         assert "exceeds MAX_POWER = 5" in capsys.readouterr().err
         assert main(["expand", expr.replace("6", "5"), "--order", "10"]) == 0
+
+    def test_divisor_power_counts_its_nested_powers(self, monkeypatch, capsys):
+        # a divisor is divided by each factor as often as the powers around it say
+        monkeypatch.setattr(dsl, "MAX_POWER", 5)
+        assert main(["expand", "1/((1 - q)^2)^3", "--order", "10"]) == 2
+        assert "exceeds MAX_POWER = 5" in capsys.readouterr().err
+        assert main(["expand", "1/((1 - q)^2)^2", "--order", "10"]) == 0
 
     @pytest.mark.parametrize("expr", ["q^7", "q^(-7)*j(q)", "(q^2)^-7*j(q)"])
     def test_power_cap_spares_pure_powers_of_q(self, monkeypatch, expr):
@@ -203,7 +211,8 @@ class TestExpand:
         assert main(["expand", expr, "--order", "10"]) == 0
 
     @pytest.mark.parametrize(
-        "expr", ["cscpi(1,3)^10000000", "(3/2)^300000*q", "(2*q)^100000000", "j(2^100000*q)"]
+        "expr", ["cscpi(1,3)^10000000", "(3/2)^300000*q", "(2*q)^100000000", "j(2^100000*q)",
+                 "1/(1 - q)^100000000"]
     )
     def test_huge_scalar_power_is_refused_at_once(self, capsys, expr):
         t0 = time.perf_counter()

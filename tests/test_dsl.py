@@ -26,7 +26,7 @@ from qident.dsl import (
 )
 from qident import series
 from qident.errors import EvalError, NonGenericError, ParseError
-from qident.series import Monomial, series_div, series_eq_to_order, series_mul
+from qident.series import Monomial, series_eq_to_order, series_mul
 from oracles import assert_series_matches, count_pairs
 
 

@@ -23,14 +23,14 @@ from qident.coeff import zeta_power
 
 from test_audit import ENTRIES, _call
 
-WATCHDOG = 3  # seconds for one run
+WATCHDOG = 10  # seconds for one run
 
 LITERALS = ["0", "1", "-1", "2/3", "1000000007", "q", "q^(-3)", "q^(1/7)", "zeta(12,5)", "sinpi(1,3)"]
 POWERS = ["0", "2", "3", "(-1)", "(-2)", "(1/2)", "41", "1000000"]
 
 
-class Hang(BaseException):
-    """Raised by the watchdog; the command line catches no BaseException."""
+class Hang(Exception):
+    """Raised by the watchdog; the command line lets it through."""
 
 
 def _alarm(signum, frame):
@@ -96,6 +96,7 @@ PROBES = [
     ("(3/2)^1000000*q", "10", []),
     ("(2*q)^100000000", "10", []),
     ("j(2^100000*q)", "10", []),
+    ("(0) / ((0)^1000000)", "1", []),
     ("1/(1-q^(1/1000))", "10000", []),
     ("j(q^(1/988027), q)/j(q^(2/988027), q)", "20", []),
 ]

@@ -26,7 +26,7 @@ from test_audit import ENTRIES, _call
 WATCHDOG = 10  # seconds for one run
 
 LITERALS = ["0", "1", "-1", "2/3", "1000000007", "q", "q^(-3)", "q^(1/7)", "zeta(12,5)", "sinpi(1,3)"]
-POWERS = ["0", "2", "3", "(-1)", "(-2)", "(1/2)", "41", "1000000"]
+POWERS = ["0", "2", "3", "(-1)", "(-2)", "(1/2)", "7", "1000000"]
 
 
 class Hang(Exception):

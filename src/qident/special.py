@@ -212,9 +212,7 @@ def _term_sum(
     p = grid_prec(work, 1)
     one = _new(1, p, 1, 0, [[1] if p > 0 else []], 1)
     first = _ratio(c**start, (E(start), eq), factors, lambda a, b: range(a * start + b))
-    t = _times(one, first, work)
-    # a first term that is exactly zero leaves the zero series on its grid
-    total = zero_series(work, *(_grid_field(one, first) if t is None else (t.denom, t.field_order)))
+    t, total = _times(one, first, work), zero_series(work, *_grid_field(one, first))
     n = deepest = start
     low = None
     while t is not None:

@@ -25,17 +25,6 @@ from .errors import (
     QIdentError,
 )
 from .eulerian import f_c
-from .identity import (
-    IdentityCase,
-    SuiteReport,
-    builtin_cases,
-    builtin_corpus_text,
-    check,
-    make_case,
-    parse_corpus,
-    run_suite,
-    serialize_corpus,
-)
 from .series import (
     Monomial,
     QSeries,
@@ -58,6 +47,17 @@ from .special import J, JB, Jm, appell_m, g_universal, pochhammer, theta_j
 from .verdict import Verdict
 
 __version__ = "0.1.0"
+
+
+# identity's names are loaded on first use, so that importing the command
+# line front end for an expansion does not load the checking engine
+def __getattr__(name: str):
+    if name in __all__:
+        from . import identity
+
+        return getattr(identity, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CycloNumber",

@@ -21,10 +21,9 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .dsl import eval_expr, parse, parse_binding
+from .dsl import DEFAULT_ORDER, eval_expr, parse, parse_binding
 from .errors import EvalError, QIdentError
 from .eulerian import f_c
-from .identity import DEFAULT_ORDER, parse_corpus, run_suite
 from .series import Monomial, series_truncate
 
 
@@ -62,6 +61,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .identity import parse_corpus, run_suite  # only here: expand needs no identity
     with open(args.corpus, encoding="utf-8") as fh:
         cases = parse_corpus(fh.read())
     report = run_suite(order=args.order, jobs=args.jobs, cases=cases)
@@ -70,6 +70,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    from .identity import run_suite
     print("# metadata: level constant f_c = 2c/gcd(c,4): "
           + " ".join(f"f_{c}={f_c(c)}" for c in (2, 3, 4, 5)))
     report = run_suite(order=args.order, jobs=args.jobs)

@@ -10,7 +10,9 @@ gcd.
 
 A CycloNumber is a scalar: a coefficient read out of a series, a
 monomial's coefficient, a memo key, a verdict's witness.  Series store
-their coefficients as integer rows and never build one per coefficient.
+their coefficients as integer rows and never build one per coefficient;
+the row tables _times_table and _lift_table, a scalar's powers as rows
+(_powers) and the reduction of rows mod Phi_M (_reduce_rows) live here.
 
 All roots of unity, i = zeta_4, rational constants, and the exact values
 sin(pi*a/c), csc(pi*a/c) live here.
@@ -388,6 +390,55 @@ def lift_order(a: CycloNumber, new_order: int) -> CycloNumber:
     if new_order % M != 0:
         raise OrderMismatchError(f"{M} does not divide {new_order}")
     return _substitute(a, new_order, new_order // M)
+
+
+@lru_cache(maxsize=1024)
+def _times_table(M: int, num: tuple, den: int) -> tuple:
+    """Multiplication by num/den in Q(zeta_M) as (pairs, den): component k of
+    the product with v is the sum of c v_j over the pairs (j, c) of pairs[k],
+    read off _power_table."""
+    table, phi = _power_table(M), len(num)
+    rows = [[0] * phi for _ in range(phi)]
+    for a, x in enumerate(num):
+        if x:
+            for j in range(phi):
+                for k, t in enumerate(table[a + j]):
+                    rows[k][j] += x * t
+    return tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in rows), den
+
+
+@lru_cache(maxsize=None)
+def _lift_table(M: int, field: int) -> tuple:
+    """The pairs of the embedding of Q(zeta_M) in Q(zeta_field), as _times_table's."""
+    images = [lift_order(zeta_power(M, j), field).num for j in range(euler_phi(M))]
+    return tuple(tuple((j, v[k]) for j, v in enumerate(images) if v[k]) for k in range(euler_phi(field)))
+
+
+def _reduce_rows(M: int, acc: list) -> list:
+    """The 2 phi(M) - 1 rows of the powers zeta_M^k, k < 2 phi(M) - 1, of
+    an unreduced product brought mod Phi_M to phi(M) rows."""
+    phi = (len(acc) + 1) // 2
+    table = _power_table(M)
+    for k in range(phi, len(acc)):
+        if any(acc[k]):
+            for t, r in enumerate(table[k]):
+                if r:
+                    acc[t] = [u + r * v for u, v in zip(acc[t], acc[k])]
+    return acc[:phi]
+
+
+def _powers(x: CycloNumber, lo: int, count: int) -> tuple:
+    """(cols, den): x^(lo + j) at slot j < count, as phi(M) lists over
+    den = x.den^(lo + count - 1): a running power of x's numerators, slot j
+    scaled by x.den^(count - 1 - j)."""
+    pairs, d = _times_table(x.order, x.num, 1)[0], x.den
+    v = list(x.num) if lo else [1] + [0] * (len(x.num) - 1)
+    cols, scale = [[] for _ in v], d ** (count - 1)
+    for _ in range(count):
+        for col, y in zip(cols, v):
+            col.append(scale * y)
+        v, scale = [sum([c * v[j] for j, c in ps]) for ps in pairs], scale // d
+    return cols, d ** (lo + count - 1)
 
 
 def sin_pi(a: int, c: int, M: int) -> CycloNumber:

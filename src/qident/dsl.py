@@ -521,6 +521,9 @@ def _call(e: Call, order: Fraction, binding: Dict[str, Monomial], asked: Fractio
         raise EvalError(f"{e.name}: {exc}") from exc
 
 
+# the order a check or an expansion runs at when none is given
+DEFAULT_ORDER = Fraction(50)
+
 # the deepest order an evaluation may be asked for; the deepest in use is 200
 MAX_ORDER = 10000
 

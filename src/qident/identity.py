@@ -24,7 +24,7 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .dsl import Expr, eval_expr, parse, parse_binding, print_expr
+from .dsl import DEFAULT_ORDER, Expr, eval_expr, parse, parse_binding, print_expr
 from .errors import CapExceededError, NonGenericError
 from .record import Record, set_key
 from .series import Monomial, series_eq_to_order
@@ -32,7 +32,6 @@ from .verdict import INSUFFICIENT, NONGENERIC, Verdict
 
 Rat = Union[int, Fraction]
 
-DEFAULT_ORDER = Fraction(50)
 EXPECTATIONS = ("pass", "fail", "nongeneric")
 
 

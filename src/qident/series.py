@@ -18,28 +18,29 @@ embedding (_lift_table), and a power of q moves the offset.  Every
 quotient is one long division, series_div, walking only the residue
 classes its divisor reaches; series_invert and geom_inverse (1/(1 - u),
 u a monomial) wrap it.  Every theta function and bilateral Lambert sum is
-one integer-grid scan, bilateral_sum, written straight into a row.
-QSeries has no operators.
+one integer-grid scan, bilateral_sum, on Python ints only, written
+straight into a row.  QSeries has no operators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 from .coeff import (
     CycloNumber,
+    _lift_table,
     _make,
-    _power_table,
+    _powers,
+    _reduce_rows,
+    _times_table,
     cyclo_embed,
     euler_phi,
     lift_order,
     one as cyclo_one,
     zero as cyclo_zero,
-    zeta_power,
 )
 from .errors import InsufficientPrecisionError, NonGenericError
 from .record import Record, set_key
@@ -294,42 +295,21 @@ def _zero(denom: int, prec: int, field: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)
-def _times_table(M: int, num: tuple, den: int) -> tuple:
-    """Multiplication by num/den in Q(zeta_M) as (pairs, den): component k of
-    the product with v is the sum of c v_j over the pairs (j, c) of pairs[k],
-    read off coeff._power_table."""
-    table, phi = _power_table(M), len(num)
-    rows = [[0] * phi for _ in range(phi)]
-    for a, x in enumerate(num):
-        if x:
-            for j in range(phi):
-                for k, t in enumerate(table[a + j]):
-                    rows[k][j] += x * t
-    return tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in rows), den
-
-
 def _times_of(x: Union[CycloNumber, Rat], M: int) -> tuple:
     """_times_table of x, rational or in a subfield of Q(zeta_M)."""
     x = lift_order(x, M) if isinstance(x, CycloNumber) else cyclo_embed(x, M)
     return _times_table(M, x.num, x.den)
 
 
-@lru_cache(maxsize=None)
-def _lift_table(M: int, field: int) -> tuple:
-    """The pairs of the embedding of Q(zeta_M) in Q(zeta_field), as _times_table's."""
-    images = [lift_order(zeta_power(M, j), field).num for j in range(euler_phi(M))]
-    return tuple(tuple((j, v[k]) for j, v in enumerate(images) if v[k]) for k in range(euler_phi(field)))
-
-
 def _apply(pairs: tuple, cols: list) -> list:
-    """The list sum of c cols[j] over the pairs (j, c) of each entry of pairs."""
+    """The list sum of c cols[j] over the pairs (j, c) of each entry of
+    pairs, each a fresh list, which _add_into may add into."""
     out = []
     for ps in pairs:
         acc = None
         for j, c in ps:
             v = cols[j]
-            acc = (v if c == 1 else [c * x for x in v]) if acc is None else [a + c * b for a, b in zip(acc, v)]
+            acc = (list(v) if c == 1 else [c * x for x in v]) if acc is None else [a + c * b for a, b in zip(acc, v)]
         out.append([0] * len(cols[0]) if acc is None else acc)
     return out
 
@@ -347,7 +327,7 @@ def align(a: QSeries, b: QSeries) -> tuple[QSeries, QSeries]:
 
 def grid_prec(order: Rat, denom: int) -> int:
     """Grid precision index covering all exponents strictly below order."""
-    return ceil(_as_frac(order) * denom)
+    return -(-order.numerator * denom // order.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +373,7 @@ def series_add(a: QSeries, b: QSeries) -> QSeries:
 
 
 def series_sum(total: QSeries, terms: Iterable[QSeries]) -> QSeries:
-    """total plus every series in terms, in one pass over each row.
+    """total plus every series in terms, each row added into one.
 
     Every row is rebased to the finest grid and lifted to the largest
     field among them, as align does, and put over the lcm of their
@@ -402,22 +382,31 @@ def series_sum(total: QSeries, terms: Iterable[QSeries]) -> QSeries:
     rows = [total, *terms]
     d, m = lcm(*(s.denom for s in rows)), lcm(*(s.field_order for s in rows))
     rows = [s.rebase(d).lift_field(m) for s in rows]
-    p = min(s.prec for s in rows)
-    live = [s for s in rows if s.cols[0] and s.off < p]
-    if not live:
-        return _zero(d, p, m)
-    lo = min(s.off for s in live)
-    hi = min(p, max(s.off + len(s.cols[0]) for s in live))
-    check_window(d, p - min(lo, 0))
-    den = lcm(*(s.den for s in live))
-    acc = [[0] * (hi - lo) for _ in live[0].cols]
-    for s in live:
-        f, i = den // s.den, s.off - lo
-        n = min(len(s.cols[0]), hi - s.off)
-        for dst, col in zip(acc, s.cols):
-            seg = dst[i:i + n]
-            dst[i:i + n] = [x + y for x, y in zip(seg, col)] if f == 1 else [x + f * y for x, y in zip(seg, col)]
-    return _row(d, p, m, lo, acc, den)
+    acc = _zero(d, min(s.prec for s in rows), m)
+    for s in rows:
+        acc = _add_into(acc, s)
+    return _row(d, acc.prec, m, acc.off, acc.cols, acc.den)
+
+
+def _add_into(total: QSeries, t: QSeries) -> QSeries:
+    """total plus t, both on one grid and over one field, with total's lists
+    its own (series_sum's, or the sum of special._term_sum): t's lists below
+    the lower precision are added into them, grown at either end as t
+    needs, over the lcm of the two denominators.  The lists are cut at the
+    precision only by _row."""
+    acc, lo, den, p = total.cols, total.off, total.den, min(total.prec, t.prec)
+    n = min(len(t.cols[0]), p - t.off)
+    if n > 0:
+        # an empty total's offset lies at or past its precision, so past t's
+        g, start, end = lcm(den, t.den), min(lo, t.off), max(lo + len(acc[0]), t.off + n)
+        if g != den or start < lo or end > lo + len(acc[0]):
+            acc = [[0] * (lo - start) + [x * (g // den) for x in col] + [0] * (end - lo - len(col))
+                   for col in acc]
+        f, i = g // t.den, t.off - start
+        for dst, col in zip(acc, t.cols):
+            dst[i:i + n] = [x + f * y for x, y in zip(dst[i:i + n], col)]
+        lo, den = start, g
+    return _new(total.denom, p, total.field_order, lo, acc, den)
 
 
 def series_neg(a: QSeries) -> QSeries:
@@ -479,14 +468,7 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
             if x:
                 for dst, y in zip(acc[ia:], ys):
                     dst[start:stop:fb] = [u + x * v for u, v in zip(dst[start:stop:fb], y)]
-    if phi > 1:
-        table = _power_table(m)
-        for k in range(phi, 2 * phi - 1):
-            if any(acc[k]):
-                for t, r in enumerate(table[k]):
-                    if r:
-                        acc[t] = [u + r * v for u, v in zip(acc[t], acc[k])]
-    return _row(d, p, m, lo, acc[:phi], a.den * b.den)
+    return _row(d, p, m, lo, _reduce_rows(m, acc), a.den * b.den)
 
 
 def series_pow(a: QSeries, n: int) -> QSeries:
@@ -642,8 +624,8 @@ def series_eq_to_order(a: QSeries, b: QSeries, order: Rat) -> Verdict:
 def bilateral_pole(u: CycloNumber, f: tuple[Rat, Rat]) -> Optional[int]:
     """The integer n with u q^F(n) = 1, F(n) = f[0] n + f[1], or None: the
     term of bilateral_sum whose denominator 1 - u q^F(n) is exactly zero."""
-    n = Fraction(-f[1], f[0] or 1)
-    return int(n) if u == 1 and n.denominator == 1 and f[0] * n + f[1] == 0 else None
+    n = Fraction(-f[1], f[0] or 1) if u == 1 else None
+    return int(n) if n is not None and n.denominator == 1 and f[0] * n + f[1] == 0 else None
 
 
 def bilateral_sum(
@@ -659,80 +641,68 @@ def bilateral_sum(
     q^order, E(n) = e2 n^2 + e1 n + e0 (e2 > 0) and F(n) = f1 n + f0 taking
     integer values on the grid 1/denom; without u (and F), the sum of c^n q^E(n).
 
-    A term's valuation E(n) + max(0, -F(n)) is convex, so the scan walks
-    out from its integer minimizer until it reaches the order on each side,
-    with c^n a running power.  Term n is a geometric run of c^n times the
-    weights u^j at E + jF when F > 0, -u^(-1-j) at E - (j+1)F when F < 0,
-    1/(1 - u) at E when F = 0: one row of weights, scaled by c^n and added
-    into the sum's row every |F| grid steps, all over one denominator.  The
-    field is field_order, lifted to those of c and u once a term falls
-    below the order.  A term with a zero denominator raises, wherever it
-    lies.
+    E(-1), E(0), E(1), F(0) and F(1), read off the inputs in one pass, fix
+    every exponent as a grid integer.  A term's valuation E(n) + max(0, -F(n))
+    is convex, so the scan walks out from its integer minimizer until it
+    reaches the order on each side.  Term n is a geometric run of c^n times
+    the weights u^j at E + jF when F > 0, -u^(-1-j) at E - (j+1)F when F < 0,
+    1/(1 - u) at E when F = 0, added into the sum's row every |F| grid
+    steps.  The powers of c, 1/c, u and 1/u are coeff._powers rows, and the
+    sum's row is put over the lcm of their denominators once.  The field is
+    field_order, lifted to those of c and u once a term falls below the
+    order.  A term with a zero denominator raises, wherever it lies.
     """
     if u is not None and bilateral_pole(u, f) is not None:
         raise NonGenericError("pole 1/(1 - u) with u exactly 1")
-    if not isinstance(c, CycloNumber):
-        c = cyclo_embed(_as_frac(c), 1)
-
-    def grid(x: Rat) -> int:
-        if (_as_frac(x) * denom).denominator != 1:
-            raise ValueError(f"exponent {x} is off the grid 1/{denom}")
-        return int(x * denom)
-
-    # integer values at -1, 0, 1 fix the grid exponents of E at every n
-    em, ez, ep = (grid(e[0] * n * n + e[1] * n + e[2]) for n in (-1, 0, 1))
-    s1, s2 = ep - em, ep - 2 * ez + em
+    c = c if isinstance(c, CycloNumber) else cyclo_embed(c, 1)
+    q = lcm(*(x.denominator for x in (*e, *f)))
+    a2, a1, a0, b1, b0 = (x.numerator * (q // x.denominator) * denom for x in (*e, *f))
+    ints = (a2 - a1 + a0, a0, a2 + a1 + a0, b0, b1 + b0)
+    if bad := [x for x in ints if x % q]:
+        raise ValueError(f"exponent {Fraction(bad[0], q * denom)} is off the grid 1/{denom}")
+    em, ez, ep, fz, fp = (x // q for x in ints)
+    s1, s2, fs, P = ep - em, ep - 2 * ez + em, fp - fz, grid_prec(order, denom)
     if s2 <= 0:
         raise ValueError("a bilateral sum needs a positive quadratic exponent")
-    fz, fs = grid(f[1]), grid(f[0] + f[1]) - grid(f[1])
-
-    def E(n: int) -> int:
-        return ez + n * (s1 + n * s2) // 2
-
-    def F(n: int) -> int:
-        return fz + n * fs
-
-    P = grid_prec(order, denom)
     # the real minimizer is a vertex of E or of E - F, or the kink F = 0
-    kinks = [Fraction(-s1, 2 * s2), Fraction(2 * fs - s1, 2 * s2), Fraction(-fz, fs or 1)]
-    n0 = min({m for x in kinks for m in (floor(x), ceil(x))}, key=lambda n: E(n) + max(0, -F(n)))
-
-    M = lcm(field_order, c.order, 1 if u is None else u.order)
-    c = lift_order(c, M)
-    # (c^n, first slot, step, length) of each run below P
+    kinks = ((-s1, 2 * s2), (2 * fs - s1, 2 * s2), (-fz, fs or 1))
+    n0 = min({m for a, b in kinks for m in (a // b, -(-a // b))},
+             key=lambda n: ez + n * (s1 + n * s2) // 2 + max(0, -fz - n * fs))
+    # (n, first slot, step, length, sign of F) of each term below P
     runs = []
-    cinv, start = c.inv(), c**n0
-    for n, step, r, cn in ((n0, 1, c, start), (n0 - 1, -1, cinv, start * cinv)):
-        while (a := E(n)) + max(0, -(b := F(n))) < P:
+    for n, step in ((n0, 1), (n0 - 1, -1)):
+        while (a := ez + n * (s1 + n * s2) // 2) + max(0, -(b := fz + n * fs)) < P:
             first = a if b >= 0 else a - b
-            runs.append((cn, first, abs(b), len(range(first, P, abs(b))) if b else 1, (b > 0) - (b < 0)))
-            n, cn = n + step, cn * r
+            runs.append((n, first, abs(b), (P - first - 1) // abs(b) + 1 if b else 1, (b > 0) - (b < 0)))
+            n += step
     if not runs:
         return _zero(denom, P, field_order)
-    # the weights of each sign of F as one row: 1/(1 - u) for F = 0 (1
-    # without u), and u^j or -u^(-1-j) at slot j, read off 1/(1 - u^(+-1) q)
+    M = lcm(field_order, c.order, 1 if u is None else u.order)
+    c = lift_order(c, M)
+    # c^n at slot n of one row for n >= 0, at slot ~n = -n-1 of the other for n < 0
+    ns = [run[0] for run in runs]
+    powers = _powers(c, 0, max(max(ns) + 1, 1)), _powers(c.inv(), 1, max(-min(ns), 1))
     rows = {}
     for sign in {run[4] for run in runs}:
-        if sign == 0:
-            w = const_series(cyclo_one(M) if u is None else (1 - lift_order(u, M)).inv(), 1)
-        else:
-            x = lift_order(u if sign > 0 else u.inv(), M)
-            w = geom_inverse(Monomial(x, 1), max(run[3] for run in runs if run[4] == sign))
-            w = w if sign > 0 else series_scale(w, -x)
-        rows[sign] = (w.cols, w.den)
+        x = lift_order(u if sign > 0 else u.inv(), M) if sign else (
+            cyclo_one(M) if u is None else (1 - lift_order(u, M)).inv())
+        cols, wden = _powers(x, int(sign <= 0), max(run[3] for run in runs if run[4] == sign))
+        rows[sign] = [(b, col) for b, col in enumerate(cols) if any(col)], wden
     lo = min(run[1] for run in runs)
     check_window(denom, P - min(lo, 0))
-    den = lcm(*(cn.den * rows[sign][1] for cn, _, _, _, sign in runs))
-    acc = [[0] * (P - lo) for _ in range(euler_phi(M))]
-    for cn, first, step, count, sign in runs:
-        cols, wden = rows[sign]
-        f = den // (cn.den * wden)
-        vals = _apply(_times_table(M, cn.num, 1)[0], [col[:count] for col in cols])
-        i, step = first - lo, step or 1
+    den = lcm(*{powers[n < 0][1] * rows[sign][1] for n, _, _, _, sign in runs})
+    acc = [[0] * (P - lo) for _ in range(2 * len(c.num) - 1)]
+    for n, first, step, count, sign in runs:
+        (cols, cden), (wcols, wden) = powers[n < 0], rows[sign]
+        # (sign or 1): the weights of F < 0 are -u^(-1-j)
+        f, i, step = den // (cden * wden) * (sign or 1), first - lo, step or 1
         stop = i + (count - 1) * step + 1
-        for dst, v in zip(acc, vals):
-            dst[i:stop:step] = [x + f * y for x, y in zip(dst[i:stop:step], v)]
-    return _row(denom, P, M, lo, acc, den)
+        for a, col in enumerate(cols):
+            if y := f * col[max(n, ~n)]:
+                for b, w in wcols:
+                    dst = acc[a + b]
+                    dst[i:stop:step] = [s + y * t for s, t in zip(dst[i:stop:step], w)]
+    return _row(denom, P, M, lo, _reduce_rows(M, acc), den)
 
 
 __all__ = [

@@ -11,13 +11,13 @@ deepens its working order up to PAD_LIMIT.  An Eulerian series is its
 product form, a table of Pochhammer factors that has_pole reads its
 poles off and that _term_sum sums term by term: each term is a QSeries,
 whose phi(M) integer lists each binomial of a term ratio multiplies in
-one pass, with no series product or quotient, and the terms are added
-as they come.  A bilateral series
-is its bilateral_sum form and theta divisor, whose pole bilateral_pole
-finds.  read_row reads both kinds, j, m and g among them, and keeps one
-memo entry per (row, arguments) in _theta_cache, a least recently used
-cache of at most MEMO_LIMIT entries; g_sum, g's Eulerian sum, shares the
-memo, and pochhammer, which rebases its sum, is a term sum of its own.
+one pass, with no series product or quotient, and each term's lists are
+added into the sum's one row as they come.  A bilateral series is its
+bilateral_sum form and theta divisor, whose pole bilateral_pole finds.
+read_row reads both kinds, j, m and g among them, and keeps one memo
+entry per (row, arguments) in _theta_cache, a least recently used cache
+of at most MEMO_LIMIT entries; g_sum, g's Eulerian sum, shares the memo,
+and pochhammer, which rebases its sum, is a term sum of its own.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ from itertools import accumulate
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .coeff import CycloNumber
+from .coeff import CycloNumber, cyclo_embed
 from .errors import CapExceededError, NonGenericError
 from .eulerian import BILATERAL, FORMS
 from .series import (
     Monomial,
     QSeries,
+    _add_into,
     _apply,
     _new,
     _row,
@@ -42,7 +43,6 @@ from .series import (
     bilateral_sum,
     const_series,
     grid_prec,
-    series_add,
     series_div,
     series_scale,
     series_shift,
@@ -187,7 +187,9 @@ def _term_sum(
     those for k in [a(n-1) + b, an + b) (Gasper and Rahman, section 1.3).
     Each term is a QSeries, one pass over its lists per binomial and a
     scaling, on the grid and over the field of the exponents and
-    coefficients met so far, and the sum adds each term in as it comes.
+    coefficients met so far; _add_into adds each into the sum's one row,
+    rebased only when a term's grid or field grows.  Leads and precisions
+    are compared as grid integers.
 
     Precision is a ledger: a ratio moves the precision index by
     (e + sum over ups of min(0, f) - sum over downs of min(0, f)) D for its
@@ -204,11 +206,12 @@ def _term_sum(
 
     *e, eq = _ints(*e)
     factors = [(y.coeff, *_ints(y.expo, p), a, b, s) for y, p, a, b, s in factors]
+    c = c if isinstance(c, CycloNumber) else cyclo_embed(c, 1)
 
     def E(n: int) -> int:
         return e[0] * n * n + e[1] * n + e[2]
 
-    cap = 10 * (int(work) + 10)
+    cap, floor = 10 * (int(work) + 10), work - PAD_LIMIT
     p = grid_prec(work, 1)
     one = _new(1, p, 1, 0, [[1] if p > 0 else []], 1)
     first = _ratio(c**start, (E(start), eq), factors, lambda a, b: range(a * start + b))
@@ -218,19 +221,20 @@ def _term_sum(
     while t is not None:
         past = t.prec <= t.off and t.off >= grid_prec(work, t.denom)
         if not past:
-            total = series_add(total, t)
-            if low is None or Fraction(t.off, t.denom) < low:
-                low, deepest = Fraction(t.off, t.denom), n
+            total = _add_into(total.rebase(t.denom).lift_field(t.field_order), t)
+            # the lowest lead so far as (grid index, grid denominator)
+            if low is None or t.off * low[1] < low[0] * t.denom:
+                low, deepest = (t.off, t.denom), n
             if n - deepest > cap:
                 raise CapExceededError("q-hypergeometric term valuation failed to grow")
-            if work - Fraction(t.prec, t.denom) > PAD_LIMIT:
+            if t.prec < grid_prec(floor, t.denom):
                 raise _too_deep(work - Fraction(t.prec, t.denom))
         n += 1
         ratio = _ratio(c, (E(n) - E(n - 1), eq), factors, lambda a, b: range(a * (n - 1) + b, a * n + b))
         if past and e[0] >= 0 and ratio[1][0] >= 0 and all(x >= 0 for _, (x, _), s in ratio[2] if s > 0):
             break
         t = _times(t, ratio, work)
-    return total
+    return _row(total.denom, total.prec, total.field_order, total.off, total.cols, total.den)
 
 
 def has_pole(factors: Sequence[Factor]) -> bool:

@@ -190,3 +190,15 @@ def count_products(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(CycloNumber, "__mul__", counted)
     return count
+
+
+def count_fractions(monkeypatch) -> list[int]:
+    """Count Fraction constructions from here on, in the one entry of the list returned."""
+    new, count = Fraction.__new__, [0]
+
+    def counted(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return count

@@ -43,11 +43,17 @@ def test_benchmark_module_names_resolve():
 
 def test_cli_import_loads_no_heavy_stdlib_module():
     # an expansion needs none of these, and loading them takes several times
-    # as long as the rest of this import; -S keeps site from loading them first
+    # as long as the rest of this import; -S keeps site from loading them first.
+    # The checking engine, identity, loads on first use of one of its names.
     src = str(Path(qident.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import qident.cli; print(*sys.modules)"
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qident.cli; print(*sys.modules);"
+            " from qident import run_suite, builtin_cases;"
+            " print('loaded', run_suite.__module__, builtin_cases.__module__)")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                         check=True).stdout.split()
-    assert "qident.cli" in out
-    heavy = {"concurrent.futures", "multiprocessing", "dataclasses", "importlib.resources"}
-    assert heavy.isdisjoint(out)
+                         check=True).stdout.splitlines()
+    modules = out[0].split()
+    assert "qident.cli" in modules
+    heavy = {"concurrent.futures", "multiprocessing", "dataclasses", "importlib.resources",
+             "qident.identity"}
+    assert heavy.isdisjoint(modules)
+    assert out[1] == "loaded qident.identity qident.identity"

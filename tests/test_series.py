@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qident.coeff import CycloNumber, cyclo_embed, euler_phi, lift_order, zeta_power
@@ -504,7 +504,8 @@ def test_pow_matches_repeated_mul(a, n):
 
 
 def _cyclo(draw):
-    field = draw(st.sampled_from([1, 3, 4, 5]))
+    # fields 7 and 8 are the built-in corpus's Habc(3,2,7) and K-tilde fields
+    field = draw(st.sampled_from([1, 3, 4, 5, 7, 8]))
     r = draw(small_rationals.filter(lambda r: r != 0))
     return cyclo_embed(r, field) * zeta_power(field, draw(st.integers(min_value=0, max_value=4)))
 
@@ -550,6 +551,10 @@ def _bilateral_reference(c, e, order, d, field_order, u, f):
 
 
 @given(bilateral_args())
+# F(n) = -n - 1 < 0 for n >= 0, where the weights -u^(-1-j) lie over a
+# power of the denominator of 1/u, which is 2
+@example((cyclo_embed(F(1, 3), 1), (F(1, 2), F(-1, 2), 0), F(8), 1, 1,
+          cyclo_embed(2, 5) * zeta_power(5, 1), (F(-1), F(-1))))
 @settings(max_examples=300, deadline=None)
 def test_bilateral_sum_matches_term_by_term_reference(args):
     try:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from qident import eval_expr, parse, series, special
 from qident.coeff import cyclo_embed, lift_order, zeta_power
 from qident.errors import CapExceededError, EvalError, NonGenericError
-from qident.eulerian import FORMS, need_theta_nonzero
+from qident.eulerian import BILATERAL, FORMS, need_theta_nonzero
 from qident.series import (
     Monomial,
     const_series,
@@ -46,6 +46,7 @@ from qident.special import (
 
 from oracles import (
     assert_series_matches,
+    count_fractions,
     count_pairs,
     count_products,
     pochhammer_bruteforce,
@@ -335,10 +336,11 @@ class TestThetaFunction:
         assert warm.terms == cold.terms
 
     def test_bilateral_scan_dot_budget(self, monkeypatch):
-        # one running power, 40 CycloNumber products, and one row; a fresh
-        # power of the coefficient per term took 256
+        # the powers of the coefficient are integer rows: no CycloNumber
+        # product; a running CycloNumber power took 40, a fresh power of
+        # the coefficient per term 256
         calls = count_work(monkeypatch, "j(-q^(1/2); q)", 200)
-        assert calls < 100, calls
+        assert calls < 10, calls
 
     def test_memo_evicts_the_least_recently_used(self, monkeypatch):
         monkeypatch.setattr(special, "_theta_cache", {})
@@ -573,12 +575,44 @@ class TestAppellLerch:
         assert products[0] + pairs[0] < 4000, (products[0], pairs[0])
 
     def test_lambert_scan_dot_budget(self, monkeypatch):
-        # the scan takes 46 CycloNumber products for its running powers and
-        # 236 term pairs for its weight rows, the division by j(z;q) 815;
-        # dividing each term by its own 1 - u q^F(n), as _bilateral_reference
-        # in test_series does, takes 542 for the Lambert sum where the scan takes 282
+        # the division by j(z;q) takes 815 term pairs and the scan none; the
+        # 2 CycloNumber products multiply the argument monomials.  Weight
+        # rows read off geom_inverse took 236 pairs and running CycloNumber
+        # powers 46 products, and dividing each term by its own
+        # 1 - u q^F(n), as _bilateral_reference in test_series does, 542
         calls = count_work(monkeypatch, "m(2*q, q, -q^(1/2))", 60)
-        assert calls < 1200, calls
+        assert calls < 850, calls
+
+    def test_scans_make_no_term_pairs(self, monkeypatch):
+        # the theta scan and m's Lambert scan neither multiply nor divide
+        # series, and neither calls geom_inverse
+        monkeypatch.setattr(special, "_theta_cache", {})
+        pairs, inverses, geom = count_pairs(monkeypatch), [], series.geom_inverse
+        monkeypatch.setattr(series, "geom_inverse", lambda *a: inverses.append(a) or geom(*a))
+        eval_expr(parse("j(-q^(1/2); q)"), 200)
+        c, e, d, m, u, f, _ = BILATERAL["m"][1](mono(2, 1), F(1), mono(-1, F(1, 2)))
+        assert not series.bilateral_sum(c, e, F(60), d, m, u, f).is_zero()
+        assert pairs[0] == 0 and not inverses
+
+    @pytest.mark.parametrize("name,args", [
+        ("j", (mono(-1, F(1, 2)), F(1))),
+        ("m", (mono(2, 1), F(1), mono(-1, F(1, 2)))),
+        ("Habc", (3, 2, 7)),
+    ])
+    def test_scan_fractions_do_not_grow_with_the_order(self, monkeypatch, name, args):
+        # the exponents are grid integers from one pass over the inputs, so
+        # a scan builds as many Fractions at order 200 as at order 50 (after
+        # a first call has filled the caches of field constants), and only
+        # a few: the exponent arithmetic in Fractions built 33 to 62
+        c, e, d, m, u, f, _ = BILATERAL[name][1](*args)
+        series.bilateral_sum(c, e, F(10), d, m, u, f)
+        counts = []
+        for order in (F(50), F(200)):
+            made = count_fractions(monkeypatch)
+            series.bilateral_sum(c, e, order, d, m, u, f)
+            counts.append(made[0])
+            monkeypatch.undo()
+        assert counts[0] == counts[1] < 8, counts
 
 
     def test_partition_inverse_product_budget(self, monkeypatch):

@@ -19,12 +19,12 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from .dsl import DEFAULT_ORDER, eval_expr, parse, parse_binding
-from .errors import EvalError, QIdentError
+from .dsl import DEFAULT_ORDER, eval_expr, parse, parse_bindings
+from .errors import QIdentError
 from .eulerian import f_c
-from .series import Monomial, series_truncate
+from .series import series_truncate
 
 
 def _order_arg(text: str) -> Fraction:
@@ -37,22 +37,12 @@ def _order_arg(text: str) -> Fraction:
     return value
 
 
-def _parse_binds(pairs: List[str]) -> Dict[str, Monomial]:
-    binding: Dict[str, Monomial] = {}
-    for pair in pairs:
-        name, mono = parse_binding(pair)
-        if name in binding:
-            raise EvalError(f"symbol {name!r} bound twice")
-        binding[name] = mono
-    return binding
-
-
 def _field_name(order: int) -> str:
     return "Q" if order == 1 else f"Q(zeta_{order})"
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    binding = _parse_binds(args.bind)
+    binding = parse_bindings(args.bind)
     s = series_truncate(eval_expr(parse(args.expr), args.order, binding), args.order)
     print(f"# terms below q^({s.prec_order()}), grid 1/{s.denom}, coefficients in {_field_name(s.field_order)}")
     for k, c in s.sorted_terms():

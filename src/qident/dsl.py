@@ -29,7 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from math import lcm, prod
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .coeff import csc_pi, sin_pi, zeta_power
 from .errors import EvalError, ParseError
@@ -48,7 +48,7 @@ from .series import (
     series_sub,
     zero_series,
 )
-from .special import J, JB, PAD_LIMIT, Jm, ensure_prec, g_sum, pochhammer, read_row
+from .special import J, JB, PAD_LIMIT, Jm, ensure_prec, g_sum, read_row
 
 Rat = Union[int, Fraction]
 
@@ -575,6 +575,18 @@ def parse_binding(text: str) -> Tuple[str, Monomial]:
     return name, fold_monomial(parse(val))
 
 
+def parse_bindings(items: Iterable[str]) -> Dict[str, Monomial]:
+    """Parse 'name=<monomial expression>' items, as parse_binding does, into
+    one binding; a name bound twice raises ValueError."""
+    binding: Dict[str, Monomial] = {}
+    for item in items:
+        name, mono = parse_binding(item.strip())
+        if name in binding:
+            raise ValueError(f"symbol {name!r} bound twice")
+        binding[name] = mono
+    return binding
+
+
 # ---------------------------------------------------------------------------
 # Function registry
 # ---------------------------------------------------------------------------
@@ -714,7 +726,6 @@ _ENTRIES: Dict[str, Entry] = {
     "J": (("i", "i"), lambda v, o: J(v[0], v[1], o)),
     "JB": (("i", "i"), lambda v, o: JB(v[0], v[1], o)),
     "Jm": (("i",), lambda v, o: Jm(v[0], o)),
-    "poch": (("x", "p", "n"), lambda v, o: pochhammer(v[0], v[1], v[2], o)),
     "mcorr": (("x", "p", "x", "x"), _definition("mcorr", _mcorr)),
     "msplit": (("x", "p", "x", "x", "i"), _definition("msplit", _msplit)),
     "g_sum": (("x", "p"), lambda v, o: g_sum(v[0], v[1], o)),

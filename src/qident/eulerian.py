@@ -1,15 +1,16 @@
-"""Eulerian q-hypergeometric sums, bilateral Lambert series, the theta
-function j and the Appell-Lerch sum m.
+"""Pochhammer products, Eulerian q-hypergeometric sums, bilateral Lambert
+series, the theta function j and the Appell-Lerch sum m.
 
-Each Eulerian series, the universal mock theta function g among them, is
-one row of FORMS: its product form, the sum over n >= start of c^n q^E(n)
-times Pochhammer symbols (y; q^p)_(an+b)^(+-1) with E quadratic, as the
-table (c, E, factors, start) that special.read_row sums and reads its poles
-from, and the message that names a pole.  Each bilateral series, j and m
-among them, is one row of BILATERAL: its form, the sum over all n of
-c^n q^E(n) / (1 - u q^F(n)) with E quadratic and F linear, as
-series.bilateral_sum takes it, the theta function it is divided by, and
-the message that names a pole, which special.read_row raises where
+Each Eulerian series, the universal mock theta function g and the
+Pochhammer product among them, is one row of FORMS: its product form, the
+sum over n >= start of c^n q^E(n) times Pochhammer symbols
+(y; q^p)_(an+b)^(+-1) with E quadratic, as the table (c, E, factors,
+start) that special.read_row sums and reads its poles from, and the
+message that names a pole.  Each bilateral series, j and m among them, is
+one row of BILATERAL: its form, the sum over all n of c^n q^E(n) /
+(1 - u q^F(n)) with E quadratic and F linear, as series.bilateral_sum
+takes it, the theta function it is divided by, and the message that
+names a pole, which special.read_row raises where
 series.bilateral_pole finds one.  need_theta_nonzero is the one exact
 test for an identically vanishing theta function.  The paper's
 root-of-unity combinations of these series, K-tilde and H-tilde, are
@@ -62,10 +63,27 @@ def _hp(a: int, c: int, w: Monomial) -> tuple:
         (_q(1, -1), 1, 1, 0, 1), (u0, 1, 1, 1, -1), (u1, 1, 1, 1, -1)), 0
 
 
+def _poch(x: Monomial, p: Fraction, n: Optional[int]) -> tuple:
+    """(x; q^p)_n for x = c q^e as Euler's sum of (-c)^k q^(p binom(k,2) + ek)
+    / (q^p; q^p)_k for n = None, or for finite n as Cauchy's q-binomial sum
+    of c^k q^((e+pn)k) (q^(-pn); q^p)_k / (q^p; q^p)_k, which ends by itself
+    at k = n + 1 (Gasper and Rahman, section 1.3).  A vanishing factor
+    (x q^(kp) exactly 1) makes the sum the zero series, not an error."""
+    if n is not None and n < 0:
+        raise ValueError("Pochhammer length must be nonnegative")
+    qp = (_q(p), p, 1, 0, -1)
+    if n is None:
+        return -x.coeff, (p / 2, x.expo - p / 2, 0), (qp,), 0
+    return x.coeff, (0, x.expo + p * n, 0), ((_q(-p * n), p, 1, 0, 1), qp), 0
+
+
 # name: (argument kinds, arguments -> product form (c, E, factors, start),
-# pole message over the arguments), a factor (y, p, a, b, s) standing for
-# (y; q^p)_(an+b)^s.  An argument of kind "p" is a base q^p.
-FORMS: Dict[str, Tuple[Tuple[str, ...], Callable[..., tuple], str]] = {
+# pole message over the arguments, None for a row without poles), a factor
+# (y, p, a, b, s) standing for (y; q^p)_(an+b)^s.  An argument of kind "p"
+# is a base q^p, one of kind "n" a length, None meaning infinite.
+FORMS: Dict[str, Tuple[Tuple[str, ...], Callable[..., tuple], Optional[str]]] = {
+    # (x; q^p)_n, whose denominators (q^p; q^p)_k never vanish
+    "poch": (("x", "p", "n"), _poch, None),
     # sum (-1)^n q^(n^2) (q;q^2)_n / (-q;q)_{2n}
     "phi": (("p",), lambda p: (-1, (p, 0, 0), (
         (_q(p), 2 * p, 1, 0, 1), (_q(p, -1), p, 2, 0, -1)), 0),

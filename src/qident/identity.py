@@ -24,7 +24,7 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .dsl import DEFAULT_ORDER, Expr, eval_expr, parse, parse_binding, print_expr
+from .dsl import DEFAULT_ORDER, Expr, eval_expr, parse, parse_bindings, print_expr
 from .errors import CapExceededError, NonGenericError
 from .record import Record, set_key
 from .series import Monomial, series_eq_to_order
@@ -75,16 +75,6 @@ def _split_top(text: str, sep: str) -> List[str]:
     return parts
 
 
-def _parse_bind_line(text: str) -> Dict[str, Monomial]:
-    binding: Dict[str, Monomial] = {}
-    for part in _split_top(text, ","):
-        name, mono = parse_binding(part.strip())
-        if name in binding:
-            raise ValueError(f"symbol {name!r} bound twice in {text!r}")
-        binding[name] = mono
-    return binding
-
-
 def make_case(
     cid: str,
     lhs: str,
@@ -100,7 +90,7 @@ def make_case(
         id=cid,
         lhs=parse(lhs),
         rhs=parse(rhs),
-        sample_bindings=tuple(_parse_bind_line(b) for b in sources) or ({},),
+        sample_bindings=tuple(parse_bindings(_split_top(b, ",")) for b in sources) or ({},),
         binding_sources=sources or ("",),
         default_order=Fraction(order),
         genericity_note=note,

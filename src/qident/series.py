@@ -295,12 +295,6 @@ def _zero(denom: int, prec: int, field: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def _times_of(x: Union[CycloNumber, Rat], M: int) -> tuple:
-    """_times_table of x, rational or in a subfield of Q(zeta_M)."""
-    x = lift_order(x, M) if isinstance(x, CycloNumber) else cyclo_embed(x, M)
-    return _times_table(M, x.num, x.den)
-
-
 def _apply(pairs: tuple, cols: list) -> list:
     """The list sum of c cols[j] over the pairs (j, c) of each entry of
     pairs, each a fresh list, which _add_into may add into."""
@@ -390,10 +384,10 @@ def series_sum(total: QSeries, terms: Iterable[QSeries]) -> QSeries:
 
 def _add_into(total: QSeries, t: QSeries) -> QSeries:
     """total plus t, both on one grid and over one field, with total's lists
-    its own (series_sum's, or the sum of special._term_sum): t's lists below
-    the lower precision are added into them, grown at either end as t
-    needs, over the lcm of the two denominators.  The lists are cut at the
-    precision only by _row."""
+    its own (series_sum's, or the sum of special._term_sum, which starts on
+    its form's grid and field): t's lists below the lower precision are
+    added into them, grown at either end as t needs, over the lcm of the
+    two denominators.  The lists are cut at the precision only by _row."""
     acc, lo, den, p = total.cols, total.off, total.den, min(total.prec, t.prec)
     n = min(len(t.cols[0]), p - t.off)
     if n > 0:

@@ -1,5 +1,5 @@
 """Classical building blocks: the one reader of every row of
-eulerian.FORMS and eulerian.BILATERAL, Pochhammer products, the theta
+eulerian.FORMS and eulerian.BILATERAL, the Pochhammer products, the theta
 function j with its J specializations, the Appell-Lerch sum m(x,q,z) and
 the universal mock theta function g in its two sums.
 
@@ -9,15 +9,17 @@ QSeries whose guaranteed precision reaches that order; a construction
 whose own division costs precision runs through ensure_prec, which
 deepens its working order up to PAD_LIMIT.  An Eulerian series is its
 product form, a table of Pochhammer factors that has_pole reads its
-poles off and that _term_sum sums term by term: each term is a QSeries,
-whose phi(M) integer lists each binomial of a term ratio multiplies in
-one pass, with no series product or quotient, and each term's lists are
-added into the sum's one row as they come.  A bilateral series is its
-bilateral_sum form and theta divisor, whose pole bilateral_pole finds.
-read_row reads both kinds, j, m and g among them, and keeps one memo
-entry per (row, arguments) in _theta_cache, a least recently used cache
-of at most MEMO_LIMIT entries; g_sum, g's Eulerian sum, shares the memo,
-and pochhammer, which rebases its sum, is a term sum of its own.
+poles off and that _term_sum sums term by term on the one grid and over
+the one field the form fixes: each term is a QSeries, whose phi(M)
+integer lists each binomial of a term ratio multiplies in one pass, with
+no series product or quotient, and each term's lists are added into the
+sum's one row as they come.  A bilateral series is its bilateral_sum
+form and theta divisor, whose pole bilateral_pole finds.  read_row reads
+both kinds, j, m, g and poch among them, and keeps one memo entry per
+(row, arguments) in _theta_cache, a least recently used cache of at most
+MEMO_LIMIT entries, which it looks up before it builds the row's form;
+g_sum, g's Eulerian sum and the one term sum outside the tables, shares
+the memo.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .coeff import CycloNumber, cyclo_embed
+from .coeff import CycloNumber, _times_table, cyclo_embed, euler_phi, lift_order
 from .errors import CapExceededError, NonGenericError
 from .eulerian import BILATERAL, FORMS
 from .series import (
@@ -38,7 +40,7 @@ from .series import (
     _apply,
     _new,
     _row,
-    _times_of,
+    _zero,
     bilateral_pole,
     bilateral_sum,
     const_series,
@@ -48,7 +50,6 @@ from .series import (
     series_shift,
     series_sub,
     series_truncate,
-    zero_series,
 )
 
 Rat = Union[int, Fraction]
@@ -94,24 +95,11 @@ def ensure_prec(build: Callable[[Fraction], QSeries], order: Rat) -> QSeries:
 Factor = Tuple[Monomial, Rat, int, int, int]
 
 
-def _ints(*xs: Rat) -> Tuple[int, ...]:
-    """xs as ints over their least common denominator, which comes last."""
-    q = lcm(*(_fr(x).denominator for x in xs))
-    return (*(int(x * q) for x in xs), q)
-
-
-def _ratio(sign, e: Tuple[int, int], factors: Sequence[tuple], ks: Callable[[int, int], range]) -> tuple:
-    """(sign, e, binomials): sign q^e times 1 - r q^x, or over it when s = -1,
-    for each factor (r, y, p, q, a, b, s) and k in ks(a, b), x = (y + pk)/q;
-    each exponent a pair (numerator, denominator) of ints."""
-    return sign, e, [(r, (y + p * k, q), s) for r, y, p, q, a, b, s in factors for k in ks(a, b)]
-
-
 def _binomial(t: QSeries, r: CycloNumber, f: int, s: int) -> Optional[QSeries]:
     """t times 1 - r q^(f/denom) for s = 1 and over it for s = -1, which
-    must not be zero, on t's lists padded out to its precision; None when
-    the product is exactly zero.  For f < 0 the binomial is
-    -r q^f (1 - r^-1 q^-f).  Times 1 - r q^f, f > 0, is one reverse pass
+    must not be zero, on t's lists padded out to its precision, r in t's
+    field; None when the product is exactly zero.  For f < 0 the binomial
+    is -r q^f (1 - r^-1 q^-f).  Times 1 - r q^f, f > 0, is one reverse pass
     t[i] -= r t[i-f], over it one forward pass t[i] += r t[i-f], and f = 0
     is a scaling.  For r with a denominator d the forward pass starts from
     t times d^ceil(len/f), after which every t[i-f] it reads is a multiple
@@ -124,7 +112,7 @@ def _binomial(t: QSeries, r: CycloNumber, f: int, s: int) -> Optional[QSeries]:
     if f < 0:
         t = series_scale(t, -r if s > 0 else -r.inv())
         t, r, f = _new(t.denom, t.prec + s * f, t.field_order, t.off + s * f, t.cols, t.den), r.inv(), -f
-    pairs, d = _times_of(r, t.field_order)
+    pairs, d = _times_table(t.field_order, r.num, r.den)
     n = max(t.prec - t.off, 0)
     tc = [col + [0] * (n - len(col)) for col in t.cols] if len(t.cols[0]) < n else t.cols
     if s > 0:
@@ -152,26 +140,17 @@ def _binomial(t: QSeries, r: CycloNumber, f: int, s: int) -> Optional[QSeries]:
     return _new(t.denom, t.prec, t.field_order, t.off, cols, t.den * w)
 
 
-def _grid_field(t: QSeries, ratio: tuple) -> Tuple[int, int]:
-    """The grid denominator and the field order of t times a _ratio."""
-    sign, (e, eq), binomials = ratio
-    denom = lcm(t.denom, eq // gcd(e, eq), *(q // gcd(x, q) for _, (x, q), _ in binomials))
-    field = lcm(t.field_order, *(c.order for c in (sign, *(r for r, _, _ in binomials)) if isinstance(c, CycloNumber)))
-    return denom, field
-
-
-def _times(t: QSeries, ratio: tuple, work: Fraction) -> Optional[QSeries]:
-    """t times a _ratio below q^work, on the grid and over the field that
-    both need, in lowest terms; None when it is exactly zero."""
-    sign, (e, eq), binomials = ratio
-    denom, field = _grid_field(t, ratio)
-    t = t.rebase(denom).lift_field(field)
-    for r, (x, q), s in binomials:
-        t = _binomial(t, r, x * denom // q, s)
+def _times(t: QSeries, sign: CycloNumber, k: int, binomials: Sequence[tuple], work: Fraction) -> Optional[QSeries]:
+    """t times sign q^k and each binomial 1 - r q^f of the triples (r, f, s),
+    or over it when s = -1, cut at q^work and in lowest terms: k and each f
+    grid integers, sign and each r in t's field.  None when it is exactly
+    zero."""
+    for r, f, s in binomials:
+        t = _binomial(t, r, f, s)
         if t is None:
             return None
-    t, k = series_scale(t, sign), e * denom // eq
-    return _row(denom, min(t.prec + k, grid_prec(work, denom)), field, t.off + k, t.cols, t.den)
+    t = series_scale(t, sign)
+    return _row(t.denom, min(t.prec + k, grid_prec(work, t.denom)), t.field_order, t.off + k, t.cols, t.den)
 
 
 def _term_sum(
@@ -185,11 +164,15 @@ def _term_sum(
     The first term is c^start q^E(start) times the binomials 1 - y q^(pk)
     for k < a start + b; the ratio t_n / t_{n-1} is c q^(E(n) - E(n-1)) times
     those for k in [a(n-1) + b, an + b) (Gasper and Rahman, section 1.3).
-    Each term is a QSeries, one pass over its lists per binomial and a
-    scaling, on the grid and over the field of the exponents and
-    coefficients met so far; _add_into adds each into the sum's one row,
-    rebased only when a term's grid or field grows.  Leads and precisions
-    are compared as grid integers.
+    The sum lives on one grid 1/D and over one field Q(zeta_M), both read
+    off the form: D is the lcm of the denominators of E(start), E(start+1)
+    and E(start+2) (a quadratic integral at three consecutive n is integral
+    at every n) and of every factor's exponent and base, M the lcm of the
+    orders of c and of every factor's coefficient.  So every exponent is a
+    grid integer, c and each y's coefficient are lifted to Q(zeta_M) once,
+    and no term is ever rebased or lifted: each term is a QSeries on
+    (D, M), one pass over its lists per binomial and a scaling, and
+    _add_into adds it into the sum's one row.
 
     Precision is a ledger: a ratio moves the precision index by
     (e + sum over ups of min(0, f) - sum over downs of min(0, f)) D for its
@@ -203,38 +186,44 @@ def _term_sum(
     without known coefficients lowers the precision of the sum.  The term
     cap counts from the lowest valuation, as a Pochhammer sum may dip first.
     """
-
-    *e, eq = _ints(*e)
-    factors = [(y.coeff, *_ints(y.expo, p), a, b, s) for y, p, a, b, s in factors]
     c = c if isinstance(c, CycloNumber) else cyclo_embed(c, 1)
+    E = [_fr(e[0]) * n * n + e[1] * n + e[2] for n in range(start, start + 3)]
+    D = lcm(*(x.denominator for x in E), *(_fr(v).denominator for y, p, *_ in factors for v in (y.expo, p)))
+    M = lcm(c.order, *(y.field_order for y, *_ in factors))
+    # E(start) and the first and second differences of E, on the grid
+    e0, e1, e2 = (int(x * D) for x in (E[0], E[1] - E[0], E[2] - 2 * E[1] + E[0]))
+    c = lift_order(c, M)
+    factors = [(lift_order(y.coeff, M), int(y.expo * D), int(p * D), a, b, s) for y, p, a, b, s in factors]
 
-    def E(n: int) -> int:
-        return e[0] * n * n + e[1] * n + e[2]
+    def binomials(n: int, first: bool) -> list:
+        """(r, f, s) of the binomials of term n, or of its ratio to term n - 1."""
+        return [(r, y + p * k, s) for r, y, p, a, b, s in factors
+                for k in range(0 if first else a * (n - 1) + b, a * n + b)]
 
-    cap, floor = 10 * (int(work) + 10), work - PAD_LIMIT
-    p = grid_prec(work, 1)
-    one = _new(1, p, 1, 0, [[1] if p > 0 else []], 1)
-    first = _ratio(c**start, (E(start), eq), factors, lambda a, b: range(a * start + b))
-    t, total = _times(one, first, work), zero_series(work, *_grid_field(one, first))
+    # at least 100 terms past the lowest lead, a negative work included
+    cap = 10 * (max(int(work), 0) + 10)
+    top, floor = grid_prec(work, D), grid_prec(work - PAD_LIMIT, D)
+    one = _new(D, top, M, 0, [[int(j == 0)] if top > 0 else [] for j in range(euler_phi(M))], 1)
+    t, total = _times(one, c**start, e0, binomials(start, True), work), _zero(D, top, M)
+    # a term not past q^work has its lead below top
     n = deepest = start
-    low = None
+    low = top
     while t is not None:
-        past = t.prec <= t.off and t.off >= grid_prec(work, t.denom)
+        past = t.prec <= t.off and t.off >= top
         if not past:
-            total = _add_into(total.rebase(t.denom).lift_field(t.field_order), t)
-            # the lowest lead so far as (grid index, grid denominator)
-            if low is None or t.off * low[1] < low[0] * t.denom:
-                low, deepest = (t.off, t.denom), n
+            total = _add_into(total, t)
+            if t.off < low:
+                low, deepest = t.off, n
             if n - deepest > cap:
                 raise CapExceededError("q-hypergeometric term valuation failed to grow")
-            if t.prec < grid_prec(floor, t.denom):
-                raise _too_deep(work - Fraction(t.prec, t.denom))
+            if t.prec < floor:
+                raise _too_deep(work - Fraction(t.prec, D))
         n += 1
-        ratio = _ratio(c, (E(n) - E(n - 1), eq), factors, lambda a, b: range(a * (n - 1) + b, a * n + b))
-        if past and e[0] >= 0 and ratio[1][0] >= 0 and all(x >= 0 for _, (x, _), s in ratio[2] if s > 0):
+        k, ratio = e1 + (n - 1 - start) * e2, binomials(n, False)
+        if past and e2 >= 0 and k >= 0 and all(f >= 0 for _, f, s in ratio if s > 0):
             break
-        t = _times(t, ratio, work)
-    return _row(total.denom, total.prec, total.field_order, total.off, total.cols, total.den)
+        t = _times(t, c, k, ratio, work)
+    return _row(D, total.prec, M, total.off, total.cols, total.den)
 
 
 def has_pole(factors: Sequence[Factor]) -> bool:
@@ -254,38 +243,6 @@ def _base(p: Rat) -> Fraction:
     if p <= 0:
         raise ValueError("base exponent must be positive")
     return p
-
-
-# ---------------------------------------------------------------------------
-# Pochhammer products
-# ---------------------------------------------------------------------------
-
-
-def pochhammer(x: Monomial, p: Rat, n: Optional[int], order: Rat) -> QSeries:
-    """(x; q^p)_n for x = c q^e, with n = None meaning the infinite product:
-    Euler's sum of (-c)^k q^(p binom(k,2) + ek) / (q^p; q^p)_k, or for finite
-    n the q-binomial sum of c^k q^((e+pn)k) (q^(-pn); q^p)_k / (q^p; q^p)_k,
-    which ends by itself at k = n + 1 (Gasper and Rahman, section 1.3).
-
-    A vanishing factor (x*q^(kp) exactly 1) makes the whole product the
-    zero series rather than an error.
-    """
-    p = _base(p)
-    if n is not None and n < 0:
-        raise ValueError("Pochhammer length must be nonnegative")
-    c, e = x.coeff, x.expo
-    d = lcm(e.denominator, p.denominator)
-    qp = (Monomial.make(1, p), p, 1, 0, -1)
-    if n is None:
-        c, expo, factors = -c, (p / 2, e - p / 2, 0), (qp,)
-    else:
-        expo, factors = (0, e + p * n, 0), ((Monomial.make(1, -p * n), p, 1, 0, 1), qp)
-
-    def build(work: Fraction) -> QSeries:
-        return _term_sum(c, expo, factors, work).rebase(d).lift_field(x.field_order)
-
-    # the first term, 1, must lie inside the window for the sum to start
-    return ensure_prec(build, max(_fr(order), Fraction(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,31 +284,40 @@ def _key(name: str, args: Sequence) -> tuple:
 def read_row(name: str, args: Sequence, order: Rat) -> QSeries:
     """The row name of FORMS or BILATERAL at args, below q^order.
 
-    Each base argument must be positive, and the row's form function runs
-    the row's own argument checks.  A pole raises NonGenericError with the
+    Each base argument must be positive.  The series is memoised under
+    (name, args), and only a miss builds the row's form, whose function
+    runs the row's own argument checks: a key in the memo has passed them,
+    and a pole never enters it.  A pole raises NonGenericError with the
     row's message: has_pole reads it off a product form's factors and
     bilateral_pole off a bilateral form.  A product form is summed by
     _term_sum; a bilateral form is scanned by bilateral_sum and divided by
-    its theta divisor, read back as the row j.  The series is memoised
-    under (name, args).
+    its theta divisor, read back as the row j.
     """
     kinds, form, pole = FORMS[name] if name in FORMS else BILATERAL[name]
     args = tuple(_base(a) if k == "p" else a for k, a in zip(kinds, args))
-    if name in FORMS:
-        c, e, factors, start = form(*args)
-        if has_pole(factors):
-            raise NonGenericError(pole.format(*args))
-        build = partial(_term_sum, c, e, factors, start=start)
-    else:
+
+    def build() -> QSeries:
+        if name in FORMS:
+            c, e, factors, start = form(*args)
+            if has_pole(factors):
+                raise NonGenericError(pole.format(*args))
+            return ensure_prec(partial(_term_sum, c, e, factors, start=start), order)
         c, e, d, m, u, f, theta = form(*args)
         if (r := bilateral_pole(u, f)) is not None:
             raise NonGenericError(pole.format(*args, r=r))
 
-        def build(work: Fraction) -> QSeries:
+        def scan(work: Fraction) -> QSeries:
             s = bilateral_sum(c, e, work, d, m, u, f)
             return s if theta is None else series_div(s, read_row("j", theta, work))
 
-    return _memo(_key(name, args), order, partial(ensure_prec, build, order))
+        return ensure_prec(scan, order)
+
+    return _memo(_key(name, args), order, build)
+
+
+def pochhammer(x: Monomial, p: Rat, n: Optional[int], order: Rat) -> QSeries:
+    """(x; q^p)_n, n = None meaning the infinite product: the row poch."""
+    return read_row("poch", (x, p, n), order)
 
 
 def theta_j(x: Monomial, p: Rat, order: Rat) -> QSeries:

@@ -450,8 +450,9 @@ def test_div_one_minus_is_exact_division(a, c_rat, f, field, k):
     back = dict_truncate(dict_mul(series_dict(got), one_minus_u), a.prec_order())
     assert back == dict_truncate(_naive(a, m), a.prec_order())
     # and the row quotient of an Eulerian term by its one binomial 1 - u
-    ratio = (1, (0, 1), [(u.coeff, (u.expo.numerator, u.expo.denominator), -1)])
-    row = special._times(a, ratio, got.prec_order() + 1)
+    d = got.denom
+    row = special._times(a.rebase(d).lift_field(m), cyclo_embed(F(1), m), 0,
+                         [(lift_order(u.coeff, m), int(u.expo * d), -1)], got.prec_order() + 1)
     assert (row.denom, row.field_order, row.prec, row.terms) == (got.denom, got.field_order, got.prec, got.terms)
 
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from qident import eval_expr, parse, series, special
 from qident.coeff import cyclo_embed, lift_order, zeta_power
-from qident.errors import CapExceededError, EvalError, NonGenericError
+from qident.dsl import Call, parse_bindings
+from qident.errors import CapExceededError, EvalError, NonGenericError, QIdentError
 from qident.eulerian import BILATERAL, FORMS, need_theta_nonzero
 from qident.series import (
     Monomial,
@@ -31,6 +32,7 @@ from qident.series import (
     series_scale,
     series_shift,
     series_sub,
+    series_truncate,
     zero_series,
 )
 from qident.special import (
@@ -150,6 +152,9 @@ class TestPochhammer:
         # the product reaches down to 2 q^(-1)
         s = pochhammer(mono(2, -1), 1, None, 0)
         assert s.prec_order() >= 0 and s.coeff_at(-1) == 2
+        # and at an order far below it, the sum still runs its terms
+        s, deep = pochhammer(mono(2, -10), 1, None, -20), pochhammer(mono(2, -10), 1, None, 1)
+        assert s.prec_order() == -20 and s.terms == series_truncate(deep, -20).terms
 
     def test_euler_sum_dot_budget(self, monkeypatch):
         # Euler's sum runs on term rows at order 100: no CycloNumber product
@@ -790,6 +795,66 @@ def test_memo_keeps_one_entry_cut_at_its_order(monkeypatch, key, build):
     cold = build(20)
     assert (warm.denom, warm.prec, warm.field_order) == (cold.denom, cold.prec, cold.field_order)
     assert warm.terms == cold.terms
+
+
+def _golden_row_calls():
+    """(expression, bindings) of every golden expand call that is one call
+    of a row of FORMS, poch among them."""
+    from test_golden import DEEP_CALLS, _calls
+
+    out = []
+    for expr, _, binds in (*_calls(), *DEEP_CALLS):
+        # the name first: some golden calls are parse errors
+        if expr.split("(")[0] in FORMS and isinstance(parse(expr), Call) and (expr, binds) not in out:
+            out.append((expr, binds))
+    return out
+
+
+@pytest.mark.parametrize("order", [F(1, 2), F(1)])
+@pytest.mark.parametrize("expr, binds", _golden_row_calls())
+def test_a_shallow_cold_read_is_the_deep_entry_cut(monkeypatch, expr, binds, order):
+    # a term sum's grid and field are its form's, not those of the terms a
+    # shallow order happens to reach: Kp(zeta(5,1)) at order 1 once read Q
+    # cold and Q(zeta_5) after an order-30 read
+    binding = parse_bindings(binds.split())
+
+    def read(o):
+        try:
+            s = eval_expr(parse(expr), o, binding)
+        except QIdentError as exc:
+            return type(exc), str(exc)
+        return s.denom, s.field_order, s.prec, s.sorted_terms()
+
+    monkeypatch.setattr(special, "_theta_cache", {})
+    cold = read(order)
+    read(30)
+    assert read(order) == cold
+
+
+def test_a_memo_hit_builds_no_form(monkeypatch):
+    # the key is looked up before the row's form is built: the j row's form
+    # makes 4 Fractions, a hit only the one of the base
+    monkeypatch.setattr(special, "_theta_cache", {})
+    x = mono(-1, F(1, 2))
+    special.read_row("j", (x, 1), 50)
+    made = count_fractions(monkeypatch)
+    special.read_row("j", (x, 1), 50)
+    assert made[0] <= 1, made[0]
+
+
+@pytest.mark.parametrize("name, args", [
+    ("lambert_even", (mono(1),)),
+    ("rjtp", (mono(1, 1), F(1))),
+    ("Hp", (3, 2, mono(1))),
+    ("poch", (mono(2), F(1), -1)),
+])
+def test_a_rejected_row_is_rejected_again(monkeypatch, name, args):
+    # a pole or a bad argument never enters the memo
+    monkeypatch.setattr(special, "_theta_cache", {})
+    for _ in range(2):
+        with pytest.raises((NonGenericError, ValueError)):
+            special.read_row(name, args, 10)
+    assert not special._theta_cache
 
 
 @pytest.mark.parametrize("p", [0, -1])

@@ -43,7 +43,7 @@ from .series import (
     series_sub,
     series_truncate,
 )
-from .special import J, JB, Jm, appell_m, g_universal, pochhammer, theta_j
+from .special import read_row
 from .verdict import Verdict
 
 __version__ = "0.1.0"
@@ -89,13 +89,7 @@ __all__ = [
     "series_shift",
     "series_sub",
     "series_truncate",
-    "J",
-    "JB",
-    "Jm",
-    "appell_m",
-    "g_universal",
-    "pochhammer",
-    "theta_j",
+    "read_row",
     "f_c",
     "parse",
     "print_expr",

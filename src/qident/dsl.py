@@ -4,23 +4,26 @@ The surface syntax is plain infix arithmetic over rational literals, bound
 symbols, and a fixed set of named functions (theta products, Appell-Lerch
 sums, Eulerian series). Precedence is ^ then unary minus then * / then + -.
 There is no implicit multiplication: write 2*q, not 2q. Exponents after ^
-are integer literals, at most MAX_POWER in size unless the base is a pure
-power of q, or parenthesized fractions when it is.
+are integer literals, or parenthesized fractions when the base is a pure
+power of q; a power of any other base counts with the powers around it,
+and their product is at most MAX_POWER in size.
 
 parse/print round-trip structurally; eval is bottom-up and keeps monomial
 subexpressions exact for as long as possible so that function arguments
 (which must be monomials) never pass through a truncated series.
 
 The paper's fixed combinations (Ktilde, Htilde and their other forms,
-mcorr, msplit, g_appell) are definitions: exact argument checks, then an
-expression over the core functions with the integer arguments spliced into
-its text and the monomial ones bound as its symbols.  msplit's depth, the
-number of terms of its text, is at most MAX_SPLIT.
+mcorr, msplit, g_appell) and g_sum, g through its Eulerian sum, are
+definitions: exact argument checks, then an expression over the core
+functions with the integer arguments spliced into its text and the
+monomial ones bound as its symbols.  msplit's depth, the number of terms
+of its text, is at most MAX_SPLIT.
 
 The function registry holds every row of eulerian.FORMS and
-eulerian.BILATERAL, each read by special.read_row, beside the other
-functions and the definitions; by one rule, an entry whose last argument
-is a base may leave it out, meaning q.
+eulerian.BILATERAL, each read by special.read_row, and J, JB and Jm,
+which read the row j at q^a or -q^a, beside the constants and the
+definitions; by one rule, an entry whose last argument is a base may
+leave it out, meaning q.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .series import (
     series_sub,
     zero_series,
 )
-from .special import J, JB, PAD_LIMIT, Jm, ensure_prec, g_sum, read_row
+from .special import PAD_LIMIT, ensure_prec, read_row
 
 Rat = Union[int, Fraction]
 
@@ -412,13 +415,17 @@ def _factors(e: Expr) -> List[Tuple[Expr, int]]:
     return [(e, 1)]
 
 
-def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction) -> Value:
-    """The value of e below q^order, a monomial while it stays one.  A / B
-    shifts A by the product of B's monomial _factors, padded as _pad says,
-    and divides it by each series factor, the fewest terms first: with v1,
-    v2, va the valuations of b1, b2, a, series_div makes (a / b1) / b2 exact
-    below min(a.prec - v1 - v2, b1.prec - 2 v1 - v2 + va, b2.prec - v1 -
-    2 v2 + va), just as it makes a / (b1 b2)."""
+def _ev(
+    e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction, power: int = 1
+) -> Value:
+    """The value of e below q^order, a monomial while it stays one; power
+    is the product of the powers around e, which _check_power counts with
+    each power inside it.  A / B shifts A by the product of B's monomial
+    _factors, padded as _pad says, and divides it by each series factor,
+    the fewest terms first: with v1, v2, va the valuations of b1, b2, a,
+    series_div makes (a / b1) / b2 exact below min(a.prec - v1 - v2,
+    b1.prec - 2 v1 - v2 + va, b2.prec - v1 - 2 v2 + va), just as it makes
+    a / (b1 b2)."""
     if isinstance(e, Lit):
         if e.value == 0:
             return zero_series(order)
@@ -432,23 +439,23 @@ def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction)
     if isinstance(e, Inf):
         raise EvalError("'inf' is only valid as the last argument of poch")
     if isinstance(e, Neg):
-        v = _ev(e.a, order, binding, asked)
+        v = _ev(e.a, order, binding, asked, power)
         return -v if isinstance(v, Monomial) else series_neg(v)
     if isinstance(e, Add):
         return series_add(
-            _to_series(_ev(e.a, order, binding, asked), order),
-            _to_series(_ev(e.b, order, binding, asked), order),
+            _to_series(_ev(e.a, order, binding, asked, power), order),
+            _to_series(_ev(e.b, order, binding, asked, power), order),
         )
     if isinstance(e, Sub):
         return series_sub(
-            _to_series(_ev(e.a, order, binding, asked), order),
-            _to_series(_ev(e.b, order, binding, asked), order),
+            _to_series(_ev(e.a, order, binding, asked, power), order),
+            _to_series(_ev(e.b, order, binding, asked, power), order),
         )
     if isinstance(e, Mul):
-        va = _ev(e.a, order, binding, asked)
+        va = _ev(e.a, order, binding, asked, power)
         # only a monomial on the left pads the series on its right
         vb = _ev(e.b, _pad(order, asked, -va.expo) if isinstance(va, Monomial) else order,
-                 binding, asked)
+                 binding, asked, power)
         if isinstance(va, Monomial) and isinstance(vb, Monomial):
             return va * vb
         if isinstance(va, Monomial):
@@ -457,11 +464,11 @@ def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction)
             return series_shift(va, vb)
         return series_mul(va, vb)
     if isinstance(e, Div):
-        vals = [(_ev(f, order, binding, asked), k) for f, k in _factors(e.b)]
+        vals = [(_ev(f, order, binding, asked, power * k), k) for f, k in _factors(e.b)]
         for v, k in vals:
-            _check_power(v, k)
+            _check_power(v, power * k)
         monos = [v**k for v, k in vals if isinstance(v, Monomial)]
-        out = _ev(e.a, _pad(order, asked, sum(m.expo for m in monos)), binding, asked)
+        out = _ev(e.a, _pad(order, asked, sum(m.expo for m in monos)), binding, asked, power)
         if monos:
             inv = prod(monos[1:], start=monos[0]).inv()
             out = out * inv if isinstance(out, Monomial) else series_shift(out, inv)
@@ -470,13 +477,14 @@ def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction)
             out = series_div(_to_series(out, order), b)
         return out
     if isinstance(e, Pow):
-        v = _ev(e.base, order, binding, asked)
         if e.expo.denominator == 1:
             k = int(e.expo)
-            _check_power(v, k)
+            v = _ev(e.base, order, binding, asked, power * max(abs(k), 1))
+            _check_power(v, power * k)
             if isinstance(v, Monomial):
                 return v**k if k >= 0 else v.inv() ** (-k)
             return series_pow(v, k)
+        v = _ev(e.base, order, binding, asked, power)
         if isinstance(v, Monomial) and v.is_q_power():
             return Monomial.make(1, v.expo * e.expo)
         raise EvalError("a fractional exponent requires a pure power of q as base")
@@ -486,8 +494,10 @@ def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction)
 
 
 def _check_power(v: Value, k: int) -> None:
-    """Refuse v^k for |k| past MAX_POWER unless v is a pure power of q; a
-    divisor's factor counts with the product of the powers around it."""
+    """Refuse v^k for |k| past MAX_POWER unless v is a pure power of q, k
+    being the product of v's own power and every power around it: nested
+    powers count as one, as a divisor's factors do, and so refuse before
+    the inner power is expanded."""
     if abs(k) > MAX_POWER and not (isinstance(v, Monomial) and v.is_q_power()):
         raise EvalError(f"power {k} exceeds MAX_POWER = {MAX_POWER} for a base other than q^e")
 
@@ -546,7 +556,8 @@ def eval_expr(
     within PAD_LIMIT (a monomial on the right of * is not: write it first);
     reruns at a deeper working order win back what other shifts and
     divisions cost.  An order past MAX_ORDER, or a power past MAX_POWER of
-    anything but a pure power of q, raises EvalError.
+    anything but a pure power of q, nested powers multiplied, raises
+    EvalError.
     """
     b, asked = dict(binding or {}), Fraction(order)
     if asked > MAX_ORDER:
@@ -710,6 +721,11 @@ def _msplit(x: Monomial, p: int, z: Monomial, zp: Monomial, n: int) -> Source:
     return text, {"x": x, "z": z, "zp": zp}
 
 
+def _g_sum(x: Monomial, p: int) -> Source:
+    """g(x, q^p) = x^(-1) (-1 + g_euler(x, q^p)), g's Eulerian sum."""
+    return f"x^(-1)*(-1 + g_euler(x, q^{p}))", {"x": x}
+
+
 def _g_appell(x: Monomial, p: int) -> Source:
     """g(x, q^p) = -x^(-1) m(q^(2p) x^(-3), q^(3p), x^2) - x^(-2) m(q^p x^(-3), q^(3p), x^2)."""
     text = f"-x^(-1)*m(q^{2 * p}*x^(-3), q^{3 * p}, x^2) - x^(-2)*m(q^{p}*x^(-3), q^{3 * p}, x^2)"
@@ -719,16 +735,18 @@ def _g_appell(x: Monomial, p: int) -> Source:
 Entry = Tuple[Tuple[str, ...], Callable[[List[object], Fraction], Value]]
 
 # name: (argument kinds, (argument values, order) -> value), every row of
-# FORMS and BILATERAL read by special.read_row among them
+# FORMS and BILATERAL read by special.read_row among them; J(a, m) =
+# j(q^a; q^m), JB(a, m) = j(-q^a; q^m) and Jm(m) = J(m, 3m) read the row j
+# directly, with no text to parse
 _ENTRIES: Dict[str, Entry] = {
     **{name: (kinds, partial(read_row, name))
        for table in (FORMS, BILATERAL) for name, (kinds, _, _) in table.items()},
-    "J": (("i", "i"), lambda v, o: J(v[0], v[1], o)),
-    "JB": (("i", "i"), lambda v, o: JB(v[0], v[1], o)),
-    "Jm": (("i",), lambda v, o: Jm(v[0], o)),
+    "J": (("i", "i"), lambda v, o: read_row("j", (Monomial.make(1, v[0]), v[1]), o)),
+    "JB": (("i", "i"), lambda v, o: read_row("j", (Monomial.make(-1, v[0]), v[1]), o)),
+    "Jm": (("i",), lambda v, o: read_row("j", (Monomial.make(1, v[0]), 3 * v[0]), o)),
     "mcorr": (("x", "p", "x", "x"), _definition("mcorr", _mcorr)),
     "msplit": (("x", "p", "x", "x", "i"), _definition("msplit", _msplit)),
-    "g_sum": (("x", "p"), lambda v, o: g_sum(v[0], v[1], o)),
+    "g_sum": (("x", "p"), _definition("g_sum", _g_sum)),
     "g_appell": (("x", "p"), _definition("g_appell", _g_appell)),
     "Ktilde": (("i", "i"), _definition("Ktilde", _ktilde)),
     "Ktilde_closed": (("i", "i"), _definition("Ktilde_closed", _ktilde_closed)),

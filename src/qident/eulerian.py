@@ -1,20 +1,21 @@
 """Pochhammer products, Eulerian q-hypergeometric sums, bilateral Lambert
 series, the theta function j and the Appell-Lerch sum m.
 
-Each Eulerian series, the universal mock theta function g and the
-Pochhammer product among them, is one row of FORMS: its product form, the
-sum over n >= start of c^n q^E(n) times Pochhammer symbols
-(y; q^p)_(an+b)^(+-1) with E quadratic, as the table (c, E, factors,
-start) that special.read_row sums and reads its poles from, and the
-message that names a pole.  Each bilateral series, j and m among them, is
-one row of BILATERAL: its form, the sum over all n of c^n q^E(n) /
-(1 - u q^F(n)) with E quadratic and F linear, as series.bilateral_sum
-takes it, the theta function it is divided by, and the message that
-names a pole, which special.read_row raises where
+Each Eulerian series, the Lambert and Eulerian sums of the universal
+mock theta function g and the Pochhammer product among them, is one row
+of FORMS: its product form, the sum over n >= start of c^n q^E(n) times
+Pochhammer symbols (y; q^p)_(an+b)^(+-1) with E quadratic, as the table
+(c, E, factors, start) that special.read_row sums and reads its poles
+from, and the message that names a pole.  Each bilateral series, j and m
+among them, is one row of BILATERAL: its form, the sum over all n of c^n
+q^E(n) / (1 - u q^F(n)) with E quadratic and F linear, as
+series.bilateral_sum takes it, the theta function it is divided by, and
+the message that names a pole, which special.read_row raises where
 series.bilateral_pole finds one.  need_theta_nonzero is the one exact
 test for an identically vanishing theta function.  The paper's
-root-of-unity combinations of these series, K-tilde and H-tilde, are
-expression-language definitions in dsl.
+root-of-unity combinations of these series, K-tilde and H-tilde, g from
+its Eulerian sum (g_sum), and the theta shorthands J, JB and Jm are
+expression-language entries over these rows in dsl.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ def _poch(x: Monomial, p: Fraction, n: Optional[int]) -> tuple:
     return x.coeff, (0, x.expo + p * n, 0), ((_q(-p * n), p, 1, 0, 1), qp), 0
 
 
+_G_POLE = "g pole: Pochhammer factor vanishes for x = {0} a power of q^({1})"
+
 # name: (argument kinds, arguments -> product form (c, E, factors, start),
 # pole message over the arguments, None for a row without poles), a factor
 # (y, p, a, b, s) standing for (y; q^p)_(an+b)^s.  An argument of kind "p"
@@ -119,10 +122,15 @@ FORMS: Dict[str, Tuple[Tuple[str, ...], Callable[..., tuple], Optional[str]]] = 
         (x.times_q(1), 2, 1, 1, -1), (x.inv().times_q(1), 2, 1, 1, -1)), 0),
         "left side of the odd Lambert identity has a vanishing denominator at {0}"),
     # the universal mock theta function g(x, q^p) as its Lambert sum,
-    # sum q^(p n(n+1)) / ((x; q^p)_{n+1} (q^p/x; q^p)_{n+1})
+    # sum q^(p n(n+1)) / ((x; q^p)_{n+1} (q^p/x; q^p)_{n+1}); its Eulerian
+    # form is the definition g_sum over g_euler, its Appell-Lerch form the
+    # definition g_appell
     "g": (("x", "p"), lambda x, p: (1, (p, p, 0), (
-        (x, p, 1, 1, -1), (x.inv().times_q(p), p, 1, 1, -1)), 0),
-        "g pole: Pochhammer factor vanishes for x = {0} a power of q^({1})"),
+        (x, p, 1, 1, -1), (x.inv().times_q(p), p, 1, 1, -1)), 0), _G_POLE),
+    # g's Eulerian sum, sum q^(p n^2) / ((x; q^p)_{n+1} (q^p/x; q^p)_n), with
+    # g's poles: g(x, q^p) = x^(-1) (-1 + g_euler(x, q^p))
+    "g_euler": (("x", "p"), lambda x, p: (1, (p, 0, 0), (
+        (x, p, 1, 1, -1), (x.inv().times_q(p), p, 1, 0, -1)), 0), _G_POLE),
 }
 
 
@@ -152,11 +160,14 @@ def _m(x: Monomial, p: Rat, z: Monomial) -> tuple:
 # scans, without the denominator when u is None, divided by j(y; q^p) for
 # theta = (y, p) unless theta is None.
 BILATERAL: Dict[str, Tuple[Tuple[str, ...], Callable[..., tuple], Optional[str]]] = {
-    # j(x; q^p) = sum (-1)^n q^(p binom(n,2)) x^n, which has no pole
+    # j(x; q^p) = sum (-1)^n q^(p binom(n,2)) x^n, which has no pole: it is
+    # always well defined, and identically zero exactly when x is a power of q^p
     "j": (("x", "p"), lambda x, p: (
         -x.coeff, (Fraction(p, 2), x.expo - Fraction(p, 2), 0), x.expo.denominator * p.denominator,
         x.field_order, None, (0, 0), None), None),
-    # m(x, q^p, z) = sum (-1)^n q^(p binom(n,2)) z^n / (1 - q^(p(n-1)) x z), over j(z; q^p)
+    # m(x, q^p, z) = sum (-1)^n q^(p binom(n,2)) z^n / (1 - q^(p(n-1)) x z), over
+    # j(z; q^p); NonGenericError when j(z; q^p) vanishes or a denominator
+    # 1 - q^(p(n-1)) x z does, both decided exactly up front
     "m": (("x", "p", "x"), _m, "Appell-Lerch denominator 1 - q^((r-1)p) x z vanishes at r = {r}"),
     # sum (-1)^n q^(p binom(n+1,2)) / (1 - q^(pn) z)
     "rjtp": (("x", "p"), lambda z, p: (

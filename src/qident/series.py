@@ -236,20 +236,6 @@ class QSeries:
 
     # -- display ------------------------------------------------------------
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return f"O(q^({self.prec_order()}))"
-        bits = []
-        for k, c in self.sorted_terms():
-            e = Fraction(k, self.denom)
-            cs = str(c) if c.is_rational() else f"({c})"
-            if e == 0:
-                bits.append(cs)
-            else:
-                qs = f"q^({e.numerator}/{e.denominator})"
-                bits.append(qs if cs == "1" else f"-{qs}" if cs == "-1" else f"{cs}*{qs}")
-        return " + ".join(bits) + f" + O(q^({self.prec_order()}))"
-
     def __repr__(self) -> str:
         return (f"<QSeries D={self.denom} M={self.field_order} P={self.prec}"
                 f" terms={self.term_count()}>")

@@ -1,25 +1,23 @@
-"""Classical building blocks: the one reader of every row of
-eulerian.FORMS and eulerian.BILATERAL, the Pochhammer products, the theta
-function j with its J specializations, the Appell-Lerch sum m(x,q,z) and
-the universal mock theta function g in its two sums.
+"""Classical building blocks through one entry point: read_row, the one
+reader of every row of eulerian.FORMS and eulerian.BILATERAL, with the
+term sum, the bilateral scan and the precision loop it runs.
 
 All arguments x, z are Monomials c*q^e; the base is a positive rational p
-standing for q^p.  Every function takes a target order and returns a
-QSeries whose guaranteed precision reaches that order; a construction
-whose own division costs precision runs through ensure_prec, which
-deepens its working order up to PAD_LIMIT.  An Eulerian series is its
-product form, a table of Pochhammer factors that has_pole reads its
-poles off and that _term_sum sums term by term on the one grid and over
-the one field the form fixes: each term is a QSeries, whose phi(M)
-integer lists each binomial of a term ratio multiplies in one pass, with
-no series product or quotient, and each term's lists are added into the
-sum's one row as they come.  A bilateral series is its bilateral_sum
-form and theta divisor, whose pole bilateral_pole finds.  read_row reads
-both kinds, j, m, g and poch among them, and keeps one memo entry per
-(row, arguments) in _theta_cache, a least recently used cache of at most
-MEMO_LIMIT entries, which it looks up before it builds the row's form;
-g_sum, g's Eulerian sum and the one term sum outside the tables, shares
-the memo.
+standing for q^p.  read_row takes a target order and returns a QSeries
+whose guaranteed precision reaches that order; a construction whose own
+division costs precision runs through ensure_prec, which deepens its
+working order up to PAD_LIMIT.  An Eulerian series is its product form, a
+table of Pochhammer factors that has_pole reads its poles off and that
+_term_sum sums term by term on the one grid and over the one field the
+form fixes: each term is a QSeries, whose phi(M) integer lists each
+binomial of a term ratio multiplies in one pass, with no series product
+or quotient, and each term's lists are added into the sum's one row as
+they come.  A bilateral series is its bilateral_sum form and theta
+divisor, whose pole bilateral_pole finds.  read_row reads both kinds, j,
+m, g, g's Eulerian sum g_euler and poch among them, and keeps one memo
+entry per (row, arguments) in _theta_cache, a least recently used cache
+of at most MEMO_LIMIT entries, which it looks up before it builds the
+row's form.
 """
 
 from __future__ import annotations
@@ -43,12 +41,9 @@ from .series import (
     _zero,
     bilateral_pole,
     bilateral_sum,
-    const_series,
     grid_prec,
     series_div,
     series_scale,
-    series_shift,
-    series_sub,
     series_truncate,
 )
 
@@ -313,57 +308,3 @@ def read_row(name: str, args: Sequence, order: Rat) -> QSeries:
         return ensure_prec(scan, order)
 
     return _memo(_key(name, args), order, build)
-
-
-def pochhammer(x: Monomial, p: Rat, n: Optional[int], order: Rat) -> QSeries:
-    """(x; q^p)_n, n = None meaning the infinite product: the row poch."""
-    return read_row("poch", (x, p, n), order)
-
-
-def theta_j(x: Monomial, p: Rat, order: Rat) -> QSeries:
-    """j(x; q^p), the row j: always well defined, and identically zero
-    exactly when x is a power of q^p."""
-    return read_row("j", (x, p), order)
-
-
-def J(a: int, m: int, order: Rat) -> QSeries:
-    """J_{a,m} = j(q^a; q^m)."""
-    return theta_j(Monomial.make(1, a), m, order)
-
-
-def JB(a: int, m: int, order: Rat) -> QSeries:
-    """JB_{a,m} = j(-q^a; q^m)."""
-    return theta_j(Monomial.make(-1, a), m, order)
-
-
-def Jm(m: int, order: Rat) -> QSeries:
-    """J_m = J_{m,3m}."""
-    return J(m, 3 * m, order)
-
-
-def appell_m(x: Monomial, p: Rat, z: Monomial, order: Rat) -> QSeries:
-    """m(x, q^p, z), the row m; NonGenericError when j(z; q^p) vanishes or
-    a denominator 1 - q^(p(n-1)) x z does, both decided exactly up front."""
-    return read_row("m", (x, p, z), order)
-
-
-def g_universal(x: Monomial, p: Rat, order: Rat) -> QSeries:
-    """g(x, q^p) as its Lambert sum, the row g.  Its Eulerian form is
-    g_sum, its Appell-Lerch form the expression-language definition g_appell."""
-    return read_row("g", (x, p), order)
-
-
-def g_sum(x: Monomial, p: Rat, order: Rat) -> QSeries:
-    """g(x, q^p) as its Eulerian sum, Pochhammers at base q^p:
-    x^(-1) (-1 + sum of q^(p n^2) / ((x)_{n+1} (q^p/x)_n)), rejected at the
-    poles of the row g, which are its own."""
-    p = _base(p)
-    factors = ((x, p, 1, 1, -1), (x.inv().times_q(p), p, 1, 0, -1))
-    if has_pole(factors):
-        raise NonGenericError(FORMS["g"][2].format(x, p))
-
-    def build(work: Fraction) -> QSeries:
-        s = _term_sum(1, (p, 0, 0), factors, work)
-        return series_shift(series_sub(s, const_series(1, work)), x.inv())
-
-    return _memo(_key("g_sum", (x, p)), order, partial(ensure_prec, build, order))

@@ -212,7 +212,7 @@ class TestExpand:
 
     @pytest.mark.parametrize(
         "expr", ["cscpi(1,3)^10000000", "(3/2)^300000*q", "(2*q)^100000000", "j(2^100000*q)",
-                 "1/(1 - q)^100000000"]
+                 "1/(1 - q)^100000000", "(((2+q)^1000)^1000)^1000"]
     )
     def test_huge_scalar_power_is_refused_at_once(self, capsys, expr):
         t0 = time.perf_counter()
@@ -247,10 +247,13 @@ class TestExpand:
         assert code == 2
         assert "bound twice" in capsys.readouterr().err
 
-    def test_bad_order_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["expand", "q", "--order", "zero"])
-        assert exc.value.code == 2
+    def test_bad_order_rejected(self, capsys):
+        for order, why in (("zero", "not an order"), ("0", "order must be positive"),
+                           ("-1", "order must be positive")):
+            with pytest.raises(SystemExit) as exc:
+                main(["expand", "q", "--order", order])
+            assert exc.value.code == 2
+            assert why in capsys.readouterr().err
 
 
 class TestVerify:

@@ -184,6 +184,8 @@ class TestEval:
 
     def test_theta_shorthand(self):
         check_eq(eval_expr(parse("J(1,2)"), 30), eval_expr(parse("j(q; q^2)"), 30), 30)
+        # a monomial on the right of * shifts the series on its left
+        check_eq(eval_expr(parse("J(1,2)*q"), 30), eval_expr(parse("q*J(1,2)"), 30), 30)
 
     def test_theta_base_left_out_means_q(self):
         for x in ("2*q", "zeta(3,1)", "-q^(1/2)"):

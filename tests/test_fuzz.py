@@ -1,9 +1,9 @@
 """Grammar fuzzer: every expression ends in exit 0 or exit 2.
 
 Hypothesis draws expressions over dsl.FUNCTIONS, each call drawn by
-test_audit's generators, mixed with operators, powers and extreme
-literals, and runs each through `qident expand` in this process at a small
-order under a signal.alarm watchdog.  An exception that escapes the
+test_audit's generators, mixed with operators, powers nested up to three
+deep and extreme literals, and runs each through `qident expand` in this
+process at a small order under a signal.alarm watchdog.  An exception that escapes the
 command line, an exit code other than 0 or 2, or a run past the watchdog
 fails.  MAX_SPLIT and MAX_WINDOW are lowered, so that a refused input is
 refused at once, and the inputs that once ran without end or ended in a
@@ -57,7 +57,10 @@ def expressions(draw, binding, depth=0):
         return _call(draw, *draw(st.sampled_from(ENTRIES)), binding)
     a = draw(expressions(binding, depth + 1))
     if kind == "power":
-        return f"({a})^{draw(st.sampled_from(POWERS))}"
+        # up to three powers in a row, which count as one product
+        for _ in range(draw(st.integers(1, 3))):
+            a = f"({a})^{draw(st.sampled_from(POWERS))}"
+        return a
     b = draw(expressions(binding, depth + 1))
     return f"({a}) {draw(st.sampled_from('+-*/'))} ({b})"
 
@@ -99,6 +102,9 @@ PROBES = [
     ("(0) / ((0)^1000000)", "1", []),
     ("1/(1-q^(1/1000))", "10000", []),
     ("j(q^(1/988027), q)/j(q^(2/988027), q)", "20", []),
+    ("(((2+q)^1000)^1000)^1000", "3", []),
+    ("((2^1000)^1000)^1000", "3", []),
+    ("((2+q)^1000)^15", "2", []),
 ]
 
 

@@ -141,6 +141,9 @@ def _calls():
     add("g_appell(x, q^(1/2))", 10, "x=zeta(3,1)")
     add("-q^(-4/7)*m(zeta(7,4)*q^(-1/7), q^2, q)", 25)
     add("q^(-3)/Jm(1)", 10)
+    for x in ("zeta(3,1)", "2*q", "q^(1/3)", "1"):
+        add("g_euler(x)", 20, f"x={x}")
+        add("g_euler(x, q^2)", 12, f"x={x}")
     return out
 
 

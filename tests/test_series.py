@@ -130,6 +130,7 @@ class TestShift:
     def test_eighth_grid(self):
         s = series_shift(geometric(4), Monomial.make(1, F(1, 8)))
         assert s.denom == 8
+        assert repr(s) == "<QSeries D=8 M=1 P=33 terms=4>"
         assert_series_matches(
             s, {F(1, 8): 1, F(9, 8): 1, F(17, 8): 1, F(25, 8): 1}, F(33, 8)
         )
@@ -138,6 +139,10 @@ class TestShift:
         a = geometric(10)
         s = series_shift(a, Monomial.make(zeta_power(4, 1), F(-3, 2)))
         assert len(s.terms) == len(a.terms)
+
+    def test_scale_by_zero_keeps_the_precision(self):
+        s = series_scale(geometric(10), 0)
+        assert s.is_zero() and s.prec_order() == 10
 
 
 class TestGeomInverse:
@@ -207,6 +212,11 @@ class TestBilateralSum:
     def test_exponent_off_the_grid_is_rejected(self):
         with pytest.raises(ValueError):
             bilateral_sum(1, (F(1, 2), 0, 0), 10)
+
+    @pytest.mark.parametrize("e2", [0, -1])
+    def test_quadratic_must_be_positive(self, e2):
+        with pytest.raises(ValueError, match="needs a positive quadratic exponent"):
+            bilateral_sum(1, (e2, 1, 0), 10)
 
     def test_pole_outside_the_window_is_rejected(self):
         # the n = 10 term is q^100 / (1 - q^0), far past order 5

@@ -22,9 +22,15 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .dsl import DEFAULT_ORDER, eval_expr, parse, parse_bindings
-from .errors import QIdentError
+from .errors import CapExceededError, QIdentError
 from .eulerian import f_c
 from .series import series_truncate
+
+# The most bits an integer of an expansion's row may have: each printed
+# numerator and denominator is at most that row's, so it has under 4,300
+# digits, CPython's limit on converting an int to a string (a limit that
+# 3.10 before 3.10.7 does not have).
+MAX_COEFF_BITS = 14000
 
 
 def _order_arg(text: str) -> Fraction:
@@ -44,6 +50,9 @@ def _field_name(order: int) -> str:
 def _cmd_expand(args: argparse.Namespace) -> int:
     binding = parse_bindings(args.bind)
     s = series_truncate(eval_expr(parse(args.expr), args.order, binding), args.order)
+    bits = max(x.bit_length() for x in (s.den, *(x for col in s.cols for x in col)))
+    if bits > MAX_COEFF_BITS:
+        raise CapExceededError(f"a coefficient of {bits} bits exceeds MAX_COEFF_BITS = {MAX_COEFF_BITS}")
     print(f"# terms below q^({s.prec_order()}), grid 1/{s.denom}, coefficients in {_field_name(s.field_order)}")
     for k, c in s.sorted_terms():
         print(f"q^({k}/{s.denom}): {c}")

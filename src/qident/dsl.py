@@ -516,13 +516,7 @@ def _call(e: Call, order: Fraction, binding: Dict[str, Monomial], asked: Fractio
         elif kind == "i":
             vals.append(_as_int(e.name, idx, arg))
         elif kind == "n":
-            if isinstance(arg, Inf):
-                vals.append(None)
-            else:
-                k = _as_int(e.name, idx, arg)
-                if k < 0:
-                    raise EvalError(f"argument {idx} of {e.name} must be nonnegative or inf")
-                vals.append(k)
+            vals.append(None if isinstance(arg, Inf) else _as_int(e.name, idx, arg))
         else:  # pragma: no cover
             raise AssertionError(kind)
     try:
@@ -604,9 +598,8 @@ def parse_bindings(items: Iterable[str]) -> Dict[str, Monomial]:
 
 
 def _trig(fn: Callable, v: List[object]) -> Monomial:
+    """sin or csc of pi a/c, whose own check refuses all but 0 < a < c."""
     a, c = v
-    if not 0 < a < c:
-        raise EvalError("need 0 < a < c")
     return Monomial(fn(a, c, lcm(4, 2 * c)), Fraction(0))
 
 

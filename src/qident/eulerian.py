@@ -9,13 +9,14 @@ Pochhammer symbols (y; q^p)_(an+b)^(+-1) with E quadratic, as the table
 from, and the message that names a pole.  Each bilateral series, j and m
 among them, is one row of BILATERAL: its form, the sum over all n of c^n
 q^E(n) / (1 - u q^F(n)) with E quadratic and F linear, as
-series.bilateral_sum takes it, the theta function it is divided by, and
-the message that names a pole, which special.read_row raises where
-series.bilateral_pole finds one.  need_theta_nonzero is the one exact
-test for an identically vanishing theta function.  The paper's
-root-of-unity combinations of these series, K-tilde and H-tilde, g from
-its Eulerian sum (g_sum), and the theta shorthands J, JB and Jm are
-expression-language entries over these rows in dsl.
+series.bilateral_sum takes it and reads its grid and field off it, the
+theta function it is divided by, and the message that names a pole,
+which special.read_row raises where series.bilateral_pole finds one.
+need_theta_nonzero is the one exact test for an identically vanishing
+theta function.  The paper's root-of-unity combinations of these series,
+K-tilde and H-tilde, g from its Eulerian sum (g_sum), and the theta
+shorthands J, JB and Jm are expression-language entries over these rows
+in dsl.
 """
 
 from __future__ import annotations
@@ -136,43 +137,37 @@ FORMS: Dict[str, Tuple[Tuple[str, ...], Callable[..., tuple], Optional[str]]] = 
 
 def _lambert(k: int) -> Callable[[Monomial], tuple]:
     """(1/JB(1,4)) sum over n of q^(2n^2+(2k+1)n+k) / (1 - w q^(2n+k))."""
-    return lambda w: (1, (2, 2 * k + 1, k), w.expo.denominator, w.field_order, w.coeff,
-                      (2, k + w.expo), (_q(1, -1), 4))
+    return lambda w: (1, (2, 2 * k + 1, k), w.coeff, (2, k + w.expo), (_q(1, -1), 4))
 
 
 def _habc(a: int, b: int, c: int) -> tuple:
     need_a_below_c(a, c)
-    ac, zb = Fraction(a, c), zeta_power(c, b % c)
-    return -1, (1, 2, ac), ac.denominator, zb.order, zb, (1, ac), (_q(1), 2)
+    ac = Fraction(a, c)
+    return -1, (1, 2, ac), zeta_power(c, b % c), (1, ac), (_q(1), 2)
 
 
 def _m(x: Monomial, p: Rat, z: Monomial) -> tuple:
     need_theta_nonzero(z, p, "j(z; q^p)")
     xz = x * z
-    return (-z.coeff, (Fraction(p, 2), z.expo - Fraction(p, 2), 0),
-            z.expo.denominator * x.expo.denominator * p.denominator, z.field_order,
-            xz.coeff, (p, xz.expo - p), (z, p))
+    return -z.coeff, (Fraction(p, 2), z.expo - Fraction(p, 2), 0), xz.coeff, (p, xz.expo - p), (z, p)
 
 
-# name: (argument kinds, arguments -> bilateral form (c, e, denom, field, u, f,
-# theta), pole message over the arguments and r), the form standing for the
-# sum over all n of c^n q^E(n) / (1 - u q^F(n)) that series.bilateral_sum
-# scans, without the denominator when u is None, divided by j(y; q^p) for
-# theta = (y, p) unless theta is None.
+# name: (argument kinds, arguments -> bilateral form (c, e, u, f, theta), pole
+# message over the arguments and r), the form standing for the sum over all n
+# of c^n q^E(n) / (1 - u q^F(n)) that series.bilateral_sum scans on the grid
+# and over the field it reads off the form, without the denominator when u is
+# None, divided by j(y; q^p) for theta = (y, p) unless theta is None.
 BILATERAL: Dict[str, Tuple[Tuple[str, ...], Callable[..., tuple], Optional[str]]] = {
     # j(x; q^p) = sum (-1)^n q^(p binom(n,2)) x^n, which has no pole: it is
     # always well defined, and identically zero exactly when x is a power of q^p
     "j": (("x", "p"), lambda x, p: (
-        -x.coeff, (Fraction(p, 2), x.expo - Fraction(p, 2), 0), x.expo.denominator * p.denominator,
-        x.field_order, None, (0, 0), None), None),
+        -x.coeff, (Fraction(p, 2), x.expo - Fraction(p, 2), 0), None, (0, 0), None), None),
     # m(x, q^p, z) = sum (-1)^n q^(p binom(n,2)) z^n / (1 - q^(p(n-1)) x z), over
     # j(z; q^p); NonGenericError when j(z; q^p) vanishes or a denominator
     # 1 - q^(p(n-1)) x z does, both decided exactly up front
     "m": (("x", "p", "x"), _m, "Appell-Lerch denominator 1 - q^((r-1)p) x z vanishes at r = {r}"),
     # sum (-1)^n q^(p binom(n+1,2)) / (1 - q^(pn) z)
-    "rjtp": (("x", "p"), lambda z, p: (
-        -1, (Fraction(p, 2), Fraction(p, 2), 0), z.expo.denominator, z.field_order, z.coeff,
-        (p, z.expo), None),
+    "rjtp": (("x", "p"), lambda z, p: (-1, (Fraction(p, 2), Fraction(p, 2), 0), z.coeff, (p, z.expo), None),
         "Lambert denominator 1 - q^(pn) z has a pole: z = {0} is a power of q^({1})"),
     "bilateral_even": (("x",), _lambert(0),
                        "even bilateral Lambert sum has a vanishing denominator at {0}"),

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .coeff import (
     CycloNumber,
@@ -349,28 +349,16 @@ def q_power(e: Rat, order: Rat) -> QSeries:
 
 
 def series_add(a: QSeries, b: QSeries) -> QSeries:
-    return series_sum(a, (b,))
-
-
-def series_sum(total: QSeries, terms: Iterable[QSeries]) -> QSeries:
-    """total plus every series in terms, each row added into one.
-
-    Every row is rebased to the finest grid and lifted to the largest
-    field among them, as align does, and put over the lcm of their
-    denominators; the precision is the minimum over all of them.
-    """
-    rows = [total, *terms]
-    d, m = lcm(*(s.denom for s in rows)), lcm(*(s.field_order for s in rows))
-    rows = [s.rebase(d).lift_field(m) for s in rows]
-    acc = _zero(d, min(s.prec for s in rows), m)
-    for s in rows:
-        acc = _add_into(acc, s)
-    return _row(d, acc.prec, m, acc.off, acc.cols, acc.den)
+    """a plus b, aligned to one grid and field and added into one fresh row,
+    over the lcm of their denominators; the precision is the lower one."""
+    a, b = align(a, b)
+    acc = _add_into(_add_into(_zero(a.denom, min(a.prec, b.prec), a.field_order), a), b)
+    return _row(acc.denom, acc.prec, acc.field_order, acc.off, acc.cols, acc.den)
 
 
 def _add_into(total: QSeries, t: QSeries) -> QSeries:
     """total plus t, both on one grid and over one field, with total's lists
-    its own (series_sum's, or the sum of special._term_sum, which starts on
+    its own (series_add's, or the sum of special._term_sum, which starts on
     its form's grid and field): t's lists below the lower precision are
     added into them, grown at either end as t needs, over the lcm of the
     two denominators.  The lists are cut at the precision only by _row."""
@@ -612,35 +600,34 @@ def bilateral_sum(
     c: Union[CycloNumber, Rat],
     e: tuple[Rat, Rat, Rat],
     order: Rat,
-    denom: int = 1,
-    field_order: int = 1,
     u: Optional[CycloNumber] = None,
     f: tuple[Rat, Rat] = (0, 0),
 ) -> QSeries:
     """The sum over all integers n of c^n q^E(n) / (1 - u q^F(n)) below
-    q^order, E(n) = e2 n^2 + e1 n + e0 (e2 > 0) and F(n) = f1 n + f0 taking
-    integer values on the grid 1/denom; without u (and F), the sum of c^n q^E(n).
+    q^order, E(n) = e2 n^2 + e1 n + e0 (e2 > 0) and F(n) = f1 n + f0; without
+    u (and F), the sum of c^n q^E(n).
 
-    E(-1), E(0), E(1), F(0) and F(1), read off the inputs in one pass, fix
-    every exponent as a grid integer.  A term's valuation E(n) + max(0, -F(n))
-    is convex, so the scan walks out from its integer minimizer until it
-    reaches the order on each side.  Term n is a geometric run of c^n times
-    the weights u^j at E + jF when F > 0, -u^(-1-j) at E - (j+1)F when F < 0,
-    1/(1 - u) at E when F = 0, added into the sum's row every |F| grid
-    steps.  The powers of c, 1/c, u and 1/u are coeff._powers rows, and the
-    sum's row is put over the lcm of their denominators once.  The field is
-    field_order, lifted to those of c and u once a term falls below the
-    order.  A term with a zero denominator raises, wherever it lies.
+    The sum lives on the coarsest grid 1/D on which E(-1), E(0), E(1), F(0)
+    and F(1) are integers, and so E and F at every n, read off the inputs
+    in one pass over integers, and over Q(zeta_M), M the lcm of the orders
+    of c and u.  A term's valuation E(n) + max(0, -F(n)) is convex, so the
+    scan walks out from its integer minimizer until it reaches the order on
+    each side.  Term n is a geometric run of c^n times the weights u^j at
+    E + jF when F > 0, -u^(-1-j) at E - (j+1)F when F < 0, 1/(1 - u) at E
+    when F = 0, added into the sum's row every |F| grid steps.  The powers
+    of c, 1/c, u and 1/u are coeff._powers rows, and the sum's row is put
+    over the lcm of their denominators once.  A term with a zero
+    denominator raises, wherever it lies.
     """
     if u is not None and bilateral_pole(u, f) is not None:
         raise NonGenericError("pole 1/(1 - u) with u exactly 1")
     c = c if isinstance(c, CycloNumber) else cyclo_embed(c, 1)
     q = lcm(*(x.denominator for x in (*e, *f)))
-    a2, a1, a0, b1, b0 = (x.numerator * (q // x.denominator) * denom for x in (*e, *f))
+    a2, a1, a0, b1, b0 = (x.numerator * (q // x.denominator) for x in (*e, *f))
     ints = (a2 - a1 + a0, a0, a2 + a1 + a0, b0, b1 + b0)
-    if bad := [x for x in ints if x % q]:
-        raise ValueError(f"exponent {Fraction(bad[0], q * denom)} is off the grid 1/{denom}")
-    em, ez, ep, fz, fp = (x // q for x in ints)
+    g = gcd(q, *ints)
+    denom, M = q // g, lcm(c.order, 1 if u is None else u.order)
+    em, ez, ep, fz, fp = (x // g for x in ints)
     s1, s2, fs, P = ep - em, ep - 2 * ez + em, fp - fz, grid_prec(order, denom)
     if s2 <= 0:
         raise ValueError("a bilateral sum needs a positive quadratic exponent")
@@ -656,8 +643,7 @@ def bilateral_sum(
             runs.append((n, first, abs(b), (P - first - 1) // abs(b) + 1 if b else 1, (b > 0) - (b < 0)))
             n += step
     if not runs:
-        return _zero(denom, P, field_order)
-    M = lcm(field_order, c.order, 1 if u is None else u.order)
+        return _zero(denom, P, M)
     c = lift_order(c, M)
     # c^n at slot n of one row for n >= 0, at slot ~n = -n-1 of the other for n < 0
     ns = [run[0] for run in runs]
@@ -707,6 +693,5 @@ __all__ = [
     "series_scale",
     "series_shift",
     "series_sub",
-    "series_sum",
     "zero_series",
 ]

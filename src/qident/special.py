@@ -12,12 +12,13 @@ _term_sum sums term by term on the one grid and over the one field the
 form fixes: each term is a QSeries, whose phi(M) integer lists each
 binomial of a term ratio multiplies in one pass, with no series product
 or quotient, and each term's lists are added into the sum's one row as
-they come.  A bilateral series is its bilateral_sum form and theta
-divisor, whose pole bilateral_pole finds.  read_row reads both kinds, j,
-m, g, g's Eulerian sum g_euler and poch among them, and keeps one memo
-entry per (row, arguments) in _theta_cache, a least recently used cache
-of at most MEMO_LIMIT entries, which it looks up before it builds the
-row's form.
+they come.  A bilateral series is its bilateral_sum form, whose grid and
+field bilateral_sum reads off it as _term_sum does off a product form, and
+its theta divisor; bilateral_pole finds its pole.  read_row reads both
+kinds, j, m, g, g's Eulerian sum g_euler and poch among them, and keeps
+one memo entry per (row, arguments) in _theta_cache, a least recently
+used cache of at most MEMO_LIMIT entries, which it looks up before it
+builds the row's form.
 """
 
 from __future__ import annotations
@@ -297,12 +298,12 @@ def read_row(name: str, args: Sequence, order: Rat) -> QSeries:
             if has_pole(factors):
                 raise NonGenericError(pole.format(*args))
             return ensure_prec(partial(_term_sum, c, e, factors, start=start), order)
-        c, e, d, m, u, f, theta = form(*args)
+        c, e, u, f, theta = form(*args)
         if (r := bilateral_pole(u, f)) is not None:
             raise NonGenericError(pole.format(*args, r=r))
 
         def scan(work: Fraction) -> QSeries:
-            s = bilateral_sum(c, e, work, d, m, u, f)
+            s = bilateral_sum(c, e, work, u, f)
             return s if theta is None else series_div(s, read_row("j", theta, work))
 
         return ensure_prec(scan, order)

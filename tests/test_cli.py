@@ -139,7 +139,12 @@ class TestExpand:
         ("msplit(2*q, q, -1, -q, 0)", "msplit"),
         # raised inside the definition's expression, still under its name
         ("Ktilde_closed(1,0)", "Ktilde_closed"),
+        ("Htilde_closed(1,0)", "Htilde_closed"),
         ("Ktilde(1,600)", "Ktilde"),
+        # a row's or a constant's own check, under the function's name
+        ("poch(2*q, q, -1)", "poch"),
+        ("sinpi(3,2)", "sinpi"),
+        ("cscpi(0,2)", "cscpi"),
     ])
     def test_bad_definition_argument_is_usage_error(self, capsys, expr, name):
         assert main(["expand", expr, "--order", "10"]) == 2
@@ -219,6 +224,26 @@ class TestExpand:
         assert main(["expand", expr, "--order", "10"]) == 2
         assert time.perf_counter() - t0 < 1
         assert f"exceeds MAX_POWER = {dsl.MAX_POWER}" in capsys.readouterr().err
+
+    def test_lowered_coefficient_cap_is_usage_error(self, monkeypatch, capsys):
+        # 2^40 has 41 bits, 2^39 40; nothing is printed before the refusal
+        monkeypatch.setattr(cli, "MAX_COEFF_BITS", 40)
+        assert main(["expand", "2^40*q", "--order", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and "exceeds MAX_COEFF_BITS = 40" in err
+        assert main(["expand", "2^39*q", "--order", "2"]) == 0
+
+    def test_coefficient_past_the_digit_limit_is_refused_before_output(self, capsys):
+        # 10^5000 has 16,610 bits and 5,001 digits, past CPython's 4,300-digit
+        # limit on int to str, which would end the output after the header
+        assert main(["expand", "10^1000*10^1000*10^1000*10^1000*10^1000*q", "--order", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and f"exceeds MAX_COEFF_BITS = {cli.MAX_COEFF_BITS}" in err
+        assert 10 ** 4300 > 2 ** cli.MAX_COEFF_BITS
+
+    def test_coefficient_cap_covers_every_coefficient_in_use(self):
+        # the largest integer of a golden expansion's row has 241 bits
+        assert cli.MAX_COEFF_BITS >= 241
 
     def test_power_cap_covers_every_power_in_use(self):
         # the corpus and the golden calls raise nothing to a power past 30

@@ -23,6 +23,7 @@ from qident.coeff import (
 )
 from qident.dsl import eval_expr, parse
 from qident.errors import OrderMismatchError
+from qident.series import Monomial, QSeries
 
 from oracles import count_products, fraction_dot
 
@@ -68,9 +69,14 @@ class TestWorkedValues:
             Fraction(-3, 2),
             Fraction(0),
         )
+        with pytest.raises(ValueError, match="expected 4 coefficients for order 5"):
+            CycloNumber(5, [1, 2])
 
     def test_zeta6_cubed_is_minus_one(self):
         assert zeta_power(6, 3) == -1
+        assert zeta_power(6, 3).rational_value() == -1
+        with pytest.raises(ValueError, match="is not rational"):
+            zeta_power(5, 1).rational_value()
 
     def test_zeta3_plus_square_is_minus_one(self):
         z = zeta_power(3, 1)
@@ -106,6 +112,8 @@ class TestWorkedValues:
     def test_order_mismatch_raises(self):
         with pytest.raises(OrderMismatchError):
             zeta_power(3, 1) + zeta_power(4, 1)
+        with pytest.raises(ValueError, match="coefficient field order mismatch"):
+            QSeries(1, 5, {0: zeta_power(3, 1)}, 1)
 
     def test_lift_requires_divisibility(self):
         with pytest.raises(OrderMismatchError):
@@ -196,6 +204,9 @@ class TestFieldAxioms:
     def test_zeta_is_mth_root(self, M, k):
         assert zeta_power(M, k) ** M == one(M)
         assert zeta_power(M, k) == zeta_power(M, k % M)
+        # a fractional power is refused
+        with pytest.raises(TypeError, match="integer exponents"):
+            zeta_power(M, k) ** Fraction(1, 2)
 
     @given(st.sampled_from([(3, 12), (4, 12), (6, 12), (2, 8), (5, 20), (8, 24)]),
            st.integers(min_value=0, max_value=11))
@@ -330,3 +341,7 @@ class TestPrinting:
         assert str(z) == "z12"
         assert str(2 * z**2 - cyclo_embed(Fraction(1, 2), 12)) == "2*z12^2 - 1/2"
         assert str(-z) == "-z12"
+        # a monomial c*q^e prints its coefficient in parentheses, a sign
+        # alone when it is -1
+        assert str(Monomial.make(-1, 1)) == "-q^(1/1)"
+        assert str(Monomial(z, Fraction(1, 2))) == "(z12)*q^(1/2)"

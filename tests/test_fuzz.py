@@ -105,6 +105,7 @@ PROBES = [
     ("(((2+q)^1000)^1000)^1000", "3", []),
     ("((2^1000)^1000)^1000", "3", []),
     ("((2+q)^1000)^15", "2", []),
+    ("10^1000*10^1000*10^1000*10^1000*10^1000*q", "2", []),
 ]
 
 

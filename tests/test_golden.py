@@ -144,6 +144,8 @@ def _calls():
     for x in ("zeta(3,1)", "2*q", "q^(1/3)", "1"):
         add("g_euler(x)", 20, f"x={x}")
         add("g_euler(x, q^2)", 12, f"x={x}")
+    # x and z share the denominator 2: the sum's grid is 1/2, not 1/4
+    add("m(x, q, z)", 20, "x=2*q^(1/2) z=-q^(1/2)")
     return out
 
 

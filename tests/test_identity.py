@@ -100,6 +100,8 @@ class TestCorpusFormat:
     def test_bad_order_value(self):
         with pytest.raises(ValueError, match="bad order"):
             parse_corpus("id: a\nlhs: q\nrhs: q\norder: soon\n")
+        with pytest.raises(ValueError, match="default_order must be positive"):
+            parse_corpus("id: a\nlhs: q\nrhs: q\norder: 0\n")
 
     def test_symbol_bound_twice(self):
         with pytest.raises(ValueError, match="bound twice"):

@@ -1,7 +1,7 @@
 """Series ring: worked examples, brute-force oracles, and property suites."""
 
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +31,6 @@ from qident.series import (
     series_scale,
     series_shift,
     series_sub,
-    series_sum,
     zero_series,
 )
 
@@ -75,6 +74,9 @@ class TestMulExamples:
         s = series_mul(h, h)
         assert s.denom == 2
         assert_series_matches(s, {1: 1}, F(10))
+        assert h.rebase(6).denom == 6
+        with pytest.raises(ValueError, match="2 does not divide 3"):
+            h.rebase(3)
 
     def test_euler_pentagonal_partial_product(self):
         order = F(12)
@@ -186,6 +188,8 @@ class TestEqToOrder:
         with pytest.raises(InsufficientPrecisionError) as err:
             series_eq_to_order(a, a, 9)
         assert err.value.deficit == 1
+        with pytest.raises(InsufficientPrecisionError):
+            a.coeff_at(8)
 
     def test_cross_grid_comparison(self):
         a = q_power(F(1, 2), 10)
@@ -209,9 +213,22 @@ class TestBilateralSum:
                 want[e] = want.get(e, 0) + (-1) ** n
         assert_series_matches(got, {e: c for e, c in want.items() if c}, order)
 
-    def test_exponent_off_the_grid_is_rejected(self):
-        with pytest.raises(ValueError):
-            bilateral_sum(1, (F(1, 2), 0, 0), 10)
+    @pytest.mark.parametrize("e, f, denom", [
+        ((F(1, 2), 0, 0), None, 2),
+        # n(n+1)/4 is a multiple of 1/2 at every n, though its coefficients are quarters
+        ((F(1, 4), F(1, 4), 0), None, 2),
+        ((1, F(1, 3), 0), None, 3),
+        ((1, 0, 0), (F(1, 3), F(2, 3)), 3),
+        # the form of m(2 q^(1/2), q, -q^(1/2)), whose x and z share the denominator 2
+        ((F(1, 2), 0, 0), (1, 0), 2),
+        ((F(3, 2), F(1, 2), 0), (F(3, 4), F(1, 4)), 4),
+    ], ids=["E=n^2/2", "E=n(n+1)/4", "E=n^2+n/3", "F=(n+2)/3", "m(2q^(1/2),q,-q^(1/2))", "F=(3n+1)/4"])
+    def test_grid_is_the_coarsest_that_holds_every_exponent(self, e, f, denom):
+        # E(-1), E(0), E(1), F(0) and F(1) fix it: no exponent is off it, and
+        # the nonzero exponents of the sum do not all lie on a coarser one
+        s = bilateral_sum(1, e, 10, None if f is None else cyclo_embed(2, 1), f or (0, 0))
+        assert s.denom == denom
+        assert gcd(denom, *s.terms) == 1
 
     @pytest.mark.parametrize("e2", [0, -1])
     def test_quadratic_must_be_positive(self, e2):
@@ -221,7 +238,7 @@ class TestBilateralSum:
     def test_pole_outside_the_window_is_rejected(self):
         # the n = 10 term is q^100 / (1 - q^0), far past order 5
         with pytest.raises(NonGenericError):
-            bilateral_sum(1, (1, 0, 0), 5, 1, 1, cyclo_embed(1, 1), (1, -10))
+            bilateral_sum(1, (1, 0, 0), 5, cyclo_embed(1, 1), (1, -10))
 
     @pytest.mark.parametrize("u, f, n", [
         (1, (1, -10), 10),
@@ -239,6 +256,8 @@ class TestBilateralSum:
 
 class TestGridCap:
     def test_grid_past_the_cap_is_rejected_as_it_is_built(self, monkeypatch):
+        with pytest.raises(ValueError, match="grid denominator must be positive"):
+            QSeries(0, 5, {}, 1)
         monkeypatch.setattr(series, "MAX_GRID", 6)
         assert from_monomial(Monomial.make(1, F(1, 6)), 3).denom == 6
         with pytest.raises(ValueError, match="exceeds MAX_GRID = 6"):
@@ -305,10 +324,17 @@ def test_ring_axioms(a, b, c):
 @given(st.lists(qseries(min_prec=1), min_size=1, max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_sum_in_place_is_the_add_fold(parts):
+    # special._term_sum adds each term into one row of its own, which
+    # starts empty at a precision above every term's
     fold = parts[0]
     for t in parts[1:]:
         fold = series_add(fold, t)
-    got = series_sum(parts[0], parts[1:])
+    d, m = lcm(*(s.denom for s in parts)), lcm(*(s.field_order for s in parts))
+    rows = [s.rebase(d).lift_field(m) for s in parts]
+    acc = series._zero(d, max(s.prec for s in rows), m)
+    for t in rows:
+        acc = series._add_into(acc, t)
+    got = series._row(d, acc.prec, m, acc.off, acc.cols, acc.den)
     assert (got.denom, got.prec, got.field_order) == (fold.denom, fold.prec, fold.field_order)
     assert {k: c.key() for k, c in got.terms.items()} == {k: c.key() for k, c in fold.terms.items()}
 
@@ -523,28 +549,31 @@ def _cyclo(draw):
 
 @st.composite
 def bilateral_args(draw):
-    """c, E, order, D, field order, u, F: on the grid 1/D, E(n) is
-    (A2 n(n-1)/2 + A1 n + A0)/D and F(n) is (B1 n + B0)/D, so F may be
-    negative or zero and the order may lie below every term."""
+    """c, E, order, u, F: on the grid 1/D, E(n) is (A2 n(n-1)/2 + A1 n + A0)/D
+    and F(n) is (B1 n + B0)/D, so F may be negative or zero, the sum's grid
+    may be coarser than 1/D and the order may lie below every term."""
     d = draw(st.integers(min_value=1, max_value=4))
     a2 = draw(st.integers(min_value=1, max_value=3))
     a1, a0 = draw(st.integers(min_value=-6, max_value=6)), draw(st.integers(min_value=-8, max_value=8))
     e = (F(a2, 2 * d), F(2 * a1 - a2, 2 * d), F(a0, d))
     order = draw(st.fractions(min_value=-4, max_value=10, max_denominator=4))
     c = _cyclo(draw)
-    field_order = draw(st.sampled_from([1, c.order]))
     if draw(st.booleans()):
-        return c, e, order, d, field_order, None, (0, 0)
+        return c, e, order, None, (0, 0)
     b1, b0 = draw(st.integers(min_value=-3, max_value=3)), draw(st.integers(min_value=-6, max_value=6))
     u = cyclo_embed(1, 1) if draw(st.integers(min_value=0, max_value=5)) == 0 else _cyclo(draw)
-    return c, e, order, d, field_order, u, (F(b1, d), F(b0, d))
+    return c, e, order, u, (F(b1, d), F(b0, d))
 
 
-def _bilateral_reference(c, e, order, d, field_order, u, f):
+def _bilateral_reference(c, e, order, u, f):
     """Term by term: each c^n q^E(n) a monomial series, divided by 1 - u q^F(n)
-    with the general series_div, all added by series_sum; a term whose
-    denominator is exactly zero is a pole wherever it lies."""
-    terms = []
+    with the general series_div, all added by series_add on the grid 1/D, D
+    the lcm of the denominators of E(-1), E(0), E(1), F(0) and F(1), and
+    over the field of c and u; a term whose denominator is exactly zero is
+    a pole wherever it lies."""
+    values = [e[0] * n * n + e[1] * n + e[2] for n in (-1, 0, 1)] + [f[1], f[0] + f[1]]
+    total = zero_series(order, lcm(*(F(v).denominator for v in values)),
+                        lcm(c.order, 1 if u is None else u.order))
     for n in range(-60, 61):
         en = e[0] * n * n + e[1] * n + e[2]
         t = from_monomial(Monomial(c**n, en), order)
@@ -557,14 +586,14 @@ def _bilateral_reference(c, e, order, d, field_order, u, f):
             t = series_div(t, _one_minus(un, order - en + abs(un.expo) + 1))
         elif en >= order:
             continue
-        terms.append(t)
-    return series_sum(zero_series(order, d, field_order), terms)
+        total = series_add(total, t)
+    return total
 
 
 @given(bilateral_args())
 # F(n) = -n - 1 < 0 for n >= 0, where the weights -u^(-1-j) lie over a
 # power of the denominator of 1/u, which is 2
-@example((cyclo_embed(F(1, 3), 1), (F(1, 2), F(-1, 2), 0), F(8), 1, 1,
+@example((cyclo_embed(F(1, 3), 1), (F(1, 2), F(-1, 2), 0), F(8),
           cyclo_embed(2, 5) * zeta_power(5, 1), (F(-1), F(-1))))
 @settings(max_examples=300, deadline=None)
 def test_bilateral_sum_matches_term_by_term_reference(args):
@@ -582,17 +611,17 @@ def test_bilateral_sum_matches_term_by_term_reference(args):
 @st.composite
 def thetas(draw):
     """A lacunary divisor: the sum of c^n q^E(n) that bilateral_sum scans,
-    on a grid 1 .. 4 and in a field of order 1, 3, 4 or 5, its valuation of
-    either sign; now and then zero to its precision."""
+    on a grid that divides 1/4, 1/3 or 1/2 and in the field of c, its
+    valuation of either sign; now and then zero to its precision, in a
+    field of order 1 or that of c."""
     d, a2 = draw(st.integers(min_value=1, max_value=4)), draw(st.integers(min_value=1, max_value=3))
     a1, a0 = draw(st.integers(min_value=-4, max_value=4)), draw(st.integers(min_value=-6, max_value=6))
     e = (F(a2, 2 * d), F(2 * a1 - a2, 2 * d), F(a0, d))
     c = _cyclo(draw)
     order = draw(st.fractions(min_value=-2, max_value=10, max_denominator=4))
-    field = draw(st.sampled_from([1, c.order]))
     if draw(st.integers(min_value=0, max_value=9)) == 0:
-        return zero_series(order, d, field)
-    return bilateral_sum(c, e, order, d, field)
+        return zero_series(order, d, draw(st.sampled_from([1, c.order])))
+    return bilateral_sum(c, e, order)
 
 
 @given(qseries(), thetas(), thetas())

@@ -42,6 +42,10 @@ from oracles import (
     count_fractions,
     count_pairs,
     count_products,
+    dict_mul,
+    dict_truncate,
+    geom_inverse_bruteforce,
+    lambert_bruteforce,
     pochhammer_bruteforce,
     theta_bruteforce,
 )
@@ -602,8 +606,8 @@ class TestAppellLerch:
         pairs, inverses, geom = count_pairs(monkeypatch), [], series.geom_inverse
         monkeypatch.setattr(series, "geom_inverse", lambda *a: inverses.append(a) or geom(*a))
         eval_expr(parse("j(-q^(1/2); q)"), 200)
-        c, e, d, m, u, f, _ = BILATERAL["m"][1](mono(2, 1), F(1), mono(-1, F(1, 2)))
-        assert not series.bilateral_sum(c, e, F(60), d, m, u, f).is_zero()
+        c, e, u, f, _ = BILATERAL["m"][1](mono(2, 1), F(1), mono(-1, F(1, 2)))
+        assert not series.bilateral_sum(c, e, F(60), u, f).is_zero()
         assert pairs[0] == 0 and not inverses
 
     @pytest.mark.parametrize("name,args", [
@@ -616,12 +620,12 @@ class TestAppellLerch:
         # a scan builds as many Fractions at order 200 as at order 50 (after
         # a first call has filled the caches of field constants), and only
         # a few: the exponent arithmetic in Fractions built 33 to 62
-        c, e, d, m, u, f, _ = BILATERAL[name][1](*args)
-        series.bilateral_sum(c, e, F(10), d, m, u, f)
+        c, e, u, f, _ = BILATERAL[name][1](*args)
+        series.bilateral_sum(c, e, F(10), u, f)
         counts = []
         for order in (F(50), F(200)):
             made = count_fractions(monkeypatch)
-            series.bilateral_sum(c, e, order, d, m, u, f)
+            series.bilateral_sum(c, e, order, u, f)
             counts.append(made[0])
             monkeypatch.undo()
         assert counts[0] == counts[1] < 8, counts
@@ -810,23 +814,25 @@ def test_memo_keeps_one_entry_cut_at_its_order(monkeypatch, key, build):
 
 def _golden_row_calls():
     """(expression, bindings) of every golden expand call that is one call
-    of a row of FORMS, poch among them."""
+    of a row of FORMS or BILATERAL, poch, j and m among them."""
     from test_golden import DEEP_CALLS, _calls
 
     out = []
     for expr, _, binds in (*_calls(), *DEEP_CALLS):
         # the name first: some golden calls are parse errors
-        if expr.split("(")[0] in FORMS and isinstance(parse(expr), Call) and (expr, binds) not in out:
+        name = expr.split("(")[0]
+        if (name in FORMS or name in BILATERAL) and isinstance(parse(expr), Call) and (expr, binds) not in out:
             out.append((expr, binds))
     return out
 
 
 @pytest.mark.parametrize("order", [F(1, 2), F(1)])
-@pytest.mark.parametrize("expr, binds", _golden_row_calls())
+@pytest.mark.parametrize("expr, binds", [*_golden_row_calls(), ("m(zeta(3,1)*q^(-3), q, 2*q^2)", "")])
 def test_a_shallow_cold_read_is_the_deep_entry_cut(monkeypatch, expr, binds, order):
-    # a term sum's grid and field are its form's, not those of the terms a
+    # a sum's grid and field are its form's, not those of the terms a
     # shallow order happens to reach: Kp(zeta(5,1)) at order 1 once read Q
-    # cold and Q(zeta_5) after an order-30 read
+    # cold and Q(zeta_5) after an order-30 read, and so did
+    # m(zeta(3,1)*q^(-3), q, 2*q^2), whose window is empty below q^1
     binding = parse_bindings(binds.split())
 
     def read(o):
@@ -840,6 +846,26 @@ def test_a_shallow_cold_read_is_the_deep_entry_cut(monkeypatch, expr, binds, ord
     cold = read(order)
     read(30)
     assert read(order) == cold
+
+
+@pytest.mark.parametrize("name, args, want", [
+    # j(-q^(1/3); q^(1/2)) = sum (-1)^n q^(binom(n,2)/2) (-q^(1/3))^n
+    ("j", (mono(-1, F(1, 3)), F(1, 2)), lambda o: theta_bruteforce(F(-1), F(1, 3), F(1, 2), o)),
+    # rjtp(z, q^(1/2)) = sum (-1)^n q^(binom(n+1,2)/2) / (1 - q^(n/2) z), on
+    # the grid 1/2 at z = 2, whose own grid is 1/1
+    ("rjtp", (mono(2), F(1, 2)),
+     lambda o: lambert_bruteforce(-1, lambda n: F(n * (n + 1), 4), 2, lambda n: F(n, 2), o)),
+    ("rjtp", (mono(2, F(1, 3)), F(1, 2)),
+     lambda o: lambert_bruteforce(-1, lambda n: F(n * (n + 1), 4), 2, lambda n: F(n, 2) + F(1, 3), o)),
+    # m(x, q^(1/2), z) = sum (-1)^n q^(binom(n,2)/2) z^n / (1 - q^((n-1)/2) x z)
+    # over j(z; q^(1/2)), at x = 2 q^(1/2) and z = -q^(1/4)
+    ("m", (mono(2, F(1, 2)), F(1, 2), mono(-1, F(1, 4))), lambda o: dict_truncate(dict_mul(
+        lambert_bruteforce(1, lambda n: F(n * n, 4), -2, lambda n: F(n, 2) + F(1, 4), o + 5),
+        geom_inverse_bruteforce(theta_bruteforce(F(-1), F(1, 4), F(1, 2), o + 5), o + 5)), o)),
+], ids=["j", "rjtp-2", "rjtp-2q^(1/3)", "m"])
+def test_rows_at_base_one_half_match_a_fraction_sum(monkeypatch, name, args, want):
+    monkeypatch.setattr(special, "_theta_cache", {})
+    assert_series_matches(read_row(name, args, F(8)), want(F(8)), F(8))
 
 
 def test_a_memo_hit_builds_no_form(monkeypatch):

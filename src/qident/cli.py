@@ -21,16 +21,11 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
+from .coeff import MAX_COEFF_BITS
 from .dsl import DEFAULT_ORDER, eval_expr, parse, parse_bindings
 from .errors import CapExceededError, QIdentError
 from .eulerian import f_c
 from .series import series_truncate
-
-# The most bits an integer of an expansion's row may have: each printed
-# numerator and denominator is at most that row's, so it has under 4,300
-# digits, CPython's limit on converting an int to a string (a limit that
-# 3.10 before 3.10.7 does not have).
-MAX_COEFF_BITS = 14000
 
 
 def _order_arg(text: str) -> Fraction:

@@ -55,6 +55,10 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
 # built-in corpus needs M up to 20.
 MAX_FIELD_ORDER = 1000
 
+# The most bits a printed integer may have: under 4,300 digits, CPython's
+# limit on converting an int to a string (which 3.10 before 3.10.7 lacks).
+MAX_COEFF_BITS = 14000
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(M: int) -> tuple[int, ...]:

@@ -39,6 +39,7 @@ from .errors import EvalError, ParseError
 from .eulerian import BILATERAL, FORMS, need_a_below_c, need_theta_nonzero
 from .record import Record, set_key
 from .series import (
+    PAD_LIMIT,
     Monomial,
     QSeries,
     from_monomial,
@@ -51,7 +52,7 @@ from .series import (
     series_sub,
     zero_series,
 )
-from .special import PAD_LIMIT, ensure_prec, read_row
+from .special import ensure_prec, read_row
 
 Rat = Union[int, Fraction]
 

@@ -5,29 +5,31 @@ Each Eulerian series, the Lambert and Eulerian sums of the universal
 mock theta function g and the Pochhammer product among them, is one row
 of FORMS: its product form, the sum over n >= start of c^n q^E(n) times
 Pochhammer symbols (y; q^p)_(an+b)^(+-1) with E quadratic, as the table
-(c, E, factors, start) that special.read_row sums and reads its poles
-from, and the message that names a pole.  Each bilateral series, j and m
-among them, is one row of BILATERAL: its form, the sum over all n of c^n
+(c, E, factors, start) that series.term_sum takes and reads its grid and
+field off, and the message that names a pole, which special.read_row
+raises where has_pole finds one.  Each bilateral series, j and m among
+them, is one row of BILATERAL: its form, the sum over all n of c^n
 q^E(n) / (1 - u q^F(n)) with E quadratic and F linear, as
 series.bilateral_sum takes it and reads its grid and field off it, the
 theta function it is divided by, and the message that names a pole,
 which special.read_row raises where series.bilateral_pole finds one.
-need_theta_nonzero is the one exact test for an identically vanishing
-theta function.  The paper's root-of-unity combinations of these series,
-K-tilde and H-tilde, g from its Eulerian sum (g_sum), and the theta
-shorthands J, JB and Jm are expression-language entries over these rows
-in dsl.
+The two exact pole readers are here: need_theta_nonzero for a theta
+function that vanishes identically, has_pole for a product form's
+vanishing denominator.  The paper's root-of-unity combinations of these
+series, K-tilde and H-tilde, g from its Eulerian sum (g_sum), and the
+theta shorthands J, JB and Jm are expression-language entries over these
+rows in dsl.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .coeff import zeta_power
 from .errors import NonGenericError
-from .series import Monomial, bilateral_pole
+from .series import Factor, Monomial, bilateral_pole
 
 Rat = Union[int, Fraction]
 
@@ -56,6 +58,15 @@ def need_theta_nonzero(x: Monomial, p: Rat, label: str):
     series.bilateral_pole finds the n with 1 - x q^(pn) = 0."""
     if bilateral_pole(x.coeff, (p, x.expo)) is not None:
         raise NonGenericError(f"{label} = j({x}; q^({p})) vanishes identically")
+
+
+def has_pole(factors: Sequence[Factor]) -> bool:
+    """Whether a denominator factor (y; q^p)_(an+b) of a product form is
+    exactly zero in some term: 1 - y q^(pk) = 0 at the k that
+    series.bilateral_pole finds, with k >= 0, and k < b when a = 0 (for
+    a > 0 the length an + b outgrows every k, whatever the first n)."""
+    return any(s < 0 and (k := bilateral_pole(y.coeff, (p, y.expo))) is not None and k >= 0
+               and (a > 0 or k < b) for y, p, a, b, s in factors)
 
 
 def _hp(a: int, c: int, w: Monomial) -> tuple:

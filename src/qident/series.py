@@ -18,16 +18,17 @@ embedding (_lift_table), and a power of q moves the offset.  Every
 quotient is one long division, series_div, walking only the residue
 classes its divisor reaches; series_invert and geom_inverse (1/(1 - u),
 u a monomial) wrap it.  Every theta function and bilateral Lambert sum is
-one integer-grid scan, bilateral_sum, on Python ints only, written
-straight into a row.  QSeries has no operators.
+one scan, bilateral_sum, and every Eulerian sum one term sum, term_sum:
+each reads its grid off its form by one rule, _grid, on Python ints only,
+and writes its terms straight into one row.  QSeries has no operators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .coeff import (
     CycloNumber,
@@ -42,7 +43,7 @@ from .coeff import (
     one as cyclo_one,
     zero as cyclo_zero,
 )
-from .errors import InsufficientPrecisionError, NonGenericError
+from .errors import CapExceededError, InsufficientPrecisionError, NonGenericError
 from .record import Record, set_key
 from .verdict import FAIL, PASS, Verdict
 
@@ -123,6 +124,15 @@ MAX_GRID = 1000
 # The most grid steps a window may span, from its lowest slot or q^0,
 # whichever is lower, to its precision: order times D for most series.
 MAX_WINDOW = 100000
+
+
+# The most a construction may pad its working order by, in powers of q,
+# and so the most precision a term of term_sum may lose.
+PAD_LIMIT = 1000
+
+
+def too_deep(deficit: Fraction) -> CapExceededError:
+    return CapExceededError(f"a precision deficit of {deficit} exceeds the padding limit {PAD_LIMIT}")
 
 
 def check_window(denom: int, steps: int) -> None:
@@ -255,7 +265,7 @@ def _new(denom: int, prec: int, field: int, off: int, cols: list, den: int) -> Q
 def _row(denom: int, prec: int, field: int, off: int, cols: list, den: int) -> QSeries:
     """The series of these fields cut at prec, trimmed to its first and
     last nonzero slot and brought to lowest terms.  An empty row keeps off,
-    the lead of a term of special._term_sum that lies past its precision."""
+    the lead of a term of term_sum that lies past its precision."""
     n, first = min(len(cols[0]), prec - off), 0
     while first < n and not any(c[first] for c in cols):
         first += 1
@@ -358,14 +368,15 @@ def series_add(a: QSeries, b: QSeries) -> QSeries:
 
 def _add_into(total: QSeries, t: QSeries) -> QSeries:
     """total plus t, both on one grid and over one field, with total's lists
-    its own (series_add's, or the sum of special._term_sum, which starts on
-    its form's grid and field): t's lists below the lower precision are
-    added into them, grown at either end as t needs, over the lcm of the
-    two denominators.  The lists are cut at the precision only by _row."""
+    its own (series_add's, or the sum of term_sum, which starts on its
+    form's grid and field): t's lists below the lower precision are added
+    into them, grown at either end as t needs, over the lcm of the two
+    denominators.  The lists are cut at the precision only by _row."""
     acc, lo, den, p = total.cols, total.off, total.den, min(total.prec, t.prec)
     n = min(len(t.cols[0]), p - t.off)
     if n > 0:
-        # an empty total's offset lies at or past its precision, so past t's
+        # an empty total spans nothing: its lists start where t's do
+        lo = lo if acc[0] else t.off
         g, start, end = lcm(den, t.den), min(lo, t.off), max(lo + len(acc[0]), t.off + n)
         if g != den or start < lo or end > lo + len(acc[0]):
             acc = [[0] * (lo - start) + [x * (g // den) for x in col] + [0] * (end - lo - len(col))
@@ -585,8 +596,22 @@ def series_eq_to_order(a: QSeries, b: QSeries, order: Rat) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Bilateral sums: theta functions and Lambert series
+# The two scans: bilateral sums (theta functions and Lambert series) and
+# Eulerian term sums, each on the grid its form fixes
 # ---------------------------------------------------------------------------
+
+
+def _grid(e: Tuple[Rat, Rat, Rat], start: int, extra: Sequence[Rat]) -> Tuple[int, list]:
+    """(D, ints): the coarsest grid 1/D on which E(n) = e[0] n^2 + e[1] n + e[2]
+    at n = start, start + 1 and start + 2 (so at every n) and each of extra
+    are integers, and those integers, E's first.  On ints alone: D is q over
+    the gcd of q and the values times q, q the lcm of the input denominators."""
+    xs = (*e, *extra)
+    q = lcm(*(x.denominator for x in xs))
+    a2, a1, a0, *rest = (x.numerator * (q // x.denominator) for x in xs)
+    ints = [(a2 * n + a1) * n + a0 for n in range(start, start + 3)] + rest
+    g = gcd(q, *ints)
+    return q // g, [x // g for x in ints]
 
 
 def bilateral_pole(u: CycloNumber, f: tuple[Rat, Rat]) -> Optional[int]:
@@ -607,14 +632,13 @@ def bilateral_sum(
     q^order, E(n) = e2 n^2 + e1 n + e0 (e2 > 0) and F(n) = f1 n + f0; without
     u (and F), the sum of c^n q^E(n).
 
-    The sum lives on the coarsest grid 1/D on which E(-1), E(0), E(1), F(0)
-    and F(1) are integers, and so E and F at every n, read off the inputs
-    in one pass over integers, and over Q(zeta_M), M the lcm of the orders
-    of c and u.  A term's valuation E(n) + max(0, -F(n)) is convex, so the
-    scan walks out from its integer minimizer until it reaches the order on
-    each side.  Term n is a geometric run of c^n times the weights u^j at
-    E + jF when F > 0, -u^(-1-j) at E - (j+1)F when F < 0, 1/(1 - u) at E
-    when F = 0, added into the sum's row every |F| grid steps.  The powers
+    The sum lives on the grid _grid reads off E(-1), E(0), E(1), f1 and f0,
+    and over Q(zeta_M), M the lcm of the orders of c and u.  A term's
+    valuation E(n) + max(0, -F(n)) is convex, so the scan walks out from
+    its integer minimizer until it reaches the order on each side.  Term
+    n is a geometric run of c^n times the weights u^j at E + jF when F > 0,
+    -u^(-1-j) at E - (j+1)F when F < 0, 1/(1 - u) at E when F = 0, added
+    into the sum's row every |F| grid steps.  The powers
     of c, 1/c, u and 1/u are coeff._powers rows, and the sum's row is put
     over the lcm of their denominators once.  A term with a zero
     denominator raises, wherever it lies.
@@ -622,13 +646,9 @@ def bilateral_sum(
     if u is not None and bilateral_pole(u, f) is not None:
         raise NonGenericError("pole 1/(1 - u) with u exactly 1")
     c = c if isinstance(c, CycloNumber) else cyclo_embed(c, 1)
-    q = lcm(*(x.denominator for x in (*e, *f)))
-    a2, a1, a0, b1, b0 = (x.numerator * (q // x.denominator) for x in (*e, *f))
-    ints = (a2 - a1 + a0, a0, a2 + a1 + a0, b0, b1 + b0)
-    g = gcd(q, *ints)
-    denom, M = q // g, lcm(c.order, 1 if u is None else u.order)
-    em, ez, ep, fz, fp = (x // g for x in ints)
-    s1, s2, fs, P = ep - em, ep - 2 * ez + em, fp - fz, grid_prec(order, denom)
+    denom, (em, ez, ep, fs, fz) = _grid(e, -1, f)
+    M = lcm(c.order, 1 if u is None else u.order)
+    s1, s2, P = ep - em, ep - 2 * ez + em, grid_prec(order, denom)
     if s2 <= 0:
         raise ValueError("a bilateral sum needs a positive quadratic exponent")
     # the real minimizer is a vertex of E or of E - F, or the kink F = 0
@@ -671,6 +691,137 @@ def bilateral_sum(
     return _row(denom, P, M, lo, _reduce_rows(M, acc), den)
 
 
+# A factor (y, p, a, b, s) stands for (y; q^p)_(an+b)^s, with a >= 0 and s = +-1.
+Factor = Tuple[Monomial, Rat, int, int, int]
+
+
+def _binomial(t: QSeries, r: CycloNumber, f: int, s: int) -> Optional[QSeries]:
+    """t times 1 - r q^(f/denom) for s = 1 and over it for s = -1, which
+    must not be zero, on t's lists padded out to its precision, r in t's
+    field; None when the product is exactly zero.  For f < 0 the binomial
+    is -r q^f (1 - r^-1 q^-f).  Times 1 - r q^f, f > 0, is one reverse pass
+    t[i] -= r t[i-f], over it one forward pass t[i] += r t[i-f], and f = 0
+    is a scaling.  For r with a denominator d the forward pass starts from
+    t times d^ceil(len/f), after which every t[i-f] it reads is a multiple
+    of d."""
+    if f == 0:
+        x = 1 - r
+        if s > 0 and not x:
+            return None
+        return series_scale(t, x if s > 0 else x.inv())
+    if f < 0:
+        t = series_scale(t, -r if s > 0 else -r.inv())
+        t, r, f = _new(t.denom, t.prec + s * f, t.field_order, t.off + s * f, t.cols, t.den), r.inv(), -f
+    pairs, d = _times_table(t.field_order, r.num, r.den)
+    n = max(t.prec - t.off, 0)
+    tc = [col + [0] * (n - len(col)) for col in t.cols] if len(t.cols[0]) < n else t.cols
+    if s > 0:
+        cols = tc if d == 1 else [[d * v for v in col] for col in tc]
+        cols = [a[:f] + [x - y for x, y in zip(a[f:], b)] for a, b in zip(cols, _apply(pairs, tc))]
+        return _new(t.denom, t.prec, t.field_order, t.off, cols, t.den * d)
+    w = d ** -(-n // f)
+    cols = [[w * v for v in col] if w > 1 else list(col) for col in tc]
+    if len(cols) == 1:
+        (col,), ((_, c),) = cols, pairs[0]
+        if c == d == 1:
+            for j in range(min(f, n)):
+                col[j::f] = accumulate(col[j::f])
+        else:
+            for i in range(f, n):
+                col[i] += c * (col[i - f] // d)
+    else:
+        plan = [(col, [(cols[j], c) for j, c in ps]) for col, ps in zip(cols, pairs)]
+        for i in range(f, n):
+            for col, terms in plan:
+                acc = 0
+                for src, c in terms:
+                    acc += c * (src[i - f] // d)
+                col[i] += acc
+    return _new(t.denom, t.prec, t.field_order, t.off, cols, t.den * w)
+
+
+def _times(t: QSeries, sign: CycloNumber, k: int, binomials: Sequence[tuple], work: Fraction) -> Optional[QSeries]:
+    """t times sign q^k and each binomial 1 - r q^f of the triples (r, f, s),
+    or over it when s = -1, cut at q^work and in lowest terms: k and each f
+    grid integers, sign and each r in t's field.  None when it is exactly
+    zero."""
+    for r, f, s in binomials:
+        t = _binomial(t, r, f, s)
+        if t is None:
+            return None
+    t = series_scale(t, sign)
+    return _row(t.denom, min(t.prec + k, grid_prec(work, t.denom)), t.field_order, t.off + k, t.cols, t.den)
+
+
+def term_sum(
+    c: Union[Rat, CycloNumber], e: Tuple[Rat, Rat, Rat], factors: Sequence[Factor],
+    work: Fraction, start: int = 0,
+) -> QSeries:
+    """The sum over n >= start of c^n q^E(n) prod (y; q^p)_(an+b)^s below
+    q^work, with E(n) = e[0] n^2 + e[1] n + e[2] and one factor (y, p, a, b, s)
+    per Pochhammer symbol.
+
+    The first term is c^start q^E(start) times the binomials 1 - y q^(pk)
+    for k < a start + b; the ratio t_n / t_{n-1} is c q^(E(n) - E(n-1)) times
+    those for k in [a(n-1) + b, an + b) (Gasper and Rahman, section 1.3).
+    The sum lives on the grid 1/D that _grid reads off E(start), E(start+1),
+    E(start+2) and every factor's exponent and base, and over Q(zeta_M), M
+    the lcm of the orders of c and of every factor's coefficient, so no
+    term is ever rebased or lifted: each is a QSeries on (D, M), one pass
+    over its lists per binomial and a scaling, added into the sum's row.
+
+    Precision is a ledger: a ratio moves the precision index by
+    (e + sum over ups of min(0, f) - sum over downs of min(0, f)) D for its
+    binomials 1 - r q^f, and the term is then cut at q^work; the sum is
+    exact below the lowest precision of its terms.  The quadratic exponent
+    growth ends the loop, and a term that is zero (a factor 1 - 1 in a
+    numerator) ends it at once.  A term whose lead lies at or past q^work
+    still carries its lead and precision on to the next, and the loop ends
+    there only when no later ratio can lower a lead: E and the numerator
+    exponents no longer fall.  A later term that dips back below q^work
+    without known coefficients lowers the precision of the sum, and one
+    whose precision falls PAD_LIMIT below q^work raises.  The term cap
+    counts from the lowest valuation, as a Pochhammer sum may dip first.
+    """
+    c = c if isinstance(c, CycloNumber) else cyclo_embed(c, 1)
+    D, (e0, E1, E2, *ys) = _grid(e, start, [v for y, p, *_ in factors for v in (y.expo, p)])
+    M = lcm(c.order, *(y.field_order for y, *_ in factors))
+    # the first and second differences of E, on the grid
+    e1, e2, c = E1 - e0, E2 - 2 * E1 + e0, lift_order(c, M)
+    factors = [(lift_order(y.coeff, M), f, g, a, b, s)
+               for (y, _, a, b, s), f, g in zip(factors, ys[::2], ys[1::2])]
+
+    def binomials(n: int, first: bool) -> list:
+        """(r, f, s) of the binomials of term n, or of its ratio to term n - 1."""
+        return [(r, y + p * k, s) for r, y, p, a, b, s in factors
+                for k in range(0 if first else a * (n - 1) + b, a * n + b)]
+
+    # at least 100 terms past the lowest lead, a negative work included
+    cap = 10 * (max(int(work), 0) + 10)
+    top = grid_prec(work, D)
+    one = _new(D, top, M, 0, [[int(j == 0)] if top > 0 else [] for j in range(euler_phi(M))], 1)
+    t, total = _times(one, c**start, e0, binomials(start, True), work), _zero(D, top, M)
+    # a term not past q^work has its lead below top
+    n = deepest = start
+    low = top
+    while t is not None:
+        past = t.prec <= t.off and t.off >= top
+        if not past:
+            total = _add_into(total, t)
+            if t.off < low:
+                low, deepest = t.off, n
+            if n - deepest > cap:
+                raise CapExceededError("q-hypergeometric term valuation failed to grow")
+            if t.prec < top - PAD_LIMIT * D:
+                raise too_deep(work - Fraction(t.prec, D))
+        n += 1
+        k, ratio = e1 + (n - 1 - start) * e2, binomials(n, False)
+        if past and e2 >= 0 and k >= 0 and all(f >= 0 for _, f, s in ratio if s > 0):
+            break
+        t = _times(t, c, k, ratio, work)
+    return _row(D, total.prec, M, total.off, total.cols, total.den)
+
+
 __all__ = [
     "Monomial",
     "QSeries",
@@ -693,5 +844,7 @@ __all__ = [
     "series_scale",
     "series_shift",
     "series_sub",
+    "term_sum",
+    "too_deep",
     "zero_series",
 ]

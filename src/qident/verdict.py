@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .coeff import CycloNumber
+from .coeff import MAX_COEFF_BITS, CycloNumber
 from .record import Record, set_key
 
 PASS = "pass"
@@ -48,6 +48,13 @@ class Verdict(Record):
             e = self.first_bad_exponent
             return (
                 f"first mismatch at q^({e.numerator}/{e.denominator}):"
-                f" lhs={self.lhs_coeff} rhs={self.rhs_coeff}"
+                f" lhs={_witness(self.lhs_coeff)} rhs={_witness(self.rhs_coeff)}"
             )
         return self.note or self.status
+
+
+def _witness(c: CycloNumber) -> str:
+    """c as text, or its size when an integer of it has more than
+    MAX_COEFF_BITS bits, which CPython may refuse to convert."""
+    bits = max(x.bit_length() for x in (c.den, *c.num))
+    return str(c) if bits <= MAX_COEFF_BITS else f"<{bits} bits, past MAX_COEFF_BITS = {MAX_COEFF_BITS}>"

@@ -6,7 +6,7 @@ import pytest
 
 from qident import cli, dsl, series
 from qident.cli import main
-from qident.coeff import MAX_FIELD_ORDER
+from qident.coeff import MAX_COEFF_BITS, MAX_FIELD_ORDER
 from qident.errors import CapExceededError
 
 F0_LINES = [
@@ -302,6 +302,18 @@ class TestVerify:
         path = self.write(tmp_path, "id: broken\nlhs: q\nrhs: q + 1\norder: 12\n")
         assert main(["verify", path]) == 1
         assert "first mismatch at q^(0/1)" in capsys.readouterr().out
+
+    def test_witness_past_the_digit_limit_keeps_the_report(self, tmp_path, capsys):
+        # lhs - rhs first differs at q^1, where lhs is 10^5000: 16,610 bits,
+        # past CPython's 4,300-digit limit on int to str, so the fail line
+        # gives the witness's size instead of its digits
+        path = self.write(tmp_path, "id: big\nlhs: 10^1000*10^1000*10^1000*10^1000*10^1000*q\nrhs: q\norder: 3\n")
+        assert main(["verify", path]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith(
+            f"big\t-\tfail\tfirst mismatch at q^(1/1): lhs=<16610 bits, past MAX_COEFF_BITS = {MAX_COEFF_BITS}>"
+            " rhs=1 [")
+        assert out[1:] == ["total 1 / pass 0 / fail 1 / nongeneric 0"]
 
     def test_order_override_flag(self, tmp_path):
         path = self.write(tmp_path, "id: late\nlhs: J(1,2)\nrhs: J(1,2) + q^30\norder: 40\nexpect: fail\n")

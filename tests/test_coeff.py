@@ -71,6 +71,11 @@ class TestWorkedValues:
         )
         with pytest.raises(ValueError, match="expected 4 coefficients for order 5"):
             CycloNumber(5, [1, 2])
+        for build in (lambda: CycloNumber(0, []), lambda: cyclotomic_poly(0)):
+            with pytest.raises(ValueError, match="order must be positive"):
+                build()
+        with pytest.raises(AttributeError, match="CycloNumber is immutable"):
+            e.order = 3
 
     def test_zeta6_cubed_is_minus_one(self):
         assert zeta_power(6, 3) == -1
@@ -112,6 +117,12 @@ class TestWorkedValues:
     def test_order_mismatch_raises(self):
         with pytest.raises(OrderMismatchError):
             zeta_power(3, 1) + zeta_power(4, 1)
+        # an operand that is no number: each operator gives NotImplemented
+        z = zeta_power(3, 1)
+        for op in (lambda: z + "x", lambda: z - "x", lambda: "x" - z, lambda: z * "x"):
+            with pytest.raises(TypeError):
+                op()
+        assert z != "x"
         with pytest.raises(ValueError, match="coefficient field order mismatch"):
             QSeries(1, 5, {0: zeta_power(3, 1)}, 1)
 

@@ -255,6 +255,11 @@ class TestEval:
         t = eval_expr(parse("(q^2)^(3/2)"), 5)
         assert t.valuation() == 3
 
+    def test_non_expr_is_a_type_error(self):
+        for run in (lambda: print_expr(42), lambda: eval_expr(42, 1)):
+            with pytest.raises(TypeError, match="not an Expr: 42"):
+                run()
+
     def test_zero_literal(self):
         s = eval_expr(parse("0*J(1,2) + 0"), 5)
         assert s.is_zero()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qident.coeff import CycloNumber, cyclo_embed, euler_phi, lift_order, zeta_power
 from qident import series
 from qident.errors import InsufficientPrecisionError, NonGenericError
-from qident import special
 from qident.series import (
     Monomial,
     QSeries,
@@ -324,7 +323,7 @@ def test_ring_axioms(a, b, c):
 @given(st.lists(qseries(min_prec=1), min_size=1, max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_sum_in_place_is_the_add_fold(parts):
-    # special._term_sum adds each term into one row of its own, which
+    # series.term_sum adds each term into one row of its own, which
     # starts empty at a precision above every term's
     fold = parts[0]
     for t in parts[1:]:
@@ -338,6 +337,22 @@ def test_sum_in_place_is_the_add_fold(parts):
     assert (got.denom, got.prec, got.field_order) == (fold.denom, fold.prec, fold.field_order)
     assert {k: c.key() for k, c in got.terms.items()} == {k: c.key() for k, c in fold.terms.items()}
 
+
+
+def test_sum_accumulator_spans_only_its_terms(monkeypatch):
+    # an empty total spans nothing, so adding q^0 and q^1 below q^5000
+    # grows a row of 1 and then 2 slots, not one out to the precision
+    lengths, add_into = [], series._add_into
+
+    def recorded(total, t):
+        acc = add_into(total, t)
+        lengths.append(len(acc.cols[0]))
+        return acc
+
+    monkeypatch.setattr(series, "_add_into", recorded)
+    s = series_add(q_power(0, 5000), q_power(1, 5000))
+    assert lengths == [1, 2]
+    assert (s.prec, s.off, s.cols) == (5000, 0, [[1, 1]])
 
 @given(qseries(min_prec=6))
 @settings(max_examples=120, deadline=None)
@@ -487,8 +502,8 @@ def test_div_one_minus_is_exact_division(a, c_rat, f, field, k):
     assert back == dict_truncate(_naive(a, m), a.prec_order())
     # and the row quotient of an Eulerian term by its one binomial 1 - u
     d = got.denom
-    row = special._times(a.rebase(d).lift_field(m), cyclo_embed(F(1), m), 0,
-                         [(lift_order(u.coeff, m), int(u.expo * d), -1)], got.prec_order() + 1)
+    row = series._times(a.rebase(d).lift_field(m), cyclo_embed(F(1), m), 0,
+                        [(lift_order(u.coeff, m), int(u.expo * d), -1)], got.prec_order() + 1)
     assert (row.denom, row.field_order, row.prec, row.terms) == (got.denom, got.field_order, got.prec, got.terms)
 
 

@@ -209,25 +209,25 @@ class TestPaddingLimit:
     def test_term_cap_counts_from_the_lowest_valuation(self):
         # q^(binom(k,2)/2 - 30k) dips about 900 powers and takes some 120
         # terms to climb back past q^1, more than the cap of 110 at work 1
-        s = special._term_sum(1, (F(1, 4), F(-121, 4), 0), (), F(1))
+        s = series.term_sum(1, (F(1, 4), F(-121, 4), 0), (), F(1))
         assert -1000 < s.prec_order() < -800
 
     def test_a_term_past_the_order_does_not_end_a_sum_that_dips_back(self):
         # q^(n^2 - 3n + 2) puts its first term at q^2, past q^(3/2), and the
         # next two at q^0; the first term's loss shows as the sum's precision
-        s = special._term_sum(1, (1, -3, 2), (), F(3, 2))
+        s = series.term_sum(1, (1, -3, 2), (), F(3, 2))
         assert s.prec_order() == 0
-        s = special.ensure_prec(partial(special._term_sum, 1, (1, -3, 2), ()), F(3, 2))
+        s = special.ensure_prec(partial(series.term_sum, 1, (1, -3, 2), ()), F(3, 2))
         assert_series_matches(s, {0: 2}, F(3, 2))
 
     def test_term_cap_stops_a_flat_sum(self):
         with pytest.raises(CapExceededError, match="failed to grow"):
-            special._term_sum(1, (0, 0, 0), (), F(1))
+            series.term_sum(1, (0, 0, 0), (), F(1))
 
     def test_term_sum_stops_at_the_limit(self, monkeypatch):
         # (2q^(-10); q)_inf dips 55 powers below q^0; a limit of 20 ends its
         # sum at the first term past it
-        monkeypatch.setattr(special, "PAD_LIMIT", 20)
+        monkeypatch.setattr(series, "PAD_LIMIT", 20)
         with pytest.raises(CapExceededError, match="padding limit 20"):
             read_row("poch", (mono(2, -10), 1, None), 10)
 
@@ -239,7 +239,7 @@ class TestTermRows:
         rows = [(FORMS["phi"][1](F(1)), 100), (FORMS["Kp"][1](Monomial(zeta_power(5, 1), F(0))), 60)]
         pairs, products = count_pairs(monkeypatch), count_products(monkeypatch)
         for (c, e, factors, start), order in rows:
-            assert not special._term_sum(c, e, factors, F(order), start).is_zero()
+            assert not series.term_sum(c, e, factors, F(order), start).is_zero()
         assert (pairs[0], products[0]) == (0, 0)
         # the counters do see what calls them
         series.series_div(const_series(1, 5), series_sub(const_series(1, 5), q_power(1, 5)))
@@ -258,10 +258,9 @@ class TestTermRows:
             return new(*args)
 
         monkeypatch.setattr(series, "_new", recorded)
-        monkeypatch.setattr(special, "_new", recorded)
         c, e, factors, start = FORMS["Hp"][1](1, 7, Monomial.make(1))
         with pytest.raises(ValueError, match=message):
-            special._term_sum(c, e, factors, F(100), start)
+            series.term_sum(c, e, factors, F(100), start)
         assert sizes and max(sizes) <= 100
 
 
@@ -614,18 +613,29 @@ class TestAppellLerch:
         ("j", (mono(-1, F(1, 2)), F(1))),
         ("m", (mono(2, 1), F(1), mono(-1, F(1, 2)))),
         ("Habc", (3, 2, 7)),
+        ("phi", (F(1),)),
+        ("Kp", (Monomial(zeta_power(5, 1), F(0)),)),
+        ("Hp", (1, 7, Monomial.make(1))),
+        ("poch", (mono(-1, F(1, 2)), F(1), None)),
     ])
     def test_scan_fractions_do_not_grow_with_the_order(self, monkeypatch, name, args):
-        # the exponents are grid integers from one pass over the inputs, so
-        # a scan builds as many Fractions at order 200 as at order 50 (after
-        # a first call has filled the caches of field constants), and only
-        # a few: the exponent arithmetic in Fractions built 33 to 62
-        c, e, u, f, _ = BILATERAL[name][1](*args)
-        series.bilateral_sum(c, e, F(10), u, f)
+        # the exponents are grid integers that series._grid reads off the
+        # form on ints alone, so a bilateral scan or a term sum builds as
+        # many Fractions at order 200 as at order 50 (after a first call
+        # has filled the caches of field constants), and only a few: the
+        # exponent arithmetic in Fractions built 33 to 62 in a bilateral
+        # scan, and the grid read in Fractions 25 to 30 in a term sum
+        if name in BILATERAL:
+            c, e, u, f, _ = BILATERAL[name][1](*args)
+            scan = partial(series.bilateral_sum, c, e, u=u, f=f)
+        else:
+            c, e, factors, start = FORMS[name][1](*args)
+            scan = partial(series.term_sum, c, e, factors, start=start)
+        scan(F(10))
         counts = []
         for order in (F(50), F(200)):
             made = count_fractions(monkeypatch)
-            series.bilateral_sum(c, e, order, u, f)
+            scan(order)
             counts.append(made[0])
             monkeypatch.undo()
         assert counts[0] == counts[1] < 8, counts

@@ -15,12 +15,13 @@ operation is a pass over the lists: a product adds the denser row in at
 each nonzero slot of the sparser one, a scalar multiplies through its
 table (_times_table, applied by _apply), a field lift through that of the
 embedding (_lift_table), and a power of q moves the offset.  Every
-quotient is one long division, series_div, walking only the residue
-classes its divisor reaches; series_invert and geom_inverse (1/(1 - u),
-u a monomial) wrap it.  Every theta function and bilateral Lambert sum is
-one scan, bilateral_sum, and every Eulerian sum one term sum, term_sum:
-each reads its grid off its form by one rule, _grid, on Python ints only,
-and writes its terms straight into one row.  QSeries has no operators.
+quotient is one long division, series_div, on integer slots scaled by
+_scale, through the residue classes its divisor reaches; series_invert
+and geom_inverse (1/(1 - u), u a monomial) wrap it.  Every theta
+function and bilateral Lambert sum is one scan, bilateral_sum, and every
+Eulerian sum one term sum, term_sum: each reads its grid off its form by
+one rule, _grid, on Python ints only, and writes its terms straight into
+one row.  QSeries has no operators.
 """
 
 from __future__ import annotations
@@ -470,17 +471,41 @@ def series_shift(a: QSeries, m: Monomial) -> QSeries:
     return _new(d, a.prec + s, a.field_order, a.off + s, a.cols, a.den)
 
 
+def _scale(dens: Sequence[tuple[int, int]], size: int) -> tuple[list, list]:
+    """(rates, sigma): the rho_j > 1 of the pairs (j, rho_j) split by gcd refinement
+    into coprime bases beta, as sorted pairs (beta, kappa = max_j v_beta(rho_j) / j),
+    and sigma(n) = prod beta^ceil(kappa n) for n < size: rho_j | sigma(n) / sigma(n - j)."""
+    def val(r: int, b: int) -> int:  # the exponent of b > 1 in r != 0, by way of b^2's
+        return 0 if r % b else (e := 2 * val(r, b * b)) + (r // b ** e % b == 0)
+    base, todo = [], [r for _, r in dens if r > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:  # g and b, x stripped of g: fewer prime factors in all
+                del base[i]
+                todo += [y for y in (g, b // g ** val(b, g), x // g ** val(x, g)) if y > 1]
+                break
+        else:
+            base.append(x)
+    rates, sig = [(b, max(Fraction(val(r, b), j) for j, r in dens)) for b in sorted(base)], [1] * size
+    for b, k in rates:
+        sig = [s * b ** -(-n * k.numerator // k.denominator) for n, s in enumerate(sig)]
+    return rates, sig
+
+
 def series_div(a: QSeries, b: QSeries) -> QSeries:
     """a / b by long division from the valuations:
-    c_n = a_n / b_0 - sum over j >= 1 of (b_j / b_0) c_{n-j}.  c_n reads
-    only c_{n-j} for the tail offsets j of b, so the walk climbs in steps
-    of their gcd g through each residue class that holds an exponent of a
-    and skips the rest (a monomial b has no tail: g spans the window).
+    c_n = a_n / b_0 - sum over j >= 1 of r_j c_{n-j}, r_j = b_j / b_0.  c_n
+    reads only c_{n-j} for the tail offsets j of b, so the walk climbs in
+    steps of their gcd g through each residue class that holds an exponent
+    of a and skips the rest (a monomial b has no tail: g spans the window).
 
-    With 1/b_0 = N/delta, N integral, each ratio b_j / b_0 is an integer
-    vector over its own denominator, and each c_n one over the lcm of the
-    denominators of the terms it sums, brought to lowest terms; the row is
-    put over the lcm of them all once, at the end.
+    On integers alone: with rho_j the denominator of r_j, slot n holds
+    C_n = da sigma(n) c_n (da that of a / b_0, sigma _scale's), and the
+    weights r_j sigma(n) / sigma(n - j) of the C_{n-j} are integral and
+    periodic in n, of period Q, the lcm of the rates' denominators; the
+    row is put over da sigma(L - 1) and brought to lowest terms once.
 
     With v the valuation of b, c_n needs a at n + v and b as far past its
     lead as n is past the quotient's valuation val(a) - v, so the quotient
@@ -502,39 +527,39 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
     check_window(a.denom, p - min(lo, 0))
     inv = _make(M, [col[0] for col in b.cols], 1).inv()
     times_n, _ = _times_table(M, inv.num, 1)
-    # each b_j / b_0 = (b_j N) / delta in lowest terms, as (j, products, denominator)
-    tail = []
-    for j, t in enumerate(zip(*_apply(times_n, b.cols))):
-        if j and any(t):
-            g = gcd(inv.den, *t)
-            pairs = _times_table(M, tuple(x // g for x in t), 1)[0]
-            tail.append((j, [(k, i, x) for k, ps in enumerate(pairs) for i, x in ps], inv.den // g))
-    # a / b_0 = (a N) b.den / (a.den delta)
-    g = gcd(b.den, inv.den)
-    A, da, mult = _apply(times_n, a.cols), a.den * (inv.den // g), b.den // g
-    step, A, zero = gcd(*(j for j, _, _ in tail)) or L, list(zip(*A)), (0,) * len(A)
-    c, dc = [None] * L, [1] * L
-    for r in {i % step for i, x in enumerate(A) if any(x)}:
+    # with 1/b_0 = N/delta, N integral, r_j = (b_j N / g) / rho_j for rho_j = delta / g
+    tail = [(j, t, gcd(inv.den, *t))
+            for j, t in enumerate(zip(*_apply(times_n, [c[:L] for c in b.cols]))) if j and any(t)]
+    rates, sig = _scale([(j, inv.den // g) for j, _, g in tail], L)
+    Q, top = lcm(*(k.denominator for _, k in rates)), sig[-1]
+    weights = []
+    for j, t, g in tail:  # the products of r_j's weight at each residue mod Q
+        w, tables = [None] * min(Q, L), {}
+        for n in range(j, min(j + Q, L)):
+            f = sig[n] * g // (sig[n - j] * inv.den)
+            if f not in tables:
+                pairs = _times_table(M, tuple(x // g * f for x in t), 1)[0]
+                tables[f] = [(k, i, x) for k, ps in enumerate(pairs) for i, x in ps]
+            w[n % Q] = tables[f]
+        weights.append((j, w))
+    # a / b_0 = (a N) b.den / (a.den delta): slot n starts at mult sigma(n) (a N)_n
+    da, mult = a.den * (inv.den // (g := gcd(b.den, inv.den))), b.den // g
+    A = _apply(times_n, [[x * mult * s for x, s in zip(c, sig)] + [0] * (L - len(c)) for c in a.cols])
+    C, step = [list(x) for x in zip(*A)], gcd(*(j for j, _ in weights)) or L
+    for r in {n % step for n, x in enumerate(C) if any(x)}:
         for n in range(r, L, step):
-            s, d = [mult * x for x in (A[n] if n < len(A) else zero)], da
-            for j, t, dj in tail:
+            s, q = C[n], n % Q
+            for j, w in weights:
                 if j > n:
                     break
-                y = c[n - j]
+                y = C[n - j]
                 if y is not None:
-                    e = dc[n - j] * dj
-                    if d % e:
-                        f = e // gcd(d, e)
-                        s, d = [f * x for x in s], d * f
-                    f = d // e
-                    for k, i, x in t:
-                        s[k] -= f * x * y[i]
-            if any(s):
-                g = gcd(d, *s) if d > 1 else 1
-                c[n], dc[n] = ([x // g for x in s], d // g) if g > 1 else (s, d)
-    den = lcm(*dc)
-    cols = [[y[k] * (den // e) if y else 0 for y, e in zip(c, dc)] for k in range(len(zero))]
-    return _row(a.denom, p, M, lo, cols, den)
+                    for k, i, x in w[q]:
+                        s[k] -= x * y[i]
+            if not any(s):
+                C[n] = None
+    cols = [[y[k] * (top // u) if y else 0 for y, u in zip(C, sig)] for k in range(len(A))]
+    return _row(a.denom, p, M, lo, cols, da * top)
 
 
 def series_invert(a: QSeries) -> QSeries:

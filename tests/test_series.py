@@ -1,7 +1,7 @@
 """Series ring: worked examples, brute-force oracles, and property suites."""
 
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +33,14 @@ from qident.series import (
     zero_series,
 )
 
-from oracles import assert_series_matches, dict_mul, dict_truncate, pochhammer_bruteforce, series_dict
+from oracles import (
+    assert_series_matches,
+    dict_mul,
+    dict_truncate,
+    geom_inverse_bruteforce,
+    pochhammer_bruteforce,
+    series_dict,
+)
 
 
 def geometric(order):
@@ -452,6 +459,75 @@ def test_div_over_long_windows_matches_naive_product(a, b):
     # walks of 60 slots and more, non-unit leads whose quotients' denominators
     # grow like a power of the lead's norm at each step
     _check_quotient(a, b)
+
+
+@st.composite
+def hard_divisors(draw, fields=(1, 5)):
+    """A divisor of 60 to 80 slots whose tail ratios have composite
+    denominators (6, 12, 36) anywhere, or the prime 1000003 only at offsets
+    40 and more past an integral near tail, so that the quotient's scale
+    has several bases, or one whose rate is small."""
+    denom = draw(st.sampled_from([1, 2, 3]))
+    field = draw(st.sampled_from(fields))
+    phi = euler_phi(field)
+    v = draw(st.integers(min_value=-3, max_value=3))
+    prec = v + draw(st.integers(min_value=60, max_value=80))
+    far = draw(st.booleans())
+    terms = {v: cyclo_embed(draw(st.sampled_from([F(1), F(-1), F(2)])), field)}
+    if far:
+        terms[v + 1] = cyclo_embed(F(draw(st.sampled_from([-1, 1, 3]))), field)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        k = draw(st.integers(min_value=v + (40 if far else 1), max_value=prec - 1))
+        nums = draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=phi, max_size=phi).filter(any))
+        dens = [1000003] if far else [6, 12, 36]
+        terms[k] = CycloNumber(field, [F(x, draw(st.sampled_from(dens))) for x in nums])
+    return QSeries(denom, prec, terms, field)
+
+
+@given(qseries(min_prec=60, max_prec=80, fields=(1, 5)), hard_divisors())
+@settings(max_examples=40, deadline=None)
+def test_div_by_hard_divisors_matches_naive_product(a, b):
+    # every slot of the walk is scaled by its own power of each base
+    _check_quotient(a, b)
+
+
+def test_div_with_a_large_prime_only_at_a_far_offset():
+    b = {F(0): F(1), F(1): F(-1), F(50): F(1, 1000003)}
+    divisor = QSeries(1, 200, {int(e): cyclo_embed(c, 1) for e, c in b.items()}, 1)
+    assert series._scale([(1, 1), (50, 1000003)], 3)[0] == [(1000003, F(1, 50))]
+    assert_series_matches(series_invert(divisor), geom_inverse_bruteforce(b, F(200)), F(200))
+
+
+@pytest.mark.parametrize("dens, rates, sigma", [
+    # 2, 2^3 and 2^6 at offsets 1, 2 and 3: one base 2 at rate max(1, 3/2, 2)
+    ([(1, 2), (2, 2**3), (3, 2**6)], [(2, F(2))], [1, 4, 16, 64, 256]),
+    # a lone 36 at offset 2 is never factored
+    ([(2, 36)], [(36, F(1, 2))], [1, 36, 36, 36**2, 36**2]),
+    # 6 and 4 share 2, which splits 6 into the bases 2 and 3
+    ([(1, 6), (2, 4)], [(2, F(1)), (3, F(1))], [1, 6, 36, 216, 1296]),
+    # integral ratios: no base, and sigma is 1
+    ([(1, 1), (3, 1)], [], [1, 1, 1, 1, 1]),
+])
+def test_scale_bases_rates_and_slot_scales(dens, rates, sigma):
+    assert series._scale(dens, 5) == (rates, sigma)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=12),
+                          st.lists(st.sampled_from([2, 3, 4, 6, 10, 12, 36, 1000003]), max_size=4)),
+                max_size=6, unique_by=lambda d: d[0]))
+@settings(max_examples=200, deadline=None)
+def test_scale_divides_every_ratio_denominator(raw):
+    dens = sorted((j, prod(fs)) for j, fs in raw)
+    rates, sig = series._scale(dens, 16)
+    bases = [b for b, _ in rates]
+    assert all(gcd(x, y) == 1 for i, x in enumerate(bases) for y in bases[i + 1:])
+    for j, r in dens:
+        for b in bases:
+            while r % b == 0:
+                r //= b
+        assert r == 1  # every denominator is a product of powers of the bases
+    assert all(sig[n + 1] % sig[n] == 0 for n in range(15))
+    assert all(sig[n] % (sig[n - j] * r) == 0 for j, r in dens for n in range(j, 16))
 
 
 def _check_quotient(a, b):

@@ -434,14 +434,18 @@ def _reduce_rows(M: int, acc: list) -> list:
 def _powers(x: CycloNumber, lo: int, count: int) -> tuple:
     """(cols, den): x^(lo + j) at slot j < count, as phi(M) lists over
     den = x.den^(lo + count - 1): a running power of x's numerators, slot j
-    scaled by x.den^(count - 1 - j)."""
+    scaled by x.den^(count - 1 - j).  When den is 1 and the power is back
+    at x^lo after k steps, x^k = 1 (or x = 0 with lo = 1): the powers
+    repeat with period k, and the k slots made are tiled out to count."""
     pairs, d = _times_table(x.order, x.num, 1)[0], x.den
-    v = list(x.num) if lo else [1] + [0] * (len(x.num) - 1)
+    v = first = list(x.num) if lo else [1] + [0] * (len(x.num) - 1)
     cols, scale = [[] for _ in v], d ** (count - 1)
-    for _ in range(count):
+    for k in range(1, count + 1):
         for col, y in zip(cols, v):
             col.append(scale * y)
         v, scale = [sum([c * v[j] for j, c in ps]) for ps in pairs], scale // d
+        if d == 1 and v == first:
+            return [(col * -(-count // k))[:count] for col in cols], 1
     return cols, d ** (lo + count - 1)
 
 

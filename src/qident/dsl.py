@@ -688,7 +688,10 @@ def _mcorr(x: Monomial, p: int, z0: Monomial, z1: Monomial) -> Source:
 def _msplit(x: Monomial, p: int, z: Monomial, zp: Monomial, n: int) -> Source:
     """Right side of the n-way splitting of m(x, q^p, z): n Appell-Lerch
     sums at base q^(p n^2) plus a theta-quotient correction.  The comma in
-    the source identity's theta denominator is read as a product."""
+    the source identity's theta denominator is read as a product.  The
+    correction multiplies the lacunary cube j(q^(pn); q^(3pn))^3 into the
+    sum of the n pieces before it divides by the two thetas: dividing
+    first would make the quotient dense and the product dense x dense."""
     if n < 1:
         raise ValueError("splitting depth must be at least 1")
     if n > MAX_SPLIT:
@@ -711,7 +714,7 @@ def _msplit(x: Monomial, p: int, z: Monomial, zp: Monomial, n: int) -> Source:
         f"*j({_q(p * n * r)}*z^{n}/zp, {qn2})/(j(-{_q(p * b)}*{pw}*zp, {qn})*j({_q(p * r)}*z, {qn})))"
         for r in range(n)
     )
-    text = f"{split} + zp*j({qn}, q^{3 * p * n})^3/(j(x*z, q^{p})*j(zp, {qn2}))*({pieces})"
+    text = f"{split} + zp*j({qn}, q^{3 * p * n})^3*({pieces})/(j(x*z, q^{p})*j(zp, {qn2}))"
     return text, {"x": x, "z": z, "zp": zp}
 
 

@@ -664,8 +664,9 @@ def bilateral_sum(
     n is a geometric run of c^n times the weights u^j at E + jF when F > 0,
     -u^(-1-j) at E - (j+1)F when F < 0, 1/(1 - u) at E when F = 0, added
     into the sum's row every |F| grid steps.  The powers
-    of c, 1/c, u and 1/u are coeff._powers rows, and the sum's row is put
-    over the lcm of their denominators once.  A term with a zero
+    of c, 1/c, u and 1/u are coeff._powers rows, made for one period when
+    the number is a root of unity, and the sum's row is put over the lcm
+    of their denominators once.  A term with a zero
     denominator raises, wherever it lies.
     """
     if u is not None and bilateral_pole(u, f) is not None:

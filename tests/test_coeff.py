@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qident import special
 from qident.coeff import (
     CycloNumber,
+    _powers,
     csc_pi,
     cyclo_embed,
     cyclotomic_poly,
@@ -326,6 +327,42 @@ class TestRationalInverse:
         products = count_products(monkeypatch)
         eval_expr(parse("poch(2*q, q, 5)"), 20)
         assert products[0] <= 1
+
+
+def naive_powers(x, lo, count):
+    """(cols, den) of _powers(x, lo, count) from running CycloNumber
+    products: x^(lo + j) at slot j over den = x.den^(lo + count - 1)."""
+    den, p = x.den ** (lo + count - 1), x if lo else one(x.order)
+    cols = [[] for _ in x.num]
+    for _ in range(count):
+        for col, v in zip(cols, p.num):
+            col.append(v * (den // p.den))
+        p = p * x
+    return cols, den
+
+
+class TestPowers:
+    # counts below, at and past every period of +-zeta_M^k, M <= 12
+    COUNTS = range(1, 28)
+
+    @pytest.mark.parametrize("lo", [0, 1])
+    @pytest.mark.parametrize("M", range(1, 13))
+    def test_roots_of_unity_match_running_products(self, M, lo):
+        for k in range(M):
+            for x in (zeta_power(M, k), -zeta_power(M, k)):
+                for count in self.COUNTS:
+                    assert _powers(x, lo, count) == naive_powers(x, lo, count), (M, k, x, count)
+
+    @pytest.mark.parametrize("lo", [0, 1])
+    @pytest.mark.parametrize("x", [
+        cyclo_embed(2, 1), cyclo_embed(Fraction(1, 2), 1), cyclo_embed(Fraction(-1, 2), 4),
+        one(5) + zeta_power(5, 1), zeta_power(6, 1) * cyclo_embed(Fraction(1, 2), 6), zero(3),
+    ], ids=["2", "1/2", "-1/2", "1+z5", "z6/2", "0"])
+    def test_other_numbers_match_running_products(self, x, lo):
+        # 1 + zeta_5 has norm 1 but infinite order, and zeta_6/2 has
+        # numerators that repeat with period 6: neither repeats its powers
+        for count in self.COUNTS:
+            assert _powers(x, lo, count) == naive_powers(x, lo, count), (x, count)
 
 
 class TestGalois:

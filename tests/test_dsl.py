@@ -316,6 +316,18 @@ def test_theta_quotient_divides_by_each_factor(monkeypatch, text, dividend, fact
     assert 2 * by_factor <= by_product, (by_factor, by_product)
 
 
+def test_msplit_multiplies_the_cube_in_before_it_divides(monkeypatch):
+    # counted in term pairs with a warm memo: the lacunary cube
+    # j(q^2; q^6)^3 times the two pieces, then the two theta divisions,
+    # reads 4,595 pairs; dividing the cube first made the quotient dense,
+    # and its dense product with the pieces brought the count to 8,785
+    text, order = "msplit(-zeta(5,1), q, -1, -q, 2)", 100
+    eval_expr(parse(text), order)
+    pairs = count_pairs(monkeypatch)
+    eval_expr(parse(text), order)
+    assert pairs[0] <= 5000, pairs[0]
+
+
 class TestBindings:
     def test_reserved_names(self):
         with pytest.raises(EvalError):

@@ -878,6 +878,15 @@ def test_rows_at_base_one_half_match_a_fraction_sum(monkeypatch, name, args, wan
     assert_series_matches(read_row(name, args, F(8)), want(F(8)), F(8))
 
 
+def test_a_read_one_grid_step_deeper_reaches_its_order(monkeypatch):
+    # an entry cut at q^10 on the grid 1/2 does not serve q^(21/2): the
+    # memo builds again, where a hit would return precision 10
+    monkeypatch.setattr(special, "_theta_cache", {})
+    x = mono(-1, F(1, 2))
+    read_row("j", (x, 1), 10)
+    assert read_row("j", (x, 1), F(21, 2)).prec_order() >= F(21, 2)
+
+
 def test_a_memo_hit_builds_no_form(monkeypatch):
     # the key is looked up before the row's form is built: the j row's form
     # makes 4 Fractions, a hit only the one of the base

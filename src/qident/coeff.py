@@ -355,24 +355,14 @@ def _substitute(a: CycloNumber, M: int, step: int) -> CycloNumber:
 # Constructors and the functional API
 # ---------------------------------------------------------------------------
 
-_ZERO_CACHE: dict[int, CycloNumber] = {}
-_ONE_CACHE: dict[int, CycloNumber] = {}
-
-
+@lru_cache(maxsize=None)
 def zero(M: int) -> CycloNumber:
-    z = _ZERO_CACHE.get(M)
-    if z is None:
-        z = _raw(M, (0,) * euler_phi(M), 1)
-        _ZERO_CACHE[M] = z
-    return z
+    return _raw(M, (0,) * euler_phi(M), 1)
 
 
+@lru_cache(maxsize=None)
 def one(M: int) -> CycloNumber:
-    z = _ONE_CACHE.get(M)
-    if z is None:
-        z = cyclo_embed(1, M)
-        _ONE_CACHE[M] = z
-    return z
+    return cyclo_embed(1, M)
 
 
 def cyclo_embed(r: RatLike, M: int) -> CycloNumber:

@@ -37,7 +37,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 from .coeff import csc_pi, sin_pi, zeta_power
 from .errors import EvalError, ParseError
 from .eulerian import BILATERAL, FORMS, need_a_below_c, need_theta_nonzero
-from .record import Record, set_key
+from .record import Record
 from .series import (
     PAD_LIMIT,
     Monomial,
@@ -65,42 +65,27 @@ Rat = Union[int, Fraction]
 class Lit(Record):
     __slots__, _fields = (), ("value",)
 
-    def __init__(self, value: Fraction):
-        set_key(self, (value,))
-
 
 class Sym(Record):
     __slots__, _fields = (), ("name",)
 
-    def __init__(self, name: str):
-        set_key(self, (name,))
-
 
 class Inf(Record):
-    __slots__, _key = (), ()  # no fields: every instance shares the empty key
+    __slots__ = ()
 
 
 class Call(Record):
     __slots__, _fields = (), ("name", "args")
 
-    def __init__(self, name: str, args: Tuple["Expr", ...]):
-        set_key(self, (name, args))
-
 
 class Neg(Record):
     __slots__, _fields = (), ("a",)
-
-    def __init__(self, a: "Expr"):
-        set_key(self, (a,))
 
 
 class _Binary(Record):
     """a op b; each operator is its own type, so Add(a, b) != Sub(a, b)."""
 
     __slots__, _fields = (), ("a", "b")
-
-    def __init__(self, a: "Expr", b: "Expr"):
-        set_key(self, (a, b))
 
 
 class Add(_Binary):
@@ -121,9 +106,6 @@ class Div(_Binary):
 
 class Pow(Record):
     __slots__, _fields = (), ("base", "expo")
-
-    def __init__(self, base: "Expr", expo: Fraction):
-        set_key(self, (base, expo))
 
 
 Expr = Union[Lit, Sym, Inf, Call, Neg, Add, Sub, Mul, Div, Pow]

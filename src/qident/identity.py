@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .dsl import DEFAULT_ORDER, Expr, eval_expr, parse, parse_bindings, print_expr
 from .errors import CapExceededError, NonGenericError
-from .record import Record, set_key
+from .record import Record
 from .series import Monomial, series_eq_to_order
 from .verdict import INSUFFICIENT, NONGENERIC, Verdict
 
@@ -56,8 +56,8 @@ class IdentityCase(Record):
             raise ValueError(f"case {id}: default_order must be positive")
         if expect not in EXPECTATIONS:
             raise ValueError(f"case {id}: unknown expectation {expect!r}")
-        set_key(self, (id, lhs, rhs, sample_bindings, binding_sources, default_order,
-                       genericity_note, expect))
+        super().__init__(id, lhs, rhs, sample_bindings, binding_sources, default_order,
+                         genericity_note, expect)
 
 
 def _split_top(text: str, sep: str) -> List[str]:
@@ -225,10 +225,6 @@ def check(
 class CheckRecord(Record):
     __slots__, _fields = (), ("case_id", "binding", "status", "detail", "expect", "seconds")
 
-    def __init__(self, case_id: str, binding: str, status: str, detail: str, expect: str,
-                 seconds: float):
-        set_key(self, (case_id, binding, status, detail, expect, seconds))
-
     @property
     def expected(self) -> bool:
         return self.status == self.expect
@@ -236,9 +232,6 @@ class CheckRecord(Record):
 
 class SuiteReport(Record):
     __slots__, _fields = (), ("records",)
-
-    def __init__(self, records: List[CheckRecord]):
-        set_key(self, (records,))
 
     def counts(self) -> Dict[str, int]:
         out = {"total": len(self.records), "pass": 0, "fail": 0, "nongeneric": 0, "insufficient_precision": 0}
@@ -288,9 +281,10 @@ def run_suite(
     if cases is None:
         cases = builtin_cases()
     work = [(c, i) for c in cases for i in range(len(c.sample_bindings))]
-    if jobs > 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
-        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_record, *zip(*work), [order] * len(work)))
     else:
         records = [_record(c, i, order) for c, i in work]

@@ -1,9 +1,10 @@
 """Immutable records with named fields, built without the dataclasses module.
 
 A record holds its field values, in order, as one tuple, _key, set once by
-its hand-written __init__ through set_key; each name in _fields reads one
-entry. Equality (with a record of the same type only), hashing and
-pickling are one operation on _key, and a pickled copy is rebuilt, so
+Record.__init__; each name in _fields reads one entry. A record type that
+checks or defaults its fields does so in its own __init__ and ends in
+super().__init__. Equality (with a record of the same type only), hashing
+and pickling are one operation on _key, and a pickled copy is rebuilt, so
 checked, through __init__. Attribute assignment is refused.
 """
 
@@ -15,6 +16,16 @@ class Record:
     def __init_subclass__(cls):
         for i, name in enumerate(vars(cls).get("_fields", ())):
             setattr(cls, name, property(lambda r, i=i: r._key[i]))
+
+    def __init__(self, *values, **named):
+        """Field values by position, then by name, in _fields order."""
+        fields = self._fields
+        if named and named.keys() == set(fields[len(values):]):
+            values += tuple(named[f] for f in fields[len(values):])
+        elif named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes each of {fields} once,"
+                            " by position then by name")
+        _set_key(self, values)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -37,4 +48,4 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
 
-set_key = Record._key.__set__  # the one write a record makes, past its __setattr__
+_set_key = Record._key.__set__  # the one write a record makes, past its __setattr__

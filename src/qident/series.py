@@ -45,7 +45,7 @@ from .coeff import (
     zero as cyclo_zero,
 )
 from .errors import CapExceededError, InsufficientPrecisionError, NonGenericError
-from .record import Record, set_key
+from .record import Record
 from .verdict import FAIL, PASS, Verdict
 
 Rat = Union[int, Fraction]
@@ -66,7 +66,7 @@ class Monomial(Record):
     def __init__(self, coeff: CycloNumber, expo: Fraction):
         if coeff.is_zero():
             raise ValueError("monomial coefficient must be nonzero")
-        set_key(self, (coeff, expo if isinstance(expo, Fraction) else Fraction(expo)))
+        super().__init__(coeff, expo if isinstance(expo, Fraction) else Fraction(expo))
 
     @staticmethod
     def make(coeff: Union[CycloNumber, Rat], expo: Rat = 0) -> "Monomial":

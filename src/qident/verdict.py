@@ -6,7 +6,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .coeff import MAX_COEFF_BITS, CycloNumber
-from .record import Record, set_key
+from .record import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -34,7 +34,7 @@ class Verdict(Record):
             raise ValueError(f"unknown verdict status {status!r}")
         if status == FAIL and (first_bad_exponent is None or lhs_coeff is None or rhs_coeff is None):
             raise ValueError("fail verdict requires exponent and both coefficients")
-        set_key(self, (status, order_checked, first_bad_exponent, lhs_coeff, rhs_coeff, note))
+        super().__init__(status, order_checked, first_bad_exponent, lhs_coeff, rhs_coeff, note)
 
     @property
     def ok(self) -> bool:

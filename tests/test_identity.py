@@ -234,6 +234,20 @@ class TestSuite:
         assert workers == [2]
         assert len(report.records) == 4
 
+    def test_one_cpu_runs_serially(self, monkeypatch):
+        # a one-worker pool would only pickle every case: no pool starts
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool was started on one CPU")
+
+        cases = self.make_cases()
+        serial = run_suite(cases=cases)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        report = run_suite(jobs=4, cases=cases)
+        strip = lambda rs: [(r.case_id, r.binding, r.status, r.detail, r.expect) for r in rs]
+        assert strip(report.records) == strip(serial.records)
+
     def test_order_override_applies_everywhere(self):
         case = make_case("late", "J(1,2)", "J(1,2) + q^30", order=40, expect="fail")
         assert run_suite(cases=[case]).ok()

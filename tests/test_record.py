@@ -97,6 +97,19 @@ def test_construction_checks():
         IdentityCase("c", A, B, sample_bindings=({}, {}))
     with pytest.raises(TypeError):
         Add(A)
+    fields = dict(zip(CHECK._fields, CHECK._key))
+    with pytest.raises(TypeError, match="CheckRecord"):
+        CheckRecord(**fields, colour=1)  # unknown
+    with pytest.raises(TypeError, match="CheckRecord"):
+        CheckRecord(**{f: v for f, v in fields.items() if f != "seconds"})  # missing
+    with pytest.raises(TypeError, match=r"\('a', 'b'\)"):
+        Add(A, a=A, b=B)  # by position and again by name
+    with pytest.raises(TypeError, match="Add"):
+        Add(A, B, A)  # too many
+    with pytest.raises(TypeError, match="Add"):
+        Add(A, B, b=B)
+    with pytest.raises(TypeError, match="Inf"):
+        Inf(x=A)
 
 
 def test_repr_names_every_field():

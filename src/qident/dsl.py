@@ -16,8 +16,9 @@ The paper's fixed combinations (Ktilde, Htilde and their other forms,
 mcorr, msplit, g_appell) and g_sum, g through its Eulerian sum, are
 definitions: exact argument checks, then an expression over the core
 functions with the integer arguments spliced into its text and the
-monomial ones bound as its symbols.  msplit's depth, the number of terms
-of its text, is at most MAX_SPLIT.
+monomial ones bound as its symbols; each text is parsed once, and each
+value, like each evaluated side, is read through special's memo.
+msplit's depth, the number of terms of its text, is at most MAX_SPLIT.
 
 The function registry holds every row of eulerian.FORMS and
 eulerian.BILATERAL, each read by special.read_row, and J, JB and Jm,
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import lcm, prod
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -52,7 +53,7 @@ from .series import (
     series_sub,
     zero_series,
 )
-from .special import ensure_prec, read_row
+from .special import _key, _memo, ensure_prec, read_row
 
 Rat = Union[int, Fraction]
 
@@ -535,11 +536,17 @@ def eval_expr(
     divisions cost.  An order past MAX_ORDER, or a power past MAX_POWER of
     anything but a pure power of q, nested powers multiplied, raises
     EvalError.
+
+    The value is read through special's memo, keyed by e and the bound
+    monomials, and cut at order, so a repeated or shallower evaluation of
+    the same side under the same binding builds nothing.
     """
     b, asked = dict(binding or {}), Fraction(order)
     if asked > MAX_ORDER:
         raise EvalError(f"order {asked} exceeds MAX_ORDER = {MAX_ORDER}")
-    return ensure_prec(lambda work: _to_series(_ev(e, work, b, asked), work), order)
+    key = _key(e, [v for item in sorted(b.items()) for v in item])
+    return _memo(key, asked, lambda: ensure_prec(
+        lambda work: _to_series(_ev(e, work, b, asked), work), asked))
 
 
 def fold_monomial(e: Expr) -> Monomial:
@@ -600,14 +607,27 @@ def _zeta(v: List[object], order: Fraction) -> Monomial:
 Source = Tuple[str, Dict[str, Monomial]]
 
 
-def _definition(name: str, source: Callable[..., Source]):
-    """The function whose value is the expression source(*args) returns;
-    a usage error from its checks or its body names the definition."""
+@lru_cache(maxsize=128)
+def _parsed(text: str) -> Expr:
+    """parse(text), once per definition text: a text holds only a
+    definition's integer arguments, its monomial ones being bound."""
+    return parse(text)
 
-    def run(v: List[object], order: Fraction) -> Value:
-        try:
+
+def _definition(name: str, source: Callable[..., Source]):
+    """The function whose value is the expression source(*args) returns,
+    built to its order under ensure_prec and read through special's memo
+    under (name, args), so only a miss runs the checks and the body; a
+    usage error from either names the definition."""
+
+    def run(v: List[object], order: Fraction) -> QSeries:
+        def build() -> QSeries:
             text, binding = source(*v)
-            return _ev(parse(text), order, binding, order)
+            e = _parsed(text)
+            return ensure_prec(lambda work: _to_series(_ev(e, work, binding, order), work), order)
+
+        try:
+            return _memo(_key(name, v), order, build)
         except (EvalError, ValueError) as exc:
             raise EvalError(f"{name}: {exc}") from exc
 

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Optional, Sequence, Tuple, Union
 
 from .coeff import (
@@ -472,9 +473,12 @@ def series_shift(a: QSeries, m: Monomial) -> QSeries:
 
 
 def _scale(dens: Sequence[tuple[int, int]], size: int) -> tuple[list, list]:
-    """(rates, sigma): the rho_j > 1 of the pairs (j, rho_j) split by gcd refinement
+    """(rates, steps): the rho_j > 1 of the pairs (j, rho_j) split by gcd refinement
     into coprime bases beta, as sorted pairs (beta, kappa = max_j v_beta(rho_j) / j),
-    and sigma(n) = prod beta^ceil(kappa n) for n < size: rho_j | sigma(n) / sigma(n - j)."""
+    and the small steps sigma(n + 1) / sigma(n) for n + 1 < size, where sigma(n) =
+    prod beta^ceil(kappa n): rho_j | sigma(n) / sigma(n - j).  A running product of
+    the steps reaches each sigma(n), or sigma(size - 1) / sigma(n) from the top
+    down, at one product by a small integer per slot, linear in the bits."""
     def val(r: int, b: int) -> int:  # the exponent of b > 1 in r != 0, by way of b^2's
         return 0 if r % b else (e := 2 * val(r, b * b)) + (r // b ** e % b == 0)
     base, todo = [], [r for _, r in dens if r > 1]
@@ -488,10 +492,11 @@ def _scale(dens: Sequence[tuple[int, int]], size: int) -> tuple[list, list]:
                 break
         else:
             base.append(x)
-    rates, sig = [(b, max(Fraction(val(r, b), j) for j, r in dens)) for b in sorted(base)], [1] * size
+    rates, steps = [(b, max(Fraction(val(r, b), j) for j, r in dens)) for b in sorted(base)], [1] * (size - 1)
     for b, k in rates:
-        sig = [s * b ** -(-n * k.numerator // k.denominator) for n, s in enumerate(sig)]
-    return rates, sig
+        e = [-(-n * k.numerator // k.denominator) for n in range(size)]
+        steps = [s * b ** (y - x) for s, x, y in zip(steps, e, e[1:])]
+    return rates, steps
 
 
 def series_div(a: QSeries, b: QSeries) -> QSeries:
@@ -530,13 +535,13 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
     # with 1/b_0 = N/delta, N integral, r_j = (b_j N / g) / rho_j for rho_j = delta / g
     tail = [(j, t, gcd(inv.den, *t))
             for j, t in enumerate(zip(*_apply(times_n, [c[:L] for c in b.cols]))) if j and any(t)]
-    rates, sig = _scale([(j, inv.den // g) for j, _, g in tail], L)
-    Q, top = lcm(*(k.denominator for _, k in rates)), sig[-1]
+    rates, steps = _scale([(j, inv.den // g) for j, _, g in tail], L)
+    Q = lcm(*(k.denominator for _, k in rates))
     weights = []
     for j, t, g in tail:  # the products of r_j's weight at each residue mod Q
         w, tables = [None] * min(Q, L), {}
         for n in range(j, min(j + Q, L)):
-            f = sig[n] * g // (sig[n - j] * inv.den)
+            f = prod(steps[n - j:n]) * g // inv.den
             if f not in tables:
                 pairs = _times_table(M, tuple(x // g * f for x in t), 1)[0]
                 tables[f] = [(k, i, x) for k, ps in enumerate(pairs) for i, x in ps]
@@ -544,7 +549,8 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
         weights.append((j, w))
     # a / b_0 = (a N) b.den / (a.den delta): slot n starts at mult sigma(n) (a N)_n
     da, mult = a.den * (inv.den // (g := gcd(b.den, inv.den))), b.den // g
-    A = _apply(times_n, [[x * mult * s for x, s in zip(c, sig)] + [0] * (L - len(c)) for c in a.cols])
+    A = _apply(times_n, [[x * mult * s for x, s in zip(c, accumulate(steps, mul, initial=1))]
+                         + [0] * (L - len(c)) for c in a.cols])
     C, step = [list(x) for x in zip(*A)], gcd(*(j for j, _ in weights)) or L
     for r in {n % step for n, x in enumerate(C) if any(x)}:
         for n in range(r, L, step):
@@ -558,8 +564,10 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
                         s[k] -= x * y[i]
             if not any(s):
                 C[n] = None
-    cols = [[y[k] * (top // u) if y else 0 for y, u in zip(C, sig)] for k in range(len(A))]
-    return _row(a.denom, p, M, lo, cols, da * top)
+    # over da sigma(L - 1), slot n takes sigma(L - 1) / sigma(n), the steps' product from the top
+    cols = [[y[k] * u if y else 0 for y, u in zip(reversed(C), accumulate(reversed(steps), mul, initial=1))][::-1]
+            for k in range(len(A))]
+    return _row(a.denom, p, M, lo, cols, da * prod(steps))
 
 
 def series_invert(a: QSeries) -> QSeries:

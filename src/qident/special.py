@@ -11,6 +11,8 @@ and divides it by its theta divisor, under ensure_prec, which deepens the
 working order up to series.PAD_LIMIT, and keeps one memo entry per (row,
 arguments) in _theta_cache, a least recently used cache of at most
 MEMO_LIMIT entries, which it looks up before it builds the row's form.
+dsl reads definition values and evaluated expressions through the same
+memo, _memo, under keys that _key makes the same way.
 """
 
 from __future__ import annotations
@@ -75,14 +77,15 @@ def _base(p: Rat) -> Fraction:
 _theta_cache: dict[tuple, QSeries] = {}
 
 # The most entries _theta_cache keeps; one run_suite() of the built-in
-# corpus leaves about 360, so the corpus never evicts.
+# corpus leaves about 710, so the corpus never evicts.
 MEMO_LIMIT = 1024
 
 memo_counts = {"hits": 0, "misses": 0}
 
 
 def _memo(key: tuple, order: Rat, build: Callable[[], QSeries]) -> QSeries:
-    """The series that build() makes for order, through _theta_cache.
+    """The series that build() makes for order, through _theta_cache, the
+    one memo of rows, definition values and evaluated expressions.
 
     Each entry is stored cut at the order it was built for, so a shallower
     request, served by cutting the entry, gets what a cold call returns.
@@ -98,9 +101,10 @@ def _memo(key: tuple, order: Rat, build: Callable[[], QSeries]) -> QSeries:
     return series_truncate(s, order)
 
 
-def _key(name: str, args: Sequence) -> tuple:
-    """The memo key of name at args, each monomial c q^e flattened to c's key and e."""
-    return (name, *(v for a in args for v in ((a.coeff.key(), a.expo) if isinstance(a, Monomial) else (a,))))
+def _key(head: object, args: Sequence) -> tuple:
+    """The memo key of head, a row's or a definition's name or an expression,
+    at args, each monomial c q^e flattened to c's key and e."""
+    return (head, *(v for a in args for v in ((a.coeff.key(), a.expo) if isinstance(a, Monomial) else (a,))))
 
 
 def read_row(name: str, args: Sequence, order: Rat) -> QSeries:

@@ -198,6 +198,23 @@ def count_pairs(monkeypatch) -> list[int]:
     return count
 
 
+def count_calls(monkeypatch, attr: str) -> list[int]:
+    """Wrap the series function attr wherever a qident module binds it; the
+    one entry of the list returned counts its calls."""
+    from qident import series
+
+    fn, count = getattr(series, attr), [0]
+
+    def counted(*args):
+        count[0] += 1
+        return fn(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "qident" and getattr(mod, attr, None) is fn:
+            monkeypatch.setattr(mod, attr, counted)
+    return count
+
+
 def count_products(monkeypatch) -> list[int]:
     """Count CycloNumber products from here on, in the one entry of the list returned."""
     mul, count = CycloNumber.__mul__, [0]

@@ -24,10 +24,12 @@ from qident.dsl import (
     parse_binding,
     print_expr,
 )
-from qident import series
+from qident import dsl, series, special
 from qident.errors import EvalError, NonGenericError, ParseError
+from qident.eulerian import BILATERAL, FORMS
+from qident.identity import builtin_cases, check
 from qident.series import Monomial, series_eq_to_order, series_mul
-from oracles import assert_series_matches, count_pairs
+from oracles import assert_series_matches, count_calls, count_pairs
 
 
 def check_eq(lhs, rhs, order):
@@ -295,18 +297,27 @@ SPARSE_QUOTIENTS = [
 ]
 
 
+def _forget_all_but_rows():
+    """Drop every memo entry but the rows' of FORMS and BILATERAL, so that a
+    second read builds its expression and its definitions again from warm rows."""
+    for k in [k for k in special._theta_cache if k[0] not in FORMS and k[0] not in BILATERAL]:
+        del special._theta_cache[k]
+
+
 @pytest.mark.parametrize("text, dividend, factors", SPARSE_QUOTIENTS)
 def test_theta_quotient_divides_by_each_factor(monkeypatch, text, dividend, factors):
-    # counted in term pairs of series_mul and series_div with a warm memo,
-    # read off the operands, the same on every machine: a division by each
-    # lacunary theta in turn takes at most half of what forming their
-    # dense product and dividing by it takes
+    # counted in term pairs of series_mul and series_div with the rows
+    # warm, read off the operands, the same on every machine: a division
+    # by each lacunary theta in turn takes at most half of what forming
+    # their dense product and dividing by it takes
     order = 100
 
     def ev(t):
         return eval_expr(parse(t), order)
 
+    monkeypatch.setattr(special, "_theta_cache", {})
     ev(text)
+    _forget_all_but_rows()
     pairs = count_pairs(monkeypatch)
     got = ev(text)
     by_factor = pairs[0]
@@ -317,15 +328,59 @@ def test_theta_quotient_divides_by_each_factor(monkeypatch, text, dividend, fact
 
 
 def test_msplit_multiplies_the_cube_in_before_it_divides(monkeypatch):
-    # counted in term pairs with a warm memo: the lacunary cube
+    # counted in term pairs with the rows warm: the lacunary cube
     # j(q^2; q^6)^3 times the two pieces, then the two theta divisions,
     # reads 4,595 pairs; dividing the cube first made the quotient dense,
     # and its dense product with the pieces brought the count to 8,785
     text, order = "msplit(-zeta(5,1), q, -1, -q, 2)", 100
+    monkeypatch.setattr(special, "_theta_cache", {})
     eval_expr(parse(text), order)
+    _forget_all_but_rows()
     pairs = count_pairs(monkeypatch)
     eval_expr(parse(text), order)
-    assert pairs[0] <= 5000, pairs[0]
+    assert 0 < pairs[0] <= 5000, pairs[0]
+
+
+MSPLIT = "msplit(-zeta(3,1), q, -1, -q, 2)"
+
+
+@pytest.mark.parametrize("second", [MSPLIT, f"-{MSPLIT}"], ids=["expression", "definition"])
+def test_a_second_read_of_a_definition_divides_nothing(monkeypatch, second):
+    # the same side is one memo entry, and so is the same definition
+    # inside another side: neither is built again from its rows
+    monkeypatch.setattr(special, "_theta_cache", {})
+    first = eval_expr(parse(MSPLIT), 40)
+    divisions = count_calls(monkeypatch, "series_div")
+    again = eval_expr(parse(second), 40)
+    assert divisions[0] == 0
+    check_eq(again, first if second == MSPLIT else series.series_neg(first), 40)
+
+
+def test_a_definition_text_is_parsed_once(monkeypatch):
+    # msplit's text holds only its integer arguments, so m-split-3's five
+    # bindings splice one text, tokenized once
+    case = next(c for c in builtin_cases() if c.id == "m-split-3")
+    monkeypatch.setattr(special, "_theta_cache", {})
+    dsl._parsed.cache_clear()
+    texts, tokenize = [], dsl._tokenize
+    monkeypatch.setattr(dsl, "_tokenize", lambda t: texts.append(t) or tokenize(t))
+    for i in range(len(case.sample_bindings)):
+        assert check(case, i).status == "pass"
+    b = case.sample_bindings[0]
+    text = dsl._msplit(b["x"], 1, b["z"], b["zp"], 3)[0]
+    assert len(case.sample_bindings) == 5 and texts.count(text) == 1
+
+
+@pytest.mark.parametrize("text", ["1/j(q, q)", "m(2*q, q, -1) + msplit(1, q, -1, -q, 2)"])
+def test_a_nongeneric_side_raises_again_and_leaves_no_entry(monkeypatch, text):
+    # an exception is never stored: neither the side nor its definition
+    # enters the memo
+    monkeypatch.setattr(special, "_theta_cache", {})
+    e = parse(text)
+    for _ in range(2):
+        with pytest.raises(NonGenericError):
+            eval_expr(e, 20)
+    assert not [k for k in special._theta_cache if k[0] in (e, "msplit")]
 
 
 class TestBindings:

@@ -1,7 +1,9 @@
 """Series ring: worked examples, brute-force oracles, and property suites."""
 
 from fractions import Fraction as F
-from math import gcd, lcm, prod
+from itertools import accumulate
+from math import ceil, gcd, lcm, prod
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -509,7 +511,8 @@ def test_div_with_a_large_prime_only_at_a_far_offset():
     ([(1, 1), (3, 1)], [], [1, 1, 1, 1, 1]),
 ])
 def test_scale_bases_rates_and_slot_scales(dens, rates, sigma):
-    assert series._scale(dens, 5) == (rates, sigma)
+    got, steps = series._scale(dens, 5)
+    assert (got, list(accumulate(steps, mul, initial=1))) == (rates, sigma)
 
 
 @given(st.lists(st.tuples(st.integers(min_value=1, max_value=12),
@@ -518,7 +521,12 @@ def test_scale_bases_rates_and_slot_scales(dens, rates, sigma):
 @settings(max_examples=200, deadline=None)
 def test_scale_divides_every_ratio_denominator(raw):
     dens = sorted((j, prod(fs)) for j, fs in raw)
-    rates, sig = series._scale(dens, 16)
+    rates, steps = series._scale(dens, 16)
+    # the running products of the steps, upward and from the top down, are
+    # sigma(n) = prod b^ceil(kappa n) and sigma(15) / sigma(n)
+    sig = [prod(b ** ceil(k * n) for b, k in rates) for n in range(16)]
+    assert list(accumulate(steps, mul, initial=1)) == sig
+    assert list(accumulate(reversed(steps), mul, initial=1))[::-1] == [sig[-1] // s for s in sig]
     bases = [b for b, _ in rates]
     assert all(gcd(x, y) == 1 for i, x in enumerate(bases) for y in bases[i + 1:])
     for j, r in dens:

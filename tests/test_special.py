@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qident import eval_expr, parse, series, special
 from qident.coeff import cyclo_embed, lift_order, zeta_power
-from qident.dsl import Call, parse_bindings
+from qident.dsl import FUNCTIONS, Call, parse_bindings
 from qident.errors import CapExceededError, EvalError, NonGenericError, QIdentError
 from qident.eulerian import BILATERAL, FORMS, need_theta_nonzero
 from qident.series import (
@@ -64,6 +64,11 @@ def zmono(M, k, e=0):
 def check_eq(lhs, rhs, order):
     v = series_eq_to_order(lhs, rhs, order)
     assert v.status == "pass", v.detail()
+
+
+# a side with a negative shift, two definitions and a division, and its binding
+SIDE = parse("q^(-1)*Htilde(1, 4) + mcorr(x, q, -1, -q^(1/2))/j(x*q^(1/2), q)")
+SIDE_BINDING = parse_bindings(["x=2*q"])
 
 
 def _binom2(n):
@@ -347,6 +352,22 @@ class TestThetaFunction:
         assert len(special._theta_cache) == 1
         special._theta_cache.clear()
         cold = read_row("j", (x, p), 41)
+        assert (warm.denom, warm.prec, warm.field_order) == (cold.denom, cold.prec, cold.field_order)
+        assert warm.terms == cold.terms
+
+    @pytest.mark.parametrize("head, read", [
+        ("msplit", partial(FUNCTIONS["msplit"][5][1], [mono(2, 1), 1, mono(-1), mono(-1, 1), 2])),
+        (SIDE, lambda order: eval_expr(SIDE, order, SIDE_BINDING)),
+    ], ids=["definition", "expression"])
+    def test_cache_serves_shallower_order_of_a_definition_or_side(self, monkeypatch, head, read):
+        # as test_cache_serves_shallower_order, for a definition read from
+        # the registry and for a whole expression
+        monkeypatch.setattr(special, "_theta_cache", {})
+        read(60)
+        warm = read(41)
+        assert [k[0] for k in special._theta_cache].count(head) == 1
+        special._theta_cache.clear()
+        cold = read(41)
         assert (warm.denom, warm.prec, warm.field_order) == (cold.denom, cold.prec, cold.field_order)
         assert warm.terms == cold.terms
 

@@ -10,13 +10,15 @@ appear only at the edges: the checked constructor QSeries(D, P, {k: c}, M)
 and the read-only views terms, sorted_terms and coeff_at.
 
 Precision propagates by the min/valuation rules below, so a comparison
-never silently reads coefficients outside the guaranteed window.  Every
-operation is a pass over the lists: a product adds the denser row in at
-each nonzero slot of the sparser one, a scalar multiplies through its
-table (_times_table, applied by _apply), a field lift through that of the
-embedding (_lift_table), and a power of q moves the offset.  Every
-quotient is one long division, series_div, on integer slots scaled by
-_scale, through the residue classes its divisor reaches; series_invert
+never silently reads coefficients outside the guaranteed window; two
+rows equal as stored compare equal with nothing built, any others on
+their difference.  Every operation is a pass over the lists: a product
+adds the denser row in at each nonzero slot of the sparser one, a scalar
+multiplies through its table (_times_table, applied by _apply), a field
+lift through that of the embedding (_lift_table), and a power of q moves
+the offset.  Every quotient is one long division, series_div, on integer
+slots through the residue classes its divisor reaches, scaled by _scale
+only when a ratio of the divisor's terms is fractional; series_invert
 and geom_inverse (1/(1 - u), u a monomial) wrap it.  Every theta
 function and bilateral Lambert sum is one scan, bilateral_sum, and every
 Eulerian sum one term sum, term_sum: each reads its grid off its form by
@@ -27,7 +29,7 @@ one row.  QSeries has no operators.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional, Sequence, Tuple, Union
@@ -502,15 +504,19 @@ def _scale(dens: Sequence[tuple[int, int]], size: int) -> tuple[list, list]:
 def series_div(a: QSeries, b: QSeries) -> QSeries:
     """a / b by long division from the valuations:
     c_n = a_n / b_0 - sum over j >= 1 of r_j c_{n-j}, r_j = b_j / b_0.  c_n
-    reads only c_{n-j} for the tail offsets j of b, so the walk climbs in
-    steps of their gcd g through each residue class that holds an exponent
-    of a and skips the rest (a monomial b has no tail: g spans the window).
+    reads only c_{n-j} for the tail offsets j of b, its nonzero slots past
+    the lead, so the walk climbs in steps of their gcd g through each
+    residue class that holds an exponent of a and skips the rest (a
+    monomial b has no tail: g spans the window).
 
-    On integers alone: with rho_j the denominator of r_j, slot n holds
-    C_n = da sigma(n) c_n (da that of a / b_0, sigma _scale's), and the
-    weights r_j sigma(n) / sigma(n - j) of the C_{n-j} are integral and
-    periodic in n, of period Q, the lcm of the rates' denominators; the
-    row is put over da sigma(L - 1) and brought to lowest terms once.
+    On integers alone: slot n holds C_n = da c_n, da the denominator of
+    a / b_0, and when every r_j is integral, as in most theta quotients,
+    the weights r_j of the C_{n-j} are integral too.  Otherwise, with rho_j
+    the denominator of r_j, slot n holds C_n = da sigma(n) c_n (sigma
+    _scale's), and the weights r_j sigma(n) / sigma(n - j) are integral
+    and periodic in n, of period Q, the lcm of the rates' denominators;
+    the row is put over da sigma(L - 1).  Either way it is brought to
+    lowest terms once.
 
     With v the valuation of b, c_n needs a at n + v and b as far past its
     lead as n is past the quotient's valuation val(a) - v, so the quotient
@@ -531,26 +537,35 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
         return _zero(a.denom, p, M)
     check_window(a.denom, p - min(lo, 0))
     inv = _make(M, [col[0] for col in b.cols], 1).inv()
-    times_n, _ = _times_table(M, inv.num, 1)
+    N, delta = inv.num, inv.den
+
+    def times(t: Sequence[int]) -> list:  # multiplication by t as (k, i, x): slot k gains x y[i]
+        return [(k, i, x) for k, ps in enumerate(_times_table(M, tuple(t), 1)[0]) for i, x in ps]
+
     # with 1/b_0 = N/delta, N integral, r_j = (b_j N / g) / rho_j for rho_j = delta / g
-    tail = [(j, t, gcd(inv.den, *t))
-            for j, t in enumerate(zip(*_apply(times_n, [c[:L] for c in b.cols]))) if j and any(t)]
-    rates, steps = _scale([(j, inv.den // g) for j, _, g in tail], L)
-    Q = lcm(*(k.denominator for _, k in rates))
-    weights = []
-    for j, t, g in tail:  # the products of r_j's weight at each residue mod Q
-        w, tables = [None] * min(Q, L), {}
-        for n in range(j, min(j + Q, L)):
-            f = prod(steps[n - j:n]) * g // inv.den
-            if f not in tables:
-                pairs = _times_table(M, tuple(x // g * f for x in t), 1)[0]
-                tables[f] = [(k, i, x) for k, ps in enumerate(pairs) for i, x in ps]
-            w[n % Q] = tables[f]
-        weights.append((j, w))
-    # a / b_0 = (a N) b.den / (a.den delta): slot n starts at mult sigma(n) (a N)_n
-    da, mult = a.den * (inv.den // (g := gcd(b.den, inv.den))), b.den // g
-    A = _apply(times_n, [[x * mult * s for x, s in zip(c, accumulate(steps, mul, initial=1))]
-                         + [0] * (L - len(c)) for c in a.cols])
+    times_n, tail = _times_table(M, N, 1)[0], []
+    for j, y in enumerate(islice(zip(*b.cols), 1, L), 1):
+        if any(y):
+            t = [sum([x * y[i] for i, x in ps]) for ps in times_n]
+            tail.append((j, t, gcd(delta, *t)))
+    steps = None
+    if all(g == delta for _, _, g in tail):  # every r_j integral: sigma is 1
+        Q, weights = 1, [(j, [times([x // delta for x in t])]) for j, t, _ in tail]
+    else:
+        rates, steps = _scale([(j, delta // g) for j, _, g in tail], L)
+        Q, weights = lcm(*(k.denominator for _, k in rates)), []
+        for j, t, g in tail:  # the products of r_j's weight at each residue mod Q
+            w, tables = [None] * min(Q, L), {}
+            for n in range(j, min(j + Q, L)):
+                f = prod(steps[n - j:n]) * g // delta
+                if f not in tables:
+                    tables[f] = times([x // g * f for x in t])
+                w[n % Q] = tables[f]
+            weights.append((j, w))
+    # a / b_0 = (a N) b.den / (a.den delta): slot n starts at sigma(n) (a N mult)_n
+    da, mult = a.den * (delta // (g := gcd(b.den, delta))), b.den // g
+    cols = a.cols if steps is None else [[x * s for x, s in zip(c, accumulate(steps, mul, initial=1))] for c in a.cols]
+    A = _apply(_times_table(M, tuple(mult * x for x in N), 1)[0], [c[:L] + [0] * (L - len(c)) for c in cols])
     C, step = [list(x) for x in zip(*A)], gcd(*(j for j, _ in weights)) or L
     for r in {n % step for n, x in enumerate(C) if any(x)}:
         for n in range(r, L, step):
@@ -564,6 +579,8 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
                         s[k] -= x * y[i]
             if not any(s):
                 C[n] = None
+    if steps is None:
+        return _row(a.denom, p, M, lo, [[y[k] if y else 0 for y in C] for k in range(len(A))], da)
     # over da sigma(L - 1), slot n takes sigma(L - 1) / sigma(n), the steps' product from the top
     cols = [[y[k] * u if y else 0 for y, u in zip(reversed(C), accumulate(reversed(steps), mul, initial=1))][::-1]
             for k in range(len(A))]
@@ -610,8 +627,11 @@ def geom_inverse(u: Monomial, order: Rat) -> QSeries:
 
 
 def series_eq_to_order(a: QSeries, b: QSeries, order: Rat) -> Verdict:
-    """Compare all coefficients with exponent strictly below order: the
-    first nonzero slot of a - b, if it lies below order, is the mismatch.
+    """Compare all coefficients with exponent strictly below order, on one
+    grid and over one field.  Two rows equal as stored (the same offset,
+    denominator and lists, or both empty) hold equal coefficients and pass
+    as they are, as most checks of an identity do; otherwise the first
+    nonzero slot of a - b, if it lies below order, is the mismatch.
 
     Raises InsufficientPrecisionError when either side's guaranteed window
     is too shallow for the request; the caller must recompute deeper.
@@ -621,6 +641,8 @@ def series_eq_to_order(a: QSeries, b: QSeries, order: Rat) -> Verdict:
     short = min(a.prec, b.prec)
     if short < order * a.denom:
         raise InsufficientPrecisionError(order, Fraction(short, a.denom))
+    if (a.off, a.den, a.cols) == (b.off, b.den, b.cols) or not (a.cols[0] or b.cols[0]):
+        return Verdict(PASS, order)
     diff = series_sub(a, b)
     if diff.is_zero() or diff.off >= order * a.denom:
         return Verdict(PASS, order)

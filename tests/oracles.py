@@ -76,6 +76,24 @@ def geom_inverse_bruteforce(a: dict, order: Fraction) -> dict:
     return {e - v: c * inv0 for e, c in acc.items() if e < rel and c}
 
 
+def long_division(a: dict, b: dict, order: Fraction) -> dict:
+    """a / b below q^order for a nonzero b, by long division from the low
+    end: the lowest term of the remainder, over b's lead, is the next term of
+    the quotient, and that term times b is taken off the remainder, every
+    exponent kept as a Fraction and every term below q^(order + val(b))."""
+    v = min(b)
+    inv0, top = inverse(b[v]), order + v
+    rest, out = dict_truncate(a, top), {}
+    while rest:
+        e = min(rest)
+        c = out[e - v] = rest[e] * inv0
+        for eb, cb in b.items():
+            if (x := e - v + eb) < top:
+                rest[x] = rest.get(x, 0 * c) - c * cb
+        rest = {x: y for x, y in rest.items() if y}
+    return out
+
+
 def theta_bruteforce(c: Fraction, e: Fraction, p: Fraction, order: Fraction) -> dict[Fraction, Fraction]:
     """Bilateral theta sum with rational x = c*q^e, scanned over a wide window."""
     out: dict[Fraction, Fraction] = {}

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from qident.coeff import CycloNumber, cyclo_embed, euler_phi, lift_order, zeta_power
 from qident import series
+from qident.dsl import eval_expr
 from qident.errors import InsufficientPrecisionError, NonGenericError
+from qident.identity import builtin_cases
 from qident.series import (
     Monomial,
     QSeries,
@@ -37,9 +39,11 @@ from qident.series import (
 
 from oracles import (
     assert_series_matches,
+    count_calls,
     dict_mul,
     dict_truncate,
     geom_inverse_bruteforce,
+    long_division,
     pochhammer_bruteforce,
     series_dict,
 )
@@ -203,6 +207,44 @@ class TestEqToOrder:
         a = q_power(F(1, 2), 10)
         b = series_shift(const_series(1, F(19, 2)), Monomial.make(1, F(1, 2)))
         assert series_eq_to_order(a, b, F(19, 2)).ok
+
+    @pytest.mark.parametrize("a, b, order, differences", [
+        # two empty rows whose offsets differ: equal, with no difference built
+        (series._new(1, 10, 1, 3, [[]], 1), zero_series(10), 10, 0),
+        # 1 + 2q stored over 2, with the common factor left in, and in lowest terms
+        (series._new(1, 10, 1, 0, [[2, 4]], 2), series_add(const_series(1, 10), series_scale(q_power(1, 10), 2)),
+         10, 1),
+        # rows that differ only at q^5, read below q^5
+        (series_add(const_series(1, 10), q_power(5, 10)), series_add(const_series(1, 10), series_scale(q_power(5, 10), 2)),
+         5, 1),
+    ])
+    def test_equal_values_stored_differently_pass(self, monkeypatch, a, b, order, differences):
+        subs = count_calls(monkeypatch, "series_sub")
+        assert series_eq_to_order(a, b, order).ok and series_eq_to_order(b, a, order).ok
+        assert subs[0] == 2 * differences
+
+    @pytest.mark.parametrize("a, b, e, lhs, rhs", [
+        # the same offset and denominator, a mismatch past the first slot
+        (series._new(1, 10, 1, 0, [[1, 1, 0, 0, 3]], 1), series._new(1, 10, 1, 0, [[1, 1, 0, 0, 2, 7]], 1), 4, 3, 2),
+        # the same lists over different denominators: every slot differs
+        (series._new(1, 10, 1, -1, [[1, 0, 1]], 2), series._new(1, 10, 1, -1, [[1, 0, 1]], 3), -1, F(1, 2), F(1, 3)),
+        # an empty row against one whose only term lies below the order
+        (zero_series(10), q_power(F(9, 2), 10), F(9, 2), 0, 1),
+    ])
+    def test_first_mismatch_below_the_order_is_reported(self, a, b, e, lhs, rhs):
+        v = series_eq_to_order(a, b, 5)
+        assert v.status == "fail" and v.first_bad_exponent == e
+        assert (v.lhs_coeff, v.rhs_coeff) == (lhs, rhs)
+
+    @pytest.mark.parametrize("stanza, binding", [("theta-invert", 0), ("m-shift-x", 4), ("kprime-form", 0)])
+    def test_a_passing_check_compares_without_a_difference(self, monkeypatch, stanza, binding):
+        # m-shift-x's fifth binding has both sides zero, as rows at different offsets
+        case = next(c for c in builtin_cases() if c.id == stanza)
+        order = F(case.default_order)
+        lhs, rhs = (eval_expr(side, order, case.sample_bindings[binding]) for side in (case.lhs, case.rhs))
+        subs = count_calls(monkeypatch, "series_sub")
+        assert series_eq_to_order(lhs, rhs, order).ok
+        assert subs[0] == 0
 
 
 class TestBilateralSum:
@@ -498,6 +540,46 @@ def test_div_with_a_large_prime_only_at_a_far_offset():
     divisor = QSeries(1, 200, {int(e): cyclo_embed(c, 1) for e, c in b.items()}, 1)
     assert series._scale([(1, 1), (50, 1000003)], 3)[0] == [(1000003, F(1, 50))]
     assert_series_matches(series_invert(divisor), geom_inverse_bruteforce(b, F(200)), F(200))
+
+
+# Divisors as exponent -> coefficient maps in Q(zeta_M), from z = zeta_M and
+# one = 1 there, and whether every ratio b_j / b_0 of each is integral.
+DIVISORS = {
+    # Jm(1) = (q; q)_inf below q^30 times z, a unit: every ratio is -1 or 1
+    "euler-times-a-unit": (lambda z, one: {F(e): s * z for e, s in ((0, 1), (1, -1), (2, -1), (5, 1), (7, 1),
+                                                                     (12, -1), (15, -1), (22, 1), (26, 1))}, True),
+    # a lead -1 at q^-1 and integral cyclotomic tail terms
+    "integral-cyclotomic-tail": (lambda z, one: {F(-1): -one, F(0): one + z, F(3): 3 * z * z, F(4): one}, True),
+    # 1 - x with x = q/2: the rate 2
+    "x-is-q-over-2": (lambda z, one: {F(0): one, F(1): -z * F(1, 2)}, False),
+    # the lead 2 + z, of norm 3 in Q(zeta_3), 5 in Q(i), 31 in Q(zeta_5)
+    "lead-2-plus-zeta": (lambda z, one: {F(0): 2 * one + z, F(1): one, F(3): z}, False),
+    # tail offsets 2, 4 and 6, of gcd 2, one with a ratio of denominator 3
+    "even-offsets": (lambda z, one: {F(0): one, F(2): -z, F(4): one * F(1, 3), F(6): 2 * z}, False),
+    # a lead at q^-2 on the grid 1/2 and a ratio of denominator 2
+    "half-grid": (lambda z, one: {F(-2): z, F(-1, 2): one * F(1, 2), F(3): -z}, False),
+}
+
+
+@pytest.mark.parametrize("field", [1, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(DIVISORS))
+@pytest.mark.parametrize("a_order, b_order", [(20, 30), (30, 12)])
+def test_div_matches_long_division(monkeypatch, field, name, a_order, b_order):
+    # integral ratios divide without a scale, the others through _scale;
+    # a_order bounds the first quotients and b_order the second
+    one, z = cyclo_embed(F(1), field), zeta_power(field, 1)
+    build, integral = DIVISORS[name]
+    terms = build(z, one)
+    d = lcm(*(e.denominator for e in terms))
+    b = QSeries(d, b_order * d, {int(e * d): c for e, c in terms.items()}, field)
+    a = QSeries(1, a_order, {-1: one, 0: 2 * z, 3: one * F(-1, 2), 7: 5 * z, 8: z * z}, field)
+    scales = count_calls(monkeypatch, "_scale")
+    got = series_div(a, b)
+    assert scales[0] == (not integral)
+    v, va = b.valuation(), a.valuation()
+    assert got.prec_order() == min(a.prec_order() - v, b.prec_order() - 2 * v + va)
+    assert got.prec_order() == (a_order - v if a_order < b_order else b_order - 2 * v + va)
+    assert_series_matches(got, long_division(series_dict(a), series_dict(b), got.prec_order()), got.prec_order())
 
 
 @pytest.mark.parametrize("dens, rates, sigma", [

@@ -18,7 +18,10 @@ definitions: exact argument checks, then an expression over the core
 functions with the integer arguments spliced into its text and the
 monomial ones bound as its symbols; each text is parsed once, and each
 value, like each evaluated side, is read through special's memo.
-msplit's depth, the number of terms of its text, is at most MAX_SPLIT.
+msplit and g_appell read their Appell-Lerch sums as the row mj, m without
+its theta divisor, and divide each theta that several terms share once,
+after the sum.  msplit's depth, the number of terms of its text, is at
+most MAX_SPLIT.
 
 The function registry holds every row of eulerian.FORMS and
 eulerian.BILATERAL, each read by special.read_row, and J, JB and Jm,
@@ -690,9 +693,12 @@ def _mcorr(x: Monomial, p: int, z0: Monomial, z1: Monomial) -> Source:
 def _msplit(x: Monomial, p: int, z: Monomial, zp: Monomial, n: int) -> Source:
     """Right side of the n-way splitting of m(x, q^p, z): n Appell-Lerch
     sums at base q^(p n^2) plus a theta-quotient correction.  The comma in
-    the source identity's theta denominator is read as a product.  The
-    correction multiplies the lacunary cube j(q^(pn); q^(3pn))^3 into the
-    sum of the n pieces before it divides by the two thetas: dividing
+    the source identity's theta denominator is read as a product.  A theta
+    that several terms share divides their sum once: the n sums, read as
+    mj, and the correction go over the one j(z'; q^(p n^2)), and the n
+    pieces over the one j(-q^(p binom(n,2)) (-x)^n z'; q^(pn)), n + 3
+    divisions in all.  The lacunary cube j(q^(pn); q^(3pn))^3 is multiplied
+    into the sum of the pieces before the shared thetas divide it: dividing
     first would make the quotient dense and the product dense x dense."""
     if n < 1:
         raise ValueError("splitting depth must be at least 1")
@@ -708,15 +714,16 @@ def _msplit(x: Monomial, p: int, z: Monomial, zp: Monomial, n: int) -> Source:
         need_theta_nonzero(z.times_q(p * r), p * n, f"j(q^{r} z; q^(p n))")
     qn, qn2, pw = f"q^{p * n}", f"q^{p * n * n}", f"(-x)^{n}"
     split = " + ".join(
-        f"{_q(-p * r * (r + 1) // 2)}*(-x)^{r}*m(-{_q(p * (b - n * r))}*{pw}, {qn2}, zp)"
+        f"{_q(-p * r * (r + 1) // 2)}*(-x)^{r}*mj(-{_q(p * (b - n * r))}*{pw}, {qn2}, zp)"
         for r in range(n)
     )
     pieces = " + ".join(
         f"{_q(p * r * (r - 1) // 2)}*(-x*z)^{r}*(j(-{_q(p * (b + r))}*{pw}*z*zp, {qn})"
-        f"*j({_q(p * n * r)}*z^{n}/zp, {qn2})/(j(-{_q(p * b)}*{pw}*zp, {qn})*j({_q(p * r)}*z, {qn})))"
+        f"*j({_q(p * n * r)}*z^{n}/zp, {qn2})/j({_q(p * r)}*z, {qn}))"
         for r in range(n)
     )
-    text = f"{split} + zp*j({qn}, q^{3 * p * n})^3*({pieces})/(j(x*z, q^{p})*j(zp, {qn2}))"
+    text = (f"({split} + zp*j({qn}, q^{3 * p * n})^3*({pieces})"
+            f"/(j(-{_q(p * b)}*{pw}*zp, {qn})*j(x*z, q^{p})))/j(zp, {qn2})")
     return text, {"x": x, "z": z, "zp": zp}
 
 
@@ -726,8 +733,12 @@ def _g_sum(x: Monomial, p: int) -> Source:
 
 
 def _g_appell(x: Monomial, p: int) -> Source:
-    """g(x, q^p) = -x^(-1) m(q^(2p) x^(-3), q^(3p), x^2) - x^(-2) m(q^p x^(-3), q^(3p), x^2)."""
-    text = f"-x^(-1)*m(q^{2 * p}*x^(-3), q^{3 * p}, x^2) - x^(-2)*m(q^{p}*x^(-3), q^{3 * p}, x^2)"
+    """g(x, q^p) = -x^(-1) m(q^(2p) x^(-3), q^(3p), x^2) - x^(-2) m(q^p x^(-3), q^(3p), x^2),
+    the two sums mj's over their one theta j(x^2; q^(3p)), which is checked
+    up front with m's message."""
+    need_theta_nonzero(x * x, 3 * p, "j(z; q^p)")
+    text = (f"(-x^(-1)*mj(q^{2 * p}*x^(-3), q^{3 * p}, x^2)"
+            f" - x^(-2)*mj(q^{p}*x^(-3), q^{3 * p}, x^2))/j(x^2, q^{3 * p})")
     return text, {"x": x}
 
 

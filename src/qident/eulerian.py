@@ -157,10 +157,17 @@ def _habc(a: int, b: int, c: int) -> tuple:
     return -1, (1, 2, ac), zeta_power(c, b % c), (1, ac), (_q(1), 2)
 
 
+def _mj(x: Monomial, p: Rat, z: Monomial) -> tuple:
+    xz = x * z
+    return -z.coeff, (Fraction(p, 2), z.expo - Fraction(p, 2), 0), xz.coeff, (p, xz.expo - p), None
+
+
 def _m(x: Monomial, p: Rat, z: Monomial) -> tuple:
     need_theta_nonzero(z, p, "j(z; q^p)")
-    xz = x * z
-    return -z.coeff, (Fraction(p, 2), z.expo - Fraction(p, 2), 0), xz.coeff, (p, xz.expo - p), (z, p)
+    return _mj(x, p, z)[:4] + ((z, p),)
+
+
+_M_POLE = "Appell-Lerch denominator 1 - q^((r-1)p) x z vanishes at r = {r}"
 
 
 # name: (argument kinds, arguments -> bilateral form (c, e, u, f, theta), pole
@@ -173,10 +180,13 @@ BILATERAL: Dict[str, Tuple[Tuple[str, ...], Callable[..., tuple], Optional[str]]
     # always well defined, and identically zero exactly when x is a power of q^p
     "j": (("x", "p"), lambda x, p: (
         -x.coeff, (Fraction(p, 2), x.expo - Fraction(p, 2), 0), None, (0, 0), None), None),
-    # m(x, q^p, z) = sum (-1)^n q^(p binom(n,2)) z^n / (1 - q^(p(n-1)) x z), over
-    # j(z; q^p); NonGenericError when j(z; q^p) vanishes or a denominator
-    # 1 - q^(p(n-1)) x z does, both decided exactly up front
-    "m": (("x", "p", "x"), _m, "Appell-Lerch denominator 1 - q^((r-1)p) x z vanishes at r = {r}"),
+    # mj(x, q^p, z) = j(z; q^p) m(x, q^p, z) = sum (-1)^n q^(p binom(n,2)) z^n
+    # / (1 - q^(p(n-1)) x z), also where j(z; q^p) vanishes
+    "mj": (("x", "p", "x"), _mj, _M_POLE),
+    # m(x, q^p, z), mj's form over j(z; q^p); NonGenericError when j(z; q^p)
+    # vanishes or a denominator 1 - q^(p(n-1)) x z does, both decided
+    # exactly up front
+    "m": (("x", "p", "x"), _m, _M_POLE),
     # sum (-1)^n q^(p binom(n+1,2)) / (1 - q^(pn) z)
     "rjtp": (("x", "p"), lambda z, p: (-1, (Fraction(p, 2), Fraction(p, 2), 0), z.coeff, (p, z.expo), None),
         "Lambert denominator 1 - q^(pn) z has a pole: z = {0} is a power of q^({1})"),

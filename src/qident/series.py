@@ -44,7 +44,6 @@ from .coeff import (
     cyclo_embed,
     euler_phi,
     lift_order,
-    one as cyclo_one,
     zero as cyclo_zero,
 )
 from .errors import CapExceededError, InsufficientPrecisionError, NonGenericError
@@ -693,11 +692,11 @@ def bilateral_sum(
     its integer minimizer until it reaches the order on each side.  Term
     n is a geometric run of c^n times the weights u^j at E + jF when F > 0,
     -u^(-1-j) at E - (j+1)F when F < 0, 1/(1 - u) at E when F = 0, added
-    into the sum's row every |F| grid steps.  The powers
-    of c, 1/c, u and 1/u are coeff._powers rows, made for one period when
-    the number is a root of unity, and the sum's row is put over the lcm
-    of their denominators once.  A term with a zero
-    denominator raises, wherever it lies.
+    into the sum's row every |F| grid steps; without u, term n is c^n at
+    E alone, with no weight powers.  The powers of c, 1/c, u and 1/u are
+    coeff._powers rows, made for one period when the number is a root of
+    unity, and the sum's row is put over the lcm of their denominators
+    once.  A term with a zero denominator raises, wherever it lies.
     """
     if u is not None and bilateral_pole(u, f) is not None:
         raise NonGenericError("pole 1/(1 - u) with u exactly 1")
@@ -724,10 +723,11 @@ def bilateral_sum(
     # c^n at slot n of one row for n >= 0, at slot ~n = -n-1 of the other for n < 0
     ns = [run[0] for run in runs]
     powers = _powers(c, 0, max(max(ns) + 1, 1)), _powers(c.inv(), 1, max(-min(ns), 1))
-    rows = {}
-    for sign in {run[4] for run in runs}:
-        x = lift_order(u if sign > 0 else u.inv(), M) if sign else (
-            cyclo_one(M) if u is None else (1 - lift_order(u, M)).inv())
+    # a theta's one weight row is 1, at slot 0 of column 0; a Lambert
+    # sum's rows are made per sign of F below
+    rows = {0: ([(0, [1])], 1)} if u is None else {}
+    for sign in {run[4] for run in runs} - rows.keys():
+        x = lift_order(u if sign > 0 else u.inv(), M) if sign else (1 - lift_order(u, M)).inv()
         cols, wden = _powers(x, int(sign <= 0), max(run[3] for run in runs if run[4] == sign))
         rows[sign] = [(b, col) for b, col in enumerate(cols) if any(col)], wden
     lo = min(run[1] for run in runs)

@@ -107,19 +107,20 @@ def theta_bruteforce(c: Fraction, e: Fraction, p: Fraction, order: Fraction) -> 
 
 
 def lambert_bruteforce(c, E, u, F, order: Fraction) -> dict[Fraction, Fraction]:
-    """The sum over n of c^n q^E(n) / (1 - u q^F(n)) below q^order for rational
-    c and u, scanned over a wide window: 1/(1 - u q^f) is the sum of u^j q^(jf)
-    over j >= 0 for f > 0, of -u^(-j) q^(-jf) over j >= 1 for f < 0, and
-    1/(1 - u) for f = 0."""
+    """The sum over n of c^n q^E(n) / (1 - u q^F(n)) below q^order for exact
+    c and u, rational or CycloNumbers of one field, scanned over a wide
+    window: 1/(1 - u q^f) is the sum of u^j q^(jf) over j >= 0 for f > 0, of
+    -u^(-j) q^(-jf) over j >= 1 for f < 0, and 1/(1 - u) for f = 0."""
+    c, u = exact(c), exact(u)
     out: dict[Fraction, Fraction] = {}
     for n in range(-200, 200):
-        t, e, f = Fraction(c) ** n, E(n), F(n)
+        t, e, f = c**n, E(n), F(n)
         if f == 0:
-            out[e] = out.get(e, Fraction(0)) + t / (1 - Fraction(u))
+            out[e] = out.get(e, 0) + t * inverse(1 - u)
             continue
-        j, sign, w = (0, 1, Fraction(u)) if f > 0 else (1, -1, 1 / Fraction(u))
+        j, sign, w = (0, 1, u) if f > 0 else (1, -1, inverse(u))
         while (x := e + j * abs(f)) < order:
-            out[x] = out.get(x, Fraction(0)) + sign * t * w**j
+            out[x] = out.get(x, 0) + sign * t * w**j
             j += 1
     return {e: v for e, v in out.items() if v and e < order}
 

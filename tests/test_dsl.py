@@ -329,9 +329,10 @@ def test_theta_quotient_divides_by_each_factor(monkeypatch, text, dividend, fact
 
 def test_msplit_multiplies_the_cube_in_before_it_divides(monkeypatch):
     # counted in term pairs with the rows warm: the lacunary cube
-    # j(q^2; q^6)^3 times the two pieces, then the two theta divisions,
-    # reads 4,595 pairs; dividing the cube first made the quotient dense,
-    # and its dense product with the pieces brought the count to 8,785
+    # j(q^2; q^6)^3 times the two pieces, then the two shared theta
+    # divisions and the one by j(z'; q^4), reads 4,094 pairs; dividing the
+    # cube first made the quotient dense, and its dense product with the
+    # pieces brought the count to 8,785
     text, order = "msplit(-zeta(5,1), q, -1, -q, 2)", 100
     monkeypatch.setattr(special, "_theta_cache", {})
     eval_expr(parse(text), order)
@@ -339,6 +340,33 @@ def test_msplit_multiplies_the_cube_in_before_it_divides(monkeypatch):
     pairs = count_pairs(monkeypatch)
     eval_expr(parse(text), order)
     assert 0 < pairs[0] <= 5000, pairs[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("binds", [["x=2*q^(-1)", "z=-1", "zp=-q"], ["x=-zeta(3,1)", "z=2", "zp=3*q^(-6)"]])
+def test_msplit_divides_once_by_each_shared_theta(monkeypatch, n, binds):
+    # n pieces over their own j(q^r z; q^(pn)), their sum over the shared
+    # j(-q^(p binom(n,2)) (-x)^n z'; q^(pn)) and j(xz; q^p), and the n
+    # Appell-Lerch sums with the correction over the one j(z'; q^(p n^2)):
+    # n + 3 divisions, not 3n + 2, at bindings that one build brings to
+    # the order
+    binding = dsl.parse_bindings(binds)
+    monkeypatch.setattr(special, "_theta_cache", {})
+    divisions = count_calls(monkeypatch, "series_div")
+    got = eval_expr(parse(f"msplit(x, q, z, zp, {n})"), 40, binding)
+    assert divisions[0] == n + 3
+    check_eq(got, eval_expr(parse("m(x, q, z)"), 40, binding), 40)
+
+
+@pytest.mark.parametrize("x", ["zeta(3,1)", "2*q", "q^(1/3)", "-q^(-1/2)"])
+def test_g_appell_divides_once_by_its_theta(monkeypatch, x):
+    # both Appell-Lerch sums share j(x^2; q^3): one division, not two
+    binding = dsl.parse_bindings([f"x={x}"])
+    monkeypatch.setattr(special, "_theta_cache", {})
+    divisions = count_calls(monkeypatch, "series_div")
+    got = eval_expr(parse("g_appell(x)"), 40, binding)
+    assert divisions[0] == 1
+    check_eq(got, eval_expr(parse("g(x)"), 40, binding), 40)
 
 
 MSPLIT = "msplit(-zeta(3,1), q, -1, -q, 2)"

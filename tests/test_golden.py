@@ -92,6 +92,12 @@ def _calls():
         add("m(x, q^2, z)", 15, b)
     add("m(q, q, q^(-1))", 10)
     add("m(2, q, 1)", 10)
+    # j(z; q^p) m(x, q^p, z), defined also where j(z; q^p) vanishes
+    for b in _M_BINDS:
+        add("mj(x, q, z)", 20, b)
+    add("mj(x, q^2, z)", 15, _M_BINDS[0])
+    add("mj(2, q, 1)", 10)
+    add("mj(q, q, q^(-1))", 10)
     for x in _G_ARGS:
         for name in ("g", "g_sum", "g_appell"):
             add(f"{name}(x)", 20, f"x={x}")

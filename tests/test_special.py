@@ -7,7 +7,7 @@ sum-versus-product equivalence on small windows.
 
 from fractions import Fraction as F
 from functools import partial
-from math import ceil
+from math import ceil, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -897,6 +897,76 @@ def test_a_shallow_cold_read_is_the_deep_entry_cut(monkeypatch, expr, binds, ord
 def test_rows_at_base_one_half_match_a_fraction_sum(monkeypatch, name, args, want):
     monkeypatch.setattr(special, "_theta_cache", {})
     assert_series_matches(read_row(name, args, F(8)), want(F(8)), F(8))
+
+
+def _corpus_m_bindings():
+    """(x, z) of every binding of a built-in stanza whose left side is m(x, q, z)."""
+    from qident.identity import builtin_cases
+
+    lhs = parse("m(x, q, z)")
+    return [(b["x"], b["z"]) for case in builtin_cases() if case.lhs == lhs for b in case.sample_bindings]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_mj_matches_a_fraction_sum_at_the_corpus_m_bindings(monkeypatch, p):
+    # mj(x, q^p, z) = sum (-1)^r q^(p binom(r,2)) z^r / (1 - q^(p(r-1)) x z),
+    # over the fields Q(zeta_M), M in 1, 3, 4, 5, and the grids 1/1 to 1/3
+    # of the corpus's bindings of m
+    monkeypatch.setattr(special, "_theta_cache", {})
+    order, fields, grids = F(12), set(), set()
+    for x, z in _corpus_m_bindings():
+        M, xz = lcm(x.coeff.order, z.coeff.order), x * z
+        want = lambert_bruteforce(
+            -lift_order(z.coeff, M), lambda r: p * _binom2(r) + z.expo * r,
+            lift_order(xz.coeff, M), lambda r: p * (r - 1) + xz.expo, order)
+        assert_series_matches(read_row("mj", (x, p, z), order), want, order)
+        fields.add(M)
+        grids.add(lcm(x.expo.denominator, z.expo.denominator))
+    assert fields == {1, 3, 4, 5} and grids == {1, 2, 3}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_mj_is_m_times_its_theta(monkeypatch, p):
+    monkeypatch.setattr(special, "_theta_cache", {})
+    for x, z in _corpus_m_bindings():
+        binding = {"x": x, "z": z}
+        want = eval_expr(parse(f"m(x, q^{p}, z)*j(z, q^{p})"), ORDER, binding)
+        check_eq(eval_expr(parse(f"mj(x, q^{p}, z)"), ORDER, binding), want, ORDER)
+
+
+@pytest.mark.parametrize("x, p, z", [
+    (mono(2), 1, mono(1)),
+    (zmono(3, 1, F(1, 2)), 1, mono(1, -1)),
+    (mono(-1, F(1, 3)), 2, mono(1, 4)),
+])
+def test_mj_is_defined_where_its_theta_vanishes(monkeypatch, x, p, z):
+    # m refuses z a power of q^p; mj is the sum itself, and keeps
+    # mj(x, q^p, q^p z) = -z^(-1) mj(x, q^p, z) there too
+    monkeypatch.setattr(special, "_theta_cache", {})
+    with pytest.raises(NonGenericError, match="vanishes identically"):
+        read_row("m", (x, p, z), ORDER)
+    s = read_row("mj", (x, p, z), ORDER + 4)
+    assert not s.is_zero()
+    check_eq(read_row("mj", (x, p, z.times_q(p)), ORDER), series_neg(series_shift(s, z.inv())), ORDER)
+
+
+@pytest.mark.parametrize("x, p, z, r", [
+    (mono(1, 1), 1, mono(1, -1), 1),
+    (mono(1, F(1, 2)), 1, mono(1, F(1, 2)), 0),
+    (zmono(3, 1, 3), 2, zmono(3, 2, 1), -1),
+])
+def test_mj_raises_its_pole(monkeypatch, x, p, z, r):
+    # 1 - q^(p(r-1)) x z vanishes exactly at r; where j(z; q^p) does not
+    # vanish, m raises the same message
+    monkeypatch.setattr(special, "_theta_cache", {})
+    message = f"Appell-Lerch denominator 1 - q^((r-1)p) x z vanishes at r = {r}"
+    with pytest.raises(NonGenericError) as exc:
+        read_row("mj", (x, p, z), 10)
+    assert str(exc.value) == message
+    if not theta_vanishes(z, p):
+        with pytest.raises(NonGenericError) as exc:
+            read_row("m", (x, p, z), 10)
+        assert str(exc.value) == message
 
 
 def test_a_read_one_grid_step_deeper_reaches_its_order(monkeypatch):

@@ -25,7 +25,6 @@ from .coeff import MAX_COEFF_BITS
 from .dsl import DEFAULT_ORDER, eval_expr, parse, parse_bindings
 from .errors import CapExceededError, QIdentError
 from .eulerian import f_c
-from .series import series_truncate
 
 
 def _order_arg(text: str) -> Fraction:
@@ -44,7 +43,7 @@ def _field_name(order: int) -> str:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     binding = parse_bindings(args.bind)
-    s = series_truncate(eval_expr(parse(args.expr), args.order, binding), args.order)
+    s = eval_expr(parse(args.expr), args.order, binding)
     bits = max(x.bit_length() for x in (s.den, *(x for col in s.cols for x in col)))
     if bits > MAX_COEFF_BITS:
         raise CapExceededError(f"a coefficient of {bits} bits exceeds MAX_COEFF_BITS = {MAX_COEFF_BITS}")

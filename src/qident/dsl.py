@@ -17,7 +17,8 @@ mcorr, msplit, g_appell) and g_sum, g through its Eulerian sum, are
 definitions: exact argument checks, then an expression over the core
 functions with the integer arguments spliced into its text and the
 monomial ones bound as its symbols; each text is parsed once, and each
-value, like each evaluated side, is read through special's memo.
+value, like each evaluated side, is read through special.memo, which
+builds it under ensure_prec only on a miss.
 msplit and g_appell read their Appell-Lerch sums as the row mj, m without
 its theta divisor, and divide each theta that several terms share once,
 after the sum.  msplit's depth, the number of terms of its text, is at
@@ -56,7 +57,7 @@ from .series import (
     series_sub,
     zero_series,
 )
-from .special import _key, _memo, ensure_prec, read_row
+from .special import memo, read_row
 
 Rat = Union[int, Fraction]
 
@@ -540,16 +541,15 @@ def eval_expr(
     anything but a pure power of q, nested powers multiplied, raises
     EvalError.
 
-    The value is read through special's memo, keyed by e and the bound
+    The value is read through special.memo, keyed by e and the bound
     monomials, and cut at order, so a repeated or shallower evaluation of
     the same side under the same binding builds nothing.
     """
     b, asked = dict(binding or {}), Fraction(order)
     if asked > MAX_ORDER:
         raise EvalError(f"order {asked} exceeds MAX_ORDER = {MAX_ORDER}")
-    key = _key(e, [v for item in sorted(b.items()) for v in item])
-    return _memo(key, asked, lambda: ensure_prec(
-        lambda work: _to_series(_ev(e, work, b, asked), work), asked))
+    return memo(e, [v for item in sorted(b.items()) for v in item], asked,
+                lambda work: _to_series(_ev(e, work, b, asked), work))
 
 
 def fold_monomial(e: Expr) -> Monomial:
@@ -619,18 +619,17 @@ def _parsed(text: str) -> Expr:
 
 def _definition(name: str, source: Callable[..., Source]):
     """The function whose value is the expression source(*args) returns,
-    built to its order under ensure_prec and read through special's memo
-    under (name, args), so only a miss runs the checks and the body; a
-    usage error from either names the definition."""
+    read through special.memo under (name, args), so only a miss builds,
+    and each build runs the checks and the body; a usage error from either
+    names the definition."""
 
     def run(v: List[object], order: Fraction) -> QSeries:
-        def build() -> QSeries:
+        def build(work: Fraction) -> QSeries:
             text, binding = source(*v)
-            e = _parsed(text)
-            return ensure_prec(lambda work: _to_series(_ev(e, work, binding, order), work), order)
+            return _to_series(_ev(_parsed(text), work, binding, order), work)
 
         try:
-            return _memo(_key(name, v), order, build)
+            return memo(name, v, order, build)
         except (EvalError, ValueError) as exc:
             raise EvalError(f"{name}: {exc}") from exc
 

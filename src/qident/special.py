@@ -7,18 +7,17 @@ standing for q^p.  read_row takes a target order and returns a QSeries
 whose guaranteed precision reaches that order: it rejects the pole that
 eulerian.has_pole or series.bilateral_pole finds, sums a product form
 with series.term_sum or scans a bilateral form with series.bilateral_sum
-and divides it by its theta divisor, under ensure_prec, which deepens the
-working order up to series.PAD_LIMIT, and keeps one memo entry per (row,
-arguments) in _theta_cache, a least recently used cache of at most
-MEMO_LIMIT entries, which it looks up before it builds the row's form.
-dsl reads definition values and evaluated expressions through the same
-memo, _memo, under keys that _key makes the same way.
+and divides it by its theta divisor.  It reads each row through memo,
+which keeps one entry per (row, arguments) in _theta_cache, a least
+recently used cache of at most MEMO_LIMIT entries, and only on a miss
+builds, under ensure_prec, which deepens the working order up to
+series.PAD_LIMIT.  dsl reads definition values and evaluated expressions
+through the same memo.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Sequence, Union
 
 from .errors import CapExceededError, NonGenericError
@@ -77,41 +76,39 @@ def _base(p: Rat) -> Fraction:
 _theta_cache: dict[tuple, QSeries] = {}
 
 # The most entries _theta_cache keeps; one run_suite() of the built-in
-# corpus leaves about 710, so the corpus never evicts.
+# corpus leaves 720, so the corpus never evicts.
 MEMO_LIMIT = 1024
 
 memo_counts = {"hits": 0, "misses": 0}
 
 
-def _memo(key: tuple, order: Rat, build: Callable[[], QSeries]) -> QSeries:
-    """The series that build() makes for order, through _theta_cache, the
-    one memo of rows, definition values and evaluated expressions.
+def memo(head: object, args: Sequence, order: Rat, build: Callable[[Fraction], QSeries]) -> QSeries:
+    """The series build makes for order under ensure_prec, through
+    _theta_cache, the one memo of rows, definition values and evaluated
+    expressions, keyed by head, a row's or a definition's name or an
+    expression, and args, each monomial c q^e flattened to c's key and e.
 
-    Each entry is stored cut at the order it was built for, so a shallower
-    request, served by cutting the entry, gets what a cold call returns.
-    The dict is kept in order of last use: a hit moves its entry to the
-    end, and past MEMO_LIMIT entries the least recently used one goes.
+    Only a miss builds, and it stores the result cut at the order it was
+    built for, so a shallower request, served by cutting the entry, gets
+    what a cold call returns.  The dict is kept in order of last use: a hit
+    moves its entry to the end, and past MEMO_LIMIT entries the least
+    recently used one goes.
     """
+    key = (head, *(v for a in args for v in ((a.coeff.key(), a.expo) if isinstance(a, Monomial) else (a,))))
     hit = _theta_cache.pop(key, None)
     fresh = hit is None or hit.prec < grid_prec(order, hit.denom)
     memo_counts["misses" if fresh else "hits"] += 1
-    _theta_cache[key] = s = series_truncate(build(), order) if fresh else hit
+    _theta_cache[key] = s = series_truncate(ensure_prec(build, order), order) if fresh else hit
     while len(_theta_cache) > MEMO_LIMIT:
         del _theta_cache[next(iter(_theta_cache))]
     return series_truncate(s, order)
 
 
-def _key(head: object, args: Sequence) -> tuple:
-    """The memo key of head, a row's or a definition's name or an expression,
-    at args, each monomial c q^e flattened to c's key and e."""
-    return (head, *(v for a in args for v in ((a.coeff.key(), a.expo) if isinstance(a, Monomial) else (a,))))
-
-
 def read_row(name: str, args: Sequence, order: Rat) -> QSeries:
     """The row name of FORMS or BILATERAL at args, below q^order.
 
-    Each base argument must be positive.  The series is memoised under
-    (name, args), and only a miss builds the row's form, whose function
+    Each base argument must be positive.  The series is read through memo
+    under (name, args), and each build runs the row's form, whose function
     runs the row's own argument checks: a key in the memo has passed them,
     and a pole never enters it.  A pole raises NonGenericError with the
     row's message: has_pole reads it off a product form's factors and
@@ -122,20 +119,16 @@ def read_row(name: str, args: Sequence, order: Rat) -> QSeries:
     kinds, form, pole = FORMS[name] if name in FORMS else BILATERAL[name]
     args = tuple(_base(a) if k == "p" else a for k, a in zip(kinds, args))
 
-    def build() -> QSeries:
+    def build(work: Fraction) -> QSeries:
         if name in FORMS:
             c, e, factors, start = form(*args)
             if has_pole(factors):
                 raise NonGenericError(pole.format(*args))
-            return ensure_prec(partial(term_sum, c, e, factors, start=start), order)
+            return term_sum(c, e, factors, work, start=start)
         c, e, u, f, theta = form(*args)
         if (r := bilateral_pole(u, f)) is not None:
             raise NonGenericError(pole.format(*args, r=r))
+        s = bilateral_sum(c, e, work, u, f)
+        return s if theta is None else series_div(s, read_row("j", theta, work))
 
-        def scan(work: Fraction) -> QSeries:
-            s = bilateral_sum(c, e, work, u, f)
-            return s if theta is None else series_div(s, read_row("j", theta, work))
-
-        return ensure_prec(scan, order)
-
-    return _memo(_key(name, args), order, build)
+    return memo(name, args, order, build)

@@ -234,6 +234,28 @@ def count_calls(monkeypatch, attr: str) -> list[int]:
     return count
 
 
+def count_builds(monkeypatch) -> list[int]:
+    """The builds of every special.ensure_prec loop from here on, the loop
+    each memo miss runs, one count per loop at its own index, so a row
+    built inside a side's build is not charged to that side."""
+    from qident import special
+
+    ensure_prec, counts = special.ensure_prec, []
+
+    def counted(build, order):
+        i = len(counts)
+        counts.append(0)
+
+        def run(work):
+            counts[i] += 1
+            return build(work)
+
+        return ensure_prec(run, order)
+
+    monkeypatch.setattr(special, "ensure_prec", counted)
+    return counts
+
+
 def count_products(monkeypatch) -> list[int]:
     """Count CycloNumber products from here on, in the one entry of the list returned."""
     mul, count = CycloNumber.__mul__, [0]

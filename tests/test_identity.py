@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qident import Verdict, dsl, identity, special
+from qident import Verdict, identity, special
 from qident.coeff import zeta_power
 from qident.dsl import eval_expr, parse
 from qident.errors import CapExceededError, EvalError, NonGenericError
@@ -24,6 +24,8 @@ from qident.identity import (
     serialize_corpus,
 )
 from qident.series import series_eq_to_order
+
+from oracles import count_builds
 
 SMALL = """\
 # two easy stanzas
@@ -352,31 +354,14 @@ def test_builtin_side_reaches_order(expr, order, binding):
     assert v.status == "pass", v.detail()
 
 
-def _count_builds(monkeypatch):
-    """The builds of every eval_expr from here on, one count per call."""
-    counts = []
-    ensure_prec = dsl.ensure_prec
-
-    def counted(build, order):
-        counts.append(0)
-
-        def run(work):
-            counts[-1] += 1
-            return build(work)
-
-        return ensure_prec(run, order)
-
-    monkeypatch.setattr(dsl, "ensure_prec", counted)
-    return counts
-
-
 def test_builtin_corpus_evaluates_with_one_rebuild_at_most(monkeypatch):
     # negative shifts are padded up front, so only a product or quotient
     # of series with negative valuations (m-split-3 at x = q^(1/2)) can
     # still fall short of the order on the first build; from a cold memo,
-    # which a side or a definition read before would serve unbuilt
+    # which a side, a definition or a row read before would serve unbuilt;
+    # every build counts, the rows' as well as the sides'
     monkeypatch.setattr(special, "_theta_cache", {})
-    counts = _count_builds(monkeypatch)
+    counts = count_builds(monkeypatch)
     for case in builtin_cases():
         for binding in case.sample_bindings:
             for side in (case.lhs, case.rhs):
@@ -394,10 +379,11 @@ def test_builtin_corpus_evaluates_with_one_rebuild_at_most(monkeypatch):
     "-m(zeta(7,4)*q^(-1/7), q^2, q)/q^(4/7)",
 ])
 def test_negative_shift_of_m_builds_once(monkeypatch, text):
+    # every build once: the side, the m row and m's theta divisor, the row j
     monkeypatch.setattr(special, "_theta_cache", {})
-    counts = _count_builds(monkeypatch)
+    counts = count_builds(monkeypatch)
     eval_expr(parse(text), 40)
-    assert counts == [1]
+    assert counts == [1, 1, 1]
 
 
 def test_division_by_monomial_matches_negative_shift():

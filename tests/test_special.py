@@ -378,6 +378,29 @@ class TestThetaFunction:
         calls = count_work(monkeypatch, "j(-q^(1/2); q)", 200)
         assert calls < 10, calls
 
+    def test_memo_builds_a_miss_to_its_order(self, monkeypatch):
+        # a build that reaches only work - 1 falls short at 5, so memo
+        # builds again at 6 and stores the result cut at 5; a shallower
+        # call is a hit and builds nothing; a build that falls further
+        # short than PAD_LIMIT raises and leaves no entry
+        monkeypatch.setattr(special, "_theta_cache", {})
+        monkeypatch.setattr(special, "memo_counts", {"hits": 0, "misses": 0})
+        works = []
+
+        def build(work):
+            works.append(work)
+            return const_series(1, work - 1)
+
+        assert special.memo("short", (mono(2, 1),), 5, build).prec_order() == 5
+        assert works == [5, 6]
+        assert [s.prec_order() for s in special._theta_cache.values()] == [5]
+        assert special.memo("short", (mono(2, 1),), 3, build).prec_order() == 3
+        assert works == [5, 6]
+        assert special.memo_counts == {"hits": 1, "misses": 1}
+        with pytest.raises(CapExceededError):
+            special.memo("far", (), 5, lambda work: zero_series(work - 2000))
+        assert [k[0] for k in special._theta_cache] == ["short"]
+
     def test_memo_evicts_the_least_recently_used(self, monkeypatch):
         monkeypatch.setattr(special, "_theta_cache", {})
         monkeypatch.setattr(special, "MEMO_LIMIT", 2)

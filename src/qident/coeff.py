@@ -8,6 +8,13 @@ field elements is equality of (num, den) (after lifting to a common order),
 and every sum and product is Python-int arithmetic followed by at most one
 gcd.
 
+Every product takes one step, _times_zeta (v -> v zeta_M: a shift of the
+numerators, the top one folded back by Phi_M's coefficients): a product
+sums x_a (y zeta^a), the power table is the orbit of 1, and column j of
+a multiplication table is column j - 1 times zeta.  A rational times a
+root of unity is inverted by finding its row in the power table; any
+other number through its norm.
+
 A CycloNumber is a scalar: a coefficient read out of a series, a
 monomial's coefficient, a memo key, a verdict's witness.  Series store
 their coefficients as integer rows and never build one per coefficient;
@@ -85,35 +92,21 @@ def euler_phi(M: int) -> int:
     return len(cyclotomic_poly(M)) - 1
 
 
+def _times_zeta(M: int, v: Sequence[int]) -> list[int]:
+    """v * zeta_M: the numerators shifted up one place, the top one folded
+    back by Phi_M (zeta^phi = -(c_0 + c_1 zeta + ...) for Phi_M's c_i)."""
+    out, top = [0, *v[:-1]], v[-1]
+    return [x - top * c for x, c in zip(out, cyclotomic_poly(M))] if top else out
+
+
 @lru_cache(maxsize=None)
 def _power_table(M: int) -> tuple[tuple[int, ...], ...]:
-    """x^k mod Phi_M for k = 0 .. max(M-1, 2*phi(M)-2), integer vectors."""
-    phi = euler_phi(M)
-    top = tuple(-c for c in cyclotomic_poly(M)[:phi])  # x^phi mod Phi_M
-    rows = [tuple(1 if i == k else 0 for i in range(phi)) for k in range(phi)]
-    for _ in range(phi, max(M, 2 * phi - 1)):
-        prev = rows[-1]
-        carry = prev[phi - 1]
-        shifted = [0] + list(prev[:-1])
-        if carry:
-            shifted = [s + carry * t for s, t in zip(shifted, top)]
-        rows.append(tuple(shifted))
+    """zeta_M^k for k = 0 .. max(M-1, 2*phi(M)-2): the orbit of 1 under _times_zeta."""
+    rows, v = [], [1] + [0] * (euler_phi(M) - 1)
+    for _ in range(max(M, 2 * len(v) - 1)):
+        rows.append(tuple(v))
+        v = _times_zeta(M, v)
     return tuple(rows)
-
-
-def _reduce(M: int, dense: list[int]) -> list[int]:
-    """Reduce integer coefficients of any degree modulo Phi_M to phi(M) of them."""
-    phi = euler_phi(M)
-    out = dense[:phi] + [0] * (phi - len(dense))
-    if len(dense) > phi:
-        table = _power_table(M)
-        for k in range(phi, len(dense)):
-            c = dense[k]
-            if c:
-                for i, r in enumerate(table[k]):
-                    if r:
-                        out[i] += c * r
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,24 +215,29 @@ class CycloNumber:
             x, y = y, x
         if not any(y[1:]):  # a rational factor scales
             return _make(M, [v * y[0] for v in x], self.den * other.den)
-        acc = [0] * (2 * len(x) - 1)
-        for i, a in enumerate(x):
+        acc = [0] * len(x)
+        for a in x:  # the sum of x_a (y zeta^a)
             if a:
-                for j, b in enumerate(y):
-                    if b:
-                        acc[i + j] += a * b
-        return _make(M, _reduce(M, acc), self.den * other.den)
+                acc = [s + a * t for s, t in zip(acc, y)]
+            y = _times_zeta(M, y)
+        return _make(M, acc, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycloNumber":
-        """Multiplicative inverse: the product c of the other Galois
-        conjugates makes self * c the norm, a nonzero rational."""
-        M, n = self.order, self.num[0]
-        if not any(self.num):
+        """Multiplicative inverse.  A rational r times a power zeta^k, found
+        among the rows of _power_table, inverts to zeta^-k / r; otherwise the
+        product c of the other Galois conjugates makes self * c the norm, a
+        nonzero rational."""
+        M, num = self.order, self.num
+        if not any(num):
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if not any(self.num[1:]):  # a rational n/den: den/n, the sign on top
-            return _raw(M, (self.den if n > 0 else -self.den,) + self.num[1:], abs(n))
+        g, powers = gcd(*num), _power_table(M)
+        for r in (g, -g):
+            unit = tuple(x // r for x in num)
+            if unit in powers:  # self = (r / den) zeta^k, so 1/self = (den / r) zeta^-k
+                k = powers.index(unit)
+                return _make(M, [r // g * self.den * x for x in powers[-k % M]], g)
         c = one(M)
         for t in range(2, M):
             if gcd(t, M) == 1:
@@ -389,16 +387,12 @@ def lift_order(a: CycloNumber, new_order: int) -> CycloNumber:
 @lru_cache(maxsize=1024)
 def _times_table(M: int, num: tuple, den: int) -> tuple:
     """Multiplication by num/den in Q(zeta_M) as (pairs, den): component k of
-    the product with v is the sum of c v_j over the pairs (j, c) of pairs[k],
-    read off _power_table."""
-    table, phi = _power_table(M), len(num)
-    rows = [[0] * phi for _ in range(phi)]
-    for a, x in enumerate(num):
-        if x:
-            for j in range(phi):
-                for k, t in enumerate(table[a + j]):
-                    rows[k][j] += x * t
-    return tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in rows), den
+    the product with v is the sum of c v_j over the pairs (j, c) of pairs[k].
+    Column j, num zeta^j, is column j - 1 times zeta."""
+    cols = [list(num)]
+    for _ in num[1:]:
+        cols.append(_times_zeta(M, cols[-1]))
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in zip(*cols)), den
 
 
 @lru_cache(maxsize=None)

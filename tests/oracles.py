@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import sympy
@@ -144,6 +145,51 @@ def fraction_dot(M: int, pairs, extra=None) -> tuple[Fraction, ...]:
         for i, p in enumerate(phi):
             acc[top - i] -= c * p
     return tuple(acc[:deg])
+
+
+@lru_cache(maxsize=None)
+def carry_power_table(M: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_M^k for k = 0 .. max(M-1, 2 phi(M)-2), by shift and carry with
+    sympy's Phi_M: each row past the unit vectors is the one before shifted
+    up one place, its top numerator carried back through
+    zeta^phi = -(Phi_M's lower terms)."""
+    x = sympy.Symbol("x")
+    poly = [int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(M, x), x).all_coeffs())]
+    phi = len(poly) - 1
+    rows = [tuple(1 if i == k else 0 for i in range(phi)) for k in range(phi)]
+    for _ in range(phi, max(M, 2 * phi - 1)):
+        prev = rows[-1]
+        rows.append(tuple(s - prev[-1] * c for s, c in zip((0,) + prev[:-1], poly)))
+    return tuple(rows)
+
+
+def schoolbook_mul(x: CycloNumber, y: CycloNumber) -> CycloNumber:
+    """x * y as the full product of the numerator polynomials, each power
+    zeta^k past phi(M) - 1 then replaced by its row of carry_power_table."""
+    table, phi = carry_power_table(x.order), len(x.num)
+    acc = [0] * (2 * phi - 1)
+    for i, a in enumerate(x.num):
+        for j, b in enumerate(y.num):
+            acc[i + j] += a * b
+    out = acc[:phi]
+    for k in range(phi, len(acc)):
+        out = [u + acc[k] * r for u, r in zip(out, table[k])]
+    return CycloNumber(x.order, [Fraction(n, x.den * y.den) for n in out])
+
+
+def triple_loop_table(M: int, num: tuple, den: int) -> tuple:
+    """Multiplication by num/den as coeff._times_table's (pairs, den), by the
+    triple loop: entry (k, j) sums x_a times numerator k of zeta^(a + j),
+    over the numerators x_a of num and the nonzero entries of the table."""
+    table, phi = carry_power_table(M), len(num)
+    sparse = [[(k, t) for k, t in enumerate(r) if t] for r in table]
+    rows = [[0] * phi for _ in range(phi)]
+    for a, x in enumerate(num):
+        if x:
+            for j in range(phi):
+                for k, t in sparse[a + j]:
+                    rows[k][j] += x * t
+    return tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in rows), den
 
 
 def assert_series_matches(s: QSeries, expected: dict, order: Fraction):

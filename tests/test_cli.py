@@ -1,9 +1,14 @@
 """Command line behavior: output shapes and exit codes."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import qident
 from qident import cli, dsl, series
 from qident.cli import main
 from qident.coeff import MAX_COEFF_BITS, MAX_FIELD_ORDER
@@ -157,6 +162,16 @@ class TestExpand:
         assert main(["expand", expr, "--order", "3"]) == 2
         assert time.perf_counter() - t0 < 1
         assert f"exceeds MAX_FIELD_ORDER = {MAX_FIELD_ORDER}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", ["j(zeta(997,1); q)", "Kp(zeta(997,1))"])
+    def test_root_of_unity_near_the_field_cap_is_quick(self, expr):
+        # in a fresh process, so no table is built before; a table built in
+        # O(phi^3) steps, or zeta inverted through its norm, passes the bound
+        env = {**os.environ, "PYTHONPATH": str(Path(qident.__file__).resolve().parents[1])}
+        t0 = time.perf_counter()
+        run = subprocess.run([sys.executable, "-m", "qident", "expand", expr, "--order", "20"],
+                             capture_output=True, env=env, timeout=10)
+        assert run.returncode == 0 and time.perf_counter() - t0 < 10
 
     @pytest.mark.parametrize("expr", ["1/(1 - q^(1/997) - q^(1/991))",
                                       "j(q^(1/988027), q)/j(q^(2/988027), q)"])

@@ -1,5 +1,6 @@
 """Cyclotomic field arithmetic: worked values, oracles, and field axioms."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from qident import special
 from qident.coeff import (
     CycloNumber,
+    _power_table,
     _powers,
+    _times_table,
     csc_pi,
     cyclo_embed,
     cyclotomic_poly,
@@ -26,7 +29,13 @@ from qident.dsl import eval_expr, parse
 from qident.errors import OrderMismatchError
 from qident.series import Monomial, QSeries
 
-from oracles import count_products, fraction_dot
+from oracles import (
+    carry_power_table,
+    count_products,
+    fraction_dot,
+    schoolbook_mul,
+    triple_loop_table,
+)
 
 
 def sympy_zeta_power(M, k):
@@ -327,6 +336,60 @@ class TestRationalInverse:
         products = count_products(monkeypatch)
         eval_expr(parse("poch(2*q, q, 5)"), 20)
         assert products[0] <= 1
+
+
+# every field up to 60, and two primes, with phi(M) = 100 and 210
+FIELDS = [*range(1, 61), 101, 211]
+
+
+def dense_samples(M):
+    """Two elements of Q(zeta_M) with every numerator nonzero."""
+    rng = random.Random(M)
+    return [CycloNumber(M, [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+                            for _ in range(euler_phi(M))]) for _ in range(2)]
+
+
+def unit_samples(M):
+    """(x, k, r) for x = r zeta_M^k, r = +-a/b, at k = 0, 1, M - 1 and one more,
+    x built from the shift-and-carry table."""
+    rng, out = random.Random(-M), []
+    for k in (0, 1 % M, -1 % M, rng.randrange(M)):
+        for sign in (1, -1):
+            r = sign * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            out.append((CycloNumber(M, [r * c for c in carry_power_table(M)[k]]), k, r))
+    return out
+
+
+class TestOneZetaStep:
+    """Power tables, multiplication tables, products and inverses, each made
+    by multiplying by zeta_M one step at a time, against the schoolbook
+    product reduced by a shift-and-carry power table and the triple-loop
+    table over it."""
+
+    @pytest.mark.parametrize("M", FIELDS)
+    def test_power_table(self, M):
+        assert _power_table(M) == carry_power_table(M)
+
+    @pytest.mark.parametrize("M", FIELDS)
+    def test_times_table(self, M):
+        for x in dense_samples(M) + [x for x, _, _ in unit_samples(M)]:
+            assert _times_table(M, x.num, x.den) == triple_loop_table(M, x.num, x.den), (M, str(x))
+
+    @pytest.mark.parametrize("M", FIELDS)
+    def test_products(self, M):
+        xs = dense_samples(M) + [x for x, _, _ in unit_samples(M)]
+        for x, y in zip(xs, xs[1:] + xs[:2]):
+            assert x * y == schoolbook_mul(x, y), (M, str(x), str(y))
+        assert xs[0] * xs[0] == schoolbook_mul(xs[0], xs[0])
+
+    @pytest.mark.parametrize("M", FIELDS)
+    def test_inverses(self, M):
+        # one dense inverse at M = 211: through the norm, each takes seconds
+        for x in dense_samples(M)[:1 if M > 101 else 2]:
+            assert schoolbook_mul(x, x.inv()).is_one(), (M, str(x))
+        for x, k, r in unit_samples(M):
+            want = CycloNumber(M, [c / r for c in carry_power_table(M)[-k % M]])
+            assert x.inv() == want and lowest_terms(x.inv()), (M, k, r)
 
 
 def naive_powers(x, lo, count):

@@ -4,12 +4,13 @@ import concurrent.futures
 import os
 import pickle
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 
 from qident import Verdict, identity, special
 from qident.coeff import zeta_power
-from qident.dsl import eval_expr, parse
+from qident.dsl import eval_expr, parse, print_expr
 from qident.errors import CapExceededError, EvalError, NonGenericError
 from qident.identity import (
     DEFAULT_ORDER,
@@ -23,7 +24,7 @@ from qident.identity import (
     serialize_case,
     serialize_corpus,
 )
-from qident.series import series_eq_to_order
+from qident.series import Monomial, QSeries, series_eq_to_order
 
 from oracles import count_builds
 
@@ -352,6 +353,51 @@ def test_builtin_side_reaches_order(expr, order, binding):
     assert s.prec_order() >= order
     v = series_eq_to_order(s, deeper, order)
     assert v.status == "pass", v.detail()
+
+
+def _conjugate(s: QSeries, t: int) -> tuple:
+    """sigma_t (zeta -> zeta^t) of every coefficient of s, with s's grid,
+    precision and field; t = 1 gives s itself in this form."""
+    return s.denom, s.prec, s.field_order, {k: c.galois(t) for k, c in s.terms.items()}
+
+
+def _field(binding) -> int:
+    """The order of the smallest Q(zeta_M) that holds every coefficient of a binding."""
+    return lcm(*(m.coeff.order for m in binding.values()))
+
+
+CYCLOTOMIC_CHECKS = [pytest.param(case, binding, id=f"{case.id}-{i}") for case in builtin_cases()
+                     for i, binding in enumerate(case.sample_bindings) if _field(binding) > 1]
+
+
+def test_cyclotomic_checks_move_only_their_bindings():
+    # sigma_t moves a binding's roots of unity; a constant of the texts
+    # (zeta, sin, csc, or the sines inside Ktilde, Htilde and Habc) would
+    # move too, and the equivariance below would not hold as stated
+    assert len(CYCLOTOMIC_CHECKS) == 73
+    assert {_field(p.values[1]) for p in CYCLOTOMIC_CHECKS} == {3, 4, 5}
+    for p in CYCLOTOMIC_CHECKS:
+        case = p.values[0]
+        text = print_expr(case.lhs) + print_expr(case.rhs)
+        assert not any(w in text for w in ("zeta", "sinpi", "cscpi", "Ktilde", "Htilde", "Habc")), case.id
+
+
+@pytest.mark.parametrize("case, binding", CYCLOTOMIC_CHECKS)
+def test_builtin_side_is_galois_equivariant(case, binding):
+    """A side evaluated at sigma_t(binding) is sigma_t of the side's series,
+    for each t prime to the side's field order."""
+    for side in (case.lhs, case.rhs):
+        s = eval_expr(side, case.default_order, binding)
+        for t in (t for t in range(2, s.field_order) if gcd(t, s.field_order) == 1):
+            conj = {k: Monomial(m.coeff.galois(t), m.expo) for k, m in binding.items()}
+            got = eval_expr(side, case.default_order, conj)
+            assert _conjugate(got, 1) == _conjugate(s, t), (print_expr(side), t)
+
+
+def test_theta_at_a_root_of_unity_near_the_field_cap_is_galois_equivariant():
+    s = eval_expr(parse("j(zeta(997,1); q)"), 5)
+    for t in (2, 500, 996):
+        assert _conjugate(eval_expr(parse(f"j(zeta(997,{t}); q)"), 5), 1) == _conjugate(s, t), t
 
 
 def test_builtin_corpus_evaluates_with_one_rebuild_at_most(monkeypatch):

@@ -18,7 +18,9 @@ definitions: exact argument checks, then an expression over the core
 functions with the integer arguments spliced into its text and the
 monomial ones bound as its symbols; each text is parsed once, and each
 value, like each evaluated side, is read through special.memo, which
-builds it under ensure_prec only on a miss.
+builds it under ensure_prec only on a miss, and each quotient and power
+inside them through special.memo_exact, so sides that share one compute
+it once.
 msplit and g_appell read their Appell-Lerch sums as the row mj, m without
 its theta divisor, and divide each theta that several terms share once,
 after the sum.  msplit's depth, the number of terms of its text, is at
@@ -57,7 +59,7 @@ from .series import (
     series_sub,
     zero_series,
 )
-from .special import memo, read_row
+from .special import memo, memo_exact, read_row
 
 Rat = Union[int, Fraction]
 
@@ -403,17 +405,28 @@ def _factors(e: Expr) -> List[Tuple[Expr, int]]:
     return [(e, 1)]
 
 
+@lru_cache(maxsize=1024)
+def _symbols(e: Expr) -> Tuple[str, ...]:
+    """The names e reads from a binding, sorted; q is never bound."""
+    if isinstance(e, Sym):
+        return () if e.name == "q" else (e.name,)
+    kids = e.args if isinstance(e, Call) else e._key
+    return tuple(sorted({s for k in kids if isinstance(k, Record) for s in _symbols(k)}))
+
+
 def _ev(
-    e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction, power: int = 1
+    e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction, power: int = 1, kept: bool = True
 ) -> Value:
     """The value of e below q^order, a monomial while it stays one; power
     is the product of the powers around e, which _check_power counts with
-    each power inside it.  A / B shifts A by the product of B's monomial
-    _factors, padded as _pad says, and divides it by each series factor,
-    the fewest terms first: with v1, v2, va the valuations of b1, b2, a,
-    series_div makes (a / b1) / b2 exact below min(a.prec - v1 - v2,
-    b1.prec - 2 v1 - v2 + va, b2.prec - v1 - 2 v2 + va), just as it makes
-    a / (b1 b2)."""
+    each power inside it.  A quotient or power is read through memo_exact,
+    keyed by e, order, asked, power and the monomials bound to its _symbols,
+    unless kept is False, at a root that memo keeps.  A / B shifts A by the
+    product of B's monomial _factors, padded as _pad says, and divides it by
+    each series factor, the fewest terms first: with v1, v2, va the
+    valuations of b1, b2, a, series_div makes (a / b1) / b2 exact below
+    min(a.prec - v1 - v2, b1.prec - 2 v1 - v2 + va, b2.prec - v1 - 2 v2 + va),
+    just as it makes a / (b1 b2)."""
     if isinstance(e, Lit):
         if e.value == 0:
             return zero_series(order)
@@ -451,6 +464,9 @@ def _ev(
         if isinstance(vb, Monomial):
             return series_shift(va, vb)
         return series_mul(va, vb)
+    if kept and isinstance(e, (Div, Pow)):
+        return memo_exact(e, (order, asked, power, *map(binding.get, _symbols(e))),
+                          partial(_ev, e, order, binding, asked, power, False))
     if isinstance(e, Div):
         vals = [(_ev(f, order, binding, asked, power * k), k) for f, k in _factors(e.b)]
         for v, k in vals:
@@ -549,7 +565,7 @@ def eval_expr(
     if asked > MAX_ORDER:
         raise EvalError(f"order {asked} exceeds MAX_ORDER = {MAX_ORDER}")
     return memo(e, [v for item in sorted(b.items()) for v in item], asked,
-                lambda work: _to_series(_ev(e, work, b, asked), work))
+                lambda work: _to_series(_ev(e, work, b, asked, 1, False), work))
 
 
 def fold_monomial(e: Expr) -> Monomial:
@@ -626,7 +642,7 @@ def _definition(name: str, source: Callable[..., Source]):
     def run(v: List[object], order: Fraction) -> QSeries:
         def build(work: Fraction) -> QSeries:
             text, binding = source(*v)
-            return _to_series(_ev(_parsed(text), work, binding, order), work)
+            return _to_series(_ev(_parsed(text), work, binding, order, 1, False), work)
 
         try:
             return memo(name, v, order, build)

@@ -5,12 +5,14 @@ Record.__init__; each name in _fields reads one entry. A record type that
 checks or defaults its fields does so in its own __init__ and ends in
 super().__init__. Equality (with a record of the same type only), hashing
 and pickling are one operation on _key, and a pickled copy is rebuilt, so
-checked, through __init__. Attribute assignment is refused.
+checked, through __init__. The hash is kept in _hash after the first call,
+so a memo key holding a whole expression tree hashes it once. Attribute
+assignment is refused.
 """
 
 
 class Record:
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_hash")
     _fields: tuple = ()
 
     def __init_subclass__(cls):
@@ -33,7 +35,11 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key)
+        try:
+            return self._hash
+        except AttributeError:  # the first call; a key that cannot hash raises every time
+            _set_hash(self, hash(self._key))
+            return self._hash
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -48,4 +54,5 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
 
-_set_key = Record._key.__set__  # the one write a record makes, past its __setattr__
+# the two writes a record makes, past its __setattr__
+_set_key, _set_hash = Record._key.__set__, Record._hash.__set__

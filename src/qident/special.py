@@ -12,7 +12,8 @@ which keeps one entry per (row, arguments) in _theta_cache, a least
 recently used cache of at most MEMO_LIMIT entries, and only on a miss
 builds, under ensure_prec, which deepens the working order up to
 series.PAD_LIMIT.  dsl reads definition values and evaluated expressions
-through the same memo.
+through the same memo, and each quotient and power inside an expression
+through memo_exact, which keeps the value exactly as it was computed.
 """
 
 from __future__ import annotations
@@ -73,20 +74,21 @@ def _base(p: Rat) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-_theta_cache: dict[tuple, QSeries] = {}
+_theta_cache: dict[tuple, object] = {}
 
 # The most entries _theta_cache keeps; one run_suite() of the built-in
-# corpus leaves 720, so the corpus never evicts.
-MEMO_LIMIT = 1024
+# corpus leaves 1,091, so the corpus never evicts.
+MEMO_LIMIT = 2048
 
 memo_counts = {"hits": 0, "misses": 0}
 
 
 def memo(head: object, args: Sequence, order: Rat, build: Callable[[Fraction], QSeries]) -> QSeries:
     """The series build makes for order under ensure_prec, through
-    _theta_cache, the one memo of rows, definition values and evaluated
-    expressions, keyed by head, a row's or a definition's name or an
-    expression, and args, each monomial c q^e flattened to c's key and e.
+    _theta_cache, the one memo of rows, definition values, evaluated
+    expressions and, through memo_exact, the quotients and powers inside
+    them, keyed by head, a row's or a definition's name or an expression,
+    and args, each monomial c q^e flattened to c's key and e.
 
     Only a miss builds, and it stores the result cut at the order it was
     built for, so a shallower request, served by cutting the entry, gets
@@ -94,14 +96,28 @@ def memo(head: object, args: Sequence, order: Rat, build: Callable[[Fraction], Q
     moves its entry to the end, and past MEMO_LIMIT entries the least
     recently used one goes.
     """
+    return series_truncate(_read(head, args, lambda hit: hit.prec < grid_prec(order, hit.denom),
+                                 lambda: series_truncate(ensure_prec(build, order), order)), order)
+
+
+def memo_exact(head: object, args: Sequence, build: Callable[[], object]) -> object:
+    """build(), read through memo's _theta_cache under head and args but
+    kept exactly as built, with no ensure_prec and no cut: a hit is the
+    value the miss computed.  An exception is never stored."""
+    return _read(head, args, lambda hit: False, build)
+
+
+def _read(head: object, args: Sequence, short: Callable[[object], bool], build: Callable[[], object]) -> object:
+    """The entry under head and args, built anew when there is none or short
+    says the one there falls short; either way the most recently used."""
     key = (head, *(v for a in args for v in ((a.coeff.key(), a.expo) if isinstance(a, Monomial) else (a,))))
     hit = _theta_cache.pop(key, None)
-    fresh = hit is None or hit.prec < grid_prec(order, hit.denom)
+    fresh = hit is None or short(hit)
     memo_counts["misses" if fresh else "hits"] += 1
-    _theta_cache[key] = s = series_truncate(ensure_prec(build, order), order) if fresh else hit
+    _theta_cache[key] = v = build() if fresh else hit
     while len(_theta_cache) > MEMO_LIMIT:
         del _theta_cache[next(iter(_theta_cache))]
-    return series_truncate(s, order)
+    return v
 
 
 def read_row(name: str, args: Sequence, order: Rat) -> QSeries:

@@ -411,6 +411,70 @@ def test_a_nongeneric_side_raises_again_and_leaves_no_entry(monkeypatch, text):
     assert not [k for k in special._theta_cache if k[0] in (e, "msplit")]
 
 
+QUOTIENT = "J(1,2)^2/j(x, q)"
+
+
+def test_a_quotient_two_sides_share_divides_once(monkeypatch):
+    # the quotient inside both sides is one memo entry under one binding
+    # of its symbol x and one working order, so the second side reuses it
+    binding = dsl.parse_bindings(["x=2*q^(1/2)"])
+    monkeypatch.setattr(special, "_theta_cache", {})
+    eval_expr(parse("j(x, q) + J(1,2)"), 30, binding)  # the rows, warm
+    divisions = count_calls(monkeypatch, "series_div")
+    first = eval_expr(parse(f"1 + {QUOTIENT}"), 30, binding)
+    second = eval_expr(parse(f"2*q*({QUOTIENT})"), 30, binding)
+    assert divisions[0] == 1
+    check_eq(second, series.series_shift(series.series_sub(first, eval_expr(parse("1"), 30)),
+                                         Monomial.make(2, 1)), 30)
+
+
+@pytest.mark.parametrize("binds, order", [(["x=3*q^(1/2)"], 30), (["x=2*q^(1/2)", "y=5"], 30),
+                                          (["x=2*q^(1/2)"], 20)])
+def test_a_quotient_divides_again_under_another_binding_or_order(monkeypatch, binds, order):
+    # x's monomial and the working order are in the key; y, which the
+    # quotient does not read, is not
+    monkeypatch.setattr(special, "_theta_cache", {})
+    eval_expr(parse(f"1 + {QUOTIENT}"), 30, dsl.parse_bindings(["x=2*q^(1/2)"]))
+    binding = dsl.parse_bindings(binds)
+    divisions = count_calls(monkeypatch, "series_div")
+    got = eval_expr(parse(f"2 + {QUOTIENT}"), order, binding)
+    assert divisions[0] == ("y" not in binding)
+    want = series.series_add(eval_expr(parse("2"), order),
+                             series.series_div(eval_expr(parse("J(1,2)^2"), order, binding),
+                                               eval_expr(parse("j(x, q)"), order, binding)))
+    check_eq(got, want, order)
+
+
+def test_a_kept_power_does_not_pass_the_power_cap(monkeypatch):
+    # x^600 kept at power 1 is not the x^600 inside (x^600)^2, which
+    # counts as x^1200 and is refused
+    binding = dsl.parse_bindings(["x=2*q"])
+    monkeypatch.setattr(special, "_theta_cache", {})
+    assert eval_expr(parse("1 + x^600"), 5, binding).prec_order() == 5
+    with pytest.raises(EvalError, match="MAX_POWER"):
+        eval_expr(parse("1 + (x^600)^2"), 5, binding)
+
+
+def test_reuse_changes_no_value(monkeypatch):
+    # every side of the built-in corpus at its stated order, in corpus
+    # order through one memo, then each from an empty memo: the same rows,
+    # or the same error
+    def row(side, order, binding):
+        try:
+            s = eval_expr(side, order, binding)
+        except (EvalError, NonGenericError) as exc:
+            return type(exc), str(exc)
+        return s.denom, s.prec, s.off, s.den, s.cols
+
+    sides = [(side, F(c.default_order), b) for c in builtin_cases() for b in c.sample_bindings
+             for side in (c.lhs, c.rhs)]
+    monkeypatch.setattr(special, "_theta_cache", {})
+    warm = [row(*side) for side in sides]
+    for side, want in zip(sides, warm):
+        special._theta_cache.clear()
+        assert row(*side) == want, print_expr(side[0])
+
+
 class TestBindings:
     def test_reserved_names(self):
         with pytest.raises(EvalError):

@@ -52,9 +52,29 @@ def test_records_with_unhashable_fields_are_unhashable():
             hash(r)
 
 
+@pytest.mark.parametrize("r", NODES + [CHECK], ids=lambda r: type(r).__name__)
+def test_kept_hash_is_the_hash_of_the_key(r):
+    # the first call keeps the hash; later calls, and a pickled copy, agree
+    assert hash(r) == hash(r._key) == hash(r)
+    assert hash(pickle.loads(pickle.dumps(r))) == hash(r)
+
+
+def test_two_parses_of_one_text_hash_equal():
+    text = "J(1,2)^2*j(-q*w^2, q^4)/(j(w, q)*j(-w, q))"
+    a, b = parse(text), parse(text)
+    assert a == b and a is not b and hash(a) == hash(b) == hash(a._key)
+
+
+def test_a_record_with_dict_fields_refuses_hash_every_time():
+    case = make_case("c", "j(x)", "-x*j(1/x)", binds=("x=2*q",))
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            hash(case)
+
+
 @pytest.mark.parametrize("r", RECORDS, ids=lambda r: type(r).__name__)
 def test_attribute_assignment_is_refused(r):
-    for name in (*r._fields, "_key", "extra"):
+    for name in (*r._fields, "_key", "_hash", "extra"):
         with pytest.raises(AttributeError):
             setattr(r, name, None)
         if name != "extra":

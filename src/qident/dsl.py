@@ -16,11 +16,11 @@ The paper's fixed combinations (Ktilde, Htilde and their other forms,
 mcorr, msplit, g_appell) and g_sum, g through its Eulerian sum, are
 definitions: exact argument checks, then an expression over the core
 functions with the integer arguments spliced into its text and the
-monomial ones bound as its symbols; each text is parsed once, and each
-value, like each evaluated side, is read through special.memo, which
-builds it under ensure_prec only on a miss, and each quotient and power
-inside them through special.memo_exact, so sides that share one compute
-it once.
+monomial ones bound as its symbols, parsed once per text and evaluated
+in place at the caller's order.  A side is evaluated under the one
+precision loop, special.ensure_prec, and its root and each quotient and
+power inside it, a definition's text included, are read through
+special.memo_exact, so sides that share a node compute it once.
 msplit and g_appell read their Appell-Lerch sums as the row mj, m without
 its theta divisor, and divide each theta that several terms share once,
 after the sum.  msplit's depth, the number of terms of its text, is at
@@ -57,9 +57,11 @@ from .series import (
     series_pow,
     series_shift,
     series_sub,
+    series_truncate,
     zero_series,
 )
-from .special import memo, memo_exact, read_row
+from . import special
+from .special import memo_exact, read_row
 
 Rat = Union[int, Fraction]
 
@@ -419,14 +421,13 @@ def _ev(
 ) -> Value:
     """The value of e below q^order, a monomial while it stays one; power
     is the product of the powers around e, which _check_power counts with
-    each power inside it.  A quotient or power is read through memo_exact,
-    keyed by e, order, asked, power and the monomials bound to its _symbols,
-    unless kept is False, at a root that memo keeps.  A / B shifts A by the
-    product of B's monomial _factors, padded as _pad says, and divides it by
-    each series factor, the fewest terms first: with v1, v2, va the
-    valuations of b1, b2, a, series_div makes (a / b1) / b2 exact below
-    min(a.prec - v1 - v2, b1.prec - 2 v1 - v2 + va, b2.prec - v1 - 2 v2 + va),
-    just as it makes a / (b1 b2)."""
+    each power inside it.  A quotient or power is read through _node,
+    unless kept is False, which means this call is memo_exact's own build.
+    A / B shifts A by the product of B's monomial _factors, padded as _pad
+    says, and divides it by each series factor, the fewest terms first:
+    with v1, v2, va the valuations of b1, b2, a, series_div makes
+    (a / b1) / b2 exact below min(a.prec - v1 - v2, b1.prec - 2 v1 - v2 + va,
+    b2.prec - v1 - 2 v2 + va), just as it makes a / (b1 b2)."""
     if isinstance(e, Lit):
         if e.value == 0:
             return zero_series(order)
@@ -465,8 +466,7 @@ def _ev(
             return series_shift(va, vb)
         return series_mul(va, vb)
     if kept and isinstance(e, (Div, Pow)):
-        return memo_exact(e, (order, asked, power, *map(binding.get, _symbols(e))),
-                          partial(_ev, e, order, binding, asked, power, False))
+        return _node(e, order, binding, asked, power)
     if isinstance(e, Div):
         vals = [(_ev(f, order, binding, asked, power * k), k) for f, k in _factors(e.b)]
         for v, k in vals:
@@ -495,6 +495,13 @@ def _ev(
     if isinstance(e, Call):
         return _call(e, order, binding, asked)
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def _node(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction, power: int) -> Value:
+    """_ev(e, ...) read through special.memo_exact, keyed by e, order, asked,
+    power and the monomials bound to e's _symbols."""
+    return memo_exact(e, (order, asked, power, *map(binding.get, _symbols(e))),
+                      partial(_ev, e, order, binding, asked, power, False))
 
 
 def _check_power(v: Value, k: int) -> None:
@@ -557,15 +564,18 @@ def eval_expr(
     anything but a pure power of q, nested powers multiplied, raises
     EvalError.
 
-    The value is read through special.memo, keyed by e and the bound
-    monomials, and cut at order, so a repeated or shallower evaluation of
-    the same side under the same binding builds nothing.
+    Each build of special.ensure_prec, the side's one precision loop,
+    reads the root through _node at its working order, as any node is
+    read, and the result is cut at order, so a repeated evaluation of the
+    same side under the same binding computes nothing again.
     """
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an Expr: {e!r}")
     b, asked = dict(binding or {}), Fraction(order)
     if asked > MAX_ORDER:
         raise EvalError(f"order {asked} exceeds MAX_ORDER = {MAX_ORDER}")
-    return memo(e, [v for item in sorted(b.items()) for v in item], asked,
-                lambda work: _to_series(_ev(e, work, b, asked, 1, False), work))
+    return series_truncate(special.ensure_prec(
+        lambda work: _to_series(_node(e, work, b, asked, 1), work), asked), asked)
 
 
 def fold_monomial(e: Expr) -> Monomial:
@@ -635,17 +645,13 @@ def _parsed(text: str) -> Expr:
 
 def _definition(name: str, source: Callable[..., Source]):
     """The function whose value is the expression source(*args) returns,
-    read through special.memo under (name, args), so only a miss builds,
-    and each build runs the checks and the body; a usage error from either
-    names the definition."""
+    evaluated in place at the caller's order after the checks source runs;
+    a usage error from either names the definition."""
 
-    def run(v: List[object], order: Fraction) -> QSeries:
-        def build(work: Fraction) -> QSeries:
-            text, binding = source(*v)
-            return _to_series(_ev(_parsed(text), work, binding, order, 1, False), work)
-
+    def run(v: List[object], order: Fraction) -> Value:
         try:
-            return memo(name, v, order, build)
+            text, binding = source(*v)
+            return _ev(_parsed(text), order, binding, order)
         except (EvalError, ValueError) as exc:
             raise EvalError(f"{name}: {exc}") from exc
 

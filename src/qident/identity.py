@@ -144,6 +144,8 @@ def parse_corpus(text: str) -> List[IdentityCase]:
         value = value.strip()
         if key == "bind":
             binds.append(value)
+        elif key in stanza:
+            raise ValueError(f"line {lineno}: duplicate {key}:")
         elif key == "order":
             num, slash, den = value.partition("/")
             try:
@@ -151,8 +153,6 @@ def parse_corpus(text: str) -> List[IdentityCase]:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"line {lineno}: bad order {value!r}") from exc
         else:
-            if key in stanza:
-                raise ValueError(f"line {lineno}: duplicate {key}:")
             stanza[key] = value
     flush(len(text.splitlines()))
     seen = set()

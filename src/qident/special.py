@@ -7,13 +7,15 @@ standing for q^p.  read_row takes a target order and returns a QSeries
 whose guaranteed precision reaches that order: it rejects the pole that
 eulerian.has_pole or series.bilateral_pole finds, sums a product form
 with series.term_sum or scans a bilateral form with series.bilateral_sum
-and divides it by its theta divisor.  It reads each row through memo,
-which keeps one entry per (row, arguments) in _theta_cache, a least
-recently used cache of at most MEMO_LIMIT entries, and only on a miss
-builds, under ensure_prec, which deepens the working order up to
-series.PAD_LIMIT.  dsl reads definition values and evaluated expressions
-through the same memo, and each quotient and power inside an expression
-through memo_exact, which keeps the value exactly as it was computed.
+and divides it by its theta divisor.
+
+_theta_cache, a least recently used cache of at most MEMO_LIMIT entries,
+is the one memo, and it holds two kinds of entry, each read one way.
+read_row keeps one row per (row, arguments), built under ensure_prec,
+which deepens the working order up to series.PAD_LIMIT, and cut at its
+order: a shallower request cuts the entry and only a deeper one builds
+it again.  memo_exact keeps each expression node dsl evaluates, a side's
+root and every quotient and power below it, exactly as it was computed.
 """
 
 from __future__ import annotations
@@ -77,39 +79,24 @@ def _base(p: Rat) -> Fraction:
 _theta_cache: dict[tuple, object] = {}
 
 # The most entries _theta_cache keeps; one run_suite() of the built-in
-# corpus leaves 1,091, so the corpus never evicts.
+# corpus leaves 1,061, so the corpus never evicts.
 MEMO_LIMIT = 2048
 
 memo_counts = {"hits": 0, "misses": 0}
 
 
-def memo(head: object, args: Sequence, order: Rat, build: Callable[[Fraction], QSeries]) -> QSeries:
-    """The series build makes for order under ensure_prec, through
-    _theta_cache, the one memo of rows, definition values, evaluated
-    expressions and, through memo_exact, the quotients and powers inside
-    them, keyed by head, a row's or a definition's name or an expression,
-    and args, each monomial c q^e flattened to c's key and e.
-
-    Only a miss builds, and it stores the result cut at the order it was
-    built for, so a shallower request, served by cutting the entry, gets
-    what a cold call returns.  The dict is kept in order of last use: a hit
-    moves its entry to the end, and past MEMO_LIMIT entries the least
-    recently used one goes.
-    """
-    return series_truncate(_read(head, args, lambda hit: hit.prec < grid_prec(order, hit.denom),
-                                 lambda: series_truncate(ensure_prec(build, order), order)), order)
-
-
 def memo_exact(head: object, args: Sequence, build: Callable[[], object]) -> object:
-    """build(), read through memo's _theta_cache under head and args but
-    kept exactly as built, with no ensure_prec and no cut: a hit is the
-    value the miss computed.  An exception is never stored."""
+    """build(), read through _theta_cache under head and args and kept
+    exactly as built, with no ensure_prec and no cut: a hit is the value
+    the miss computed.  An exception is never stored."""
     return _read(head, args, lambda hit: False, build)
 
 
 def _read(head: object, args: Sequence, short: Callable[[object], bool], build: Callable[[], object]) -> object:
-    """The entry under head and args, built anew when there is none or short
-    says the one there falls short; either way the most recently used."""
+    """The entry of _theta_cache under head and args, each monomial c q^e
+    flattened to c's key and e, built anew when there is none or short says
+    the one there falls short; either way it becomes the most recently
+    used, and past MEMO_LIMIT entries the least recently used one goes."""
     key = (head, *(v for a in args for v in ((a.coeff.key(), a.expo) if isinstance(a, Monomial) else (a,))))
     hit = _theta_cache.pop(key, None)
     fresh = hit is None or short(hit)
@@ -121,16 +108,17 @@ def _read(head: object, args: Sequence, short: Callable[[object], bool], build: 
 
 
 def read_row(name: str, args: Sequence, order: Rat) -> QSeries:
-    """The row name of FORMS or BILATERAL at args, below q^order.
+    """The row name of FORMS or BILATERAL at args, below q^order, kept in
+    the memo under (name, args) as the module says: a shallower read cuts
+    the entry, which gives what a cold call returns.
 
-    Each base argument must be positive.  The series is read through memo
-    under (name, args), and each build runs the row's form, whose function
-    runs the row's own argument checks: a key in the memo has passed them,
-    and a pole never enters it.  A pole raises NonGenericError with the
-    row's message: has_pole reads it off a product form's factors and
-    bilateral_pole off a bilateral form.  A product form is summed by
-    term_sum; a bilateral form is scanned by bilateral_sum and divided by
-    its theta divisor, read back as the row j.
+    Each base argument must be positive.  Each build runs the row's form,
+    whose function runs the row's own argument checks: a key in the memo
+    has passed them, and a pole never enters it.  A pole raises
+    NonGenericError with the row's message: has_pole reads it off a
+    product form's factors and bilateral_pole off a bilateral form.  A
+    product form is summed by term_sum; a bilateral form is scanned by
+    bilateral_sum and divided by its theta divisor, read back as the row j.
     """
     kinds, form, pole = FORMS[name] if name in FORMS else BILATERAL[name]
     args = tuple(_base(a) if k == "p" else a for k, a in zip(kinds, args))
@@ -147,4 +135,5 @@ def read_row(name: str, args: Sequence, order: Rat) -> QSeries:
         s = bilateral_sum(c, e, work, u, f)
         return s if theta is None else series_div(s, read_row("j", theta, work))
 
-    return memo(name, args, order, build)
+    return series_truncate(_read(name, args, lambda hit: hit.prec < grid_prec(order, hit.denom),
+                                 lambda: series_truncate(ensure_prec(build, order), order)), order)

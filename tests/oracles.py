@@ -282,8 +282,9 @@ def count_calls(monkeypatch, attr: str) -> list[int]:
 
 def count_builds(monkeypatch) -> list[int]:
     """The builds of every special.ensure_prec loop from here on, the loop
-    each memo miss runs, one count per loop at its own index, so a row
-    built inside a side's build is not charged to that side."""
+    around a row's build and around a side, one count per loop at its own
+    index, so a row built inside a side's build is not charged to that
+    side."""
     from qident import special
 
     ensure_prec, counts = special.ensure_prec, []

@@ -27,9 +27,9 @@ from qident.dsl import (
 from qident import dsl, series, special
 from qident.errors import EvalError, NonGenericError, ParseError
 from qident.eulerian import BILATERAL, FORMS
-from qident.identity import builtin_cases, check
+from qident.identity import builtin_cases, check, run_suite
 from qident.series import Monomial, series_eq_to_order, series_mul
-from oracles import assert_series_matches, count_calls, count_pairs
+from oracles import assert_series_matches, count_builds, count_calls, count_pairs
 
 
 def check_eq(lhs, rhs, order):
@@ -257,10 +257,16 @@ class TestEval:
         t = eval_expr(parse("(q^2)^(3/2)"), 5)
         assert t.valuation() == 3
 
-    def test_non_expr_is_a_type_error(self):
-        for run in (lambda: print_expr(42), lambda: eval_expr(42, 1)):
-            with pytest.raises(TypeError, match="not an Expr: 42"):
+    def test_non_expr_is_a_type_error(self, monkeypatch):
+        # eval_expr refuses a non-Expr before it builds any key, and _ev
+        # refuses one below an Expr root
+        monkeypatch.setattr(special, "memo_counts", {"hits": 0, "misses": 0})
+        for run in (lambda: print_expr(42), lambda: eval_expr(42, 1), lambda: eval_expr(("a",), 1)):
+            with pytest.raises(TypeError, match="not an Expr: "):
                 run()
+        assert special.memo_counts == {"hits": 0, "misses": 0}
+        with pytest.raises(TypeError, match="not an Expr: 42"):
+            eval_expr(Add(Lit(F(1)), 42), 1)
 
     def test_zero_literal(self):
         s = eval_expr(parse("0*J(1,2) + 0"), 5)
@@ -374,8 +380,9 @@ MSPLIT = "msplit(-zeta(3,1), q, -1, -q, 2)"
 
 @pytest.mark.parametrize("second", [MSPLIT, f"-{MSPLIT}"], ids=["expression", "definition"])
 def test_a_second_read_of_a_definition_divides_nothing(monkeypatch, second):
-    # the same side is one memo entry, and so is the same definition
-    # inside another side: neither is built again from its rows
+    # the same side's root is one memo entry, and so is the root of the
+    # same definition's text inside another side: neither is built again
+    # from its rows
     monkeypatch.setattr(special, "_theta_cache", {})
     first = eval_expr(parse(MSPLIT), 40)
     divisions = count_calls(monkeypatch, "series_div")
@@ -401,14 +408,41 @@ def test_a_definition_text_is_parsed_once(monkeypatch):
 
 @pytest.mark.parametrize("text", ["1/j(q, q)", "m(2*q, q, -1) + msplit(1, q, -1, -q, 2)"])
 def test_a_nongeneric_side_raises_again_and_leaves_no_entry(monkeypatch, text):
-    # an exception is never stored: neither the side nor its definition
-    # enters the memo
+    # an exception is never stored: no expression node, the side's root
+    # among them, enters the memo, only the rows read before the pole
     monkeypatch.setattr(special, "_theta_cache", {})
     e = parse(text)
     for _ in range(2):
         with pytest.raises(NonGenericError):
             eval_expr(e, 20)
-    assert not [k for k in special._theta_cache if k[0] in (e, "msplit")]
+    assert all(isinstance(k[0], str) for k in special._theta_cache)
+
+
+def test_the_memo_holds_rows_and_expression_nodes_only(monkeypatch):
+    # after a cold run of the corpus every key's head is a row's name or
+    # an expression node: no definition name and no side keyed by its
+    # binding; and the corpus leaves room, so nothing is evicted
+    monkeypatch.setattr(special, "_theta_cache", {})
+    run_suite()
+    for head, *rest in special._theta_cache:
+        if isinstance(head, str):
+            assert head in FORMS or head in BILATERAL, head
+        else:
+            # a node's key goes on with its working order, asked and power
+            assert isinstance(head, dsl.Expr), head
+            assert [type(v) for v in rest[:3]] == [F, F, int], (print_expr(head), rest)
+    assert len(special._theta_cache) < special.MEMO_LIMIT
+
+
+def test_a_definition_runs_no_precision_loop_of_its_own(monkeypatch):
+    # msplit at depth 4 falls short of order 40 on its first build: the
+    # side's loop, the first, builds twice, and no other loop builds more
+    # than once
+    binding = dsl.parse_bindings(["x=2*q", "z=-1", "zp=-q"])
+    monkeypatch.setattr(special, "_theta_cache", {})
+    counts = count_builds(monkeypatch)
+    eval_expr(parse("msplit(x, q, z, zp, 4)"), 40, binding)
+    assert counts[0] == 2 and max(counts[1:]) == 1, counts
 
 
 QUOTIENT = "J(1,2)^2/j(x, q)"

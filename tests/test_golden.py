@@ -9,25 +9,32 @@ tests/golden/suite.txt is `run_suite().render()` at the stated orders
 with the timing field stripped; test_acceptance compares it.  The deep
 pair pins the same at depth: tests/golden/expand_deep.txt holds one block
 per builder family at orders 40-200, and tests/golden/suite_deep.txt is
-`run_suite(order=100).render()`, timing stripped.
+`run_suite(order=100).render()`, timing stripped.  tests/golden/sides.txt
+pins the value of every side the suite evaluates: one line per (case,
+binding, side) at the stated order and at order 100, giving the
+precision reached, the grid, the field, the term count and a SHA-256 of
+the coefficients in canonical form, or the class of the error the side
+raises.
 
-Regenerate all four files with
+Regenerate all five files with
 
     PYTHONPATH=src python tests/test_golden.py
 
 and list every changed line of any of them in CHANGES.md.
 """
 
+import hashlib
 import io
 import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
 
 from qident.cli import main
-from qident.dsl import FUNCTIONS, Call, parse
-from qident.errors import ParseError
+from qident.dsl import FUNCTIONS, Call, eval_expr, parse
+from qident.errors import ParseError, QIdentError
 from qident.record import Record
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -255,6 +262,45 @@ def test_deep_suite_matches_golden():
     assert got.splitlines() == (GOLDEN / "suite_deep.txt").read_text().splitlines()
 
 
+def _canonical(s):
+    """The coefficients of s as text: each exponent a reduced fraction and
+    each coefficient's entries over Q(zeta_M) in lowest terms, so a change
+    of storage that keeps the value keeps the text."""
+    return ";".join(f"{Fraction(k, s.denom)}:{','.join(map(str, c.coeffs))}"
+                    for k, c in s.sorted_terms())
+
+
+def side_lines():
+    """One line per (case, binding, side) of the built-in corpus at its
+    stated order and at DEEP_ORDER: the precision, grid, field, term count
+    and a SHA-256 of the canonical coefficients, or the error's class."""
+    from qident.identity import builtin_cases
+
+    lines = []
+    for case in builtin_cases():
+        for binding, source in zip(case.sample_bindings, case.binding_sources):
+            for order in (case.default_order, Fraction(DEEP_ORDER)):
+                for side in ("lhs", "rhs"):
+                    head = f"{case.id}\t{source or '-'}\t{side}\t{order}"
+                    try:
+                        s = eval_expr(getattr(case, side), order, binding)
+                    except QIdentError as exc:
+                        lines.append(f"{head}\traises {type(exc).__name__}")
+                        continue
+                    digest = hashlib.sha256(_canonical(s).encode()).hexdigest()
+                    lines.append(f"{head}\tprec {s.prec_order()} grid {s.denom} field {s.field_order}"
+                                 f" terms {s.term_count()} sha256 {digest}")
+    return lines
+
+
+def test_sides_match_golden():
+    want = (GOLDEN / "sides.txt").read_text().splitlines()
+    got = side_lines()
+    assert len(got) == len(want)
+    bad = [f"want {w}\ngot  {g}" for g, w in zip(got, want) if g != w]
+    assert not bad, f"{len(bad)} sides differ:\n" + "\n".join(bad)
+
+
 if __name__ == "__main__":
     from qident.identity import run_suite
 
@@ -266,3 +312,4 @@ if __name__ == "__main__":
     for name, order in (("suite.txt", None), ("suite_deep.txt", DEEP_ORDER)):
         suite = TIMING.sub("", run_suite(order=order).render())
         (GOLDEN / name).write_text(suite + "\n")
+    (GOLDEN / "sides.txt").write_text("\n".join(side_lines()) + "\n")

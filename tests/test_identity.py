@@ -95,6 +95,12 @@ class TestCorpusFormat:
         with pytest.raises(ValueError, match="duplicate lhs"):
             parse_corpus("id: a\nlhs: q\nlhs: q\nrhs: q\n")
 
+    def test_duplicate_order_in_stanza(self):
+        # a second order: is refused as any other single-valued key is,
+        # not taken over the first
+        with pytest.raises(ValueError, match="line 5: duplicate order:"):
+            parse_corpus("id: a\nlhs: q\nrhs: q\norder: 5\norder: 7\n")
+
     def test_duplicate_case_id(self):
         text = "id: a\nlhs: q\nrhs: q\n\nid: a\nlhs: q\nrhs: q\n"
         with pytest.raises(ValueError, match="duplicate case id"):

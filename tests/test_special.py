@@ -355,17 +355,18 @@ class TestThetaFunction:
         assert (warm.denom, warm.prec, warm.field_order) == (cold.denom, cold.prec, cold.field_order)
         assert warm.terms == cold.terms
 
-    @pytest.mark.parametrize("head, read", [
-        ("msplit", partial(FUNCTIONS["msplit"][5][1], [mono(2, 1), 1, mono(-1), mono(-1, 1), 2])),
-        (SIDE, lambda order: eval_expr(SIDE, order, SIDE_BINDING)),
+    @pytest.mark.parametrize("read", [
+        partial(FUNCTIONS["msplit"][5][1], [mono(2, 1), 1, mono(-1), mono(-1, 1), 2]),
+        lambda order: eval_expr(SIDE, order, SIDE_BINDING),
     ], ids=["definition", "expression"])
-    def test_cache_serves_shallower_order_of_a_definition_or_side(self, monkeypatch, head, read):
+    def test_cache_serves_shallower_order_of_a_definition_or_side(self, monkeypatch, read):
         # as test_cache_serves_shallower_order, for a definition read from
-        # the registry and for a whole expression
+        # the registry and for a whole expression: the shallower read is
+        # computed again, its rows served by cutting the kept ones, and
+        # equals a cold read
         monkeypatch.setattr(special, "_theta_cache", {})
         read(60)
         warm = read(41)
-        assert [k[0] for k in special._theta_cache].count(head) == 1
         special._theta_cache.clear()
         cold = read(41)
         assert (warm.denom, warm.prec, warm.field_order) == (cold.denom, cold.prec, cold.field_order)
@@ -379,26 +380,35 @@ class TestThetaFunction:
         assert calls < 10, calls
 
     def test_memo_builds_a_miss_to_its_order(self, monkeypatch):
-        # a build that reaches only work - 1 falls short at 5, so memo
-        # builds again at 6 and stores the result cut at 5; a shallower
-        # call is a hit and builds nothing; a build that falls further
-        # short than PAD_LIMIT raises and leaves no entry
+        # a build that reaches only work - loss falls short at 5, so
+        # ensure_prec builds again at 5 + loss, and a loss past PAD_LIMIT
+        # is refused; read_row keeps the row cut at 5, a shallower read is
+        # a hit and builds nothing, and a refused build leaves no entry
         monkeypatch.setattr(special, "_theta_cache", {})
         monkeypatch.setattr(special, "memo_counts", {"hits": 0, "misses": 0})
         works = []
 
-        def build(work):
+        def term_sum(loss, e, factors, work, start):
             works.append(work)
-            return const_series(1, work - 1)
+            return const_series(1, work - loss)
 
-        assert special.memo("short", (mono(2, 1),), 5, build).prec_order() == 5
+        assert special.ensure_prec(lambda work: term_sum(1, 0, (), work, 0), 5).prec_order() == 5
+        assert works == [5, 6]
+        with pytest.raises(CapExceededError):
+            special.ensure_prec(lambda work: term_sum(2000, 0, (), work, 0), 5)
+        works.clear()
+        # two rows whose form hands its loss to term_sum as the coefficient
+        monkeypatch.setattr(special, "term_sum", term_sum)
+        monkeypatch.setitem(FORMS, "short", (("x",), lambda x: (1, 0, (), 0), None))
+        monkeypatch.setitem(FORMS, "far", (("x",), lambda x: (2000, 0, (), 0), None))
+        assert read_row("short", (mono(2, 1),), 5).prec_order() == 5
         assert works == [5, 6]
         assert [s.prec_order() for s in special._theta_cache.values()] == [5]
-        assert special.memo("short", (mono(2, 1),), 3, build).prec_order() == 3
+        assert read_row("short", (mono(2, 1),), 3).prec_order() == 3
         assert works == [5, 6]
         assert special.memo_counts == {"hits": 1, "misses": 1}
         with pytest.raises(CapExceededError):
-            special.memo("far", (), 5, lambda work: zero_series(work - 2000))
+            read_row("far", (mono(2, 1),), 5)
         assert [k[0] for k in special._theta_cache] == ["short"]
 
     def test_memo_evicts_the_least_recently_used(self, monkeypatch):

@@ -53,20 +53,17 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> int:
+    """verify's corpus file, or suite's built-in corpus after its metadata line."""
     from .identity import parse_corpus, run_suite  # only here: expand needs no identity
-    with open(args.corpus, encoding="utf-8") as fh:
-        cases = parse_corpus(fh.read())
+    cases = None
+    if args.command == "verify":
+        with open(args.corpus, encoding="utf-8") as fh:
+            cases = parse_corpus(fh.read())
+    else:
+        print("# metadata: level constant f_c = 2c/gcd(c,4): "
+              + " ".join(f"f_{c}={f_c(c)}" for c in (2, 3, 4, 5)))
     report = run_suite(order=args.order, jobs=args.jobs, cases=cases)
-    print(report.render())
-    return 0 if report.ok() else 1
-
-
-def _cmd_suite(args: argparse.Namespace) -> int:
-    from .identity import run_suite
-    print("# metadata: level constant f_c = 2c/gcd(c,4): "
-          + " ".join(f"f_{c}={f_c(c)}" for c in (2, 3, 4, 5)))
-    report = run_suite(order=args.order, jobs=args.jobs)
     print(report.render())
     return 0 if report.ok() else 1
 
@@ -85,18 +82,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="bind a free symbol to a monomial; repeatable")
     p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("verify", help="check every identity in a corpus file")
+    checks = argparse.ArgumentParser(add_help=False)
+    checks.add_argument("--order", type=_order_arg, default=None,
+                        help="override every case's order")
+    checks.add_argument("--jobs", type=int, default=1, help="parallel workers, at most the CPU count")
+    checks.set_defaults(func=_cmd_check)
+    p = sub.add_parser("verify", parents=[checks], help="check every identity in a corpus file")
     p.add_argument("corpus", help="path to a corpus file")
-    p.add_argument("--order", type=_order_arg, default=None,
-                   help="override every case's order")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers, at most the CPU count")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("suite", help="check the built-in identity corpus")
-    p.add_argument("--order", type=_order_arg, default=None,
-                   help="override every case's order")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers, at most the CPU count")
-    p.set_defaults(func=_cmd_suite)
+    sub.add_parser("suite", parents=[checks], help="check the built-in identity corpus")
 
     return parser
 

@@ -367,19 +367,16 @@ def _to_series(v: Value, order: Fraction) -> QSeries:
     return v if isinstance(v, QSeries) else from_monomial(v, order)
 
 
-def _as_int(name: str, idx: int, arg: Expr) -> int:
-    neg = False
-    a = arg
-    while isinstance(a, Neg):
-        neg = not neg
-        a = a.a
-    if isinstance(a, Lit) and a.value.denominator == 1:
-        k = int(a.value)
-        return -k if neg else k
+def _as_int(name: str, idx: int, arg: Expr, ev: Callable[[Expr], Value]) -> int:
+    sign = 1
+    while isinstance(arg, Neg):
+        sign, arg = -sign, arg.a
+    if isinstance(arg, Lit) and arg.value.denominator == 1:
+        return sign * int(arg.value)
     raise EvalError(f"argument {idx} of {name} must be an integer literal")
 
 
-def _as_base(name: str, idx: int, arg: Expr) -> int:
+def _as_base(name: str, idx: int, arg: Expr, ev: Callable[[Expr], Value]) -> int:
     if isinstance(arg, Sym) and arg.name == "q":
         return 1
     if isinstance(arg, Pow) and isinstance(arg.base, Sym) and arg.base.name == "q":
@@ -387,6 +384,23 @@ def _as_base(name: str, idx: int, arg: Expr) -> int:
         if e.denominator == 1 and e > 0:
             return int(e)
     raise EvalError(f"argument {idx} of {name} must be q or q^p with p a positive integer")
+
+
+def _as_monomial(name: str, idx: int, arg: Expr, ev: Callable[[Expr], Value]) -> Monomial:
+    v = ev(arg)
+    if isinstance(v, Monomial):
+        return v
+    raise EvalError(f"argument {idx} of {name} must reduce to a monomial")
+
+
+# each argument kind's reader: (function name, argument index, argument,
+# its evaluator) -> value; "n" is an integer or inf, read as None
+_READERS: Dict[str, Callable[..., object]] = {
+    "x": _as_monomial,
+    "p": _as_base,
+    "i": _as_int,
+    "n": lambda name, idx, arg, ev: None if isinstance(arg, Inf) else _as_int(name, idx, arg, ev),
+}
 
 
 def _pad(order: Fraction, asked: Fraction, loss: Rat) -> Fraction:
@@ -397,14 +411,17 @@ def _pad(order: Fraction, asked: Fraction, loss: Rat) -> Fraction:
     return order
 
 
-def _factors(e: Expr) -> List[Tuple[Expr, int]]:
-    """The operands of a chain of * and ^k (k > 0), each with its power; any
-    other expression is one factor."""
+def _factors(e: Expr) -> List[Expr]:
+    """The operands of a chain of *; any other expression, a power among
+    them, is one factor."""
     if isinstance(e, Mul):
         return _factors(e.a) + _factors(e.b)
-    if isinstance(e, Pow) and e.expo.denominator == 1 and e.expo > 0:
-        return [(f, k * int(e.expo)) for f, k in _factors(e.base)]
-    return [(e, 1)]
+    return [e]
+
+
+def _times(v: Value, m: Monomial) -> Value:
+    """v times the monomial m, a monomial while v is one."""
+    return v * m if isinstance(v, Monomial) else series_shift(v, m)
 
 
 @lru_cache(maxsize=1024)
@@ -416,18 +433,11 @@ def _symbols(e: Expr) -> Tuple[str, ...]:
     return tuple(sorted({s for k in kids if isinstance(k, Record) for s in _symbols(k)}))
 
 
-def _ev(
-    e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction, power: int = 1, kept: bool = True
-) -> Value:
+def _ev(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction, power: int = 1) -> Value:
     """The value of e below q^order, a monomial while it stays one; power
     is the product of the powers around e, which _check_power counts with
     each power inside it.  A quotient or power is read through _node,
-    unless kept is False, which means this call is memo_exact's own build.
-    A / B shifts A by the product of B's monomial _factors, padded as _pad
-    says, and divides it by each series factor, the fewest terms first:
-    with v1, v2, va the valuations of b1, b2, a, series_div makes
-    (a / b1) / b2 exact below min(a.prec - v1 - v2, b1.prec - 2 v1 - v2 + va,
-    b2.prec - v1 - 2 v2 + va), just as it makes a / (b1 b2)."""
+    which keeps what _build makes of it."""
     if isinstance(e, Lit):
         if e.value == 0:
             return zero_series(order)
@@ -443,13 +453,8 @@ def _ev(
     if isinstance(e, Neg):
         v = _ev(e.a, order, binding, asked, power)
         return -v if isinstance(v, Monomial) else series_neg(v)
-    if isinstance(e, Add):
-        return series_add(
-            _to_series(_ev(e.a, order, binding, asked, power), order),
-            _to_series(_ev(e.b, order, binding, asked, power), order),
-        )
-    if isinstance(e, Sub):
-        return series_sub(
+    if isinstance(e, (Add, Sub)):
+        return (series_add if isinstance(e, Add) else series_sub)(
             _to_series(_ev(e.a, order, binding, asked, power), order),
             _to_series(_ev(e.b, order, binding, asked, power), order),
         )
@@ -458,78 +463,71 @@ def _ev(
         # only a monomial on the left pads the series on its right
         vb = _ev(e.b, _pad(order, asked, -va.expo) if isinstance(va, Monomial) else order,
                  binding, asked, power)
-        if isinstance(va, Monomial) and isinstance(vb, Monomial):
-            return va * vb
-        if isinstance(va, Monomial):
-            return series_shift(vb, va)
         if isinstance(vb, Monomial):
-            return series_shift(va, vb)
-        return series_mul(va, vb)
-    if kept and isinstance(e, (Div, Pow)):
+            return _times(va, vb)
+        return _times(vb, va) if isinstance(va, Monomial) else series_mul(va, vb)
+    if isinstance(e, (Div, Pow)):
         return _node(e, order, binding, asked, power)
-    if isinstance(e, Div):
-        vals = [(_ev(f, order, binding, asked, power * k), k) for f, k in _factors(e.b)]
-        for v, k in vals:
-            _check_power(v, power * k)
-        monos = [v**k for v, k in vals if isinstance(v, Monomial)]
-        out = _ev(e.a, _pad(order, asked, sum(m.expo for m in monos)), binding, asked, power)
-        if monos:
-            inv = prod(monos[1:], start=monos[0]).inv()
-            out = out * inv if isinstance(out, Monomial) else series_shift(out, inv)
-        divisors = [v for v, k in vals if isinstance(v, QSeries) for _ in range(k)]
-        for b in sorted(divisors, key=QSeries.term_count):
-            out = series_div(_to_series(out, order), b)
-        return out
-    if isinstance(e, Pow):
-        if e.expo.denominator == 1:
-            k = int(e.expo)
-            v = _ev(e.base, order, binding, asked, power * max(abs(k), 1))
-            _check_power(v, power * k)
-            if isinstance(v, Monomial):
-                return v**k if k >= 0 else v.inv() ** (-k)
-            return series_pow(v, k)
-        v = _ev(e.base, order, binding, asked, power)
-        if isinstance(v, Monomial) and v.is_q_power():
-            return Monomial.make(1, v.expo * e.expo)
-        raise EvalError("a fractional exponent requires a pure power of q as base")
     if isinstance(e, Call):
         return _call(e, order, binding, asked)
     raise TypeError(f"not an Expr: {e!r}")
 
 
+def _build(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction, power: int) -> Value:
+    """The value of the quotient or power e, or of a side's root, as _ev
+    gives it; _node keeps it.
+
+    A / B shifts A by the product of B's monomial _factors, padded as _pad
+    says, and divides it once by each series factor, the fewest terms
+    first, so a factor b^k is one division by b^k: with v1, v2, va the
+    valuations of b1, b2, a, series_div makes (a / b1) / b2 exact below
+    min(a.prec - v1 - v2, b1.prec - 2 v1 - v2 + va, b2.prec - v1 - 2 v2 +
+    va), just as it makes a / (b1 b2).  b^k, k >= 0, is a monomial's
+    power or series_pow's, and b^-k is 1 / b^k, one division by b^k."""
+    if isinstance(e, Div):
+        vals = [_ev(f, order, binding, asked, power) for f in _factors(e.b)]
+        monos = [v for v in vals if isinstance(v, Monomial)]
+        out = _ev(e.a, _pad(order, asked, sum(m.expo for m in monos)), binding, asked, power)
+        if monos:
+            out = _times(out, prod(monos[1:], start=monos[0]).inv())
+        for b in sorted((v for v in vals if isinstance(v, QSeries)), key=QSeries.term_count):
+            out = series_div(_to_series(out, order), b)
+        return out
+    if isinstance(e, Pow) and e.expo.denominator == 1:
+        if e.expo < 0:
+            return _build(Div(Lit(Fraction(1)), Pow(e.base, -e.expo)), order, binding, asked, power)
+        k = int(e.expo)
+        v = _ev(e.base, order, binding, asked, power * max(k, 1))
+        _check_power(v, power * k)
+        return v**k if isinstance(v, Monomial) else series_pow(v, k)
+    if isinstance(e, Pow):
+        v = _ev(e.base, order, binding, asked, power)
+        if isinstance(v, Monomial) and v.is_q_power():
+            return Monomial.make(1, v.expo * e.expo)
+        raise EvalError("a fractional exponent requires a pure power of q as base")
+    return _ev(e, order, binding, asked, power)
+
+
 def _node(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fraction, power: int) -> Value:
-    """_ev(e, ...) read through special.memo_exact, keyed by e, order, asked,
-    power and the monomials bound to e's _symbols."""
+    """_build(e, ...) read through special.memo_exact, keyed by e, order,
+    asked, power and the monomials bound to e's _symbols."""
     return memo_exact(e, (order, asked, power, *map(binding.get, _symbols(e))),
-                      partial(_ev, e, order, binding, asked, power, False))
+                      partial(_build, e, order, binding, asked, power))
 
 
 def _check_power(v: Value, k: int) -> None:
     """Refuse v^k for |k| past MAX_POWER unless v is a pure power of q, k
     being the product of v's own power and every power around it: nested
-    powers count as one, as a divisor's factors do, and so refuse before
-    the inner power is expanded."""
+    powers count as one, a divisor's and a quotient's among them, and so
+    refuse before the inner power is expanded."""
     if abs(k) > MAX_POWER and not (isinstance(v, Monomial) and v.is_q_power()):
         raise EvalError(f"power {k} exceeds MAX_POWER = {MAX_POWER} for a base other than q^e")
 
 
 def _call(e: Call, order: Fraction, binding: Dict[str, Monomial], asked: Fraction) -> Value:
     kinds, fn = FUNCTIONS[e.name][len(e.args)]
-    vals: List[object] = []
-    for idx, (kind, arg) in enumerate(zip(kinds, e.args), 1):
-        if kind == "x":
-            v = _ev(arg, order, binding, asked)
-            if not isinstance(v, Monomial):
-                raise EvalError(f"argument {idx} of {e.name} must reduce to a monomial")
-            vals.append(v)
-        elif kind == "p":
-            vals.append(_as_base(e.name, idx, arg))
-        elif kind == "i":
-            vals.append(_as_int(e.name, idx, arg))
-        elif kind == "n":
-            vals.append(None if isinstance(arg, Inf) else _as_int(e.name, idx, arg))
-        else:  # pragma: no cover
-            raise AssertionError(kind)
+    ev = partial(_ev, order=order, binding=binding, asked=asked)
+    vals = [_READERS[kind](e.name, idx, arg, ev) for idx, (kind, arg) in enumerate(zip(kinds, e.args), 1)]
     try:
         return fn(vals, order)
     except ValueError as exc:
@@ -555,8 +553,9 @@ def eval_expr(
 ) -> QSeries:
     """Evaluate to a truncated series with every exponent below order covered.
 
-    A / B divides by each factor of B's chain of * and ^k, at the precision
-    of one division by B (see _ev); the right factor of c*q^v * B and the
+    A / B divides once by each factor of B's chain of *, a power b^k being
+    one factor, at the precision of one division by B, and b^-k is 1 / b^k
+    (see _build); the right factor of c*q^v * B and the
     dividend of A / (c*q^-v * B), v < 0, are evaluated at order - v up front,
     within PAD_LIMIT (a monomial on the right of * is not: write it first);
     reruns at a deeper working order win back what other shifts and

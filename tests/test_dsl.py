@@ -489,6 +489,52 @@ def test_a_kept_power_does_not_pass_the_power_cap(monkeypatch):
         eval_expr(parse("1 + (x^600)^2"), 5, binding)
 
 
+@pytest.mark.parametrize("text, bind, order, deep", [
+    # Kpp(x)^41 has valuation 164/3: the reference quotient needs its
+    # operands past 3 + 2 * 164/3
+    ("Habc(1,0,2)/Kpp(x)^41", "x=2*q^(-4/3)", 3, 120),
+    # theta-refine's right side, which divided by Jm(2) twice
+    ("Jm(1)*j(x; q^2)*j(q*x; q^2)/Jm(2)^2", "x=zeta(3,1)", 100, 100),
+])
+def test_a_divisor_power_is_one_division(monkeypatch, text, bind, order, deep):
+    # b^k in a divisor is one factor, read as one power node: with the
+    # rows warm, each build of the side makes one series_div, by b^k,
+    # where it walked k divisions by b, 41 for Kpp(x)
+    binding = dsl.parse_bindings([bind])
+    monkeypatch.setattr(special, "_theta_cache", {})
+    eval_expr(parse(text), order, binding)
+    _forget_all_but_rows()
+    divisions, builds = count_calls(monkeypatch, "series_div"), count_builds(monkeypatch)
+    got = eval_expr(parse(text), order, binding)
+    assert divisions[0] == builds[0] and len(builds) == 1, (divisions, builds)
+    dividend, divisor = text.rsplit("/", 1)
+    want = series.series_div(eval_expr(parse(dividend), deep, binding),
+                             eval_expr(parse(divisor), deep, binding))
+    check_eq(got, want, order)
+
+
+def test_a_negative_power_is_one_over_the_power(monkeypatch):
+    # b^-k divides 1 by the node b^k, so it inverts nothing, and the three
+    # spellings agree
+    monkeypatch.setattr(special, "_theta_cache", {})
+    inverts = count_calls(monkeypatch, "series_invert")
+    first = eval_expr(parse("Jm(1)^(-3)"), 200)
+    for text in ("1/Jm(1)^3", "1/(Jm(1)*Jm(1)*Jm(1))"):
+        check_eq(eval_expr(parse(text), 200), first, 200)
+    assert inverts[0] == 0
+
+
+def test_a_power_of_a_quotient_of_a_power_is_refused_before_either_is_expanded(monkeypatch):
+    # (1/j(x)^30)^40 counts as j(x)^1200: refused before series_pow or
+    # series_div runs
+    binding = dsl.parse_bindings(["x=2*q"])
+    monkeypatch.setattr(special, "_theta_cache", {})
+    powers, divisions = count_calls(monkeypatch, "series_pow"), count_calls(monkeypatch, "series_div")
+    with pytest.raises(EvalError, match="power 1200 exceeds MAX_POWER"):
+        eval_expr(parse("(1/j(x; q)^30)^40"), 10, binding)
+    assert powers[0] == divisions[0] == 0
+
+
 def test_reuse_changes_no_value(monkeypatch):
     # every side of the built-in corpus at its stated order, in corpus
     # order through one memo, then each from an empty memo: the same rows,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qident.coeff import CycloNumber, cyclo_embed, euler_phi, lift_order, zeta_power
 from qident import series
-from qident.dsl import eval_expr
+from qident.dsl import eval_expr, parse
 from qident.errors import InsufficientPrecisionError, NonGenericError
 from qident.identity import builtin_cases
 from qident.series import (
@@ -719,6 +719,17 @@ def test_pow_matches_repeated_mul(a, n):
         want = series_mul(want, a)
     assert (got.denom, got.field_order, got.prec) == (want.denom, want.field_order, want.prec)
     assert got.terms == want.terms
+
+
+@pytest.mark.parametrize("text", ["1 - 2*q^(1/2)", "2*q^(-1) - 1 + zeta(3,1)*q^(1/3)"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_negative_pow_is_the_inverse_of_the_power(text, n):
+    # a^-n times a^n is 1 below the product's guaranteed precision; the
+    # evaluator writes b^-n as 1 / b^n, so only this calls the branch
+    a = eval_expr(parse(text), 20)
+    got = series_mul(series_pow(a, -n), series_pow(a, n))
+    w = got.prec_order()
+    assert w >= 10 and series_eq_to_order(got, const_series(1, w).lift_field(got.field_order), w).ok
 
 
 def _cyclo(draw):

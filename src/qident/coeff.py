@@ -12,14 +12,22 @@ Every product takes one step, _times_zeta (v -> v zeta_M: a shift of the
 numerators, the top one folded back by Phi_M's coefficients): a product
 sums x_a (y zeta^a), the power table is the orbit of 1, and column j of
 a multiplication table is column j - 1 times zeta.  A rational times a
-root of unity is inverted by finding its row in the power table; any
-other number through its norm.
+root of unity is inverted by looking its row up in _power_index, the
+power table's rows keyed to their exponents; any other number through
+its norm.
 
 A CycloNumber is a scalar: a coefficient read out of a series, a
 monomial's coefficient, a memo key, a verdict's witness.  Series store
 their coefficients as integer rows and never build one per coefficient;
-the row tables _times_table and _lift_table, a scalar's powers as rows
-(_powers) and the reduction of rows mod Phi_M (_reduce_rows) live here.
+the row tables _times_table, _times_triples (its pairs flattened for
+series_div's walk) and _lift_table, a scalar's powers as rows (_powers)
+and the reduction of rows mod Phi_M (_reduce_rows) live here.
+
+Each table is bounded: _times_table and _times_triples keep 1,024
+multipliers each, least recently used first out; _power_table,
+_power_index, zero, one, cyclotomic_poly, euler_phi and _lift_table
+(per pair of fields) keep one entry per field, and a field is at most
+MAX_FIELD_ORDER.
 
 All roots of unity, i = zeta_4, rational constants, and the exact values
 sin(pi*a/c), csc(pi*a/c) live here.
@@ -29,7 +37,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import OrderMismatchError
@@ -107,6 +117,12 @@ def _power_table(M: int) -> tuple[tuple[int, ...], ...]:
         rows.append(tuple(v))
         v = _times_zeta(M, v)
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _power_index(M: int) -> dict:
+    """The k < M of each row zeta_M^k of _power_table, keyed by the row."""
+    return {row: k for k, row in enumerate(_power_table(M)[:M])}
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +241,18 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def inv(self) -> "CycloNumber":
-        """Multiplicative inverse.  A rational r times a power zeta^k, found
-        among the rows of _power_table, inverts to zeta^-k / r; otherwise the
+        """Multiplicative inverse.  A rational r times a power zeta^k, its
+        row found in _power_index, inverts to zeta^-k / r; otherwise the
         product c of the other Galois conjugates makes self * c the norm, a
         nonzero rational."""
         M, num = self.order, self.num
         if not any(num):
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        g, powers = gcd(*num), _power_table(M)
+        g, index = gcd(*num), _power_index(M)
         for r in (g, -g):
-            unit = tuple(x // r for x in num)
-            if unit in powers:  # self = (r / den) zeta^k, so 1/self = (den / r) zeta^-k
-                k = powers.index(unit)
-                return _make(M, [r // g * self.den * x for x in powers[-k % M]], g)
+            k = index.get(tuple([x // r for x in num]))
+            if k is not None:  # self = (r / den) zeta^k, so 1/self = (den / r) zeta^-k
+                return _make(M, [r // g * self.den * x for x in _power_table(M)[-k % M]], g)
         c = one(M)
         for t in range(2, M):
             if gcd(t, M) == 1:
@@ -365,8 +380,8 @@ def one(M: int) -> CycloNumber:
 
 def cyclo_embed(r: RatLike, M: int) -> CycloNumber:
     """The rational constant r as an element of Q(zeta_M)."""
-    r = Fraction(r)
-    return _raw(M, (r.numerator,) + (0,) * (euler_phi(M) - 1), r.denominator)
+    n, d = r.as_integer_ratio()
+    return _raw(M, (n,) + (0,) * (euler_phi(M) - 1), d)
 
 
 def zeta_power(M: int, k: int) -> CycloNumber:
@@ -395,6 +410,14 @@ def _times_table(M: int, num: tuple, den: int) -> tuple:
     return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in zip(*cols)), den
 
 
+@lru_cache(maxsize=1024)
+def _times_triples(M: int, num: tuple) -> tuple:
+    """Multiplication by num in Q(zeta_M) as one flat tuple of (k, j, c):
+    component k of the product with v gains c v_j, _times_table's pairs
+    with their k beside them."""
+    return tuple((k, j, c) for k, ps in enumerate(_times_table(M, num, 1)[0]) for j, c in ps)
+
+
 @lru_cache(maxsize=None)
 def _lift_table(M: int, field: int) -> tuple:
     """The pairs of the embedding of Q(zeta_M) in Q(zeta_field), as _times_table's."""
@@ -420,17 +443,25 @@ def _powers(x: CycloNumber, lo: int, count: int) -> tuple:
     den = x.den^(lo + count - 1): a running power of x's numerators, slot j
     scaled by x.den^(count - 1 - j).  When den is 1 and the power is back
     at x^lo after k steps, x^k = 1 (or x = 0 with lo = 1): the powers
-    repeat with period k, and the k slots made are tiled out to count."""
-    pairs, d = _times_table(x.order, x.num, 1)[0], x.den
+    repeat with period k, and the k slots made are tiled out to count.  A
+    rational's powers are one running power of its numerator, each slot
+    scaled by the running power of d from the top."""
+    d, n = x.den, count - 1
+    if not any(x.num[1:]):
+        col = list(accumulate(repeat(x.num[0], n), mul, initial=x.num[0] ** lo))
+        if d > 1:
+            col = [y * s for y, s in zip(reversed(col), accumulate(repeat(d, n), mul, initial=1))][::-1]
+        return [col] + [[0] * count for _ in x.num[1:]], d ** (lo + n)
+    pairs = _times_table(x.order, x.num, 1)[0]
     v = first = list(x.num) if lo else [1] + [0] * (len(x.num) - 1)
-    cols, scale = [[] for _ in v], d ** (count - 1)
+    cols, scale = [[] for _ in v], d ** n
     for k in range(1, count + 1):
         for col, y in zip(cols, v):
             col.append(scale * y)
         v, scale = [sum([c * v[j] for j, c in ps]) for ps in pairs], scale // d
         if d == 1 and v == first:
             return [(col * -(-count // k))[:count] for col in cols], 1
-    return cols, d ** (lo + count - 1)
+    return cols, d ** (lo + n)
 
 
 def sin_pi(a: int, c: int, M: int) -> CycloNumber:

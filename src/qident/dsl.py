@@ -49,6 +49,7 @@ from .series import (
     PAD_LIMIT,
     Monomial,
     QSeries,
+    _as_frac,
     from_monomial,
     series_add,
     series_div,
@@ -512,7 +513,7 @@ def _node(e: Expr, order: Fraction, binding: Dict[str, Monomial], asked: Fractio
     """_build(e, ...) read through special.memo_exact, keyed by e, order,
     asked, power and the monomials bound to e's _symbols."""
     return memo_exact(e, (order, asked, power, *map(binding.get, _symbols(e))),
-                      partial(_build, e, order, binding, asked, power))
+                      _build, e, order, binding, asked, power)
 
 
 def _check_power(v: Value, k: int) -> None:
@@ -570,7 +571,7 @@ def eval_expr(
     """
     if not isinstance(e, Expr):
         raise TypeError(f"not an Expr: {e!r}")
-    b, asked = dict(binding or {}), Fraction(order)
+    b, asked = dict(binding or {}), _as_frac(order)
     if asked > MAX_ORDER:
         raise EvalError(f"order {asked} exceeds MAX_ORDER = {MAX_ORDER}")
     return series_truncate(special.ensure_prec(

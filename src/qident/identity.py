@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .dsl import DEFAULT_ORDER, Expr, eval_expr, parse, parse_bindings, print_expr
 from .errors import CapExceededError, NonGenericError
 from .record import Record
-from .series import Monomial, series_eq_to_order
+from .series import Monomial, _as_frac, series_eq_to_order
 from .verdict import INSUFFICIENT, NONGENERIC, Verdict
 
 Rat = Union[int, Fraction]
@@ -206,7 +206,7 @@ def check(
     else (unbound symbols, malformed arguments) propagates as an error.
     """
     binding = case.sample_bindings[binding_index]
-    order = Fraction(order_override if order_override is not None else case.default_order)
+    order = _as_frac(order_override if order_override is not None else case.default_order)
     try:
         lhs = eval_expr(case.lhs, order, binding)
         rhs = eval_expr(case.rhs, order, binding)

@@ -29,7 +29,7 @@ one row.  QSeries has no operators.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, compress, islice
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional, Sequence, Tuple, Union
@@ -41,6 +41,7 @@ from .coeff import (
     _powers,
     _reduce_rows,
     _times_table,
+    _times_triples,
     cyclo_embed,
     euler_phi,
     lift_order,
@@ -73,7 +74,7 @@ class Monomial(Record):
     @staticmethod
     def make(coeff: Union[CycloNumber, Rat], expo: Rat = 0) -> "Monomial":
         if not isinstance(coeff, CycloNumber):
-            coeff = cyclo_embed(Fraction(coeff), 1)
+            coeff = cyclo_embed(coeff, 1)
         return Monomial(coeff, _as_frac(expo))
 
     @property
@@ -515,7 +516,10 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
     _scale's), and the weights r_j sigma(n) / sigma(n - j) are integral
     and periodic in n, of period Q, the lcm of the rates' denominators;
     the row is put over da sigma(L - 1).  Either way it is brought to
-    lowest terms once.
+    lowest terms once.  The set-up costs b's terms, not its slots: the
+    tail is read off the nonzero slots of b's lists, b_0 is inverted by
+    CycloNumber.inv, a root of unity times a rational by lookup, and each
+    weight's (k, i, x) come from coeff._times_triples, kept per multiplier.
 
     With v the valuation of b, c_n needs a at n + v and b as far past its
     lead as n is past the quotient's valuation val(a) - v, so the quotient
@@ -537,19 +541,15 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
     check_window(a.denom, p - min(lo, 0))
     inv = _make(M, [col[0] for col in b.cols], 1).inv()
     N, delta = inv.num, inv.den
-
-    def times(t: Sequence[int]) -> list:  # multiplication by t as (k, i, x): slot k gains x y[i]
-        return [(k, i, x) for k, ps in enumerate(_times_table(M, tuple(t), 1)[0]) for i, x in ps]
-
-    # with 1/b_0 = N/delta, N integral, r_j = (b_j N / g) / rho_j for rho_j = delta / g
+    # with 1/b_0 = N/delta, N integral, r_j = (b_j N / g) / rho_j for rho_j = delta / g;
+    # a weight is _times_triples of its multiplier: (k, i, x), slot k gaining x y[i]
     times_n, tail = _times_table(M, N, 1)[0], []
-    for j, y in enumerate(islice(zip(*b.cols), 1, L), 1):
-        if any(y):
-            t = [sum([x * y[i] for i, x in ps]) for ps in times_n]
-            tail.append((j, t, gcd(delta, *t)))
+    for j in sorted(set().union(*(compress(range(1, L), islice(c, 1, L)) for c in b.cols))):
+        t = [sum([x * b.cols[i][j] for i, x in ps]) for ps in times_n]
+        tail.append((j, t, gcd(delta, *t)))
     steps = None
     if all(g == delta for _, _, g in tail):  # every r_j integral: sigma is 1
-        Q, weights = 1, [(j, [times([x // delta for x in t])]) for j, t, _ in tail]
+        Q, weights = 1, [(j, [_times_triples(M, tuple([x // delta for x in t]))]) for j, t, _ in tail]
     else:
         rates, steps = _scale([(j, delta // g) for j, _, g in tail], L)
         Q, weights = lcm(*(k.denominator for _, k in rates)), []
@@ -558,7 +558,7 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
             for n in range(j, min(j + Q, L)):
                 f = prod(steps[n - j:n]) * g // delta
                 if f not in tables:
-                    tables[f] = times([x // g * f for x in t])
+                    tables[f] = _times_triples(M, tuple([x // g * f for x in t]))
                 w[n % Q] = tables[f]
             weights.append((j, w))
     # a / b_0 = (a N) b.den / (a.den delta): slot n starts at sigma(n) (a N mult)_n
@@ -566,7 +566,7 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
     cols = a.cols if steps is None else [[x * s for x, s in zip(c, accumulate(steps, mul, initial=1))] for c in a.cols]
     A = _apply(_times_table(M, tuple(mult * x for x in N), 1)[0], [c[:L] + [0] * (L - len(c)) for c in cols])
     C, step = [list(x) for x in zip(*A)], gcd(*(j for j, _ in weights)) or L
-    for r in {n % step for n, x in enumerate(C) if any(x)}:
+    for r in {n % step for n, x in enumerate(C) if any(x)} if step > 1 else (0,):
         for n in range(r, L, step):
             s, q = C[n], n % Q
             for j, w in weights:

@@ -16,12 +16,17 @@ which deepens the working order up to series.PAD_LIMIT, and cut at its
 order: a shallower request cuts the entry and only a deeper one builds
 it again.  memo_exact keeps each expression node dsl evaluates, a side's
 root and every quotient and power below it, exactly as it was computed.
+An entry's key is its head and its arguments with no Fraction in it:
+each Fraction becomes its numerator when it is an integer and its
+(numerator, denominator) pair otherwise, nested in the key, and each
+monomial c q^e the two parts c.key() and e's, so a lookup hashes ints
+and tuples in C and never runs Fraction.__hash__.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import CapExceededError, NonGenericError
 from .eulerian import BILATERAL, FORMS, has_pole
@@ -29,6 +34,7 @@ from .series import (
     PAD_LIMIT,
     Monomial,
     QSeries,
+    _as_frac,
     bilateral_pole,
     bilateral_sum,
     grid_prec,
@@ -50,10 +56,10 @@ def ensure_prec(build: Callable[[Fraction], QSeries], order: Rat) -> QSeries:
     retry normally suffices; four builds that all fall short, or a total
     padding beyond PAD_LIMIT, raise CapExceededError.
     """
-    work = order = Fraction(order)
+    work = order = _as_frac(order)
     for _ in range(4):
         s = build(work)
-        if s.prec_order() >= order:
+        if s.prec >= grid_prec(order, s.denom):
             return s
         # a later retry pads at least q^1, which no inner grid rounds away
         work = work + max(order - s.prec_order(), 0 if work == order else 1)
@@ -65,7 +71,7 @@ def ensure_prec(build: Callable[[Fraction], QSeries], order: Rat) -> QSeries:
 
 
 def _base(p: Rat) -> Fraction:
-    p = Fraction(p)
+    p = _as_frac(p)
     if p <= 0:
         raise ValueError("base exponent must be positive")
     return p
@@ -79,29 +85,41 @@ def _base(p: Rat) -> Fraction:
 _theta_cache: dict[tuple, object] = {}
 
 # The most entries _theta_cache keeps; one run_suite() of the built-in
-# corpus leaves 1,061, so the corpus never evicts.
+# corpus leaves 1,084, so the corpus never evicts.
 MEMO_LIMIT = 2048
 
 memo_counts = {"hits": 0, "misses": 0}
 
 
-def memo_exact(head: object, args: Sequence, build: Callable[[], object]) -> object:
-    """build(), read through _theta_cache under head and args and kept
-    exactly as built, with no ensure_prec and no cut: a hit is the value
-    the miss computed.  An exception is never stored."""
-    return _read(head, args, lambda hit: False, build)
+def memo_exact(head: object, args: Sequence, build: Callable[..., object], *params: object) -> object:
+    """build(*params), read through _theta_cache under head and args and
+    kept exactly as built, with no ensure_prec and no cut: a hit is the
+    value the miss computed.  An exception is never stored."""
+    return _read(head, args, None, build, *params)
 
 
-def _read(head: object, args: Sequence, short: Callable[[object], bool], build: Callable[[], object]) -> object:
-    """The entry of _theta_cache under head and args, each monomial c q^e
-    flattened to c's key and e, built anew when there is none or short says
+def _read(head: object, args: Sequence, short: Optional[Callable[[object], bool]],
+          build: Callable[..., object], *params: object) -> object:
+    """The entry of _theta_cache under head and args, keyed as the module
+    says, build(*params) anew when there is none or short, if given, says
     the one there falls short; either way it becomes the most recently
-    used, and past MEMO_LIMIT entries the least recently used one goes."""
-    key = (head, *(v for a in args for v in ((a.coeff.key(), a.expo) if isinstance(a, Monomial) else (a,))))
+    used, and past MEMO_LIMIT entries the least recently used one goes.
+    An integral Fraction is keyed by the int it equals, so it keys the
+    entry an int argument would, as a Fraction itself did."""
+    key = [head]
+    for a in args:
+        if isinstance(a, Monomial):
+            key.append(a.coeff.key())
+            a = a.expo
+        if isinstance(a, Fraction):
+            n, d = a.as_integer_ratio()
+            a = n if d == 1 else (n, d)
+        key.append(a)
+    key = tuple(key)
     hit = _theta_cache.pop(key, None)
-    fresh = hit is None or short(hit)
+    fresh = hit is None or short is not None and short(hit)
     memo_counts["misses" if fresh else "hits"] += 1
-    _theta_cache[key] = v = build() if fresh else hit
+    _theta_cache[key] = v = build(*params) if fresh else hit
     while len(_theta_cache) > MEMO_LIMIT:
         del _theta_cache[next(iter(_theta_cache))]
     return v

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from qident.errors import EvalError, NonGenericError, ParseError
 from qident.eulerian import BILATERAL, FORMS
 from qident.identity import builtin_cases, check, run_suite
 from qident.series import Monomial, series_eq_to_order, series_mul
-from oracles import assert_series_matches, count_builds, count_calls, count_pairs
+from oracles import assert_series_matches, count_builds, count_calls, count_fractions, count_pairs
 
 
 def check_eq(lhs, rhs, order):
@@ -428,10 +429,46 @@ def test_the_memo_holds_rows_and_expression_nodes_only(monkeypatch):
         if isinstance(head, str):
             assert head in FORMS or head in BILATERAL, head
         else:
-            # a node's key goes on with its working order, asked and power
+            # a node's key goes on with its working order and asked order,
+            # each an integer or a (numerator, denominator) pair in lowest
+            # terms, never a Fraction, and its power
             assert isinstance(head, dsl.Expr), head
-            assert [type(v) for v in rest[:3]] == [F, F, int], (print_expr(head), rest)
+            assert type(rest[2]) is int, (print_expr(head), rest)
+            for v in rest[:2]:
+                assert type(v) is int or (type(v) is tuple and v[1] > 1 and gcd(*v) == 1), (print_expr(head), rest)
+            assert not any(isinstance(v, F) for v in rest), (print_expr(head), rest)
     assert len(special._theta_cache) < special.MEMO_LIMIT
+
+
+@pytest.mark.parametrize("order, counts", [
+    (None, {"hits": 901, "misses": 1130, "entries": 1084}),
+    (100, {"hits": 908, "misses": 1116, "entries": 1075}),
+])
+def test_a_cold_suite_reads_the_memo_as_often_as_ever(monkeypatch, order, counts):
+    # a key that lost hits would raise misses and entries, and a key that
+    # merged two distinct entries would lower them
+    monkeypatch.setattr(special, "_theta_cache", {})
+    monkeypatch.setattr(special, "memo_counts", {"hits": 0, "misses": 0})
+    run_suite(order)
+    assert dict(special.memo_counts, entries=len(special._theta_cache)) == counts
+
+
+def test_a_cold_round_builds_few_fractions(monkeypatch):
+    # the 172 checks of a round from an empty memo, after one round has
+    # warmed the parse and table caches: exponent and order arithmetic
+    # builds Fractions, memo keys, precision tests and rational scalars
+    # build none (9,288 before they stopped; fewer on Pythons whose
+    # Fraction arithmetic skips the constructor)
+    work = [(c, i) for c in builtin_cases() for i in range(len(c.sample_bindings))]
+    assert len(work) == 172
+    monkeypatch.setattr(special, "_theta_cache", {})
+    for c, i in work:
+        check(c, i)
+    special._theta_cache.clear()
+    made = count_fractions(monkeypatch)
+    for c, i in work:
+        check(c, i)
+    assert made[0] <= 6059, made[0]
 
 
 def test_a_definition_runs_no_precision_loop_of_its_own(monkeypatch):

@@ -420,9 +420,13 @@ class TestThetaFunction:
         read_row("j", (b, 1), 20)
         read_row("j", (a, 1), 10)  # a hit makes a the most recently used
         read_row("j", (c, 1), 20)
+        # a monomial is keyed by its coefficient's key and its exponent, a
+        # Fraction by its (numerator, denominator) pair or, when it is an
+        # integer, by its numerator, as the base 1 is
         assert [k[1:] for k in special._theta_cache] == [
-            (x.coeff.key(), x.expo, 1) for x in (a, c)
+            ((1, (-1,), 1), (1, 2), 1), ((3, (0, 1), 1), 0, 1)
         ]
+        assert a.coeff.key() == (1, (-1,), 1) and c.coeff.key() == (3, (0, 1), 1)
         assert special.memo_counts == {"hits": 1, "misses": 3}
 
     @settings(max_examples=120, deadline=None)
